@@ -1,243 +1,163 @@
 """Command-line front end: bound | reference | scan | qtable | verify.
 
-Configuration is a single JSON document; all quantities are GeV-based
-natural units.  Exit codes: 0 success, 1 verification failure, 2 domain
-error (no bound state / collapse), 3 bad configuration.
+Configuration is a single JSON document, with command-line flags laid over
+it; all quantities are GeV-based natural units.  Exit codes: 0 success,
+1 verification failure, 2 domain error (any AfmError: no bound state,
+collapse, no convergence, ...), 3 bad configuration or usage.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 from . import core, reference, verification
 from .errors import AfmError, CollapseDetected, NoBoundState, UnsupportedCase
 from .oracle import SpectralGrid
 from .types import GlobalQ, PowerLawPotential, QuantumState
 
-MODES = ("bound", "reference", "scan", "qtable", "verify")
-FORMATS = ("text", "csv", "json")
+# Allowed configuration keys.  A set lists the keys of a nested object, a
+# one-set list those of each object in a list, and str marks a string value.
+CONFIG_KEYS = {
+    "mode": str, "suite": str, "out": str, "format": str,
+    "masses": None, "sigma": None, "p": None, "q": None,
+    "potential": [{"alpha", "exponent"}],
+    "state": {"n", "l"},
+    "grid": {"points", "box_radius"},
+    "scan": {"variable", "values", "start", "stop", "step", "include_reference"},
+    "qtable": {"p_values", "states", "numeric"},
+}
 
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent run configuration."""
 
 
-def _require_keys(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
+# ---------------------------------------------------------------------------
+# configuration and output
+
+
+def _check_object(raw, allowed: set[str], where: str) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _parse_potential(raw) -> PowerLawPotential:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("potential must be a non-empty list of terms")
-    terms = []
-    for item in raw:
-        if not isinstance(item, dict):
-            raise ConfigError("each potential term must be an object")
-        _require_keys(item, {"alpha", "exponent"}, "potential term")
+def _reject_constant(name: str):
+    raise ConfigError(f"{name} is not a JSON number")
+
+
+def load_config(args: argparse.Namespace) -> dict:
+    """Read the --config file, check its keys, and lay the flags over it.
+
+    An optional ``mode`` key must name the verb being run, ``p`` and ``q``
+    exclude each other, and the output format must be one the verb writes.
+    """
+    verb = args.command
+    config = {}
+    if args.config:
         try:
-            terms.append((float(item["alpha"]), float(item["exponent"])))
-        except KeyError as err:
-            raise ConfigError(f"potential term missing {err}") from None
+            with open(args.config, encoding="utf-8") as handle:
+                config = json.load(handle, parse_constant=_reject_constant)
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"cannot read configuration {args.config}: {err}") from None
+    _check_object(config, set(CONFIG_KEYS), "configuration")
+    for key, rule in CONFIG_KEYS.items():
+        if key not in config:
+            continue
+        value = config[key]
+        if rule is str and not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string")
+        elif isinstance(rule, set):
+            _check_object(value, rule, key)
+        elif isinstance(rule, list):
+            if not isinstance(value, list):
+                raise ConfigError(f"{key} must be a list")
+            for item in value:
+                _check_object(item, rule[0], f"{key} term")
+    if "p" in config and "q" in config:
+        raise ConfigError("give either the auxiliary exponent p or an explicit Q, not both")
+    if config.get("mode", verb) != verb:
+        raise ConfigError(f"configuration mode {config['mode']!r} does not match command {verb!r}")
+    for dest, value in vars(args).items():
+        if dest in ("command", "config") or value is None:
+            continue
+        if "." in dest:  # --grid-points and --box-radius fill the grid section
+            section, key = dest.split(".")
+            config.setdefault(section, {})[key] = value
+        else:
+            config[dest] = value
+    formats = VERBS[verb][1]
+    if config.get("format", formats[0]) not in formats:
+        raise ConfigError(f"{verb} writes only {', '.join(formats)}")
+    return config
+
+
+@contextlib.contextmanager
+def _config_values():
+    """Report a KeyError, TypeError or ValueError raised while building domain
+    objects from configuration values as a bad configuration."""
     try:
-        return PowerLawPotential(tuple(terms))
-    except ValueError as err:
+        yield
+    except KeyError as err:
+        raise ConfigError(f"missing key {err}") from None
+    except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from None
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration; see README for the JSON schema."""
-
-    mode: str
-    masses: tuple[float, float] | None = None
-    sigma: float | None = None
-    potential: PowerLawPotential | None = None
-    state: QuantumState | None = None
-    p: float | None = None
-    q: float | None = None
-    grid_points: int | None = None
-    box_radius: float | None = None
-    scan: dict | None = None
-    qtable: dict | None = None
-    suite: str | None = None
-    out: str | None = None
-    format: str = "text"
-
-    TOP_KEYS = {
-        "mode", "masses", "sigma", "potential", "state", "p", "q",
-        "grid", "scan", "qtable", "suite", "out", "format",
-    }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("configuration must be a JSON object")
-        _require_keys(raw, cls.TOP_KEYS, "configuration")
-        mode = raw.get("mode")
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-
-        masses = None
-        if "masses" in raw:
-            pair = raw["masses"]
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ConfigError("masses must be a pair [m1, m2]")
-            masses = (float(pair[0]), float(pair[1]))
-            if min(masses) < 0:
-                raise ConfigError("masses must be non-negative")
-
-        state = None
-        if "state" in raw:
-            _require_keys(raw["state"], {"n", "l"}, "state")
-            try:
-                state = QuantumState(raw["state"].get("n", 0), raw["state"].get("l", 0))
-            except ValueError as err:
-                raise ConfigError(str(err)) from None
-
-        potential = _parse_potential(raw["potential"]) if "potential" in raw else None
-
-        grid_points = box_radius = None
-        if "grid" in raw:
-            _require_keys(raw["grid"], {"points", "box_radius"}, "grid")
-            if "points" in raw["grid"]:
-                grid_points = int(raw["grid"]["points"])
-            if "box_radius" in raw["grid"]:
-                box_radius = float(raw["grid"]["box_radius"])
-
-        scan = None
-        if "scan" in raw:
-            _require_keys(
-                raw["scan"],
-                {"variable", "values", "start", "stop", "step", "include_reference"},
-                "scan",
-            )
-            scan = dict(raw["scan"])
-
-        qtable = None
-        if "qtable" in raw:
-            _require_keys(raw["qtable"], {"p_values", "states", "numeric"}, "qtable")
-            qtable = dict(raw["qtable"])
-
-        if "p" in raw and "q" in raw:
-            raise ConfigError("give either the auxiliary exponent p or an explicit Q, not both")
-
-        fmt = raw.get("format", "text")
-        if fmt not in FORMATS:
-            raise ConfigError(f"format must be one of {FORMATS}")
-
-        sigma = float(raw["sigma"]) if "sigma" in raw else None
-        if sigma is not None and sigma <= 0:
-            raise ConfigError("sigma must be positive")
-
-        return cls(
-            mode=mode,
-            masses=masses,
-            sigma=sigma,
-            potential=potential,
-            state=state,
-            p=float(raw["p"]) if "p" in raw else None,
-            q=float(raw["q"]) if "q" in raw else None,
-            grid_points=grid_points,
-            box_radius=box_radius,
-            scan=scan,
-            qtable=qtable,
-            suite=raw.get("suite"),
-            out=raw.get("out"),
-            format=fmt,
-        )
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        try:
-            with open(path, encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except (OSError, json.JSONDecodeError) as err:
-            raise ConfigError(f"cannot read configuration {path}: {err}") from None
-        return cls.from_dict(raw)
-
-    def to_dict(self) -> dict:
-        """Canonical re-emission; parsing the result reproduces this config."""
-        out: dict = {"mode": self.mode}
-        if self.masses is not None:
-            out["masses"] = list(self.masses)
-        if self.sigma is not None:
-            out["sigma"] = self.sigma
-        if self.potential is not None:
-            out["potential"] = [
-                {"alpha": a, "exponent": lam} for a, lam in self.potential.terms
-            ]
-        if self.state is not None:
-            out["state"] = {"n": self.state.n, "l": self.state.l}
-        if self.p is not None:
-            out["p"] = self.p
-        if self.q is not None:
-            out["q"] = self.q
-        if self.grid_points is not None or self.box_radius is not None:
-            grid = {}
-            if self.grid_points is not None:
-                grid["points"] = self.grid_points
-            if self.box_radius is not None:
-                grid["box_radius"] = self.box_radius
-            out["grid"] = grid
-        if self.scan is not None:
-            out["scan"] = self.scan
-        if self.qtable is not None:
-            out["qtable"] = self.qtable
-        if self.suite is not None:
-            out["suite"] = self.suite
-        if self.out is not None:
-            out["out"] = self.out
-        if self.format != "text":
-            out["format"] = self.format
-        return out
+def _masses(config: dict) -> tuple[float, float]:
+    pair = config["masses"]
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ConfigError("masses must be a pair [m1, m2]")
+    masses = (float(pair[0]), float(pair[1]))
+    if min(masses) < 0:
+        raise ConfigError("masses must be non-negative")
+    return masses
 
 
-# ---------------------------------------------------------------------------
-# shared helpers
+def _potential(config: dict) -> PowerLawPotential:
+    return PowerLawPotential(tuple((t["alpha"], t["exponent"]) for t in config["potential"]))
+
+
+def _state(config: dict) -> QuantumState:
+    return QuantumState(config["state"].get("n", 0), config["state"].get("l", 0))
+
+
+def _switch(section: dict, key: str) -> bool:
+    value = section.get(key, True)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false")
+    return value
+
+
+def _global_q(config: dict, potential: PowerLawPotential) -> GlobalQ:
+    if "q" in config:
+        active = potential.active_terms()
+        p = active[0][1] if len(active) == 1 else None  # proportional auxiliary choice
+        return GlobalQ.explicit(config["q"], p)
+    if "p" not in config:
+        raise ConfigError("give the auxiliary exponent p or an explicit q")
+    p, state = float(config["p"]), _state(config)
+    try:
+        return core.q_exact(p, state)
+    except UnsupportedCase:
+        return core.q_numeric(p, state)  # a ValueError here rejects p
 
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _resolve_global_q(config: RunConfig) -> GlobalQ:
-    if config.state is None and config.q is None:
-        raise ConfigError("a state {n, l} or an explicit q is required")
-    if config.q is not None:
-        p = config.p
-        if p is None and config.potential is not None:
-            active = config.potential.active_terms()
-            if len(active) == 1:
-                p = active[0][1]  # proportional auxiliary choice
-        return GlobalQ.explicit(config.q, p)
-    if config.p is None:
-        raise ConfigError("give the auxiliary exponent p or an explicit q")
-    try:
-        return core.q_exact(config.p, config.state)
-    except UnsupportedCase:
-        return core.q_numeric(config.p, config.state)
-
-
-def _grid_override(config: RunConfig) -> SpectralGrid | None:
-    if config.grid_points is None and config.box_radius is None:
-        return None
-    if config.grid_points is None or config.box_radius is None:
-        raise ConfigError("grid overrides need both points and box_radius")
-    return SpectralGrid(config.box_radius, config.grid_points)
-
-
-def _window_hint(config: RunConfig, q: GlobalQ) -> str:
-    potential = config.potential
-    if potential is None:
-        return ""
+def _window_hint(masses: tuple[float, float], potential: PowerLawPotential, q: GlobalQ) -> str:
     active = potential.active_terms()
-    if len(active) == 1 and active[0][1] == -1.0 and 0.0 in (config.masses or ()):
+    if len(active) == 1 and active[0][1] == -1.0 and 0.0 in masses:
         a = active[0][0]
         side = ""
         if q.value >= a:
@@ -248,10 +168,14 @@ def _window_hint(config: RunConfig, q: GlobalQ) -> str:
     return ""
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, config: dict) -> None:
+    out_path = config.get("out")
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise ConfigError(f"cannot write {out_path}: {err}") from None
     else:
         sys.stdout.write(text)
 
@@ -260,25 +184,22 @@ def _emit(text: str, out_path: str | None) -> None:
 # commands
 
 
-def cmd_bound(config: RunConfig) -> int:
-    if config.masses is None or config.potential is None:
-        raise ConfigError("bound mode needs masses and a potential")
-    q = _resolve_global_q(config)
-    m1, m2 = config.masses
+def cmd_bound(config: dict) -> int:
+    with _config_values():
+        masses = _masses(config)
+        potential = _potential(config)
+        q = _global_q(config, potential)
+    m1, m2 = masses
     try:
-        sol = core.solve_afm(m1, m2, config.potential, q)
+        sol = core.solve_afm(m1, m2, potential, q)
     except (NoBoundState, CollapseDetected) as err:
-        sys.stderr.write(f"error: {err}{_window_hint(config, q)}\n")
+        sys.stderr.write(f"error: {err}{_window_hint(masses, potential, q)}\n")
         return 2
-    res = core.residuals(sol, m1, m2, config.potential, q)
+    res = core.residuals(sol, m1, m2, potential, q)
     r1, r2 = core.rotation_radii(sol)
-    cert = (
-        core.concavity_certificate(config.potential, q.p)
-        if q.p is not None
-        else None
-    )
+    cert = core.concavity_certificate(potential, q.p) if q.p is not None else None
     reason = cert.reason if cert is not None else "not_certified"
-    if config.format == "json":
+    if config.get("format") == "json":
         record = {
             "mass": sol.mass,
             "r0": sol.r0,
@@ -291,7 +212,7 @@ def cmd_bound(config: RunConfig) -> int:
             "certificate_reason": reason,
             "residuals": {"mass": res[0], "q": res[1], "virial": res[2]},
         }
-        _emit(json.dumps(record, indent=2) + "\n", config.out)
+        _emit(json.dumps(record, indent=2) + "\n", config)
     else:
         lines = [
             f"mass          M   = {_fmt(sol.mass)} GeV",
@@ -304,26 +225,24 @@ def cmd_bound(config: RunConfig) -> int:
             f"upper bound       = {'yes' if sol.certified_upper_bound else 'no'} ({reason})",
             f"residuals         = mass {res[0]:.2e}, q {res[1]:.2e}, virial {res[2]:.2e}",
         ]
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", config)
     return 0
 
 
-def cmd_reference(config: RunConfig) -> int:
-    if config.masses is None or config.potential is None or config.state is None:
-        raise ConfigError("reference mode needs masses, a potential, and a state")
-    m1, m2 = config.masses
-    problem = reference.SseProblem(
-        m1, m2, config.potential, config.state, sigma=config.sigma, grid=_grid_override(config)
-    )
-    try:
-        mass = reference.sse_eigenvalue(problem)
-    except (NoBoundState, CollapseDetected) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    if config.format == "json":
-        _emit(json.dumps({"mass": mass}) + "\n", config.out)
+def cmd_reference(config: dict) -> int:
+    with _config_values():
+        m1, m2 = _masses(config)
+        grid = config.get("grid")
+        problem = reference.SseProblem(
+            m1, m2, _potential(config), _state(config),
+            sigma=float(config["sigma"]) if "sigma" in config else None,
+            grid=SpectralGrid(float(grid["box_radius"]), int(grid["points"])) if grid else None,
+        )
+    mass = reference.sse_eigenvalue(problem)
+    if config.get("format") == "json":
+        _emit(json.dumps({"mass": mass}) + "\n", config)
     else:
-        _emit(f"reference mass M = {_fmt(mass)} GeV\n", config.out)
+        _emit(f"reference mass M = {_fmt(mass)} GeV\n", config)
     return 0
 
 
@@ -334,46 +253,45 @@ def _scan_values(section: dict) -> list[float]:
         start, stop, step = (float(section[k]) for k in ("start", "stop", "step"))
     except KeyError:
         raise ConfigError("scan needs either values or start/stop/step") from None
-    if step <= 0:
-        raise ConfigError("scan step must be positive")
-    values = []
-    x = start
-    while x <= stop + 1e-12 * max(abs(stop), 1.0):
-        values.append(round(x, 12))
-        x += step
-    return values
+    if not (math.isfinite(start) and math.isfinite(stop) and 0.0 < step < math.inf):
+        raise ConfigError("scan start and stop must be finite and step positive")
+    count = math.floor((stop + 1e-12 * max(abs(stop), 1.0) - start) / step) + 1
+    return [start + i * step for i in range(max(count, 0))]
 
 
-def _single_term(config: RunConfig, exponent: float, what: str) -> float:
-    active = config.potential.active_terms() if config.potential else ()
+def _single_term(potential: PowerLawPotential, exponent: float, what: str) -> float:
+    active = potential.active_terms()
     if len(active) != 1 or active[0][1] != exponent:
         raise ConfigError(f"{what} requires a single potential term with exponent {exponent:g}")
     return active[0][0]
 
 
-def cmd_scan(config: RunConfig) -> int:
-    if config.scan is None or config.potential is None or config.state is None:
-        raise ConfigError("scan mode needs scan, potential, and state sections")
-    variable = config.scan.get("variable")
-    values = _scan_values(config.scan)
+def cmd_scan(config: dict) -> int:
+    with _config_values():
+        section = config["scan"]
+        potential = _potential(config)
+        values = _scan_values(section)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    if variable == "m":
-        _scan_mass(config, values, writer)
-    elif variable == "Q":
-        _scan_q(config, values, writer)
+    if section.get("variable") == "m":
+        _scan_mass(config, potential, values, writer)
+    elif section.get("variable") == "Q":
+        _scan_q(config, potential, values, writer)
     else:
         raise ConfigError("scan variable must be 'm' or 'Q'")
-    _emit(buffer.getvalue(), config.out)
+    _emit(buffer.getvalue(), config)
     return 0
 
 
-def _scan_mass(config: RunConfig, values: list[float], writer) -> None:
+def _scan_mass(config: dict, potential: PowerLawPotential, values: list[float], writer) -> None:
     """Heavy-light linear scan: masses (0, m), both analytic Q choices,
     reference value, and the two expansions."""
-    b = _single_term(config, 1.0, "the mass scan")
-    state = config.state
-    include_ref = bool(config.scan.get("include_reference", True))
+    b = _single_term(potential, 1.0, "the mass scan")
+    with _config_values():
+        state = _state(config)
+        include_ref = _switch(config["scan"], "include_reference")
+    if any(m < 0.0 for m in values):
+        raise ConfigError("scan masses must be non-negative")
     q1 = core.q_exact(1, state) if state.l == 0 else None
     q2 = core.q_exact(2, state)
     writer.writerow(["m", "M_afm_Q1", "M_afm_Q2", "M_ref", "M_ur", "M_nr"])
@@ -383,7 +301,7 @@ def _scan_mass(config: RunConfig, values: list[float], writer) -> None:
         row.append(_fmt(core.linear_closed(m, b, q2).mass))
         if include_ref:
             try:
-                problem = reference.SseProblem(0.0, m, config.potential, state)
+                problem = reference.SseProblem(0.0, m, potential, state)
                 row.append(_fmt(reference.sse_eigenvalue(problem)))
             except AfmError as err:
                 row.append(type(err).__name__)
@@ -394,171 +312,134 @@ def _scan_mass(config: RunConfig, values: list[float], writer) -> None:
         writer.writerow(row)
 
 
-def _scan_q(config: RunConfig, values: list[float], writer) -> None:
+def _scan_q(config: dict, potential: PowerLawPotential, values: list[float], writer) -> None:
     """Heavy-light Coulomb sweep across the binding window, in scaled units:
     radius in a/m, mass in m."""
-    a = _single_term(config, -1.0, "the Q sweep")
-    if config.masses is None:
-        raise ConfigError("the Q sweep needs masses [0, m]")
-    m = max(config.masses)
+    a = _single_term(potential, -1.0, "the Q sweep")
+    with _config_values():
+        m = max(_masses(config))
     if m <= 0:
         raise ConfigError("the Q sweep needs one positive mass")
     writer.writerow(["Q", "r0_am", "M_over_m"])
     for qv in values:
+        with _config_values():
+            q = GlobalQ.explicit(qv, -1.0)
         try:
-            sol = core.coulomb_closed(m, a, GlobalQ.explicit(qv, -1.0))
+            sol = core.coulomb_closed(m, a, q)
             writer.writerow([_fmt(qv), _fmt(sol.r0 * m / a), _fmt(sol.mass / m)])
         except AfmError as err:
             writer.writerow([_fmt(qv), type(err).__name__, type(err).__name__])
 
 
-def cmd_qtable(config: RunConfig) -> int:
-    if config.qtable is None:
-        raise ConfigError("qtable mode needs a qtable section")
-    try:
-        p_values = [float(p) for p in config.qtable["p_values"]]
-        states = [QuantumState(int(n), int(l)) for n, l in config.qtable["states"]]
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"bad qtable section: {err}") from None
-    with_numeric = bool(config.qtable.get("numeric", True))
-    rows = []
-    for p in p_values:
-        for state in states:
-            analytic = numeric = None
-            try:
-                analytic = core.q_exact(p, state)
-            except UnsupportedCase:
-                pass
-            if with_numeric or analytic is None:
-                numeric = core.q_numeric(p, state)
-            best = analytic or numeric
-            delta = (
-                abs(analytic.value - numeric.value)
-                if analytic is not None and numeric is not None
-                else None
-            )
-            rows.append((p, state.n, state.l, best.value, best.describe(), delta))
-    if config.format == "json":
+def cmd_qtable(config: dict) -> int:
+    # inside the block, q_numeric rejects an exponent p <= -2 or p == 0 with a ValueError
+    with _config_values():
+        section = config["qtable"]
+        p_values = [float(p) for p in section["p_values"]]
+        states = [QuantumState(n, l) for n, l in section["states"]]
+        with_numeric = _switch(section, "numeric")
+        rows = []
+        for p in p_values:
+            for state in states:
+                analytic = numeric = None
+                try:
+                    analytic = core.q_exact(p, state)
+                except UnsupportedCase:
+                    pass
+                if with_numeric or analytic is None:
+                    numeric = core.q_numeric(p, state)
+                best = analytic or numeric
+                delta = abs(analytic.value - numeric.value) if analytic and numeric else None
+                rows.append((p, state.n, state.l, best.value, best.describe(), delta))
+    if config.get("format") == "json":
         payload = [
             {"p": p, "n": n, "l": l, "q": qv, "source": src, "cross_check": delta}
             for p, n, l, qv, src, delta in rows
         ]
-        _emit(json.dumps(payload, indent=2) + "\n", config.out)
-    elif config.format == "csv":
+        _emit(json.dumps(payload, indent=2) + "\n", config)
+    elif config.get("format") == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(["p", "n", "l", "Q", "source", "cross_check"])
         for p, n, l, qv, src, delta in rows:
             writer.writerow([_fmt(p), n, l, _fmt(qv), src, _fmt(delta) if delta is not None else ""])
-        _emit(buffer.getvalue(), config.out)
+        _emit(buffer.getvalue(), config)
     else:
         lines = [f"{'p':>6} {'n':>3} {'l':>3} {'Q':>14}  {'source':<16} {'cross-check':>12}"]
         for p, n, l, qv, src, delta in rows:
             check = f"{delta:.2e}" if delta is not None else "-"
             lines.append(f"{p:>6g} {n:>3} {l:>3} {qv:>14.8f}  {src:<16} {check:>12}")
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", config)
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    suite = config.suite or "all"
+def cmd_verify(config: dict) -> int:
     try:
-        results = verification.run_suite(suite)
+        results = verification.run_suite(config.get("suite") or "all")
     except KeyError as err:
         raise ConfigError(str(err)) from None
-    if config.format == "json":
-        payload = [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "value": r.value,
-                "expected": r.expected,
-                "tol": r.tol,
-                "detail": r.detail,
-            }
-            for r in results
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", config.out)
+    if config.get("format") == "json":
+        _emit(json.dumps([dataclasses.asdict(r) for r in results], indent=2) + "\n", config)
     else:
         text = "\n".join(r.line() for r in results)
         n_fail = sum(not r.passed for r in results)
         text += f"\n{len(results) - n_fail}/{len(results)} checks passed\n"
-        _emit(text, config.out)
+        _emit(text, config)
     return 0 if all(r.passed for r in results) else 1
+
+
+# Each verb's command and the output formats it writes; the first is the default.
+VERBS = {
+    "bound": (cmd_bound, ("text", "json")),
+    "reference": (cmd_reference, ("text", "json")),
+    "scan": (cmd_scan, ("csv",)),
+    "qtable": (cmd_qtable, ("text", "csv", "json")),
+    "verify": (cmd_verify, ("text", "json")),
+}
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as bad configuration (exit 3); argparse itself exits 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="salpeter-afm",
         description="Variational upper bounds and reference eigenvalues for the "
         "two-body spinless Salpeter equation (GeV units).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("bound", True),
-        ("reference", True),
-        ("scan", True),
-        ("qtable", True),
-        ("verify", False),
-    ):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=needs_config, help="path to a JSON configuration")
+    for verb, (_, formats) in VERBS.items():
+        cmd = sub.add_parser(verb)
+        cmd.add_argument("--config", required=verb != "verify", help="path to a JSON configuration")
         cmd.add_argument("--out", help="write output to this path instead of stdout")
-        cmd.add_argument("--format", choices=FORMATS, help="output format")
-        cmd.add_argument("--grid-points", type=int, help="override the grid point count")
-        cmd.add_argument("--box-radius", type=float, help="override the box radius (GeV^-1)")
-        if name == "verify":
+        if len(formats) > 1:
+            cmd.add_argument("--format", choices=formats, help="output format")
+        if verb == "reference":
+            cmd.add_argument("--grid-points", dest="grid.points", metavar="N", type=int,
+                             help="override the grid point count")
+            cmd.add_argument("--box-radius", dest="grid.box_radius", metavar="R", type=float,
+                             help="override the box radius (GeV^-1)")
+        if verb == "verify":
             cmd.add_argument("--suite", help="suite name (default: all)")
     return parser
 
 
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    if args.out:
-        updates["out"] = args.out
-    if args.format:
-        updates["format"] = args.format
-    if args.grid_points:
-        updates["grid_points"] = args.grid_points
-    if args.box_radius:
-        updates["box_radius"] = args.box_radius
-    if getattr(args, "suite", None):
-        updates["suite"] = args.suite
-    if not updates:
-        return config
-    from dataclasses import replace
-
-    return replace(config, **updates)
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.config:
-            config = RunConfig.from_file(args.config)
-            if config.mode != args.command:
-                raise ConfigError(
-                    f"configuration mode {config.mode!r} does not match command {args.command!r}"
-                )
-        else:
-            config = RunConfig(mode=args.command)
-        config = _apply_overrides(config, args)
-        handler = {
-            "bound": cmd_bound,
-            "reference": cmd_reference,
-            "scan": cmd_scan,
-            "qtable": cmd_qtable,
-            "verify": cmd_verify,
-        }[args.command]
-        return handler(config)
+        args = _build_parser().parse_args(argv)
+        return VERBS[args.command][0](load_config(args))
     except ConfigError as err:
         sys.stderr.write(f"configuration error: {err}\n")
         return 3
-    except (NoBoundState, CollapseDetected) as err:
+    except AfmError as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

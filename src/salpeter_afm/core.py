@@ -58,6 +58,9 @@ __all__ = [
 # expansion; the next neglected term is O((m/M0)^6).
 _LINEAR_SERIES_CUTOVER = 1e-4
 
+# A candidate length scale beyond 1e250 or below 1e-250, as a natural log.
+_LOG_SCALE_LIMIT = math.log(1e250)
+
 
 # ---------------------------------------------------------------------------
 # global quantum numbers
@@ -152,41 +155,42 @@ def _certified(potential: PowerLawPotential, q: GlobalQ) -> bool:
 def _intrinsic_scale(potential: PowerLawPotential, q_value: float, m1: float, m2: float) -> float:
     """Length scale where the virial balance is expected to close.
 
-    Candidates that would push the twelve-decade scan outside the double
+    Candidates are formed as logarithms, so an exponent near -1 cannot
+    overflow; those that would push the twelve-decade scan outside the double
     range are dropped (a vanishingly small mass contributes no usable scale).
     """
-    scales = []
-    for a, lam in potential.active_terms():
-        if lam != -1.0:
-            scales.append((q_value / (abs(lam) * a)) ** (1.0 / (lam + 1.0)))
+    log_q = math.log(q_value)
+    logs = [
+        (log_q - math.log(abs(lam)) - math.log(a)) / (lam + 1.0)
+        for a, lam in potential.active_terms()
+        if lam != -1.0
+    ]
     heaviest = max(m1, m2)
-    if heaviest > 0.0 and q_value / heaviest < 1e250:
-        scales.append(q_value / heaviest)
-    scales = [s for s in scales if math.isfinite(s) and 1e-250 < s < 1e250]
-    return max(scales) if scales else 1.0
+    if heaviest > 0.0:
+        logs.append(log_q - math.log(heaviest))
+    logs = [x for x in logs if abs(x) < _LOG_SCALE_LIMIT]
+    return math.exp(max(logs)) if logs else 1.0
 
 
 def _bracket_root(fn, scale: float):
-    """Sign change of fn on a log grid spanning 12 decades around scale.
+    """First - to + crossing of fn on a log grid spanning 12 decades around scale.
 
-    fn must accept array arguments.  Returns a bracketing pair, or the
-    constant sign (+1/-1) when no change exists.
+    For the virial balance dM/dr0 = balance/r0^3, so such a crossing is a
+    local minimum of M(r0); a + to - crossing is a local maximum and is
+    skipped.  fn must accept array arguments.  Returns a bracketing pair, or
+    the sign of fn at the small-r end (+1/-1) when no such crossing exists.
     """
     grid = scale * np.logspace(-6.0, 6.0, 481)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         values = np.asarray(fn(grid))
-    signs = np.sign(values)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    if len(flips) == 0:
-        exact = np.nonzero(signs == 0)[0]
-        if len(exact):
-            return grid[exact[0]], grid[exact[0]]
-        finite = signs[np.isfinite(values)]
-        if len(finite) == 0:
-            raise DomainError("virial balance is not representable over the scanned range")
-        return int(finite[0])
-    i = flips[0]
-    return grid[i], grid[i + 1]
+    ups = np.nonzero((values[:-1] < 0.0) & (values[1:] >= 0.0))[0]
+    if len(ups):
+        i = ups[0]
+        return grid[i], grid[i + 1]
+    finite = np.sign(values[np.isfinite(values)])
+    if len(finite) == 0:
+        raise DomainError("virial balance is not representable over the scanned range")
+    return int(finite[0])
 
 
 def _classify_no_root(sign: int, q_value: float):
@@ -203,15 +207,16 @@ def _classify_no_root(sign: int, q_value: float):
 def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | float) -> AfmSolution:
     """Solve the reduced extremization system for one level.
 
-    Locates the unique radius where the semirelativistic virial balance
-    holds (log-grid scan over twelve decades, then Brent refinement to
-    machine precision) and assembles the mass.  All three defining relations
-    hold to better than 1e-10 relative on the returned solution.
+    Locates the smallest radius where the semirelativistic virial balance
+    crosses from negative to positive, a local minimum of M(r0) (log-grid
+    scan over twelve decades, then Brent refinement to machine precision),
+    and assembles the mass.  All three defining relations hold to better
+    than 1e-10 relative on the returned solution.
 
-    Raises NoBoundState when the balance stays negative everywhere (no
-    binding, e.g. pure Coulomb with Q >= a) and CollapseDetected when it
-    stays positive (strong-coupling collapse) or the assembled mass is
-    nonpositive.
+    Without such a crossing, raises NoBoundState when the balance is
+    negative at small radii (no binding, e.g. pure Coulomb with Q >= a) and
+    CollapseDetected when it is positive there (strong-coupling collapse);
+    CollapseDetected also when the assembled mass is nonpositive.
     """
     if m1 < 0.0 or m2 < 0.0:
         raise ValueError("masses must be non-negative")
@@ -230,8 +235,7 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     bracket = _bracket_root(balance, scale)
     if isinstance(bracket, int):
         _classify_no_root(bracket, qv)
-    lo, hi = bracket
-    r0 = lo if lo == hi else brentq(balance, lo, hi, xtol=1e-20 * scale, rtol=1e-15)
+    r0 = brentq(balance, *bracket, xtol=1e-20 * scale, rtol=1e-15)
     return _assemble(m1, m2, potential, q, r0)
 
 
@@ -266,8 +270,7 @@ def massless_transcendental(m: float, potential: PowerLawPotential, q: GlobalQ |
     bracket = _bracket_root(gap, scale)
     if isinstance(bracket, int):
         _classify_no_root(bracket, qv)
-    lo, hi = bracket
-    return lo if lo == hi else brentq(gap, lo, hi, xtol=1e-20 * scale, rtol=1e-15)
+    return brentq(gap, *bracket, xtol=1e-20 * scale, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ class SpectralGrid:
     points: int
 
     def __post_init__(self):
-        if not (self.box_radius > 0.0):
-            raise ValueError("box_radius must be positive")
+        if not (0.0 < self.box_radius < math.inf):
+            raise ValueError("box_radius must be positive and finite")
         if self.points < 64:
             raise ValueError("need at least 64 grid points")
 
@@ -251,8 +251,7 @@ def afm_eigenstate(
     rho = V'(r0) / (|p| r0^(p-1)).
     """
     mu = sol.nu1 * sol.nu2 / (sol.nu1 + sol.nu2)
-    rho = potential.derivative(sol.r0) / (abs(p) * sol.r0 ** (p - 1.0))
-    return nr_eigenvalue(mu, rho, p, state, grid, tol=tol)
+    return nr_eigenvalue(mu, auxiliary_coupling(sol, potential, p), p, state, grid, tol=tol)
 
 
 def auxiliary_coupling(sol: AfmSolution, potential: PowerLawPotential, p: float) -> float:

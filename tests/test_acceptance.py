@@ -11,7 +11,7 @@ import time
 import pytest
 
 from salpeter_afm import verification
-from salpeter_afm.cli import RunConfig, cmd_scan
+from salpeter_afm.cli import main
 from salpeter_afm import (
     GlobalQ,
     QuantumState,
@@ -96,17 +96,20 @@ def test_criterion_9_symmetric_reduction():
 
 def test_linear_scan_csv_reproduction(tmp_path):
     out = tmp_path / "linear_scan.csv"
-    config = RunConfig.from_dict(
-        {
-            "mode": "scan",
-            "masses": [0.0, 1.0],
-            "potential": [{"alpha": 0.2, "exponent": 1}],
-            "state": {"n": 0, "l": 0},
-            "scan": {"variable": "m", "values": [0.0, 0.5, 1.0], "include_reference": True},
-            "out": str(out),
-        }
+    config = tmp_path / "linear_scan.json"
+    config.write_text(
+        json.dumps(
+            {
+                "mode": "scan",
+                "masses": [0.0, 1.0],
+                "potential": [{"alpha": 0.2, "exponent": 1}],
+                "state": {"n": 0, "l": 0},
+                "scan": {"variable": "m", "values": [0.0, 0.5, 1.0], "include_reference": True},
+                "out": str(out),
+            }
+        )
     )
-    assert cmd_scan(config) == 0
+    assert main(["scan", "--config", str(config)]) == 0
     rows = list(csv.reader(out.read_text().splitlines()))
     q1, q2 = q_exact(1, QuantumState(0)), q_exact(2, QuantumState(0))
     for row in rows[1:]:
@@ -123,17 +126,20 @@ def test_linear_scan_csv_reproduction(tmp_path):
 
 def test_coulomb_sweep_csv_reproduction(tmp_path):
     out = tmp_path / "coulomb_sweep.csv"
-    config = RunConfig.from_dict(
-        {
-            "mode": "scan",
-            "masses": [0.0, 1.0],
-            "potential": [{"alpha": 1.2, "exponent": -1}],
-            "state": {"n": 0, "l": 0},
-            "scan": {"variable": "Q", "start": 0.65, "stop": 1.15, "step": 0.05},
-            "out": str(out),
-        }
+    config = tmp_path / "coulomb_sweep.json"
+    config.write_text(
+        json.dumps(
+            {
+                "mode": "scan",
+                "masses": [0.0, 1.0],
+                "potential": [{"alpha": 1.2, "exponent": -1}],
+                "state": {"n": 0, "l": 0},
+                "scan": {"variable": "Q", "start": 0.65, "stop": 1.15, "step": 0.05},
+                "out": str(out),
+            }
+        )
     )
-    assert cmd_scan(config) == 0
+    assert main(["scan", "--config", str(config)]) == 0
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["Q", "r0_am", "M_over_m"]
     for row in rows[1:]:

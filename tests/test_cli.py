@@ -1,10 +1,14 @@
+import copy
 import csv
 import json
+import string
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from salpeter_afm import GlobalQ, coulomb_closed, linear_closed, linear_ur_expansion, q_exact
-from salpeter_afm.cli import ConfigError, RunConfig, main
+from salpeter_afm.cli import _scan_values, main
 from salpeter_afm.types import QuantumState
 
 
@@ -24,34 +28,26 @@ BOUND_COULOMB = {
 
 
 class TestRunConfig:
-    def test_round_trip_is_idempotent(self):
-        raw = {
-            "mode": "scan",
-            "masses": [0.0, 1.0],
-            "potential": [{"alpha": 0.2, "exponent": 1}],
-            "state": {"n": 0, "l": 0},
-            "scan": {"variable": "m", "values": [0.0, 0.5], "include_reference": False},
-            "out": "data.csv",
-        }
-        once = RunConfig.from_dict(raw).to_dict()
-        twice = RunConfig.from_dict(once).to_dict()
-        assert once == twice
+    """The run configuration is checked on load, through main; rejections exit 3."""
 
-    def test_unknown_top_level_key(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            RunConfig.from_dict({"mode": "bound", "massses": [1, 1]})
+    def test_unknown_top_level_key(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"mode": "bound", "massses": [1, 1]})
+        assert main(["bound", "--config", config]) == 3
+        assert "unknown key" in capsys.readouterr().err
 
-    def test_unknown_nested_key(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            RunConfig.from_dict({"mode": "bound", "state": {"n": 0, "spin": 1}})
+    def test_unknown_nested_key(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"mode": "bound", "state": {"n": 0, "spin": 1}})
+        assert main(["bound", "--config", config]) == 3
+        assert "unknown key" in capsys.readouterr().err
 
-    def test_p_and_q_are_exclusive(self):
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict({"mode": "bound", "p": -1, "q": 1.0})
+    def test_p_and_q_are_exclusive(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"mode": "bound", "p": -1, "q": 1.0})
+        assert main(["bound", "--config", config]) == 3
+        assert "not both" in capsys.readouterr().err
 
-    def test_bad_mode(self):
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict({"mode": "fit"})
+    def test_bad_mode(self, tmp_path, capsys):
+        assert main(["bound", "--config", write_config(tmp_path, {"mode": "fit"})]) == 3
+        assert "does not match" in capsys.readouterr().err
 
 
 class TestBoundCommand:
@@ -170,6 +166,15 @@ class TestScanCommand:
         assert float(rows[2][1]) == pytest.approx(sol.r0 / 1.2, rel=1e-8)
         assert float(rows[2][2]) == pytest.approx(sol.mass, rel=1e-8)
 
+    def test_grid_is_start_plus_index_times_step(self, tmp_path, capsys):
+        config = self.scan_config()
+        config["scan"] = {"variable": "m", "start": 0.0, "stop": 100.0, "step": 0.1, "include_reference": False}
+        assert main(["scan", "--config", write_config(tmp_path, config)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 1001
+        values = _scan_values(config["scan"])
+        assert values[-1] == 100.0  # repeated x += step ends at 99.999999999999
+        assert values == [i * 0.1 for i in range(1001)]
+
 
 class TestQtableCommand:
     def test_analytic_rows(self, tmp_path, capsys):
@@ -213,3 +218,146 @@ class TestVerifyCommand:
 
     def test_unknown_suite_exits_3(self, capsys):
         assert main(["verify", "--suite", "nonsense"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# every failure exits with its documented code: 2 domain error, 3 bad configuration
+
+REFERENCE_COULOMB = dict(BOUND_COULOMB, mode="reference")
+BOUND_WITHOUT_Q = {k: v for k, v in BOUND_COULOMB.items() if k != "q"}
+SCAN_LINEAR = {
+    "mode": "scan",
+    "masses": [0.0, 1.0],
+    "potential": [{"alpha": 0.2, "exponent": 1}],
+    "state": {"n": 0, "l": 0},
+    "scan": {"variable": "m", "values": [0.0, "half"], "include_reference": False},
+}
+
+
+@pytest.mark.parametrize(
+    "verb, config, flags, code",
+    [
+        pytest.param("bound", dict(BOUND_COULOMB, masses=["heavy", 1.0]), [], 3, id="non-numeric-mass"),
+        pytest.param("bound", dict(BOUND_COULOMB, state=3), [], 3, id="state-not-object"),
+        pytest.param(
+            "bound", dict(BOUND_COULOMB, potential=[{"alpha": "strong", "exponent": -1}]), [], 3,
+            id="non-numeric-alpha",
+        ),
+        pytest.param(
+            "reference", dict(REFERENCE_COULOMB, grid={"points": 32, "box_radius": 10.0}), [], 3,
+            id="grid-points-config",
+        ),
+        pytest.param(
+            "reference", REFERENCE_COULOMB, ["--grid-points", "32", "--box-radius", "10"], 3,
+            id="grid-points-flag",
+        ),
+        pytest.param(
+            "reference", REFERENCE_COULOMB, ["--grid-points", "600", "--box-radius", "inf"], 3,
+            id="box-radius-inf",
+        ),
+        pytest.param(
+            "reference", dict(REFERENCE_COULOMB, masses=[0.5, 1.0], sigma=2.0), [], 3,
+            id="sigma-unequal-masses",
+        ),
+        pytest.param("bound", dict(BOUND_WITHOUT_Q, p=-2.5), [], 3, id="p-below-minus-2"),
+        pytest.param("scan", SCAN_LINEAR, [], 3, id="non-numeric-scan-value"),
+        pytest.param(  # ends in ConvergenceFailure at 4800 points
+            "qtable", {"mode": "qtable", "qtable": {"p_values": [-1.7], "states": [[0, 0]]}}, [], 2,
+            id="qtable-no-convergence",
+        ),
+        pytest.param("bound", None, [], 3, id="bound-without-config"),
+        pytest.param("bound", BOUND_COULOMB, ["--format", "csv"], 3, id="bound-format-csv"),
+        pytest.param(
+            "bound", json.dumps(dict(BOUND_COULOMB, state={"n": float("inf")})), [], 3,
+            id="json-infinity",
+        ),
+        pytest.param("bound", BOUND_COULOMB, ["--out", "no-such-dir/bound.txt"], 3, id="unwritable-out"),
+    ],
+)
+def test_failure_exit_codes(tmp_path, monkeypatch, verb, config, flags, code):
+    monkeypatch.chdir(tmp_path)
+    argv = [verb, *flags]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv) == code
+
+
+# The README configs.  The scan and the qtable run without their eigensolvers,
+# which take seconds per row; dropping those two switches is not a mutation here.
+README_CONFIGS = {
+    "bound": BOUND_COULOMB,
+    "scan": {
+        "mode": "scan",
+        "masses": [0.0, 1.0],
+        "potential": [{"alpha": 0.2, "exponent": 1}],
+        "state": {"n": 0, "l": 0},
+        "scan": {"variable": "m", "start": 0.0, "stop": 1.0, "step": 0.05, "include_reference": False},
+    },
+    "qtable": {
+        "mode": "qtable",
+        "qtable": {"p_values": [2, 1, -1], "states": [[0, 0], [1, 0]], "numeric": False},
+    },
+}
+SPEED_SWITCHES = ("include_reference", "numeric")
+
+
+def _paths(node, prefix=()):
+    """Paths to every value nested in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@st.composite
+def malformed_configs(draw):
+    verb = draw(st.sampled_from(sorted(README_CONFIGS)))
+    config = copy.deepcopy(README_CONFIGS[verb])
+    text = json.dumps(config)
+    kind = draw(st.sampled_from(["drop", "replace", "unknown_key", "truncate"]))
+    if kind == "truncate":
+        return verb, text[: draw(st.integers(0, len(text) - 1))]
+    paths = list(_paths(config))
+    if kind == "drop":
+        paths = [p for p in paths if p[-1] not in SPEED_SWITCHES]
+    if kind == "unknown_key":
+        paths = [()] + [p for p in paths if isinstance(_at(config, p), dict)]
+    path = draw(st.sampled_from(paths))
+    if kind == "unknown_key":
+        _at(config, path)["unknown_" + draw(st.text(string.ascii_lowercase, max_size=4))] = 1
+    elif kind == "drop":
+        del _at(config, path[:-1])[path[-1]]
+    else:
+        # letters only: a numeric string in p_values could start a slow numeric Q solve
+        _at(config, path[:-1])[path[-1]] = draw(
+            st.one_of(
+                st.text(string.ascii_letters, max_size=6),
+                st.lists(st.integers(), max_size=2),
+                st.none(),
+                st.integers(-10, -1),
+                st.floats(-1e6, -2.0),
+            )
+        )
+    return verb, json.dumps(config)
+
+
+@given(malformed_configs())
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_malformed_readme_configs_never_raise(tmp_path, verb_and_text):
+    verb, text = verb_and_text
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main([verb, "--config", str(path)]) in (0, 2, 3)

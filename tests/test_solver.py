@@ -21,6 +21,13 @@ from salpeter_afm import (
 
 COULOMB_12 = PowerLawPotential.coulomb(1.2)
 LINEAR_02 = PowerLawPotential.linear(0.2)
+TWO_ROOTS = PowerLawPotential(((1.2248, 2.570), (0.3937, -1.658)))
+
+
+def _balance(m1, m2, potential, qv, r):
+    """r^3 dM/dr0: negative below a local minimum of M(r0), positive above."""
+    p0 = qv / r
+    return r**3 * potential.derivative(r) - qv * qv * (1.0 / math.hypot(p0, m1) + 1.0 / math.hypot(p0, m2))
 
 
 class TestSolveAfm:
@@ -90,6 +97,22 @@ class TestSolveAfm:
         assert sol.q.source == "explicit"
         assert not sol.certified_upper_bound  # no auxiliary exponent attached
 
+    def test_two_roots_choose_the_minimum(self):
+        # the steep attractive term makes the balance + - + in r0: the first
+        # root is a local maximum of M(r0) at r0 ~ 0.0177, M ~ 207
+        masses = (1.0987, 2.8044)
+        sol = solve_afm(*masses, TWO_ROOTS, GlobalQ.explicit(4.634))
+        assert sol.mass == pytest.approx(10.41, abs=5e-3)
+        assert sol.r0 == pytest.approx(1.277, abs=5e-4)
+        assert _balance(*masses, TWO_ROOTS, 4.634, sol.r0 * (1 - 1e-6)) < 0.0
+        assert _balance(*masses, TWO_ROOTS, 4.634, sol.r0 * (1 + 1e-6)) > 0.0
+
+    def test_exponent_near_minus_one_does_not_overflow(self):
+        # the intrinsic scale (Q/(|lam| a))^(1/(lam+1)) of the -0.998 term is ~1e412
+        pot = PowerLawPotential(((0.5, 1.0), (0.3, -0.998)))
+        sol = solve_afm(1.0, 1.0, pot, GlobalQ.explicit(2.0))
+        assert max(residuals(sol, 1.0, 1.0, pot, sol.q)) < 1e-10
+
     def test_einbein_energy_reconstruction(self):
         # With frozen einbeins the mass must also assemble as
         # (nu1^2+m1^2)/(2 nu1) + (nu2^2+m2^2)/(2 nu2) + eps(mu, rho), where for
@@ -125,6 +148,12 @@ class TestMasslessTranscendental:
         assert massless_transcendental(0.8, pot, q) == pytest.approx(
             solve_afm(0.0, 0.8, pot, q).r0, rel=1e-10
         )
+
+    def test_two_roots_choose_the_minimum(self):
+        q = GlobalQ.explicit(4.634)
+        r0 = massless_transcendental(2.8044, TWO_ROOTS, q)
+        assert r0 == pytest.approx(solve_afm(0.0, 2.8044, TWO_ROOTS, q).r0, rel=1e-10)
+        assert r0 == pytest.approx(1.2865, abs=5e-4)  # not the local maximum at 0.0177
 
     def test_window_errors_propagate(self):
         with pytest.raises(NoBoundState):
@@ -215,3 +244,21 @@ def test_solution_relations_hold_everywhere(config):
     assert sol.nu2**2 - sol.p0**2 == pytest.approx(m2 * m2, abs=1e-10 * max(m2 * m2, 1.0))
     r1, r2 = rotation_radii(sol)
     assert abs(r1 + r2 - sol.r0) <= 2e-15 * sol.r0
+
+
+@given(bound_configurations())
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_returned_root_is_a_local_minimum(config):
+    m1, m2, potential, qv = config
+    try:
+        sol = solve_afm(m1, m2, potential, GlobalQ.explicit(qv))
+    except (NoBoundState, CollapseDetected, DomainError):
+        assume(False)
+        return
+    assert _balance(m1, m2, potential, qv, sol.r0 * (1 - 1e-6)) < 0.0
+    assert _balance(m1, m2, potential, qv, sol.r0 * (1 + 1e-6)) > 0.0
