@@ -58,8 +58,8 @@ __all__ = [
 # expansion; the next neglected term is O((m/M0)^6).
 _LINEAR_SERIES_CUTOVER = 1e-4
 
-# A candidate length scale beyond 1e250 or below 1e-250, as a natural log.
-_LOG_SCALE_LIMIT = math.log(1e250)
+# A candidate length scale beyond 1e250 or below 1e-250, in decades.
+_DECADE_LIMIT = 250.0
 
 
 # ---------------------------------------------------------------------------
@@ -152,35 +152,41 @@ def _certified(potential: PowerLawPotential, q: GlobalQ) -> bool:
 # the generic solver
 
 
-def _intrinsic_scale(potential: PowerLawPotential, q_value: float, m1: float, m2: float) -> float:
-    """Length scale where the virial balance is expected to close.
+def _scan_window(
+    potential: PowerLawPotential, q_value: float, m1: float, m2: float
+) -> tuple[float, float]:
+    """Decades (log10 radii) of the scan where the virial balance may close.
 
-    Candidates are formed as logarithms, so an exponent near -1 cannot
-    overflow; those that would push the twelve-decade scan outside the double
+    Each active term and the heavier mass give a candidate length scale; the
+    scan runs from six decades below the smallest to six above the largest,
+    so a term with a negligible coupling widens the window without moving it
+    off the root.  Candidates are formed as logarithms, so an exponent near
+    -1 cannot overflow; those that would push the scan outside the double
     range are dropped (a vanishingly small mass contributes no usable scale).
     """
-    log_q = math.log(q_value)
+    log_q = math.log10(q_value)
     logs = [
-        (log_q - math.log(abs(lam)) - math.log(a)) / (lam + 1.0)
+        (log_q - math.log10(abs(lam)) - math.log10(a)) / (lam + 1.0)
         for a, lam in potential.active_terms()
         if lam != -1.0
     ]
     heaviest = max(m1, m2)
     if heaviest > 0.0:
-        logs.append(log_q - math.log(heaviest))
-    logs = [x for x in logs if abs(x) < _LOG_SCALE_LIMIT]
-    return math.exp(max(logs)) if logs else 1.0
+        logs.append(log_q - math.log10(heaviest))
+    logs = [x for x in logs if abs(x) < _DECADE_LIMIT] or [0.0]
+    return min(logs) - 6.0, max(logs) + 6.0
 
 
-def _bracket_root(fn, scale: float):
-    """First - to + crossing of fn on a log grid spanning 12 decades around scale.
+def _bracket_root(fn, window: tuple[float, float]):
+    """First - to + crossing of fn on a log grid over the window's decades.
 
     For the virial balance dM/dr0 = balance/r0^3, so such a crossing is a
     local minimum of M(r0); a + to - crossing is a local maximum and is
     skipped.  fn must accept array arguments.  Returns a bracketing pair, or
     the sign of fn at the small-r end (+1/-1) when no such crossing exists.
     """
-    grid = scale * np.logspace(-6.0, 6.0, 481)
+    lo, hi = window
+    grid = np.logspace(lo, hi, round(40 * (hi - lo)) + 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         values = np.asarray(fn(grid))
     ups = np.nonzero((values[:-1] < 0.0) & (values[1:] >= 0.0))[0]
@@ -209,8 +215,9 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
 
     Locates the smallest radius where the semirelativistic virial balance
     crosses from negative to positive, a local minimum of M(r0) (log-grid
-    scan over twelve decades, then Brent refinement to machine precision),
-    and assembles the mass.  All three defining relations hold to better
+    scan from six decades below the smallest candidate length scale to six
+    above the largest, then Brent refinement to machine precision), and
+    assembles the mass.  All three defining relations hold to better
     than 1e-10 relative on the returned solution.
 
     Without such a crossing, raises NoBoundState when the balance is
@@ -222,20 +229,21 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
         raise ValueError("masses must be non-negative")
     q = _resolve_q(q)
     qv = q.value
-    if not potential.active_terms():
+    terms = potential.active_terms()
+    if not terms:
         raise DomainError("potential has no active term")
 
     def balance(r):
+        # r^3 V'(r) term by term: the product r**3 * V'(r) underflows to a
+        # spurious sign far below the root, where the scan window may reach
+        pull = sum(abs(lam) * a * r ** (lam + 2.0) for a, lam in terms)
         p0 = qv / r
-        nu1 = np.hypot(p0, m1)
-        nu2 = np.hypot(p0, m2)
-        return r**3 * potential.derivative(r) - qv * qv * (1.0 / nu1 + 1.0 / nu2)
+        return pull - qv * qv * (1.0 / np.hypot(p0, m1) + 1.0 / np.hypot(p0, m2))
 
-    scale = _intrinsic_scale(potential, qv, m1, m2)
-    bracket = _bracket_root(balance, scale)
+    bracket = _bracket_root(balance, _scan_window(potential, qv, m1, m2))
     if isinstance(bracket, int):
         _classify_no_root(bracket, qv)
-    r0 = brentq(balance, *bracket, xtol=1e-20 * scale, rtol=1e-15)
+    r0 = brentq(balance, *bracket, xtol=1e-20 * bracket[0], rtol=1e-15)
     return _assemble(m1, m2, potential, q, r0)
 
 
@@ -266,11 +274,10 @@ def massless_transcendental(m: float, potential: PowerLawPotential, q: GlobalQ |
         pull = sum(abs(lam) * a * r ** (lam + 1.0) for a, lam in potential.terms)
         return pull - qv - qv * qv / np.hypot(qv, m * r)
 
-    scale = _intrinsic_scale(potential, qv, 0.0, m)
-    bracket = _bracket_root(gap, scale)
+    bracket = _bracket_root(gap, _scan_window(potential, qv, 0.0, m))
     if isinstance(bracket, int):
         _classify_no_root(bracket, qv)
-    return brentq(gap, *bracket, xtol=1e-20 * scale, rtol=1e-15)
+    return brentq(gap, *bracket, xtol=1e-20 * bracket[0], rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

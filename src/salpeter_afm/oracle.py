@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 import scipy.linalg as sla
 
 from .errors import ConvergenceFailure, DomainError
@@ -59,13 +59,20 @@ class RadialEigenpair:
     grid: SpectralGrid
 
 
-@lru_cache(maxsize=6)
-def sine_transform_matrix(points: int) -> np.ndarray:
-    """Orthogonal (and involutory) DST-I matrix for a box with N interior points."""
-    i = np.arange(1, points + 1)
-    s = np.sqrt(2.0 / (points + 1)) * np.sin(np.outer(i, i) * np.pi / (points + 1))
-    s.setflags(write=False)
-    return s
+def sine_operator(symbol: np.ndarray) -> np.ndarray:
+    """Dense S @ diag(symbol) @ S for the orthonormal DST-I matrix S of size N.
+
+    Entry (i, j) is T(i-j) - T(i+j) with T(m) = sum_k symbol_k cos(pi m k/(N+1))
+    / (N+1), so one type-1 cosine transform of the zero-padded symbol gives
+    every entry in O(N^2) work; the result is exactly symmetric.
+    """
+    n = len(symbol)
+    padded = np.concatenate(([0.0], symbol, [0.0]))
+    t = scipy.fft.dct(padded, type=1) / (2.0 * (n + 1))
+    t = np.concatenate((t, t[n:0:-1]))  # T(m) for m = 0..2N+1; T(2N+2-m) = T(m)
+    out = sla.toeplitz(t[:n])
+    out -= sla.hankel(t[2 : n + 2], t[n + 1 : 2 * n + 1])
+    return out
 
 
 def box_momenta(grid: SpectralGrid) -> np.ndarray:
@@ -128,9 +135,7 @@ def default_grid(mu: float, rho: float, p: float, state: QuantumState) -> Spectr
 
 def _hamiltonian(mu, rho, p, l, grid: SpectralGrid) -> np.ndarray:
     r = grid.radii
-    s = sine_transform_matrix(grid.points)
-    k2 = box_momenta(grid) ** 2
-    h = (s * (k2 / (2.0 * mu))) @ s
+    h = sine_operator(box_momenta(grid) ** 2 / (2.0 * mu))
     diag = rho * math.copysign(1.0, p) * r**p
     if l > 0:
         diag = diag + l * (l + 1) / (2.0 * mu * r * r)

@@ -3,12 +3,13 @@
 Discretizes sqrt(p^2 + m1^2) + sqrt(p^2 + m2^2) + V(r) (or the symmetric
 sigma * sqrt(p^2 + m^2) + V variant) in the same hard-wall sine basis the
 nonrelativistic oracle uses.  The partial-wave p^2 operator is the exact
-spectral second derivative plus the centrifugal diagonal; its square root is
-taken functionally through a symmetric eigendecomposition (for l = 0 the
-sine functions themselves diagonalize p^2, so no extra decomposition is
-needed).  Values are certified by grid doubling; potentials with an
-attractive tail get a geometric (Aitken) extrapolation over the doubling
-ladder because the origin cusp slows raw convergence to a fractional order.
+spectral second derivative plus the centrifugal diagonal; the kinetic sum is
+taken functionally from one symmetric eigendecomposition of it per grid,
+shared by both masses (for l = 0 the sine functions themselves diagonalize
+p^2, so no extra decomposition is needed).  Values are certified by grid
+doubling; potentials with an attractive tail get a geometric (Aitken)
+extrapolation over the doubling ladder because the origin cusp slows raw
+convergence to a fractional order.
 """
 from __future__ import annotations
 
@@ -19,10 +20,11 @@ import scipy.linalg as sla
 
 from . import core
 from .errors import CollapseDetected, ConvergenceFailure, NoBoundState
-from .oracle import SpectralGrid, box_momenta, sine_transform_matrix
+from .oracle import SpectralGrid, box_momenta, sine_operator
 from .types import GlobalQ, PowerLawPotential, QuantumState
 
-_LADDER = (600, 1200, 2400)
+_START_POINTS = 600
+_TOL = 5e-4  # relative change between the last two rungs accepted as converged
 
 
 @dataclass(frozen=True)
@@ -51,44 +53,38 @@ class SseProblem:
                 raise ValueError("the symmetric mode uses a single mass; set m1 == m2")
 
 
-def sqrt_kinetic_matrix(mass: float, l: int, grid: SpectralGrid) -> np.ndarray:
-    """Dense matrix of sqrt(p^2 + mass^2) for one partial wave.
+def sqrt_kinetic_matrix(terms: tuple[tuple[float, float], ...], l: int, grid: SpectralGrid) -> np.ndarray:
+    """Dense matrix of sum(weight * sqrt(p^2 + mass^2)) over (weight, mass) terms.
 
     For l = 0 the sine basis diagonalizes p^2 exactly; for l > 0 the
-    centrifugal term is added on the grid diagonal and the square root is
-    formed from the eigendecomposition of that symmetric p^2 matrix.
+    centrifugal term is added on the grid diagonal and the sum is formed
+    from one eigendecomposition of that symmetric p^2 matrix.
     """
-    s = sine_transform_matrix(grid.points)
+
+    def kinetic(p2):
+        return sum(weight * np.sqrt(p2 + mass * mass) for weight, mass in terms)
+
     k2 = box_momenta(grid) ** 2
     if l == 0:
-        out = (s * np.sqrt(k2 + mass * mass)) @ s
-    else:
-        r = grid.radii
-        psq = (s * k2) @ s
-        psq[np.diag_indices_from(psq)] += l * (l + 1) / (r * r)
-        w, u = sla.eigh(psq)
-        w = np.clip(w, 0.0, None)
-        out = (u * np.sqrt(w + mass * mass)) @ u.T
+        return sine_operator(kinetic(k2))
+    psq = sine_operator(k2)
+    psq[np.diag_indices_from(psq)] += l * (l + 1) / grid.radii**2
+    w, u = sla.eigh(psq)
+    out = (u * kinetic(np.clip(w, 0.0, None))) @ u.T
     return 0.5 * (out + out.T)
 
 
 def sse_hamiltonian(problem: SseProblem, grid: SpectralGrid) -> np.ndarray:
     """Symmetric Hamiltonian matrix of the discretized problem."""
-    l = problem.state.l
-    if problem.sigma is not None:
-        h = problem.sigma * sqrt_kinetic_matrix(problem.m1, l, grid)
-    else:
-        h = sqrt_kinetic_matrix(problem.m1, l, grid)
-        if problem.m2 == problem.m1:
-            h = 2.0 * h
-        else:
-            h = h + sqrt_kinetic_matrix(problem.m2, l, grid)
+    m1, m2, sigma = problem.m1, problem.m2, problem.sigma
+    terms = ((1.0, m1), (1.0, m2)) if sigma is None else ((sigma, m1),)
+    h = sqrt_kinetic_matrix(terms, problem.state.l, grid)
     h[np.diag_indices_from(h)] += problem.potential.value(grid.radii)
     return h
 
 
-def _level_mass(problem: SseProblem, grid: SpectralGrid) -> float:
-    h = sse_hamiltonian(problem, grid)
+def _level_mass(problem: SseProblem, radius: float, points: int) -> float:
+    h = sse_hamiltonian(problem, SpectralGrid(radius, points))
     n = problem.state.n
     return float(sla.eigvalsh(h, subset_by_index=(n, n))[0])
 
@@ -124,44 +120,33 @@ def _aitken(values: list[float]) -> float:
     return values[2] - d2 * d2 / denom
 
 
-def sse_eigenvalue(
-    problem: SseProblem,
-    *,
-    tol: float = 5e-4,
-    extrapolate: bool | str = "auto",
-) -> float:
+def sse_eigenvalue(problem: SseProblem) -> float:
     """Converged (n, l) eigenvalue of the semirelativistic Hamiltonian.
 
-    Smooth (confining-only) potentials are accepted once plain grid doubling
-    changes the value by less than ``tol`` relative.  With ``extrapolate``
-    (by default automatic for potentials with an attractive tail) the full
-    ladder is run and the geometric Aitken limit is returned; the ladder is
-    validated to be monotone with a sane decay ratio before extrapolating.
+    Confining-only potentials are accepted once plain grid doubling changes
+    the value by less than 5e-4 relative.  Potentials with an attractive tail
+    run the full three-rung ladder and return its geometric Aitken limit;
+    the ladder is validated to be monotone with a sane decay ratio before
+    extrapolating.
     """
     grid = problem.grid
     if grid is None:
-        grid = SpectralGrid(_box_radius(problem), _LADDER[0])
-    if extrapolate == "auto":
-        extrapolate = any(lam < 0 for _, lam in problem.potential.active_terms())
+        grid = SpectralGrid(_box_radius(problem), _START_POINTS)
+    radius, n_pts = grid.box_radius, grid.points
 
-    if not extrapolate:
-        n_pts = grid.points
-        previous = _level_mass(problem, SpectralGrid(grid.box_radius, n_pts))
-        cap = max(4 * grid.points, _LADDER[-1])
+    if not any(lam < 0 for _, lam in problem.potential.active_terms()):
+        previous = _level_mass(problem, radius, n_pts)
+        cap = 4 * max(n_pts, _START_POINTS)
         while n_pts < cap:
             n_pts *= 2
-            current = _level_mass(problem, SpectralGrid(grid.box_radius, n_pts))
-            if abs(current - previous) <= tol * abs(current):
+            current = _level_mass(problem, radius, n_pts)
+            if abs(current - previous) <= _TOL * abs(current):
                 return current
             previous = current
-        raise ConvergenceFailure(
-            f"doubling to {n_pts} points left a relative change above {tol:g}"
-        )
+        raise ConvergenceFailure(f"doubling to {n_pts} points left a relative change above {_TOL:g}")
 
-    values = [
-        _level_mass(problem, SpectralGrid(grid.box_radius, n)) for n in _ladder_from(grid.points)
-    ]
-    if abs(values[-1] - values[-2]) <= tol * abs(values[-1]):
+    values = [_level_mass(problem, radius, n) for n in (n_pts, 2 * n_pts, 4 * n_pts)]
+    if abs(values[-1] - values[-2]) <= _TOL * abs(values[-1]):
         return values[-1]
     d1, d2 = values[0] - values[1], values[1] - values[2]
     if not (d1 > 0 and d2 > 0 and 0.02 < d2 / d1 < 0.98):
@@ -170,10 +155,6 @@ def sse_eigenvalue(
             f"(values {values})"
         )
     return _aitken(values)
-
-
-def _ladder_from(start: int) -> tuple[int, int, int]:
-    return (start, 2 * start, 4 * start)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ def check_coulomb_afm_value() -> list[CheckResult]:
 
 def check_coulomb_reference_value() -> list[CheckResult]:
     problem = reference.SseProblem(0.0, 1.0, PowerLawPotential.coulomb(1.2), QuantumState(0, 0))
-    mass = reference.sse_eigenvalue(problem, extrapolate=True)
+    mass = reference.sse_eigenvalue(problem)
     return [
         CheckResult(
             "coulomb-reference-mass-ratio",

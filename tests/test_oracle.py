@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import dst1_matrix
 
 import salpeter_afm.oracle as oracle
 from salpeter_afm import (
@@ -14,6 +15,19 @@ from salpeter_afm import (
     linear_closed,
     nr_eigenvalue,
 )
+
+
+class TestSineOperator:
+    @pytest.mark.parametrize("points", [64, 100, 300])  # N+1 = 101 is prime
+    def test_matches_explicit_sine_basis(self, points):
+        s = dst1_matrix(points)
+        k = np.arange(1, points + 1) * np.pi / 30.0
+        rng = np.random.default_rng(points)
+        for symbol in (k * k, np.sqrt(k * k + 0.09), rng.normal(size=points)):
+            want = (s * symbol) @ s
+            got = oracle.sine_operator(symbol)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.array_equal(got, got.T)
 
 
 class TestSpectralGrid:
@@ -72,7 +86,7 @@ class TestEigenpairStructure:
         pair = nr_eigenvalue(mu, rho, p, QuantumState(1, 1))
         grid, u = pair.grid, pair.amplitudes
         r = grid.radii
-        s = oracle.sine_transform_matrix(grid.points)
+        s = dst1_matrix(grid.points)
         k2 = oracle.box_momenta(grid) ** 2
         t_op = (s * (k2 / (2.0 * mu))) @ s
         kin = u @ (t_op @ u) * grid.spacing + np.sum(

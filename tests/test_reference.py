@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from conftest import dst1_matrix
 
 import salpeter_afm.oracle as oracle
 from salpeter_afm import (
@@ -41,8 +43,8 @@ class TestOperatorConstruction:
     def test_massless_sqrt_on_momentum_eigenvector_l0(self):
         # sqrt(p^2) must map a sine mode onto |k| times itself
         k = oracle.box_momenta(GRID)
-        s = oracle.sine_transform_matrix(GRID.points)
-        w = sqrt_kinetic_matrix(0.0, 0, GRID)
+        s = dst1_matrix(GRID.points)
+        w = sqrt_kinetic_matrix(((1.0, 0.0),), 0, GRID)
         for j in (0, 5, 50):
             v = s[:, j]
             np.testing.assert_allclose(w @ v, k[j] * v, atol=1e-10 * k[j])
@@ -50,16 +52,36 @@ class TestOperatorConstruction:
     def test_massless_sqrt_on_momentum_eigenvector_l2(self):
         import scipy.linalg as sla
 
-        s = oracle.sine_transform_matrix(GRID.points)
+        s = dst1_matrix(GRID.points)
         k2 = oracle.box_momenta(GRID) ** 2
         psq = (s * k2) @ s
         psq[np.diag_indices_from(psq)] += 6.0 / GRID.radii**2
         vals, vecs = sla.eigh(psq)
-        w = sqrt_kinetic_matrix(0.0, 2, GRID)
+        w = sqrt_kinetic_matrix(((1.0, 0.0),), 2, GRID)
         for j in (0, 10):
             np.testing.assert_allclose(
                 w @ vecs[:, j], np.sqrt(vals[j]) * vecs[:, j], atol=1e-10 * np.sqrt(vals[j])
             )
+
+    @pytest.mark.parametrize("l", [0, 2])
+    def test_two_masses_sum_single_terms(self, l):
+        both = sqrt_kinetic_matrix(((1.0, 0.3), (1.0, 1.5)), l, GRID)
+        one = sqrt_kinetic_matrix(((1.0, 0.3),), l, GRID)
+        two = sqrt_kinetic_matrix(((1.0, 1.5),), l, GRID)
+        np.testing.assert_allclose(both, one + two, rtol=0.0, atol=1e-12)
+
+    def test_one_decomposition_per_grid_for_two_masses(self, monkeypatch):
+        calls = []
+        real_eigh = scipy.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        problem = SseProblem(0.3, 1.5, PowerLawPotential.funnel(0.5, 0.2), QuantumState(0, 1))
+        sse_hamiltonian(problem, GRID)
+        assert calls == [(GRID.points, GRID.points)]
 
     def test_sigma_two_equals_equal_mass_two_body(self):
         two_mass = SseProblem(0.8, 0.8, LINEAR, QuantumState(0))

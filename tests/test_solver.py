@@ -113,6 +113,13 @@ class TestSolveAfm:
         sol = solve_afm(1.0, 1.0, pot, GlobalQ.explicit(2.0))
         assert max(residuals(sol, 1.0, 1.0, pot, sol.q)) < 1e-10
 
+    @pytest.mark.parametrize("coupling", [1e-20, 1e-300])
+    def test_negligible_coupling_keeps_the_root_in_view(self, coupling):
+        # the second term's own length scale lies 10 (150) decades above the root
+        pot = PowerLawPotential(((1.0, 1.0), (coupling, 1.0)))
+        assert solve_afm(0.0, 0.0, pot, 1.0).r0 == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert massless_transcendental(0.0, pot, 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
     def test_einbein_energy_reconstruction(self):
         # With frozen einbeins the mass must also assemble as
         # (nu1^2+m1^2)/(2 nu1) + (nu2^2+m2^2)/(2 nu2) + eps(mu, rho), where for
@@ -262,3 +269,27 @@ def test_returned_root_is_a_local_minimum(config):
         return
     assert _balance(m1, m2, potential, qv, sol.r0 * (1 - 1e-6)) < 0.0
     assert _balance(m1, m2, potential, qv, sol.r0 * (1 + 1e-6)) > 0.0
+
+
+@given(
+    bound_configurations(),
+    st.floats(1e-30, 1e-12),
+    st.integers(0, 1),
+)
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_negligible_term_leaves_the_root_unchanged(config, coupling, which):
+    m1, m2, potential, qv = config
+    try:
+        sol = solve_afm(m1, m2, potential, GlobalQ.explicit(qv))
+    except (NoBoundState, CollapseDetected, DomainError):
+        assume(False)
+        return
+    active = potential.active_terms()
+    lam = active[which % len(active)][1]
+    padded = PowerLawPotential(potential.terms + ((coupling, lam),))
+    assert solve_afm(m1, m2, padded, GlobalQ.explicit(qv)).r0 == pytest.approx(sol.r0, rel=1e-9)
