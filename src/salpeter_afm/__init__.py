@@ -13,7 +13,6 @@ from .core import (
     linear_nr_expansion,
     linear_symmetric_massless,
     linear_ur_expansion,
-    massless_transcendental,
     q_exact,
     q_numeric,
     residuals,
@@ -74,7 +73,6 @@ __all__ = [
     "linear_nr_expansion",
     "linear_symmetric_massless",
     "linear_ur_expansion",
-    "massless_transcendental",
     "nr_eigenvalue",
     "q_exact",
     "q_numeric",

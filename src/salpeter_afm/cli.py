@@ -32,6 +32,9 @@ CONFIG_KEYS = {
     "scan": {"variable", "values", "start", "stop", "step", "include_reference"},
     "qtable": {"p_values", "states", "numeric"},
 }
+# The only values that are true or false; anywhere else a JSON boolean stands
+# where a number belongs, and Python would read it as 0 or 1.
+SWITCHES = {("scan", "include_reference"), ("qtable", "numeric")}
 
 
 class ConfigError(ValueError):
@@ -50,12 +53,28 @@ def _check_object(raw, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _reject_constant(name: str):
-    raise ConfigError(f"{name} is not a JSON number")
+def _check_values(node, path: tuple = ()) -> None:
+    """Require true or false at the SWITCHES; elsewhere reject a boolean and a
+    number that is not a finite double: 1e400 reads as inf, a 400-digit
+    integer does not fit, and NaN or Infinity is not JSON."""
+    if path in SWITCHES:
+        if not isinstance(node, bool):
+            raise ConfigError(f"{path[-1]} must be true or false")
+    elif isinstance(node, bool):
+        raise ConfigError(f"{'.'.join(path)} must be a number, not {json.dumps(node)}")
+    elif isinstance(node, (int, float)):
+        if not abs(node) <= sys.float_info.max:
+            raise ConfigError(f"{'.'.join(path)} must be a finite number")
+    elif isinstance(node, dict):
+        for key, child in node.items():
+            _check_values(child, path + (key,))
+    elif isinstance(node, list):
+        for child in node:
+            _check_values(child, path)
 
 
 def load_config(args: argparse.Namespace) -> dict:
-    """Read the --config file, check its keys, and lay the flags over it.
+    """Read the --config file, check its keys and values, and lay the flags over it.
 
     An optional ``mode`` key must name the verb being run, ``p`` and ``q``
     exclude each other, and the output format must be one the verb writes.
@@ -65,7 +84,7 @@ def load_config(args: argparse.Namespace) -> dict:
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as handle:
-                config = json.load(handle, parse_constant=_reject_constant)
+                config = json.load(handle)
         except (OSError, ValueError) as err:
             raise ConfigError(f"cannot read configuration {args.config}: {err}") from None
     _check_object(config, set(CONFIG_KEYS), "configuration")
@@ -82,6 +101,7 @@ def load_config(args: argparse.Namespace) -> dict:
                 raise ConfigError(f"{key} must be a list")
             for item in value:
                 _check_object(item, rule[0], f"{key} term")
+    _check_values(config)
     if "p" in config and "q" in config:
         raise ConfigError("give either the auxiliary exponent p or an explicit Q, not both")
     if config.get("mode", verb) != verb:
@@ -128,13 +148,6 @@ def _potential(config: dict) -> PowerLawPotential:
 
 def _state(config: dict) -> QuantumState:
     return QuantumState(config["state"].get("n", 0), config["state"].get("l", 0))
-
-
-def _switch(section: dict, key: str) -> bool:
-    value = section.get(key, True)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false")
-    return value
 
 
 def _global_q(config: dict, potential: PowerLawPotential) -> GlobalQ:
@@ -289,7 +302,7 @@ def _scan_mass(config: dict, potential: PowerLawPotential, values: list[float], 
     b = _single_term(potential, 1.0, "the mass scan")
     with _config_values():
         state = _state(config)
-        include_ref = _switch(config["scan"], "include_reference")
+        include_ref = config["scan"].get("include_reference", True)
     if any(m < 0.0 for m in values):
         raise ConfigError("scan masses must be non-negative")
     q1 = core.q_exact(1, state) if state.l == 0 else None
@@ -337,7 +350,7 @@ def cmd_qtable(config: dict) -> int:
         section = config["qtable"]
         p_values = [float(p) for p in section["p_values"]]
         states = [QuantumState(n, l) for n, l in section["states"]]
-        with_numeric = _switch(section, "numeric")
+        with_numeric = section.get("numeric", True)
         rows = []
         for p in p_values:
             for state in states:

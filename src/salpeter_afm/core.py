@@ -42,7 +42,6 @@ __all__ = [
     "q_exact",
     "q_numeric",
     "solve_afm",
-    "massless_transcendental",
     "concavity_certificate",
     "coulomb_closed",
     "coulomb_symmetric",
@@ -92,7 +91,6 @@ def q_numeric(
     *,
     mu: float = 1.0,
     rho: float = 1.0,
-    grid: oracle.SpectralGrid | None = None,
     tol: float = 1e-6,
 ) -> GlobalQ:
     """Global quantum number from the nonrelativistic oracle, any p > -2.
@@ -103,10 +101,9 @@ def q_numeric(
     s-waves (noninteger p < -1) converge slowly on the uniform grid and may
     need a looser tol to avoid ConvergenceFailure.
     """
-    q_seed = 2.0 * state.n + state.l + 1.5 if p > 0 else float(state.n + state.l + 1)
     # dQ/Q = |(p+2)/(2p)| * deps/eps
-    eps_tol = max(tol / q_seed * abs(2.0 * p / (p + 2.0)), 1e-9)
-    energy, _ = oracle.nr_energy(mu, rho, p, state, grid, tol=eps_tol)
+    eps_tol = max(tol / oracle.seed_q(p, state) * abs(2.0 * p / (p + 2.0)), 1e-9)
+    energy, _ = oracle.nr_energy(mu, rho, p, state, tol=eps_tol)
     return oracle.invert_q(energy, mu, rho, p)
 
 
@@ -177,13 +174,13 @@ def _scan_window(
     return min(logs) - 6.0, max(logs) + 6.0
 
 
-def _bracket_root(fn, window: tuple[float, float]):
+def _bracket_root(fn, window: tuple[float, float], q_value: float) -> tuple[float, float]:
     """First - to + crossing of fn on a log grid over the window's decades.
 
     For the virial balance dM/dr0 = balance/r0^3, so such a crossing is a
     local minimum of M(r0); a + to - crossing is a local maximum and is
     skipped.  fn must accept array arguments.  Returns a bracketing pair, or
-    the sign of fn at the small-r end (+1/-1) when no such crossing exists.
+    raises the no-root errors :func:`solve_afm` documents.
     """
     lo, hi = window
     grid = np.logspace(lo, hi, round(40 * (hi - lo)) + 1)
@@ -193,14 +190,10 @@ def _bracket_root(fn, window: tuple[float, float]):
     if len(ups):
         i = ups[0]
         return grid[i], grid[i + 1]
-    finite = np.sign(values[np.isfinite(values)])
+    finite = values[np.isfinite(values)]
     if len(finite) == 0:
         raise DomainError("virial balance is not representable over the scanned range")
-    return int(finite[0])
-
-
-def _classify_no_root(sign: int, q_value: float):
-    if sign > 0:
+    if finite[0] > 0.0:
         # potential overwhelms kinetic pressure at every radius
         raise CollapseDetected(
             f"virial balance has no root: the interaction drives the system to r0 -> 0 at Q={q_value:g}"
@@ -218,15 +211,18 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     scan from six decades below the smallest candidate length scale to six
     above the largest, then Brent refinement to machine precision), and
     assembles the mass.  All three defining relations hold to better
-    than 1e-10 relative on the returned solution.
+    than 1e-10 relative on the returned solution.  At m1 = 0, r0 solves
+    Q + Q^2/sqrt(Q^2 + m2^2 r0^2) = sum_i |lam_i| alpha_i r0^(lam_i+1).
 
     Without such a crossing, raises NoBoundState when the balance is
     negative at small radii (no binding, e.g. pure Coulomb with Q >= a) and
     CollapseDetected when it is positive there (strong-coupling collapse);
-    CollapseDetected also when the assembled mass is nonpositive.
+    CollapseDetected also when the assembled mass is nonpositive, and
+    DomainError when the balance is nowhere finite.  A negative or
+    non-finite mass raises ValueError.
     """
-    if m1 < 0.0 or m2 < 0.0:
-        raise ValueError("masses must be non-negative")
+    if not (0.0 <= m1 < math.inf and 0.0 <= m2 < math.inf):
+        raise ValueError("masses must be finite and non-negative")
     q = _resolve_q(q)
     qv = q.value
     terms = potential.active_terms()
@@ -240,9 +236,7 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
         p0 = qv / r
         return pull - qv * qv * (1.0 / np.hypot(p0, m1) + 1.0 / np.hypot(p0, m2))
 
-    bracket = _bracket_root(balance, _scan_window(potential, qv, m1, m2))
-    if isinstance(bracket, int):
-        _classify_no_root(bracket, qv)
+    bracket = _bracket_root(balance, _scan_window(potential, qv, m1, m2), qv)
     r0 = brentq(balance, *bracket, xtol=1e-20 * bracket[0], rtol=1e-15)
     return _assemble(m1, m2, potential, q, r0)
 
@@ -255,29 +249,6 @@ def _assemble(m1, m2, potential, q: GlobalQ, r0: float) -> AfmSolution:
     if mass <= 0.0:
         raise CollapseDetected(f"solution at r0={r0:g} has nonpositive mass {mass:g}")
     return AfmSolution(r0, p0, nu1, nu2, mass, q, _certified(potential, q))
-
-
-def massless_transcendental(m: float, potential: PowerLawPotential, q: GlobalQ | float) -> float:
-    """Mean radius when one particle is massless and the other has mass m.
-
-    Solves  Q + Q^2/sqrt(Q^2 + m^2 r^2) = sum_i |lam_i| alpha_i r^(lam_i+1)
-    for r; agrees with the generic solver's r0 to full precision.
-    """
-    if m < 0.0:
-        raise ValueError("mass must be non-negative")
-    q = _resolve_q(q)
-    qv = q.value
-    if not potential.active_terms():
-        raise DomainError("potential has no active term")
-
-    def gap(r):
-        pull = sum(abs(lam) * a * r ** (lam + 1.0) for a, lam in potential.terms)
-        return pull - qv - qv * qv / np.hypot(qv, m * r)
-
-    bracket = _bracket_root(gap, _scan_window(potential, qv, 0.0, m))
-    if isinstance(bracket, int):
-        _classify_no_root(bracket, qv)
-    return brentq(gap, *bracket, xtol=1e-20 * bracket[0], rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -113,17 +113,20 @@ def _check_oracle_args(mu: float, rho: float, p: float) -> None:
         raise ValueError("exponent p must be > -2 and nonzero")
 
 
+def seed_q(p: float, state: QuantumState) -> float:
+    """Analytic Q(2) = 2n+l+3/2 for p > 0 and Q(-1) = n+l+1 for p < 0."""
+    return 2.0 * state.n + state.l + 1.5 if p > 0 else float(state.n + state.l + 1)
+
+
 def default_grid(mu: float, rho: float, p: float, state: QuantumState) -> SpectralGrid:
     """Box size from a classical turning-radius estimate of the target state.
 
-    The energy seed comes from the Q parameterization with the analytic
-    harmonic value 2n+l+3/2 for p > 0 and the hydrogen-like value n+l+1 for
-    p < 0.  Confining exponents get a 12x turning-radius box; attractive ones
+    The energy seed comes from the Q parameterization at :func:`seed_q`.
+    Confining exponents get a 12x turning-radius box; attractive ones
     get the turning radius plus twelve exponential decay lengths, which keeps
     the cusp at the origin well resolved.
     """
-    q_seed = 2.0 * state.n + state.l + 1.5 if p > 0 else float(state.n + state.l + 1)
-    eps = abs(energy_from_q(q_seed, mu, rho, p))
+    eps = abs(energy_from_q(seed_q(p, state), mu, rho, p))
     r_turn = (eps / rho) ** (1.0 / p)
     if p > 0:
         radius = 12.0 * r_turn
@@ -220,16 +223,14 @@ def nr_eigenvalue(
     p: float,
     state: QuantumState,
     grid: SpectralGrid | None = None,
-    *,
-    tol: float = 1e-7,
 ) -> RadialEigenpair:
     """Converged (n, l) eigenpair of p^2/(2 mu) + rho*sign(p)*r^p.
 
-    The energy is ladder-extrapolated as in :func:`nr_energy`; the
-    amplitudes come from the finest grid, normalized to sum(u^2) dr = 1 with
-    a positive leading lobe.
+    The energy is ladder-extrapolated as in :func:`nr_energy`, to its default
+    1e-7 relative; the amplitudes come from the finest grid, normalized to
+    sum(u^2) dr = 1 with a positive leading lobe.
     """
-    energy, level = nr_energy(mu, rho, p, state, grid, tol=tol)
+    energy, level = nr_energy(mu, rho, p, state, grid)
     h = _hamiltonian(mu, rho, p, state.l, level)
     _, vec = sla.eigh(h, subset_by_index=(state.n, state.n))
     u = vec[:, 0]
@@ -245,9 +246,6 @@ def afm_eigenstate(
     potential: PowerLawPotential,
     p: float,
     state: QuantumState,
-    grid: SpectralGrid | None = None,
-    *,
-    tol: float = 1e-7,
 ) -> RadialEigenpair:
     """Approximate eigenstate attached to a solved configuration.
 
@@ -256,7 +254,7 @@ def afm_eigenstate(
     rho = V'(r0) / (|p| r0^(p-1)).
     """
     mu = sol.nu1 * sol.nu2 / (sol.nu1 + sol.nu2)
-    return nr_eigenvalue(mu, auxiliary_coupling(sol, potential, p), p, state, grid, tol=tol)
+    return nr_eigenvalue(mu, auxiliary_coupling(sol, potential, p), p, state)
 
 
 def auxiliary_coupling(sol: AfmSolution, potential: PowerLawPotential, p: float) -> float:

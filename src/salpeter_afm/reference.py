@@ -44,11 +44,11 @@ class SseProblem:
     grid: SpectralGrid | None = None
 
     def __post_init__(self):
-        if self.m1 < 0.0 or self.m2 < 0.0:
-            raise ValueError("masses must be non-negative")
+        if not (0.0 <= self.m1 < np.inf and 0.0 <= self.m2 < np.inf):
+            raise ValueError("masses must be finite and non-negative")
         if self.sigma is not None:
-            if not (self.sigma > 0.0):
-                raise ValueError("sigma must be positive")
+            if not (0.0 < self.sigma < np.inf):
+                raise ValueError("sigma must be positive and finite")
             if self.m1 != self.m2:
                 raise ValueError("the symmetric mode uses a single mass; set m1 == m2")
 

@@ -19,6 +19,11 @@ from .types import GlobalQ, PowerLawPotential, QuantumState
 COULOMB_AFM_RATIO = 0.9798
 COULOMB_REF_RATIO = 0.8454
 
+# Seed of the closed-form, residual and symmetric-reduction checks.
+SEED = 20120614
+# How far the variational mass may fall below the reference mass (criterion 3).
+BOUND_SLACK = 1e-4
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -78,27 +83,22 @@ def check_coulomb_reference_value() -> list[CheckResult]:
 # upper bounds across the linear-potential mass scan
 
 
-def check_upper_bound_suite(
-    b: float = 0.2,
-    masses: tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(11)),
-    levels: tuple[int, ...] = (0, 1),
-    slack: float = 1e-4,
-) -> list[CheckResult]:
-    potential = PowerLawPotential.linear(b)
+def check_upper_bound_suite() -> list[CheckResult]:
+    potential = PowerLawPotential.linear(0.2)
     results = []
-    for n in levels:
+    for n in (0, 1):
         state = QuantumState(n, 0)
         q_choices = [core.q_exact(1, state), core.q_exact(2, state)]
-        for m in masses:
+        for m in (round(0.1 * i, 1) for i in range(11)):
             problem = reference.SseProblem(0.0, m, potential, state)
             for row in reference.bound_gap(problem, q_choices):
                 results.append(
                     CheckResult(
-                        f"bound-b{b:g}-n{n}-m{m:g}-{row.q.describe()}",
-                        row.gap >= -slack,
+                        f"bound-b0.2-n{n}-m{m:g}-{row.q.describe()}",
+                        row.gap >= -BOUND_SLACK,
                         row.gap,
                         None,
-                        slack,
+                        BOUND_SLACK,
                         detail=f"M_afm={row.mass_afm:.6f} M_ref={row.mass_ref:.6f}",
                     )
                 )
@@ -120,10 +120,10 @@ def random_linear_config(rng: np.random.Generator) -> tuple[float, float, float]
     return rng.uniform(0.0, 3.0), rng.uniform(0.05, 1.0), rng.uniform(0.5, 6.0)
 
 
-def check_closed_form_equivalence(count: int = 50, seed: int = 20120614) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_closed_form_equivalence() -> list[CheckResult]:
+    rng = np.random.default_rng(SEED)
     worst_c = worst_l = 0.0
-    for _ in range(count // 2):
+    for _ in range(25):
         m, a, qv = random_coulomb_config(rng)
         q = GlobalQ.explicit(qv, -1.0)
         closed = core.coulomb_closed(m, a, q)
@@ -152,11 +152,12 @@ def check_closed_form_equivalence(count: int = 50, seed: int = 20120614) -> list
 # where the two linear-potential expansions meet
 
 
-def expansion_crossing(b: float = 0.2, q_value: float = 1.5) -> tuple[float, float]:
+def expansion_crossing() -> tuple[float, float]:
     """Mass ratio x = m/M0 where the two expansions coincide, and their
     common relative error against the closed form there.  Both numbers are
-    independent of b and Q."""
-    q = GlobalQ.explicit(q_value, 1.0)
+    independent of b and Q; they are computed at b = 0.2, Q = 1.5."""
+    b = 0.2
+    q = GlobalQ.explicit(1.5, 1.0)
     m0 = core.linear_symmetric_massless(2.0, b, q)
 
     def gap(x: float) -> float:
@@ -182,21 +183,23 @@ def check_asymptotic_crossing() -> list[CheckResult]:
 # numeric Q against the analytic values
 
 
-def q_oracle_cases() -> list[tuple[float, int, int]]:
-    cases = [(-1.0, n, l) for l in range(4) for n in range(4)]
-    cases += [(2.0, n, l) for l in range(4) for n in range(4)]
-    cases += [(1.0, n, 0) for n in range(4)]
-    return cases
+# (p, n, l) for every level with an analytic Q, up to n = 3 and l = 3.
+Q_ORACLE_CASES = (
+    tuple((-1.0, n, l) for l in range(4) for n in range(4))
+    + tuple((2.0, n, l) for l in range(4) for n in range(4))
+    + tuple((1.0, n, 0) for n in range(4))
+)
+Q_TOL = 1e-6
 
 
-def check_q_oracle(tol: float = 1e-6) -> list[CheckResult]:
+def check_q_oracle() -> list[CheckResult]:
     results = []
-    for p, n, l in q_oracle_cases():
+    for p, n, l in Q_ORACLE_CASES:
         state = QuantumState(n, l)
         exact = core.q_exact(p, state).value
-        numeric = core.q_numeric(p, state, tol=tol).value
+        numeric = core.q_numeric(p, state, tol=Q_TOL).value
         results.append(
-            CheckResult(f"q-oracle-p{p:g}-n{n}-l{l}", abs(numeric - exact) < tol, numeric, exact, tol)
+            CheckResult(f"q-oracle-p{p:g}-n{n}-l{l}", abs(numeric - exact) < Q_TOL, numeric, exact, Q_TOL)
         )
     return results
 
@@ -243,12 +246,12 @@ def random_bound_configuration(rng: np.random.Generator):
     return m1, m2, PowerLawPotential(tuple(terms)), rng.uniform(0.3, 8.0)
 
 
-def check_residual_property(count: int = 200, seed: int = 20120614) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_residual_property() -> list[CheckResult]:
+    rng = np.random.default_rng(SEED)
     worst = [0.0, 0.0, 0.0]
     worst_split = 0.0
     solved = 0
-    while solved < count:
+    while solved < 200:
         m1, m2, potential, qv = random_bound_configuration(rng)
         try:
             sol = core.solve_afm(m1, m2, potential, GlobalQ.explicit(qv))
@@ -271,10 +274,10 @@ def check_residual_property(count: int = 200, seed: int = 20120614) -> list[Chec
 # equal masses against the symmetric closed forms
 
 
-def check_symmetric_reduction(count: int = 20, seed: int = 20120614) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_symmetric_reduction() -> list[CheckResult]:
+    rng = np.random.default_rng(SEED)
     worst = 0.0
-    for i in range(count):
+    for i in range(20):
         if i % 2 == 0:
             m = rng.uniform(0.2, 4.0)
             a = rng.uniform(0.3, 2.0)
@@ -296,52 +299,23 @@ def check_symmetric_reduction(count: int = 20, seed: int = 20120614) -> list[Che
 # suites
 
 
-def suite_coulomb_paper() -> list[CheckResult]:
-    return check_coulomb_afm_value() + check_coulomb_reference_value()
-
-
-def suite_linear_limits() -> list[CheckResult]:
-    return check_asymptotic_crossing()
-
-
-def suite_bounds() -> list[CheckResult]:
-    return check_upper_bound_suite()
-
-
-def suite_closed_forms() -> list[CheckResult]:
-    return check_closed_form_equivalence() + check_symmetric_reduction()
-
-
-def suite_windows() -> list[CheckResult]:
-    return check_existence_window()
-
-
-def suite_residuals() -> list[CheckResult]:
-    return check_residual_property()
-
-
-def suite_qtable() -> list[CheckResult]:
-    return check_q_oracle()
-
-
+# Each suite name and its checks, in the order their results are reported.
 SUITES = {
-    "coulomb-paper": suite_coulomb_paper,
-    "linear-limits": suite_linear_limits,
-    "bounds": suite_bounds,
-    "closed-forms": suite_closed_forms,
-    "windows": suite_windows,
-    "residuals": suite_residuals,
-    "qtable": suite_qtable,
+    "coulomb-paper": (check_coulomb_afm_value, check_coulomb_reference_value),
+    "linear-limits": (check_asymptotic_crossing,),
+    "bounds": (check_upper_bound_suite,),
+    "closed-forms": (check_closed_form_equivalence, check_symmetric_reduction),
+    "windows": (check_existence_window,),
+    "residuals": (check_residual_property,),
+    "qtable": (check_q_oracle,),
 }
 
 
 def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
-        results = []
-        for fn in SUITES.values():
-            results.extend(fn())
-        return results
-    try:
-        return SUITES[name]()
-    except KeyError:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'") from None
+        checks = [check for suite in SUITES.values() for check in suite]
+    elif name in SUITES:
+        checks = SUITES[name]
+    else:
+        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    return [result for check in checks for result in check()]

@@ -55,7 +55,7 @@ def test_criterion_3_upper_bound_suite():
 
 def test_criterion_4_closed_form_equivalence():
     t0 = time.time()
-    results = verification.check_closed_form_equivalence(count=50)
+    results = verification.check_closed_form_equivalence()
     _finish("criterion-4 closed forms vs generic solver at 1e-9", results, t0, 5.0)
 
 
@@ -80,13 +80,13 @@ def test_criterion_7_existence_window():
 
 def test_criterion_8_residual_property():
     t0 = time.time()
-    results = verification.check_residual_property(count=200)
+    results = verification.check_residual_property()
     _finish("criterion-8 residuals and radii over 200 random configs", results, t0, 10.0)
 
 
 def test_criterion_9_symmetric_reduction():
     t0 = time.time()
-    results = verification.check_symmetric_reduction(count=20)
+    results = verification.check_symmetric_reduction()
     _finish("criterion-9 equal-mass reduction to sigma form", results, t0, 1.0)
 
 

@@ -234,6 +234,12 @@ SCAN_LINEAR = {
 }
 
 
+def _with_1e400(config):
+    """The configuration as JSON text, with each string "1e400" written as the
+    number 1e400, which the JSON reader turns into inf."""
+    return json.dumps(config).replace('"1e400"', "1e400")
+
+
 @pytest.mark.parametrize(
     "verb, config, flags, code",
     [
@@ -272,6 +278,33 @@ SCAN_LINEAR = {
             id="json-infinity",
         ),
         pytest.param("bound", BOUND_COULOMB, ["--out", "no-such-dir/bound.txt"], 3, id="unwritable-out"),
+        pytest.param("bound", _with_1e400(dict(BOUND_COULOMB, masses=[0.0, "1e400"])), [], 3, id="bound-mass-1e400"),
+        pytest.param(
+            "reference", _with_1e400(dict(REFERENCE_COULOMB, masses=[0.0, "1e400"])), [], 3,
+            id="reference-mass-1e400",
+        ),
+        pytest.param(
+            "reference", _with_1e400(dict(REFERENCE_COULOMB, masses=[1.0, 1.0], sigma="1e400")), [], 3,
+            id="reference-sigma-1e400",
+        ),
+        pytest.param(
+            "scan", _with_1e400(dict(SCAN_LINEAR, scan=dict(SCAN_LINEAR["scan"], values=[0.5, "1e400"]))), [], 3,
+            id="scan-value-1e400",
+        ),
+        pytest.param(
+            "bound", json.dumps(dict(BOUND_COULOMB, masses=[0.0, 10**400])), [], 3, id="bound-mass-400-digits"
+        ),
+        pytest.param("bound", dict(BOUND_COULOMB, masses=[True, 1.0]), [], 3, id="boolean-mass"),
+        pytest.param("bound", dict(BOUND_COULOMB, q=True), [], 3, id="boolean-q"),
+        pytest.param("bound", dict(BOUND_COULOMB, state={"n": False}), [], 3, id="boolean-state-n"),
+        pytest.param(
+            "scan", dict(SCAN_LINEAR, scan=dict(SCAN_LINEAR["scan"], values=[0.5, True])), [], 3,
+            id="boolean-scan-value",
+        ),
+        pytest.param(
+            "scan", dict(SCAN_LINEAR, scan=dict(SCAN_LINEAR["scan"], values=[0.5], include_reference=0)), [], 3,
+            id="switch-not-boolean",
+        ),
     ],
 )
 def test_failure_exit_codes(tmp_path, monkeypatch, verb, config, flags, code):

@@ -26,6 +26,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             SseProblem(-1.0, 1.0, LINEAR, QuantumState(0))
 
+    @pytest.mark.parametrize(
+        "m1, m2, sigma",
+        [(0.0, np.inf, None), (np.inf, 1.0, None), (0.0, np.nan, None), (1.0, 1.0, np.inf)],
+    )
+    def test_rejects_non_finite_mass_or_sigma(self, m1, m2, sigma):
+        with pytest.raises(ValueError):
+            SseProblem(m1, m2, LINEAR, QuantumState(0), sigma=sigma)
+
     def test_sigma_mode_needs_equal_masses(self):
         with pytest.raises(ValueError):
             SseProblem(1.0, 2.0, LINEAR, QuantumState(0), sigma=2.0)

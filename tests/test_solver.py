@@ -12,7 +12,6 @@ from salpeter_afm import (
     NoBoundState,
     PowerLawPotential,
     QuantumState,
-    massless_transcendental,
     q_exact,
     residuals,
     rotation_radii,
@@ -88,6 +87,30 @@ class TestSolveAfm:
             with pytest.raises(NoBoundState):
                 solve_afm(0.0, 1.0, COULOMB_12, q)
 
+    @pytest.mark.parametrize("masses", [(0.0, math.inf), (math.inf, 1.0), (0.0, math.nan)])
+    def test_rejects_non_finite_mass(self, masses):
+        with pytest.raises(ValueError):
+            solve_afm(*masses, LINEAR_02, 1.0)
+
+    @pytest.mark.parametrize(
+        "m, potential, qv, lo, hi",
+        [
+            pytest.param(1.0, COULOMB_12, 1.0, 1e-3, 1e3, id="coulomb"),
+            pytest.param(1.0, LINEAR_02, 1.5, 1e-3, 1e3, id="linear"),
+            pytest.param(0.8, PowerLawPotential.funnel(0.3, 0.15), 1.7, 1e-3, 1e3, id="funnel"),
+            # [0.1, 10] holds the minimum near 1.2865, not the local maximum at 0.0177
+            pytest.param(2.8044, TWO_ROOTS, 4.634, 0.1, 10.0, id="two-roots"),
+        ],
+    )
+    def test_one_massless_particle_against_bisection(self, m, potential, qv, lo, hi):
+        # at m1 = 0 the balance reduces to Q + Q^2/sqrt(Q^2 + m^2 r^2) = sum |lam| alpha r^(lam+1)
+        def gap(r):
+            pull = sum(abs(lam) * a * r ** (lam + 1.0) for a, lam in potential.terms)
+            return pull - qv - qv * qv / math.hypot(qv, m * r)
+
+        r0 = bisect_root(gap, lo, hi)
+        assert solve_afm(0.0, m, potential, qv).r0 == pytest.approx(r0, rel=1e-10)
+
     def test_rejects_empty_potential(self):
         with pytest.raises(DomainError):
             solve_afm(1.0, 1.0, PowerLawPotential(((0.0, 1.0),)), GlobalQ.explicit(1.0))
@@ -118,7 +141,6 @@ class TestSolveAfm:
         # the second term's own length scale lies 10 (150) decades above the root
         pot = PowerLawPotential(((1.0, 1.0), (coupling, 1.0)))
         assert solve_afm(0.0, 0.0, pot, 1.0).r0 == pytest.approx(math.sqrt(2.0), rel=1e-12)
-        assert massless_transcendental(0.0, pot, 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_einbein_energy_reconstruction(self):
         # With frozen einbeins the mass must also assemble as
@@ -133,40 +155,19 @@ class TestSolveAfm:
 
 
 class TestMasslessTranscendental:
-    def test_coulomb_matches_closed_radius(self):
-        r0 = massless_transcendental(1.0, COULOMB_12, GlobalQ.explicit(1.0, -1.0))
-        assert r0 == pytest.approx(math.sqrt(1.2 * 0.8) / 0.2, rel=1e-12)
-
-    def test_linear_matches_generic_solver(self):
-        q = GlobalQ.explicit(1.5, 1.0)
-        r0 = massless_transcendental(1.0, LINEAR_02, q)
-        sol = solve_afm(0.0, 1.0, LINEAR_02, q)
-        assert r0 == pytest.approx(sol.r0, rel=1e-10)
-        assert r0 == pytest.approx(3.2610092393843666, rel=1e-10)  # frozen oracle value
+    """The balance equation with particle 1 massless, solved through solve_afm."""
 
     def test_massless_limit_closed_form(self):
         # with both particles massless the balance is algebraic: r0 = sqrt(2Q/b)
-        r0 = massless_transcendental(0.0, LINEAR_02, GlobalQ.explicit(1.5, 1.0))
-        assert r0 == pytest.approx(math.sqrt(2.0 * 1.5 / 0.2), rel=1e-12)
-
-    def test_funnel_consistency(self):
-        pot = PowerLawPotential.funnel(0.3, 0.15)
-        q = GlobalQ.explicit(1.7)
-        assert massless_transcendental(0.8, pot, q) == pytest.approx(
-            solve_afm(0.0, 0.8, pot, q).r0, rel=1e-10
-        )
-
-    def test_two_roots_choose_the_minimum(self):
-        q = GlobalQ.explicit(4.634)
-        r0 = massless_transcendental(2.8044, TWO_ROOTS, q)
-        assert r0 == pytest.approx(solve_afm(0.0, 2.8044, TWO_ROOTS, q).r0, rel=1e-10)
-        assert r0 == pytest.approx(1.2865, abs=5e-4)  # not the local maximum at 0.0177
+        sol = solve_afm(0.0, 0.0, LINEAR_02, GlobalQ.explicit(1.5, 1.0))
+        assert sol.r0 == pytest.approx(math.sqrt(2.0 * 1.5 / 0.2), rel=1e-12)
 
     def test_window_errors_propagate(self):
+        # the window edges themselves: Q = a is unbound, Q = a/2 collapses
         with pytest.raises(NoBoundState):
-            massless_transcendental(1.0, COULOMB_12, GlobalQ.explicit(1.2, -1.0))
+            solve_afm(0.0, 1.0, COULOMB_12, GlobalQ.explicit(1.2, -1.0))
         with pytest.raises(CollapseDetected):
-            massless_transcendental(1.0, COULOMB_12, GlobalQ.explicit(0.6, -1.0))
+            solve_afm(0.0, 1.0, COULOMB_12, GlobalQ.explicit(0.6, -1.0))
 
 
 class TestResiduals:
