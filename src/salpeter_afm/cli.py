@@ -17,7 +17,7 @@ import math
 import sys
 
 from . import core, reference, verification
-from .errors import AfmError, CollapseDetected, NoBoundState, UnsupportedCase
+from .errors import AfmError, CollapseDetected, DomainError, NoBoundState, UnsupportedCase
 from .oracle import SpectralGrid
 from .types import GlobalQ, PowerLawPotential, QuantumState
 
@@ -305,6 +305,9 @@ def _scan_mass(config: dict, potential: PowerLawPotential, values: list[float], 
         include_ref = config["scan"].get("include_reference", True)
     if any(m < 0.0 for m in values):
         raise ConfigError("scan masses must be non-negative")
+    if not all(math.isfinite(m * m) for m in values):
+        # the reference's kinetic term and M_ur are built from m^2
+        raise DomainError("scan masses above ~1.3e154 square beyond the double range")
     q1 = core.q_exact(1, state) if state.l == 0 else None
     q2 = core.q_exact(2, state)
     writer.writerow(["m", "M_afm_Q1", "M_afm_Q2", "M_ref", "M_ur", "M_nr"])

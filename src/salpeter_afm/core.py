@@ -57,6 +57,8 @@ __all__ = [
 # expansion; the next neglected term is O((m/M0)^6).
 _LINEAR_SERIES_CUTOVER = 1e-4
 
+_ROOT32 = math.sqrt(32.0)
+
 # A candidate length scale beyond 1e250 or below 1e-250, in decades.
 _DECADE_LIMIT = 250.0
 
@@ -177,10 +179,10 @@ def _scan_window(
 def _bracket_root(fn, window: tuple[float, float], q_value: float) -> tuple[float, float]:
     """First - to + crossing of fn on a log grid over the window's decades.
 
-    For the virial balance dM/dr0 = balance/r0^3, so such a crossing is a
-    local minimum of M(r0); a + to - crossing is a local maximum and is
-    skipped.  fn must accept array arguments.  Returns a bracketing pair, or
-    raises the no-root errors :func:`solve_afm` documents.
+    For the balance of :func:`solve_afm`, dM/dr0 = balance/r0^2, so such a
+    crossing is a local minimum of M(r0); a + to - crossing is a local
+    maximum and is skipped.  fn must accept array arguments.  Returns a
+    bracketing pair, or raises the no-root errors :func:`solve_afm` documents.
     """
     lo, hi = window
     grid = np.logspace(lo, hi, round(40 * (hi - lo)) + 1)
@@ -229,15 +231,22 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     if not terms:
         raise DomainError("potential has no active term")
 
+    k1, k2 = m1 / qv, m2 / qv
+
     def balance(r):
-        # r^3 V'(r) term by term: the product r**3 * V'(r) underflows to a
-        # spurious sign far below the root, where the scan window may reach
-        pull = sum(abs(lam) * a * r ** (lam + 2.0) for a, lam in terms)
-        p0 = qv / r
-        return pull - qv * qv * (1.0 / np.hypot(p0, m1) + 1.0 / np.hypot(p0, m2))
+        # the virial balance divided by r (same sign, same roots):
+        # r^2 V'(r) - Q p0 (1/nu1 + 1/nu2) with p0/nu = 1/hypot(1, m r/Q).
+        # r^2 V'(r) goes term by term, since the product r**2 * V'(r)
+        # underflows to a spurious sign far below the root, where the scan
+        # window may reach; no term of this form overflows at a root.
+        pull = sum(abs(lam) * a * r ** (lam + 1.0) for a, lam in terms)
+        return pull - qv / np.hypot(1.0, k1 * r) - qv / np.hypot(1.0, k2 * r)
 
     bracket = _bracket_root(balance, _scan_window(potential, qv, m1, m2), qv)
-    r0 = brentq(balance, *bracket, xtol=1e-20 * bracket[0], rtol=1e-15)
+    try:
+        r0 = brentq(balance, *bracket, xtol=1e-20 * bracket[0], rtol=1e-15)
+    except OverflowError as err:  # a bracket end where a term exceeds the double range
+        raise DomainError("virial balance is not representable near the root") from err
     return _assemble(m1, m2, potential, q, r0)
 
 
@@ -308,29 +317,22 @@ def _linear_mass_scale(b: float, q_value: float) -> float:
     return 2.0 * math.sqrt(2.0 * b * q_value)
 
 
-def _linear_radius(m: float, b: float, q_value: float) -> float:
-    # r0^2 = Q/b - Q^2/(2m^2) + Q^(3/2)/(2m^2) sqrt(Q + 4m^2/b), rewritten
-    # with the conjugate so every term is positive for all m >= 0
-    root = math.sqrt(q_value + 4.0 * m * m / b) + math.sqrt(q_value)
-    return math.sqrt(q_value / b + 2.0 * q_value**1.5 / (b * root))
+def _linear_radius(x: float, b: float, q_value: float) -> float:
+    # r0^2 = Q/b - Q^2/(2m^2) + Q^(3/2)/(2m^2) sqrt(Q + 4m^2/b) with m = x*M0,
+    # so 4m^2/b = 32 Q x^2, rewritten with the conjugate so every term is
+    # positive for all m >= 0 and nothing overflows for large x
+    return math.sqrt(q_value / b * (1.0 + 2.0 / (1.0 + math.hypot(1.0, _ROOT32 * x))))
 
 
-def _linear_mass(m: float, b: float, q_value: float) -> float:
-    m0 = _linear_mass_scale(b, q_value)
-    if m == 0.0:
-        return m0
-    x = m / m0
+def _linear_mass(x: float, m0: float) -> float:
     if x < _LINEAR_SERIES_CUTOVER:
         # small-mass expansion of the closed form; error O(x^6)
         return m0 * (1.0 + 2.0 * x * x - 10.0 * x**4)
-    a_plus = math.sqrt(m0 * m0 + 32.0 * m * m) + m0
-    a_minus = 32.0 * m * m / a_plus  # conjugate form, no cancellation
-    b_plus = math.sqrt(m0 * a_plus + 16.0 * m * m)
-    b_minus = math.sqrt(m0 * a_minus + 16.0 * m * m)
-    root2 = math.sqrt(2.0)
-    return (root2 * m0 * m0 * a_minus + 16.0 * m * m * (2.0 * root2 * m0 + b_plus)) / (
-        16.0 * m * b_minus
-    )
+    # the closed form in units of M0: a = sqrt(1 + 32 x^2) + 1 and the
+    # conjugate 32 x^2/a, no cancellation and no x^2 that can overflow
+    a = math.hypot(1.0, _ROOT32 * x) + 1.0
+    num = 2.0 * math.sqrt(2.0) * (1.0 + 1.0 / a) + math.hypot(4.0 * x, math.sqrt(a))
+    return m0 * (num / math.sqrt(16.0 + 32.0 / a))
 
 
 def linear_closed(m: float, b: float, q: GlobalQ | float) -> AfmSolution:
@@ -340,9 +342,13 @@ def linear_closed(m: float, b: float, q: GlobalQ | float) -> AfmSolution:
     if m < 0.0:
         raise ValueError("mass must be non-negative")
     q = _resolve_q(q)
-    r0 = _linear_radius(m, b, q.value)
+    m0 = _linear_mass_scale(b, q.value)
+    x = m / m0
+    r0 = _linear_radius(x, b, q.value)
     p0 = q.value / r0
-    mass = _linear_mass(m, b, q.value)
+    mass = _linear_mass(x, m0)
+    if not math.isfinite(mass):
+        raise DomainError(f"the linear closed form is not representable at m={m:g}, b={b:g}")
     potential = PowerLawPotential.linear(b)
     return AfmSolution(r0, p0, p0, math.hypot(p0, m), mass, q, _certified(potential, q))
 
@@ -359,7 +365,10 @@ def linear_ur_expansion(m: float, b: float, q: GlobalQ | float) -> float:
     if b <= 0.0:
         raise DomainError("slope must be positive")
     m0 = _linear_mass_scale(b, _resolve_q(q).value)
-    return m0 + 2.0 * m * m / m0
+    mass = m0 + 2.0 * m * m / m0
+    if not math.isfinite(mass):
+        raise DomainError(f"the ultrarelativistic expansion exceeds the double range at m={m:g}")
+    return mass
 
 
 def linear_nr_expansion(m: float, b: float, q: GlobalQ | float) -> float:

@@ -2,25 +2,36 @@
 
 The reduced radial equation is discretized on a uniform grid r_i = i*R/(N+1)
 with hard walls at r = 0 and r = R.  The second derivative is represented
-exactly in the sine basis of that box, potentials are diagonal on the grid,
-and eigenvalues come from dense symmetric diagonalization.  Energies are
-refined by Richardson extrapolation over grid doublings, which restores fast
-convergence for cusped (p < 0) potentials.
+exactly in the sine basis of that box and potentials are diagonal on the
+grid.  Energies come from a ladder of grid doublings in the fixed box,
+refined by Richardson extrapolation, which restores fast convergence for
+cusped (p < 0) potentials.  The first rung is diagonalized densely, which
+fixes the level index; each finer rung is solved matrix-free by LOBPCG in
+the sine basis, warm-started from the rung before, and solved densely
+instead when its residual or level-identity check fails.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 import scipy.linalg as sla
+from scipy.sparse.linalg import lobpcg
 
 from .errors import ConvergenceFailure, DomainError
 from .types import AfmSolution, GlobalQ, PowerLawPotential, QuantumState
 
 _DEFAULT_START = 300
 _DEFAULT_CAP = 4800
+_NR_TOL = 1e-7
+
+# A refined rung's level n is kept when its error bound |r|^2/gap is below
+# this, relative: far below the finest ladder tolerance q_numeric asks (1e-9).
+_LEVEL_TOL = 1e-12
+_MAXITER = 400
 
 
 @dataclass(frozen=True)
@@ -136,19 +147,98 @@ def default_grid(mu: float, rho: float, p: float, state: QuantumState) -> Spectr
     return SpectralGrid(radius, _DEFAULT_START)
 
 
-def _hamiltonian(mu, rho, p, l, grid: SpectralGrid) -> np.ndarray:
+def _potential(mu, rho, p, l, grid: SpectralGrid) -> np.ndarray:
+    """Diagonal of the Hamiltonian on the grid: the potential plus the centrifugal term."""
     r = grid.radii
-    h = sine_operator(box_momenta(grid) ** 2 / (2.0 * mu))
     diag = rho * math.copysign(1.0, p) * r**p
     if l > 0:
         diag = diag + l * (l + 1) / (2.0 * mu * r * r)
-    h[np.diag_indices_from(h)] += diag
+    return diag
+
+
+def _hamiltonian(mu, rho, p, l, grid: SpectralGrid) -> np.ndarray:
+    h = sine_operator(box_momenta(grid) ** 2 / (2.0 * mu))
+    h[np.diag_indices_from(h)] += _potential(mu, rho, p, l, grid)
     return h
 
 
-def _level_energy(mu, rho, p, state, grid) -> float:
+def _dst(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along the grid axis; it is its own inverse."""
+    return scipy.fft.dst(x, type=1, norm="ortho", axis=0)
+
+
+def _dense_levels(mu, rho, p, state: QuantumState, grid: SpectralGrid):
+    """Levels 0..n+1 by dense diagonalization, with their sine coefficients."""
     h = _hamiltonian(mu, rho, p, state.l, grid)
-    return float(sla.eigvalsh(h, subset_by_index=(state.n, state.n))[0])
+    levels, vectors = sla.eigh(h, subset_by_index=(0, state.n + 1))
+    return levels, _dst(vectors)
+
+
+def _gaps(levels: np.ndarray) -> np.ndarray:
+    """Distance from each level to its nearest neighbour in the block."""
+    steps = np.diff(levels)
+    return np.minimum(np.append(steps, np.inf), np.insert(steps, 0, np.inf))
+
+
+def _refined_levels(mu, rho, p, state, grid, levels, coeffs):
+    """Levels 0..n+1 on ``grid`` by LOBPCG, warm-started from a coarser rung.
+
+    H c = k^2/(2 mu) c + S (V * S c) is applied with two sine transforms and
+    preconditioned with 1/(k^2/(2 mu) + shift).  The shift is the level's
+    energy scale |E_seed|, or the potential at the wall where that is larger
+    (confining p): there the potential, not the kinetic symbol, dominates
+    the large-r modes, which a smaller shift leaves unpreconditioned.  Mode
+    j is the momentum j*pi/R on every rung of the fixed box, so the coarse
+    coefficients fill the first rows of the start block; the new modes get
+    a small perturbation from a fixed seed, since LOBPCG can break down at
+    its first step on exactly zero rows.  Returns the levels, their
+    coefficients and the residual norms |H c - level c|, or None when
+    LOBPCG gives up.  Warnings stay here: the caller judges the residuals.
+    """
+    symbol = box_momenta(grid) ** 2 / (2.0 * mu)
+    diag = _potential(mu, rho, p, state.l, grid)[:, None]
+    wall = rho * math.copysign(1.0, p) * grid.box_radius**p
+    shift = max(abs(energy_from_q(seed_q(p, state), mu, rho, p)), wall)
+
+    def apply(c):
+        return symbol[:, None] * c + _dst(diag * _dst(c))
+
+    start = 1e-6 * np.random.default_rng(0).standard_normal((grid.points, len(levels)))
+    start[: len(coeffs)] = coeffs
+    n = state.n
+    # half the residual that _next_rung accepts, so a converged solve passes
+    target = math.sqrt(_LEVEL_TOL * abs(levels[n]) * _gaps(levels)[n]) / 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            values, vectors = lobpcg(
+                apply, start, M=lambda c: c / (symbol + shift)[:, None],
+                tol=target, maxiter=_MAXITER, largest=False,
+            )
+        except ValueError:  # a breakdown lobpcg does not recover from
+            return None
+    return values, vectors, np.linalg.norm(apply(vectors) - vectors * values, axis=0)
+
+
+def _next_rung(mu, rho, p, state, grid, levels, coeffs):
+    """Levels and coefficients on ``grid``, refined from the previous rung.
+
+    The refinement is kept when two checks pass; otherwise the rung is
+    solved densely.  Accuracy: the residual norm r of the unit Ritz vector of
+    level n and the gap to its neighbours bound the eigenvalue error by
+    r^2/gap (Kato-Temple), which must be below _LEVEL_TOL relative.
+    Identity: each refined vector keeps more than half its weight on the
+    coarse vector of the same index, so no level was skipped or swapped.
+    """
+    refined = _refined_levels(mu, rho, p, state, grid, levels, coeffs)
+    if refined is not None:
+        values, vectors, residuals = refined
+        n = state.n
+        bounded = residuals[n] ** 2 <= _LEVEL_TOL * abs(values[n]) * _gaps(values)[n]
+        kept = np.einsum("ij,ij->j", coeffs, vectors[: len(coeffs)]) ** 2 > 0.5
+        if bounded and np.all(kept):
+            return values, vectors
+    return _dense_levels(mu, rho, p, state, grid)
 
 
 def _richardson_columns(values: list[float]) -> list[list[float]]:
@@ -176,21 +266,12 @@ def _ladder_estimate(values: list[float]) -> tuple[float, float]:
     return best, est
 
 
-def nr_energy(
-    mu: float,
-    rho: float,
-    p: float,
-    state: QuantumState,
-    grid: SpectralGrid | None = None,
-    *,
-    tol: float = 1e-7,
-) -> tuple[float, SpectralGrid]:
-    """Extrapolated (n, l) eigenvalue and the finest grid used.
+def _ladder(mu, rho, p, state: QuantumState, grid: SpectralGrid | None, tol: float):
+    """The doubling ladder behind :func:`nr_energy`.
 
-    Runs the doubling ladder from ``grid`` (or the default box) until the
-    Richardson error estimate drops below ``tol`` relative, raising
-    ConvergenceFailure at the point cap and DomainError when a p < 0 state
-    comes out unbound.
+    Returns the extrapolated level, the finest grid and the sine
+    coefficients of level n there.  The first rung is solved densely, which
+    fixes the level index; each finer rung is refined from the one before.
     """
     _check_oracle_args(mu, rho, p)
     if grid is None:
@@ -200,7 +281,11 @@ def nr_energy(
     n_pts = grid.points
     while n_pts <= cap:
         level = SpectralGrid(grid.box_radius, n_pts)
-        values.append(_level_energy(mu, rho, p, state, level))
+        if values:
+            levels, coeffs = _next_rung(mu, rho, p, state, level, levels, coeffs)
+        else:
+            levels, coeffs = _dense_levels(mu, rho, p, state, level)
+        values.append(float(levels[state.n]))
         if p < 0 and values[-1] >= 0.0:
             raise DomainError(
                 f"state (n={state.n}, l={state.l}) is unbound for p={p:g} in this box"
@@ -208,13 +293,33 @@ def nr_energy(
         if len(values) >= 2:
             best, est = _ladder_estimate(values)
             if est <= tol * max(abs(best), 1e-300):
-                return best, level
+                return best, level, coeffs[:, state.n]
         n_pts *= 2
     raise ConvergenceFailure(
         f"eigenvalue estimate stuck at relative error ~{est / max(abs(best), 1e-300):.1e} "
         f"with {n_pts // 2} points (tol {tol:g}); steep-cusp s-waves "
         f"(noninteger p < -1) converge slowly on uniform grids, consider a looser tol"
     )
+
+
+def nr_energy(
+    mu: float,
+    rho: float,
+    p: float,
+    state: QuantumState,
+    grid: SpectralGrid | None = None,
+    *,
+    tol: float = _NR_TOL,
+) -> tuple[float, SpectralGrid]:
+    """Extrapolated (n, l) eigenvalue and the finest grid used.
+
+    Runs the doubling ladder from ``grid`` (or the default box) until the
+    Richardson error estimate drops below ``tol`` relative, raising
+    ConvergenceFailure at the point cap and DomainError when a p < 0 state
+    comes out unbound.
+    """
+    energy, level, _ = _ladder(mu, rho, p, state, grid, tol)
+    return energy, level
 
 
 def nr_eigenvalue(
@@ -227,14 +332,12 @@ def nr_eigenvalue(
     """Converged (n, l) eigenpair of p^2/(2 mu) + rho*sign(p)*r^p.
 
     The energy is ladder-extrapolated as in :func:`nr_energy`, to its default
-    1e-7 relative; the amplitudes come from the finest grid, normalized to
+    1e-7 relative; the amplitudes are the finest rung's level, normalized to
     sum(u^2) dr = 1 with a positive leading lobe.
     """
-    energy, level = nr_energy(mu, rho, p, state, grid)
-    h = _hamiltonian(mu, rho, p, state.l, level)
-    _, vec = sla.eigh(h, subset_by_index=(state.n, state.n))
-    u = vec[:, 0]
-    u = u / math.sqrt(level.spacing)  # eigh returns sum(u^2) = 1
+    energy, level, coeffs = _ladder(mu, rho, p, state, grid, _NR_TOL)
+    u = _dst(coeffs)
+    u = u / (np.linalg.norm(u) * math.sqrt(level.spacing))
     lead = np.nonzero(np.abs(u) > 1e-8 * np.max(np.abs(u)))[0][0]
     if u[lead] < 0:
         u = -u

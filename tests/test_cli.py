@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import math
 import string
 
 import pytest
@@ -131,6 +132,14 @@ class TestScanCommand:
             assert row[3] == ""  # reference disabled
             assert float(row[4]) == pytest.approx(linear_ur_expansion(m, 0.2, q2), rel=1e-8)
         assert rows[1][5] == "n/a"  # no nonrelativistic expansion at m = 0
+
+    def test_heavy_mass_row_is_finite(self, tmp_path, capsys):
+        # m*m is finite at 1e150, but the closed form's intermediate products were not
+        config = self.scan_config()
+        config["scan"]["values"] = [1e150]
+        assert main(["scan", "--config", write_config(tmp_path, config)]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert all(math.isfinite(float(cell)) for cell in row if cell)
 
     def test_deterministic_output(self, tmp_path):
         config = write_config(tmp_path, self.scan_config())
@@ -304,6 +313,22 @@ def _with_1e400(config):
         pytest.param(
             "scan", dict(SCAN_LINEAR, scan=dict(SCAN_LINEAR["scan"], values=[0.5], include_reference=0)), [], 3,
             id="switch-not-boolean",
+        ),
+        pytest.param(  # between two scan points r**20001 goes from ~1 past the double range
+            "bound", dict(BOUND_COULOMB, masses=[0.0, 1.0], potential=[{"alpha": 1e-254, "exponent": 20000}], q=1.0),
+            [], 2, id="balance-not-representable",
+        ),
+        pytest.param(
+            "scan", dict(SCAN_LINEAR, scan=dict(SCAN_LINEAR["scan"], values=[1e300])), [], 2,
+            id="scan-mass-1e300",
+        ),
+        pytest.param(
+            "scan", dict(SCAN_LINEAR, scan={"variable": "m", "values": [1e300]}), [], 2,
+            id="scan-mass-1e300-with-reference",
+        ),
+        pytest.param(  # m*m is finite, M_ur = M0 + 2 m^2/M0 is not
+            "scan", dict(SCAN_LINEAR, scan=dict(SCAN_LINEAR["scan"], values=[1.2e154])), [], 2,
+            id="scan-mass-ur-overflow",
         ),
     ],
 )

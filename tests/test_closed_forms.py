@@ -130,6 +130,18 @@ class TestLinearClosed:
             res = residuals(sol, 0.0, m, PowerLawPotential.linear(0.3), sol.q)
             assert max(res) < 1e-10
 
+    @pytest.mark.parametrize("m", [1e160, 1e300])
+    def test_heavy_mass_stays_finite(self, m):
+        # m*m overflows above ~1.3e154; the nonrelativistic expansion is exact
+        # there to O(1/m^2), and r0^2 tends to Q/b
+        sol = linear_closed(m, 0.2, GlobalQ.explicit(1.5, 1.0))
+        assert sol.mass == pytest.approx(linear_nr_expansion(m, 0.2, 1.5), rel=1e-15)
+        assert sol.r0**2 == pytest.approx(1.5 / 0.2, rel=1e-15)
+
+    def test_ur_expansion_beyond_double_range_raises(self):
+        with pytest.raises(DomainError):
+            linear_ur_expansion(1e300, 0.2, 1.5)
+
     def test_agrees_with_generic_solver(self):
         q = GlobalQ.explicit(2.5, 2.0)
         closed = linear_closed(0.8, 0.15, q)

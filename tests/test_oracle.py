@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import dst1_matrix
 
 import salpeter_afm.oracle as oracle
@@ -111,8 +114,8 @@ class TestConvergenceControl:
         # raw doubling difference below 1e-7 for a smooth confining potential
         state = QuantumState(0, 0)
         grid = oracle.default_grid(1.0, 0.5, 2.0, state)
-        e1 = oracle._level_energy(1.0, 0.5, 2.0, state, SpectralGrid(grid.box_radius, 600))
-        e2 = oracle._level_energy(1.0, 0.5, 2.0, state, SpectralGrid(grid.box_radius, 1200))
+        e1 = oracle._dense_levels(1.0, 0.5, 2.0, state, SpectralGrid(grid.box_radius, 600))[0][0]
+        e2 = oracle._dense_levels(1.0, 0.5, 2.0, state, SpectralGrid(grid.box_radius, 1200))[0][0]
         assert abs(e2 - e1) / abs(e2) < 1e-7
 
     def test_unbound_state_raises(self):
@@ -130,6 +133,72 @@ class TestConvergenceControl:
             oracle.nr_energy(-1.0, 1.0, 2.0, QuantumState(0, 0))
         with pytest.raises(ValueError):
             oracle.nr_energy(1.0, 1.0, -2.0, QuantumState(0, 0))
+
+
+def counting(monkeypatch, *names):
+    """Record the matrix size of every scipy.linalg call of the given names."""
+    calls = []
+    for name in names:
+        real = getattr(scipy.linalg, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(args[0].shape[0])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counted)
+    return calls
+
+
+def dense_level(p, state, grid, mu=1.0, rho=1.0):
+    h = oracle._hamiltonian(mu, rho, p, state.l, grid)
+    return scipy.linalg.eigvalsh(h, subset_by_index=(state.n, state.n))[0]
+
+
+class TestMatrixFreeLadder:
+    @pytest.mark.parametrize("p, n, l", [(-1.0, 3, 0), (2.0, 1, 0), (-0.5, 1, 1)])
+    def test_refined_rungs_match_dense(self, monkeypatch, p, n, l):
+        state = QuantumState(n, l)
+        grid = oracle.default_grid(1.0, 1.0, p, state)
+        levels, coeffs = oracle._dense_levels(1.0, 1.0, p, state, grid)
+        rescues = counting(monkeypatch, "eigh")
+        for points in (600, 1200):
+            rung = SpectralGrid(grid.box_radius, points)
+            levels, coeffs = oracle._next_rung(1.0, 1.0, p, state, rung, levels, coeffs)
+            assert levels[n] == pytest.approx(dense_level(p, state, rung), rel=1e-10)
+        assert rescues == []
+
+    def test_missed_residual_bound_is_rescued_densely(self, monkeypatch):
+        # LOBPCG stops after one step, which makes it warn, and every residual
+        # is reported far above its bound, so every refined rung is rescued
+        refine = oracle._refined_levels
+
+        def missing(*args):
+            values, vectors, residuals = refine(*args)
+            return values, vectors, residuals + 1.0
+
+        monkeypatch.setattr(oracle, "_refined_levels", missing)
+        monkeypatch.setattr(oracle, "_MAXITER", 1)
+        state = QuantumState(0, 0)
+        solves = counting(monkeypatch, "eigh")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            energy, finest = oracle.nr_energy(1.0, 1.0, 1.0, state)
+        assert caught == []
+        rungs = [300 * 2**k for k in range(len(solves))]
+        assert solves == rungs and len(rungs) >= 3 and rungs[-1] == finest.points
+        grids = [SpectralGrid(finest.box_radius, pts) for pts in rungs]
+        values = [oracle._dense_levels(1.0, 1.0, 1.0, state, g)[0][state.n] for g in grids]
+        assert energy == oracle._ladder_estimate(values)[0]
+
+    def test_one_dense_eigensolve_per_ladder(self, monkeypatch):
+        solves = counting(monkeypatch, "eigh", "eigvalsh")
+        _, finest = oracle.nr_energy(1.0, 1.0, -1.0, QuantumState(3, 0))
+        assert finest.points == 4800
+        assert solves == [300]
+        solves.clear()
+        pair = nr_eigenvalue(1.0, 1.0, -1.0, QuantumState(3, 0))
+        assert pair.grid.points == 4800
+        assert solves == [300]
 
 
 class TestAfmEigenstate:

@@ -100,6 +100,8 @@ class TestSolveAfm:
             pytest.param(0.8, PowerLawPotential.funnel(0.3, 0.15), 1.7, 1e-3, 1e3, id="funnel"),
             # [0.1, 10] holds the minimum near 1.2865, not the local maximum at 0.0177
             pytest.param(2.8044, TWO_ROOTS, 4.634, 0.1, 10.0, id="two-roots"),
+            # r**(lam + 2) of the undivided balance overflows above r ~ 5e102
+            pytest.param(1.0, PowerLawPotential.linear(1e-300), 1.0, 1e149, 1e151, id="root-near-1e150"),
         ],
     )
     def test_one_massless_particle_against_bisection(self, m, potential, qv, lo, hi):
@@ -109,7 +111,9 @@ class TestSolveAfm:
             return pull - qv - qv * qv / math.hypot(qv, m * r)
 
         r0 = bisect_root(gap, lo, hi)
-        assert solve_afm(0.0, m, potential, qv).r0 == pytest.approx(r0, rel=1e-10)
+        sol = solve_afm(0.0, m, potential, qv)
+        assert sol.r0 == pytest.approx(r0, rel=1e-10)
+        assert max(residuals(sol, 0.0, m, potential, qv)) <= 1e-10
 
     def test_rejects_empty_potential(self):
         with pytest.raises(DomainError):
