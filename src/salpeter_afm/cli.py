@@ -17,8 +17,7 @@ import math
 import sys
 
 from . import core, reference, verification
-from .errors import AfmError, CollapseDetected, DomainError, NoBoundState, UnsupportedCase
-from .oracle import SpectralGrid
+from .errors import AfmError, CollapseDetected, NoBoundState, UnsupportedCase
 from .types import GlobalQ, PowerLawPotential, QuantumState
 
 # Allowed configuration keys.  A set lists the keys of a nested object, a
@@ -28,7 +27,6 @@ CONFIG_KEYS = {
     "masses": None, "sigma": None, "p": None, "q": None,
     "potential": [{"alpha", "exponent"}],
     "state": {"n", "l"},
-    "grid": {"points", "box_radius"},
     "scan": {"variable", "values", "start", "stop", "step", "include_reference"},
     "qtable": {"p_values", "states", "numeric"},
 }
@@ -107,12 +105,7 @@ def load_config(args: argparse.Namespace) -> dict:
     if config.get("mode", verb) != verb:
         raise ConfigError(f"configuration mode {config['mode']!r} does not match command {verb!r}")
     for dest, value in vars(args).items():
-        if dest in ("command", "config") or value is None:
-            continue
-        if "." in dest:  # --grid-points and --box-radius fill the grid section
-            section, key = dest.split(".")
-            config.setdefault(section, {})[key] = value
-        else:
+        if dest not in ("command", "config") and value is not None:
             config[dest] = value
     formats = VERBS[verb][1]
     if config.get("format", formats[0]) not in formats:
@@ -245,12 +238,8 @@ def cmd_bound(config: dict) -> int:
 def cmd_reference(config: dict) -> int:
     with _config_values():
         m1, m2 = _masses(config)
-        grid = config.get("grid")
-        problem = reference.SseProblem(
-            m1, m2, _potential(config), _state(config),
-            sigma=float(config["sigma"]) if "sigma" in config else None,
-            grid=SpectralGrid(float(grid["box_radius"]), int(grid["points"])) if grid else None,
-        )
+        sigma = float(config["sigma"]) if "sigma" in config else None
+        problem = reference.SseProblem(m1, m2, _potential(config), _state(config), sigma=sigma)
     mass = reference.sse_eigenvalue(problem)
     if config.get("format") == "json":
         _emit(json.dumps({"mass": mass}) + "\n", config)
@@ -305,9 +294,7 @@ def _scan_mass(config: dict, potential: PowerLawPotential, values: list[float], 
         include_ref = config["scan"].get("include_reference", True)
     if any(m < 0.0 for m in values):
         raise ConfigError("scan masses must be non-negative")
-    if not all(math.isfinite(m * m) for m in values):
-        # the reference's kinetic term and M_ur are built from m^2
-        raise DomainError("scan masses above ~1.3e154 square beyond the double range")
+    reference.check_mass_squares(*values)  # the reference's kinetic term and M_ur are built from m^2
     q1 = core.q_exact(1, state) if state.l == 0 else None
     q2 = core.q_exact(2, state)
     writer.writerow(["m", "M_afm_Q1", "M_afm_Q2", "M_ref", "M_ur", "M_nr"])
@@ -438,11 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="write output to this path instead of stdout")
         if len(formats) > 1:
             cmd.add_argument("--format", choices=formats, help="output format")
-        if verb == "reference":
-            cmd.add_argument("--grid-points", dest="grid.points", metavar="N", type=int,
-                             help="override the grid point count")
-            cmd.add_argument("--box-radius", dest="grid.box_radius", metavar="R", type=float,
-                             help="override the box radius (GeV^-1)")
         if verb == "verify":
             cmd.add_argument("--suite", help="suite name (default: all)")
     return parser

@@ -1,30 +1,36 @@
 """Reference eigensolver for the genuine spinless Salpeter equation.
 
-Discretizes sqrt(p^2 + m1^2) + sqrt(p^2 + m2^2) + V(r) (or the symmetric
-sigma * sqrt(p^2 + m^2) + V variant) in the same hard-wall sine basis the
-nonrelativistic oracle uses.  The partial-wave p^2 operator is the exact
-spectral second derivative plus the centrifugal diagonal; the kinetic sum is
-taken functionally from one symmetric eigendecomposition of it per grid,
-shared by both masses (for l = 0 the sine functions themselves diagonalize
-p^2, so no extra decomposition is needed).  Values are certified by grid
-doubling; potentials with an attractive tail get a geometric (Aitken)
-extrapolation over the doubling ladder because the origin cusp slows raw
-convergence to a fractional order.
+Rayleigh-Ritz for sqrt(p^2 + m1^2) + sqrt(p^2 + m2^2) + V(r), or the symmetric
+sigma * sqrt(p^2 + m^2) + V, in the orthonormal Laguerre basis
+chi_k(r) = h^(-1/2) x^(l+1) e^(-x/2) p_k(x), x = r/h, k < N, with p_k the
+L_k^(2l+2) normalised by its three-term recurrence.  Every matrix element is
+an exact Gauss-Laguerre sum; the kinetic sum comes from one eigendecomposition
+of the N x N p_l^2 matrix, shared by both masses.  sqrt(x + m^2) is operator
+monotone and non-negative on [0, inf), so by Hansen's inequality (Math. Ann.
+1980) and min-max every eigenvalue is an upper bound on the true one, falling
+as the nested bases grow.  The ladder N = 20, 40, 80, 160 stops when two rungs
+agree to 1e-7 relative, or else (an attractive tail's origin cusp converges
+slowly) returns the Aitken limit of the last three.  Past N ~ 180 the
+Gauss-Laguerre weights underflow, hence the cap.
 """
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy import special
 
 from . import core
-from .errors import CollapseDetected, ConvergenceFailure, NoBoundState
-from .oracle import SpectralGrid, box_momenta, sine_operator
+from .errors import CollapseDetected, ConvergenceFailure, DomainError, NoBoundState
 from .types import GlobalQ, PowerLawPotential, QuantumState
 
-_START_POINTS = 600
-_TOL = 5e-4  # relative change between the last two rungs accepted as converged
+_SIZES = (20, 40, 80, 160)
+_TOL = 1e-7  # relative change between two rungs accepted as converged
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -41,7 +47,6 @@ class SseProblem:
     potential: PowerLawPotential
     state: QuantumState
     sigma: float | None = None
-    grid: SpectralGrid | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.m1 < np.inf and 0.0 <= self.m2 < np.inf):
@@ -53,47 +58,68 @@ class SseProblem:
                 raise ValueError("the symmetric mode uses a single mass; set m1 == m2")
 
 
-def sqrt_kinetic_matrix(terms: tuple[tuple[float, float], ...], l: int, grid: SpectralGrid) -> np.ndarray:
-    """Dense matrix of sum(weight * sqrt(p^2 + mass^2)) over (weight, mass) terms.
+def check_mass_squares(*masses: float) -> None:
+    """Raise DomainError for a mass whose square leaves the double range."""
+    if not all(math.isfinite(m * m) for m in masses):
+        raise DomainError("masses above ~1.3e154 square beyond the double range")
 
-    For l = 0 the sine basis diagonalizes p^2 exactly; for l > 0 the
-    centrifugal term is added on the grid diagonal and the sum is formed
-    from one eigendecomposition of that symmetric p^2 matrix.
+
+def _basis_on_nodes(l: int, size: int, nodes: int, weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_i of the Gauss-Laguerre rule with weight x^weight e^-x, and
+    sqrt(w_i) p_k(x_i) for k < size; carrying sqrt(w_i) through the
+    recurrence keeps every value near 1 where p_k alone would overflow."""
+    x, w = special.roots_genlaguerre(nodes, weight)
+    alpha = 2 * l + 2
+    phi = np.zeros((nodes, size))
+    phi[:, 0] = np.sqrt(w / special.gamma(alpha + 1.0))
+    for k in range(size - 1):  # at k = 0, down = 0 meets a column of zeros
+        down, up = math.sqrt(k * (k + alpha)), math.sqrt((k + 1) * (k + 1 + alpha))
+        phi[:, k + 1] = ((2 * k + 1 + alpha - x) * phi[:, k] - down * phi[:, k - 1]) / up
+    return x, phi
+
+
+def psq_matrix(l: int, scale: float, size: int) -> np.ndarray:
+    """<chi_j| p^2 + l(l+1)/r^2 |chi_k> for j, k < size."""
+    x, phi = _basis_on_nodes(l, size, size + 1, 2 * l)
+    # d/dx [x^(l+1) e^(-x/2) p_k] = x^l e^(-x/2) q_k, using x p_k' = k p_k - sqrt(k (k+2l+2)) p_(k-1)
+    k = np.arange(size)
+    q = (l + 1 + k - 0.5 * x[:, None]) * phi
+    q[:, 1:] -= np.sqrt(k[1:] * (k[1:] + 2 * l + 2)) * phi[:, :-1]
+    return (q.T @ q + l * (l + 1) * (phi.T @ phi)) / scale**2
+
+
+def power_matrix(lam: float, l: int, scale: float, size: int) -> np.ndarray:
+    """<chi_j| r^lam |chi_k> for j, k < size."""
+    _, phi = _basis_on_nodes(l, size, size, 2 * l + 2 + lam)
+    return scale**lam * (phi.T @ phi)
+
+
+def kinetic_matrix(terms: tuple[tuple[float, float], ...], psq: np.ndarray) -> np.ndarray:
+    """sum(weight * sqrt(p^2 + mass^2)) over (weight, mass) terms, from one
+    eigendecomposition of the p_l^2 matrix."""
+    p2, u = sla.eigh(psq)
+    p2 = np.clip(p2, 0.0, None)  # round-off can push the smallest below zero
+    return (u * sum(weight * np.sqrt(p2 + mass * mass) for weight, mass in terms)) @ u.T
+
+
+def sse_hamiltonian(problem: SseProblem, scale: float, size: int) -> np.ndarray:
+    """Symmetric Hamiltonian matrix in the first ``size`` basis functions of scale h."""
+    terms = ((1.0, problem.m1), (1.0, problem.m2)) if problem.sigma is None else ((problem.sigma, problem.m1),)
+    l = problem.state.l
+    h = kinetic_matrix(terms, psq_matrix(l, scale, size))
+    for alpha, lam in problem.potential.active_terms():
+        h += math.copysign(alpha, lam) * power_matrix(lam, l, scale, size)
+    return 0.5 * (h + h.T)
+
+
+def _scale(problem: SseProblem) -> float:
+    """Basis scale h from the cheap variational radius (tried at Q(-1), then Q(2)).
+
+    The n-th basis function has mean radius (2n+2l+3) h, so h puts it at
+    the AFM radius; cusped attractive-only potentials get a 3x finer scale.
     """
-
-    def kinetic(p2):
-        return sum(weight * np.sqrt(p2 + mass * mass) for weight, mass in terms)
-
-    k2 = box_momenta(grid) ** 2
-    if l == 0:
-        return sine_operator(kinetic(k2))
-    psq = sine_operator(k2)
-    psq[np.diag_indices_from(psq)] += l * (l + 1) / grid.radii**2
-    w, u = sla.eigh(psq)
-    out = (u * kinetic(np.clip(w, 0.0, None))) @ u.T
-    return 0.5 * (out + out.T)
-
-
-def sse_hamiltonian(problem: SseProblem, grid: SpectralGrid) -> np.ndarray:
-    """Symmetric Hamiltonian matrix of the discretized problem."""
-    m1, m2, sigma = problem.m1, problem.m2, problem.sigma
-    terms = ((1.0, m1), (1.0, m2)) if sigma is None else ((sigma, m1),)
-    h = sqrt_kinetic_matrix(terms, problem.state.l, grid)
-    h[np.diag_indices_from(h)] += problem.potential.value(grid.radii)
-    return h
-
-
-def _level_mass(problem: SseProblem, radius: float, points: int) -> float:
-    h = sse_hamiltonian(problem, SpectralGrid(radius, points))
-    n = problem.state.n
-    return float(sla.eigvalsh(h, subset_by_index=(n, n))[0])
-
-
-def _box_radius(problem: SseProblem) -> float:
-    """Box size from the cheap variational radius (tried at Q(-1), then Q(2))."""
     state = problem.state
-    radius = None
-    collapse = None
+    radius = collapse = None
     for q in (core.q_exact(-1, state), core.q_exact(2, state)):
         try:
             r0 = core.solve_afm(problem.m1, problem.m2, problem.potential, q).r0
@@ -106,55 +132,43 @@ def _box_radius(problem: SseProblem) -> float:
     if radius is None:
         if collapse is not None:
             raise collapse
-        raise NoBoundState("could not find a variational bound state to size the box")
-    # cusped attractive-only potentials are resolution limited: keep the box tight
+        raise NoBoundState("could not find a variational bound state to size the basis")
     attractive_only = all(lam < 0 for _, lam in problem.potential.active_terms())
-    return (6.0 if attractive_only else 12.0) * radius
+    return radius / (2 * state.n + 2 * state.l + 3) / (3.0 if attractive_only else 1.0)
 
 
 def _aitken(values: list[float]) -> float:
     d1, d2 = values[0] - values[1], values[1] - values[2]
-    denom = d1 - d2
-    if denom == 0.0 or d1 == 0.0 or d2 / d1 <= 0.0:
-        return values[2]
-    return values[2] - d2 * d2 / denom
+    if not (d1 > 0 and d2 > 0 and 0.02 < d2 / d1 < 0.98):
+        raise ConvergenceFailure(
+            "basis ladder is not geometrically decreasing; refusing to extrapolate "
+            f"(values {values})"
+        )
+    return values[2] - d2 * d2 / (d1 - d2)
 
 
 def sse_eigenvalue(problem: SseProblem) -> float:
-    """Converged (n, l) eigenvalue of the semirelativistic Hamiltonian.
+    """The (n, l) eigenvalue of the semirelativistic Hamiltonian.
 
-    Confining-only potentials are accepted once plain grid doubling changes
-    the value by less than 5e-4 relative.  Potentials with an attractive tail
-    run the full three-rung ladder and return its geometric Aitken limit;
-    the ladder is validated to be monotone with a sane decay ratio before
-    extrapolating.
+    Every rung is an upper bound.  The first rung within 1e-7 relative of
+    the one before is returned; otherwise the last three rungs must fall
+    geometrically, and their Aitken limit is returned.
     """
-    grid = problem.grid
-    if grid is None:
-        grid = SpectralGrid(_box_radius(problem), _START_POINTS)
-    radius, n_pts = grid.box_radius, grid.points
-
-    if not any(lam < 0 for _, lam in problem.potential.active_terms()):
-        previous = _level_mass(problem, radius, n_pts)
-        cap = 4 * max(n_pts, _START_POINTS)
-        while n_pts < cap:
-            n_pts *= 2
-            current = _level_mass(problem, radius, n_pts)
-            if abs(current - previous) <= _TOL * abs(current):
-                return current
-            previous = current
-        raise ConvergenceFailure(f"doubling to {n_pts} points left a relative change above {_TOL:g}")
-
-    values = [_level_mass(problem, radius, n) for n in (n_pts, 2 * n_pts, 4 * n_pts)]
-    if abs(values[-1] - values[-2]) <= _TOL * abs(values[-1]):
-        return values[-1]
-    d1, d2 = values[0] - values[1], values[1] - values[2]
-    if not (d1 > 0 and d2 > 0 and 0.02 < d2 / d1 < 0.98):
-        raise ConvergenceFailure(
-            "doubling ladder is not geometrically decreasing; refusing to extrapolate "
-            f"(values {values})"
-        )
-    return _aitken(values)
+    check_mass_squares(problem.m1, problem.m2)
+    scale = _scale(problem)
+    n = problem.state.n
+    values = []
+    for size in (s for s in _SIZES if s > n):
+        values.append(float(sla.eigvalsh(sse_hamiltonian(problem, scale, size), subset_by_index=(n, n))[0]))
+        _log.debug("reference rung N=%d h=%.9g value=%.12g", size, scale, values[-1])
+        if len(values) > 1 and abs(values[-1] - values[-2]) <= _TOL * abs(values[-1]):
+            _log.debug("reference converged: %.12g, error estimate %.3g", values[-1], values[-2] - values[-1])
+            return values[-1]
+    if len(values) < 3:
+        raise ConvergenceFailure(f"level n={n} needs more than {_SIZES[-1]} basis functions")
+    value = _aitken(values[-3:])
+    _log.debug("reference Aitken limit: %.12g, error estimate %.3g", value, values[-1] - value)
+    return value
 
 
 @dataclass(frozen=True)

@@ -258,17 +258,18 @@ def _with_1e400(config):
             "bound", dict(BOUND_COULOMB, potential=[{"alpha": "strong", "exponent": -1}]), [], 3,
             id="non-numeric-alpha",
         ),
+        # the sine grid's options are gone: an unknown key and unknown flags
         pytest.param(
             "reference", dict(REFERENCE_COULOMB, grid={"points": 32, "box_radius": 10.0}), [], 3,
-            id="grid-points-config",
+            id="removed-grid-section",
         ),
         pytest.param(
             "reference", REFERENCE_COULOMB, ["--grid-points", "32", "--box-radius", "10"], 3,
-            id="grid-points-flag",
+            id="removed-grid-flags",
         ),
         pytest.param(
-            "reference", REFERENCE_COULOMB, ["--grid-points", "600", "--box-radius", "inf"], 3,
-            id="box-radius-inf",
+            "reference", REFERENCE_COULOMB, ["--box-radius", "inf"], 3,
+            id="removed-box-radius-flag",
         ),
         pytest.param(
             "reference", dict(REFERENCE_COULOMB, masses=[0.5, 1.0], sigma=2.0), [], 3,
@@ -321,6 +322,10 @@ def _with_1e400(config):
         pytest.param(
             "scan", dict(SCAN_LINEAR, scan=dict(SCAN_LINEAR["scan"], values=[1e300])), [], 2,
             id="scan-mass-1e300",
+        ),
+        pytest.param(  # the kinetic term is built from m^2
+            "reference", dict(REFERENCE_COULOMB, masses=[0.0, 1e300], potential=[{"alpha": 0.2, "exponent": 1}]),
+            [], 2, id="reference-mass-1e300",
         ),
         pytest.param(
             "scan", dict(SCAN_LINEAR, scan={"variable": "m", "values": [1e300]}), [], 2,

@@ -1,24 +1,54 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import dst1_matrix
 
 import salpeter_afm.oracle as oracle
 from salpeter_afm import (
+    ConvergenceFailure,
+    DomainError,
     GlobalQ,
     NoBoundState,
     PowerLawPotential,
     QuantumState,
-    SpectralGrid,
     SseProblem,
     bound_gap,
     q_exact,
+    reference,
+    solve_afm,
     sse_eigenvalue,
 )
-from salpeter_afm.reference import sqrt_kinetic_matrix, sse_hamiltonian
+from salpeter_afm.reference import kinetic_matrix, power_matrix, psq_matrix, sse_hamiltonian
 
 LINEAR = PowerLawPotential.linear(0.2)
-GRID = SpectralGrid(30.0, 128)
+FUNNEL = SseProblem(0.3, 1.5, PowerLawPotential.funnel(0.5, 0.2), QuantumState(0, 1))
+COULOMB = SseProblem(0.0, 1.0, PowerLawPotential.coulomb(1.2), QuantumState(0))
+SCALE, SIZE = 1.3, 40
+
+
+def rung_values(problem):
+    """Level n on every rung of the basis ladder, at the scale sse_eigenvalue picks."""
+    scale, n = reference._scale(problem), problem.state.n
+    return [
+        scipy.linalg.eigvalsh(sse_hamiltonian(problem, scale, size), subset_by_index=(n, n))[0]
+        for size in reference._SIZES
+    ]
+
+
+def assert_massless_sqrt_on_momentum_eigenvectors(l):
+    """sqrt(p^2) maps an eigenvector of the p_l^2 matrix (from numpy's own
+    eigensolver) onto sqrt(eigenvalue) times itself."""
+    psq = psq_matrix(l, SCALE, SIZE)
+    vals, vecs = np.linalg.eigh(psq)
+    w = kinetic_matrix(((1.0, 0.0),), psq)
+    for j in (0, 10, SIZE - 1):
+        np.testing.assert_allclose(w @ vecs[:, j], np.sqrt(vals[j]) * vecs[:, j], atol=1e-10 * np.sqrt(vals[-1]))
+
+
+def assert_non_increasing(values):
+    for coarse, fine in zip(values, values[1:]):
+        assert fine <= coarse + 1e-12 * abs(coarse)
 
 
 class TestProblemValidation:
@@ -40,77 +70,81 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             SseProblem(1.0, 1.0, LINEAR, QuantumState(0), sigma=-1.0)
 
+    def test_mass_squaring_past_the_double_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="square beyond the double range"):
+            sse_eigenvalue(SseProblem(0.0, 1e300, LINEAR, QuantumState(0)))
+
 
 class TestOperatorConstruction:
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
+    def test_ground_function_closed_forms(self, l):
+        # chi_0 = r^(l+1) e^(-r/2h) normalised: <p_l^2> = 1/(4h^2), <r> = (2l+3)h, <1/r> = 1/(2(l+1)h)
+        h = 0.7
+        assert psq_matrix(l, h, 5)[0, 0] == pytest.approx(1.0 / (4.0 * h * h), rel=1e-14)
+        assert power_matrix(1.0, l, h, 5)[0, 0] == pytest.approx((2 * l + 3) * h, rel=1e-14)
+        assert power_matrix(-1.0, l, h, 5)[0, 0] == pytest.approx(1.0 / (2 * (l + 1) * h), rel=1e-14)
+
+    @pytest.mark.parametrize("l", [0, 2])
+    def test_bases_are_nested(self, l):
+        # every matrix element is exact, so a smaller basis sees the leading block of a larger one
+        for small, large in ((psq_matrix(l, SCALE, 20), psq_matrix(l, SCALE, 160)),
+                             (power_matrix(0.5, l, SCALE, 20), power_matrix(0.5, l, SCALE, 160))):
+            np.testing.assert_allclose(large[:20, :20], small, rtol=0.0, atol=1e-12 * np.abs(small).max())
+
     @pytest.mark.parametrize("l", [0, 2])
     def test_hamiltonian_is_symmetric(self, l):
-        problem = SseProblem(0.3, 1.1, LINEAR, QuantumState(0, l))
-        h = sse_hamiltonian(problem, GRID)
-        assert np.max(np.abs(h - h.T)) == 0.0
+        problem = SseProblem(0.3, 1.1, PowerLawPotential.funnel(0.4, 0.2), QuantumState(0, l))
+        h = sse_hamiltonian(problem, SCALE, SIZE)
+        assert np.array_equal(h, h.T)
 
     def test_massless_sqrt_on_momentum_eigenvector_l0(self):
-        # sqrt(p^2) must map a sine mode onto |k| times itself
-        k = oracle.box_momenta(GRID)
-        s = dst1_matrix(GRID.points)
-        w = sqrt_kinetic_matrix(((1.0, 0.0),), 0, GRID)
-        for j in (0, 5, 50):
-            v = s[:, j]
-            np.testing.assert_allclose(w @ v, k[j] * v, atol=1e-10 * k[j])
+        assert_massless_sqrt_on_momentum_eigenvectors(0)
 
     def test_massless_sqrt_on_momentum_eigenvector_l2(self):
-        import scipy.linalg as sla
-
-        s = dst1_matrix(GRID.points)
-        k2 = oracle.box_momenta(GRID) ** 2
-        psq = (s * k2) @ s
-        psq[np.diag_indices_from(psq)] += 6.0 / GRID.radii**2
-        vals, vecs = sla.eigh(psq)
-        w = sqrt_kinetic_matrix(((1.0, 0.0),), 2, GRID)
-        for j in (0, 10):
-            np.testing.assert_allclose(
-                w @ vecs[:, j], np.sqrt(vals[j]) * vecs[:, j], atol=1e-10 * np.sqrt(vals[j])
-            )
+        assert_massless_sqrt_on_momentum_eigenvectors(2)
 
     @pytest.mark.parametrize("l", [0, 2])
     def test_two_masses_sum_single_terms(self, l):
-        both = sqrt_kinetic_matrix(((1.0, 0.3), (1.0, 1.5)), l, GRID)
-        one = sqrt_kinetic_matrix(((1.0, 0.3),), l, GRID)
-        two = sqrt_kinetic_matrix(((1.0, 1.5),), l, GRID)
+        psq = psq_matrix(l, SCALE, SIZE)
+        both = kinetic_matrix(((1.0, 0.3), (1.0, 1.5)), psq)
+        one = kinetic_matrix(((1.0, 0.3),), psq)
+        two = kinetic_matrix(((1.0, 1.5),), psq)
         np.testing.assert_allclose(both, one + two, rtol=0.0, atol=1e-12)
 
-    def test_one_decomposition_per_grid_for_two_masses(self, monkeypatch):
-        calls = []
-        real_eigh = scipy.linalg.eigh
+    def test_one_decomposition_per_rung_for_two_masses(self, monkeypatch):
+        # the near-critical Coulomb level climbs the whole ladder
+        calls = {"eigh": [], "eigvalsh": []}
 
-        def counting_eigh(*args, **kwargs):
-            calls.append(args[0].shape)
-            return real_eigh(*args, **kwargs)
+        def counting(name):
+            real = getattr(scipy.linalg, name)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
-        problem = SseProblem(0.3, 1.5, PowerLawPotential.funnel(0.5, 0.2), QuantumState(0, 1))
-        sse_hamiltonian(problem, GRID)
-        assert calls == [(GRID.points, GRID.points)]
+            def solve(a, *args, **kwargs):
+                calls[name].append(a.shape)
+                return real(a, *args, **kwargs)
+
+            return solve
+
+        for name in calls:
+            monkeypatch.setattr(scipy.linalg, name, counting(name))
+        sse_eigenvalue(COULOMB)
+        assert calls["eigh"] == [(n, n) for n in (20, 40, 80, 160)]
+        assert calls["eigvalsh"] == calls["eigh"]
 
     def test_sigma_two_equals_equal_mass_two_body(self):
         two_mass = SseProblem(0.8, 0.8, LINEAR, QuantumState(0))
         symmetric = SseProblem(0.8, 0.8, LINEAR, QuantumState(0), sigma=2.0)
-        h1 = sse_hamiltonian(two_mass, GRID)
-        h2 = sse_hamiltonian(symmetric, GRID)
+        h1 = sse_hamiltonian(two_mass, SCALE, SIZE)
+        h2 = sse_hamiltonian(symmetric, SCALE, SIZE)
         assert np.array_equal(h1, h2)
 
 
 class TestEigenvalues:
     def test_discretization_decreases_with_refinement(self):
-        # hard-wall basis enlargement is variational up to quadrature noise
-        problem = SseProblem(0.0, 1.0, LINEAR, QuantumState(0))
-        import scipy.linalg as sla
+        # nested bases and Hansen's inequality: every rung bounds the next from above
+        assert_non_increasing(rung_values(FUNNEL))
 
-        values = []
-        for n in (128, 256, 512):
-            h = sse_hamiltonian(problem, SpectralGrid(30.0, n))
-            values.append(sla.eigvalsh(h, subset_by_index=(0, 0))[0])
-        assert values[1] <= values[0] + 1e-9
-        assert values[2] <= values[1] + 1e-9
+    def test_funnel_frozen_value(self):
+        assert sse_eigenvalue(FUNNEL) == pytest.approx(2.8882782, abs=1e-6)
 
     def test_nonrelativistic_consistency_linear(self):
         # for two heavy equal masses the spectrum approaches
@@ -166,3 +200,38 @@ class TestBoundGap:
         problem = SseProblem(0.0, 1.0, PowerLawPotential.coulomb(1.2), QuantumState(0))
         rows = bound_gap(problem, [q_exact(-1, QuantumState(0))])
         assert rows[0].gap == pytest.approx(0.1344, abs=4e-3)
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_criterion_3_rows_are_certified(self, n):
+        # M_true <= M_160 (Hansen and min-max) and M_160 < M_afm: each row is a proof, not a comparison
+        state = QuantumState(n)
+        q_choices = [q_exact(1, state), q_exact(2, state)]
+        for m in (round(0.1 * i, 1) for i in range(11)):
+            problem = SseProblem(0.0, m, LINEAR, state)
+            values = rung_values(problem)
+            assert_non_increasing(values)
+            for q in q_choices:
+                assert values[-1] < solve_afm(0.0, m, LINEAR, q).mass
+            # the returned rung is converged to the 1e-7 stopping rule
+            value = sse_eigenvalue(problem)
+            assert -1e-12 <= value / values[-1] - 1.0 <= 1e-7
+
+    @pytest.mark.parametrize("values", [[1.0, 0.9, 0.95], [1.0, 0.9, 0.8], [1.0, 0.99, 0.9801], [1.0, 1.0, 0.9]])
+    def test_aitken_refuses_a_ladder_that_does_not_fall_geometrically(self, values):
+        with pytest.raises(ConvergenceFailure):
+            reference._aitken(values)
+
+
+class TestLogging:
+    @pytest.mark.parametrize(
+        "problem, result", [(FUNNEL, "converged"), (COULOMB, "Aitken limit")], ids=["funnel", "coulomb"]
+    )
+    def test_debug_record_per_rung_and_result(self, caplog, problem, result):
+        with caplog.at_level(logging.DEBUG, logger="salpeter_afm"):
+            value = sse_eigenvalue(problem)
+        *rungs, last = [r.getMessage() for r in caplog.records if r.name.startswith("salpeter_afm")]
+        sizes = [int(m.split()[2].removeprefix("N=")) for m in rungs]
+        assert sizes == list(reference._SIZES[: len(sizes)]) and len(sizes) >= 2
+        assert last.startswith(f"reference {result}: {value:.12g}, error estimate")
