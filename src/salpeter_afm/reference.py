@@ -4,17 +4,24 @@ Rayleigh-Ritz for sqrt(p^2 + m1^2) + sqrt(p^2 + m2^2) + V(r), or the symmetric
 sigma * sqrt(p^2 + m^2) + V, in the orthonormal Laguerre basis
 chi_k(r) = h^(-1/2) x^(l+1) e^(-x/2) p_k(x), x = r/h, k < N, with p_k the
 L_k^(2l+2) normalised by its three-term recurrence.  Every matrix element is
-an exact Gauss-Laguerre sum; the kinetic sum comes from one eigendecomposition
-of the N x N p_l^2 matrix, shared by both masses.  sqrt(x + m^2) is operator
+an exact Gauss-Laguerre sum.  In the basis of scale h the p_l^2 matrix is
+P(l, N) / h^2 and the r^lam matrix h^lam W(lam, l, N), so the eigendecomposition
+of P, from which the kinetic sum of both masses is built, and each W are made
+once per (l, N) at unit scale and shared by every mass, scale and problem of
+the process (bounded functools caches).  sqrt(x + m^2) is operator
 monotone and non-negative on [0, inf), so by Hansen's inequality (Math. Ann.
 1980) and min-max every eigenvalue is an upper bound on the true one, falling
 as the nested bases grow.  The ladder N = 20, 40, 80, 160 stops when two rungs
 agree to 1e-7 relative, or else (an attractive tail's origin cusp converges
 slowly) returns the Aitken limit of the last three.  Past N ~ 180 the
-Gauss-Laguerre weights underflow, hence the cap.
+Gauss-Laguerre weights underflow, hence the cap.  Where Gamma(2l+3), the
+weights or the unit-scale r^lam entries would leave the double range (every
+l >= 85, l = 84 with a linear term, or a steep exponent), the matrices are not
+built and DomainError is raised.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -29,6 +36,8 @@ from .types import GlobalQ, PowerLawPotential, QuantumState
 
 _SIZES = (20, 40, 80, 160)
 _TOL = 1e-7  # relative change between two rungs accepted as converged
+_CACHE_SIZE = 32  # unit-scale matrices kept per cache: eight ladders of four rungs
+_LOG_MAX = math.log(np.finfo(float).max)
 
 _log = logging.getLogger(__name__)
 
@@ -67,9 +76,22 @@ def check_mass_squares(*masses: float) -> None:
 def _basis_on_nodes(l: int, size: int, nodes: int, weight: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x_i of the Gauss-Laguerre rule with weight x^weight e^-x, and
     sqrt(w_i) p_k(x_i) for k < size; carrying sqrt(w_i) through the
-    recurrence keeps every value near 1 where p_k alone would overflow."""
-    x, w = special.roots_genlaguerre(nodes, weight)
+    recurrence keeps every value near 1 where p_k alone would overflow.
+
+    Raises DomainError, before anything is computed, where Gamma(2l+3) or the
+    weights (they sum to Gamma(weight+1)) would leave the double range, or
+    where the unit-scale r^lam entries this rule integrates (lam = weight -
+    2l - 2 > 0) might: each <chi_k|x^lam|chi_k> is at most ||J^m||^(lam/m) <=
+    (4(size+m) + 4l + 6)^lam, m = ceil(lam), J the Jacobi matrix of x
+    (Lyapunov's inequality), and every other entry and partial sum is at most
+    the largest of these (Cauchy-Schwarz)."""
     alpha = 2 * l + 2
+    lam = weight - alpha
+    if special.gammaln(max(weight, alpha) + 1.0) >= _LOG_MAX or (
+        lam > 0 and lam * math.log(4 * (size + math.ceil(lam)) + 2 * alpha + 2) >= _LOG_MAX
+    ):
+        raise DomainError(f"Laguerre basis matrices at l={l}, N={size} (weight x^{weight:g}) leave the double range")
+    x, w = special.roots_genlaguerre(nodes, weight)
     phi = np.zeros((nodes, size))
     phi[:, 0] = np.sqrt(w / special.gamma(alpha + 1.0))
     for k in range(size - 1):  # at k = 0, down = 0 meets a column of zeros
@@ -94,21 +116,45 @@ def power_matrix(lam: float, l: int, scale: float, size: int) -> np.ndarray:
     return scale**lam * (phi.T @ phi)
 
 
+def _spectrum(psq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    p2, u = sla.eigh(psq)
+    return np.clip(p2, 0.0, None), u  # round-off can push the smallest below zero
+
+
+def _kinetic(terms: tuple[tuple[float, float], ...], p2: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return (u * sum(weight * np.sqrt(p2 + mass * mass) for weight, mass in terms)) @ u.T
+
+
 def kinetic_matrix(terms: tuple[tuple[float, float], ...], psq: np.ndarray) -> np.ndarray:
     """sum(weight * sqrt(p^2 + mass^2)) over (weight, mass) terms, from one
     eigendecomposition of the p_l^2 matrix."""
-    p2, u = sla.eigh(psq)
-    p2 = np.clip(p2, 0.0, None)  # round-off can push the smallest below zero
-    return (u * sum(weight * np.sqrt(p2 + mass * mass) for weight, mass in terms)) @ u.T
+    return _kinetic(terms, *_spectrum(psq))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _unit_psq_spectrum(l: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped eigenvalues and eigenvectors of psq_matrix(l, 1.0, size), read-only."""
+    p2, u = _spectrum(psq_matrix(l, 1.0, size))
+    p2.flags.writeable = u.flags.writeable = False
+    return p2, u
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _unit_power_matrix(lam: float, l: int, size: int) -> np.ndarray:
+    """power_matrix(lam, l, 1.0, size), read-only."""
+    w = power_matrix(lam, l, 1.0, size)
+    w.flags.writeable = False
+    return w
 
 
 def sse_hamiltonian(problem: SseProblem, scale: float, size: int) -> np.ndarray:
     """Symmetric Hamiltonian matrix in the first ``size`` basis functions of scale h."""
     terms = ((1.0, problem.m1), (1.0, problem.m2)) if problem.sigma is None else ((problem.sigma, problem.m1),)
     l = problem.state.l
-    h = kinetic_matrix(terms, psq_matrix(l, scale, size))
+    p2, u = _unit_psq_spectrum(l, size)
+    h = _kinetic(terms, p2 / scale**2, u)
     for alpha, lam in problem.potential.active_terms():
-        h += math.copysign(alpha, lam) * power_matrix(lam, l, scale, size)
+        h += math.copysign(alpha, lam) * scale**lam * _unit_power_matrix(lam, l, size)
     return 0.5 * (h + h.T)
 
 

@@ -327,6 +327,19 @@ def _with_1e400(config):
             "reference", dict(REFERENCE_COULOMB, masses=[0.0, 1e300], potential=[{"alpha": 0.2, "exponent": 1}]),
             [], 2, id="reference-mass-1e300",
         ),
+        # Gamma(2l+3), the Gauss-Laguerre weights or the r^lam entries of the basis leave the double range
+        pytest.param(
+            "reference", dict(REFERENCE_COULOMB, potential=[{"alpha": 0.2, "exponent": 1}], state={"n": 0, "l": 84}),
+            [], 2, id="reference-l-84",
+        ),
+        pytest.param(
+            "reference", dict(REFERENCE_COULOMB, potential=[{"alpha": 0.2, "exponent": 1}], state={"n": 0, "l": 200}),
+            [], 2, id="reference-l-200",
+        ),
+        pytest.param(
+            "reference", dict(REFERENCE_COULOMB, potential=[{"alpha": 0.2, "exponent": 150}]), [], 2,
+            id="reference-exponent-150",
+        ),
         pytest.param(
             "scan", dict(SCAN_LINEAR, scan={"variable": "m", "values": [1e300]}), [], 2,
             id="scan-mass-1e300-with-reference",

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,17 @@ LINEAR = PowerLawPotential.linear(0.2)
 FUNNEL = SseProblem(0.3, 1.5, PowerLawPotential.funnel(0.5, 0.2), QuantumState(0, 1))
 COULOMB = SseProblem(0.0, 1.0, PowerLawPotential.coulomb(1.2), QuantumState(0))
 SCALE, SIZE = 1.3, 40
+# sse_eigenvalue with every rung's matrices built directly at its own scale: the
+# unit-scale caches must reproduce these to 1e-10 relative
+PINNED = {"coulomb": 0.8446131980916747, "funnel": 2.8882782491616874}
+CRITERION_3_VALUES = {  # masses (0, m), 0.2 r, m = 0, 0.1, ..., 1
+    0: [1.411821875098474, 1.4292751032198523, 1.4729213646975137, 1.5326325431784704, 1.6025276843916605,
+        1.6792163055273317, 1.7606457594027591, 1.8455095158587234, 1.932938865138003, 2.022334499578351,
+        2.1132698882215797],
+    1: [2.1060873073850277, 2.1213003602188345, 2.158071297986621, 2.208190931317125, 2.2676010133843105,
+        2.333913036246453, 2.4055335374419897, 2.4813288281547137, 2.5604632595615877, 2.642306400960528,
+        2.7263741178264063],
+}
 
 
 def rung_values(problem):
@@ -74,6 +86,19 @@ class TestProblemValidation:
         with pytest.raises(DomainError, match="square beyond the double range"):
             sse_eigenvalue(SseProblem(0.0, 1e300, LINEAR, QuantumState(0)))
 
+    @pytest.mark.parametrize(
+        "potential, l",
+        [(LINEAR, 84), (LINEAR, 200), (PowerLawPotential(((0.2, 150.0),)), 0)],
+        ids=["l-84", "l-200", "exponent-150"],
+    )
+    def test_non_representable_laguerre_matrices_are_a_domain_error(self, potential, l):
+        # Gamma(2l+3), the Gauss-Laguerre weights or the r^lam entries would overflow; no warning escapes
+        with pytest.raises(DomainError, match="leave the double range"):
+            sse_eigenvalue(SseProblem(0.0, 1.0, potential, QuantumState(0, l)))
+
+    def test_l_80_is_still_representable(self):
+        assert sse_eigenvalue(SseProblem(0.0, 1.0, LINEAR, QuantumState(0, 80))) == pytest.approx(11.568674, abs=1e-6)
+
 
 class TestOperatorConstruction:
     @pytest.mark.parametrize("l", [0, 1, 2, 3])
@@ -112,7 +137,10 @@ class TestOperatorConstruction:
         np.testing.assert_allclose(both, one + two, rtol=0.0, atol=1e-12)
 
     def test_one_decomposition_per_rung_for_two_masses(self, monkeypatch):
-        # the near-critical Coulomb level climbs the whole ladder
+        # the near-critical Coulomb level climbs the whole ladder: from cold caches one p_l^2
+        # decomposition per (l, N), shared by both masses and by a later l = 0 problem
+        reference._unit_psq_spectrum.cache_clear()
+        reference._unit_power_matrix.cache_clear()
         calls = {"eigh": [], "eigvalsh": []}
 
         def counting(name):
@@ -126,9 +154,16 @@ class TestOperatorConstruction:
 
         for name in calls:
             monkeypatch.setattr(scipy.linalg, name, counting(name))
-        sse_eigenvalue(COULOMB)
+        assert sse_eigenvalue(COULOMB) == pytest.approx(PINNED["coulomb"], rel=1e-10)
         assert calls["eigh"] == [(n, n) for n in (20, 40, 80, 160)]
         assert calls["eigvalsh"] == calls["eigh"]
+        calls["eigh"].clear()
+        calls["eigvalsh"].clear()
+        assert sse_eigenvalue(SseProblem(0.0, 0.5, LINEAR, QuantumState(0))) == pytest.approx(
+            CRITERION_3_VALUES[0][5], rel=1e-10
+        )
+        assert calls["eigh"] == []
+        assert len(calls["eigvalsh"]) >= 2
 
     def test_sigma_two_equals_equal_mass_two_body(self):
         two_mass = SseProblem(0.8, 0.8, LINEAR, QuantumState(0))
@@ -138,13 +173,40 @@ class TestOperatorConstruction:
         assert np.array_equal(h1, h2)
 
 
+class TestUnitScaleCaches:
+    def test_cached_arrays_are_read_only_and_the_hamiltonian_is_fresh(self):
+        cached = (*reference._unit_psq_spectrum(1, SIZE), reference._unit_power_matrix(0.5, 1, SIZE))
+        for array in cached:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        problem = SseProblem(0.3, 1.1, PowerLawPotential(((0.4, 0.5),)), QuantumState(0, 1))
+        h = sse_hamiltonian(problem, SCALE, SIZE)
+        assert h.flags.writeable and not any(np.shares_memory(h, array) for array in cached)
+        h[:] = 0.0
+        assert np.abs(sse_hamiltonian(problem, SCALE, SIZE)).max() > 0.0
+
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_second_problem_matches_a_direct_build(self, l):
+        # the first problem fills the caches; the second reuses them at another mass and scale
+        potential = PowerLawPotential(((0.4, -1.0), (0.3, 0.5), (0.2, 1.0), (0.1, 2.0)))
+        sse_hamiltonian(SseProblem(0.3, 1.5, potential, QuantumState(0, l)), SCALE, SIZE)
+        scale = 0.45
+        h = sse_hamiltonian(SseProblem(0.0, 2.5, potential, QuantumState(0, l)), scale, SIZE)
+        direct = kinetic_matrix(((1.0, 0.0), (1.0, 2.5)), psq_matrix(l, scale, SIZE))
+        for alpha, lam in potential.active_terms():
+            direct += math.copysign(alpha, lam) * power_matrix(lam, l, scale, SIZE)
+        assert np.linalg.norm(h - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
 class TestEigenvalues:
     def test_discretization_decreases_with_refinement(self):
         # nested bases and Hansen's inequality: every rung bounds the next from above
         assert_non_increasing(rung_values(FUNNEL))
 
     def test_funnel_frozen_value(self):
-        assert sse_eigenvalue(FUNNEL) == pytest.approx(2.8882782, abs=1e-6)
+        value = sse_eigenvalue(FUNNEL)
+        assert value == pytest.approx(2.8882782, abs=1e-6)
+        assert value == pytest.approx(PINNED["funnel"], rel=1e-10)
 
     def test_nonrelativistic_consistency_linear(self):
         # for two heavy equal masses the spectrum approaches
@@ -208,7 +270,7 @@ class TestCertificates:
         # M_true <= M_160 (Hansen and min-max) and M_160 < M_afm: each row is a proof, not a comparison
         state = QuantumState(n)
         q_choices = [q_exact(1, state), q_exact(2, state)]
-        for m in (round(0.1 * i, 1) for i in range(11)):
+        for m, pinned in zip((round(0.1 * i, 1) for i in range(11)), CRITERION_3_VALUES[n]):
             problem = SseProblem(0.0, m, LINEAR, state)
             values = rung_values(problem)
             assert_non_increasing(values)
@@ -217,6 +279,7 @@ class TestCertificates:
             # the returned rung is converged to the 1e-7 stopping rule
             value = sse_eigenvalue(problem)
             assert -1e-12 <= value / values[-1] - 1.0 <= 1e-7
+            assert value == pytest.approx(pinned, rel=1e-10)
 
     @pytest.mark.parametrize("values", [[1.0, 0.9, 0.95], [1.0, 0.9, 0.8], [1.0, 0.99, 0.9801], [1.0, 1.0, 0.9]])
     def test_aitken_refuses_a_ladder_that_does_not_fall_geometrically(self, values):
