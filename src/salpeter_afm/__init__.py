@@ -3,7 +3,10 @@
 Public surface: the auxiliary-field solver and closed forms (:mod:`.core`),
 the nonrelativistic radial oracle (:mod:`.oracle`), the semirelativistic
 reference eigensolver (:mod:`.reference`), and the shared domain types.
+The oracle and the reference need scipy; their names are resolved on first
+access (PEP 562), so importing the package or :mod:`.core` loads numpy only.
 """
+import importlib
 
 from .core import (
     concavity_certificate,
@@ -27,15 +30,6 @@ from .errors import (
     NoBoundState,
     UnsupportedCase,
 )
-from .oracle import (
-    RadialEigenpair,
-    SpectralGrid,
-    afm_eigenstate,
-    energy_from_q,
-    invert_q,
-    nr_eigenvalue,
-)
-from .reference import BoundGapRow, SseProblem, bound_gap, sse_eigenvalue
 from .types import (
     AfmSolution,
     BoundCertificate,
@@ -45,6 +39,15 @@ from .types import (
 )
 
 __version__ = "0.1.0"
+
+# name -> the scipy-backed module that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(
+        ("RadialEigenpair", "SpectralGrid", "afm_eigenstate", "energy_from_q", "invert_q", "nr_eigenvalue"),
+        "oracle",
+    ),
+    **dict.fromkeys(("BoundGapRow", "SseProblem", "bound_gap", "sse_eigenvalue"), "reference"),
+}
 
 __all__ = [
     "AfmError",
@@ -81,3 +84,17 @@ __all__ = [
     "solve_afm",
     "sse_eigenvalue",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("oracle", "reference"):
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

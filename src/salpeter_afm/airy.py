@@ -1,8 +1,6 @@
 """Zeros of the Airy function Ai, needed by the p = 1 analytic quantum numbers."""
 from functools import lru_cache
 
-from scipy import special
-
 
 @lru_cache(maxsize=None)
 def airy_ai_zeros(count: int = 10) -> tuple[float, ...]:
@@ -15,6 +13,8 @@ def airy_ai_zeros(count: int = 10) -> tuple[float, ...]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    from scipy import special  # imported here so that only p = 1 pays for it
+
     zeros = []
     for n in range(count):
         t = 3.0 * 3.141592653589793 * (4.0 * n + 3.0) / 8.0

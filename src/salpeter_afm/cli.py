@@ -4,6 +4,10 @@ Configuration is a single JSON document, with command-line flags laid over
 it; all quantities are GeV-based natural units.  Exit codes: 0 success,
 1 verification failure, 2 domain error (any AfmError: no bound state,
 collapse, no convergence, ...), 3 bad configuration or usage.
+
+The oracle, the reference and the verification suites, and with them scipy,
+are imported by the first verb that needs them; ``bound`` with an explicit Q
+or with p = 2 or -1 runs on numpy alone.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ import json
 import math
 import sys
 
-from . import core, reference, verification
+from . import core
 from .errors import AfmError, CollapseDetected, NoBoundState, UnsupportedCase
 from .types import GlobalQ, PowerLawPotential, QuantumState
 
@@ -236,6 +240,8 @@ def cmd_bound(config: dict) -> int:
 
 
 def cmd_reference(config: dict) -> int:
+    from . import reference
+
     with _config_values():
         m1, m2 = _masses(config)
         sigma = float(config["sigma"]) if "sigma" in config else None
@@ -288,6 +294,8 @@ def cmd_scan(config: dict) -> int:
 def _scan_mass(config: dict, potential: PowerLawPotential, values: list[float], writer) -> None:
     """Heavy-light linear scan: masses (0, m), both analytic Q choices,
     reference value, and the two expansions."""
+    from . import reference
+
     b = _single_term(potential, 1.0, "the mass scan")
     with _config_values():
         state = _state(config)
@@ -377,6 +385,8 @@ def cmd_qtable(config: dict) -> int:
 
 
 def cmd_verify(config: dict) -> int:
+    from . import verification
+
     try:
         results = verification.run_suite(config.get("suite") or "all")
     except KeyError as err:

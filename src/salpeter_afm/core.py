@@ -22,11 +22,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
-from . import oracle
 from .airy import airy_ai_zeros
-from .errors import CollapseDetected, DomainError, NoBoundState, UnsupportedCase
+from .errors import CollapseDetected, ConvergenceFailure, DomainError, NoBoundState, UnsupportedCase
 from .types import (
     CERT_CONCAVE,
     CERT_NONE,
@@ -61,6 +59,9 @@ _ROOT32 = math.sqrt(32.0)
 
 # A candidate length scale beyond 1e250 or below 1e-250, in decades.
 _DECADE_LIMIT = 250.0
+
+# Iterations of Brent's method before it gives up, scipy's brentq default.
+_BRENT_MAXITER = 100
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +104,8 @@ def q_numeric(
     s-waves (noninteger p < -1) converge slowly on the uniform grid and may
     need a looser tol to avoid ConvergenceFailure.
     """
+    from . import oracle  # imports scipy: loaded here, so the solver itself runs on numpy alone
+
     # dQ/Q = |(p+2)/(2p)| * deps/eps
     eps_tol = max(tol / oracle.seed_q(p, state) * abs(2.0 * p / (p + 2.0)), 1e-9)
     energy, _ = oracle.nr_energy(mu, rho, p, state, tol=eps_tol)
@@ -205,13 +208,74 @@ def _bracket_root(fn, window: tuple[float, float], q_value: float) -> tuple[floa
     )
 
 
+def _brent(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of the scalar function f in the bracket [xa, xb] by Brent's method.
+
+    R. P. Brent, *Algorithms for Minimization without Derivatives* (1973),
+    ch. 4, as coded in scipy's ``brentq.c`` and ported here step for step,
+    so every iterate, and the root, is the double ``scipy.optimize.brentq``
+    returns for the same arguments and its default of 100 iterations.  Stops
+    when half the bracket is below (xtol + rtol*|x|)/2.  A NaN value of f
+    raises DomainError, no sign change ValueError, and 100 iterations without
+    convergence ConvergenceFailure.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise DomainError(f"the function value at x={x!r} is NaN")
+        return fx
+
+    # doubles, as scipy's C loop has them: a numpy scalar here would leak into the root
+    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                # C divides a zero denominator to inf or nan, and both bisect below
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise ConvergenceFailure(f"Brent's method did not converge in {_BRENT_MAXITER} iterations (last x={xcur!r})")
+
+
 def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | float) -> AfmSolution:
     """Solve the reduced extremization system for one level.
 
     Locates the smallest radius where the semirelativistic virial balance
     crosses from negative to positive, a local minimum of M(r0) (log-grid
     scan from six decades below the smallest candidate length scale to six
-    above the largest, then Brent refinement to machine precision), and
+    above the largest, then Brent's method on that bracket to machine
+    precision, see :func:`_brent`), and
     assembles the mass.  All three defining relations hold to better
     than 1e-10 relative on the returned solution.  At m1 = 0, r0 solves
     Q + Q^2/sqrt(Q^2 + m2^2 r0^2) = sum_i |lam_i| alpha_i r0^(lam_i+1).
@@ -220,8 +284,8 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     negative at small radii (no binding, e.g. pure Coulomb with Q >= a) and
     CollapseDetected when it is positive there (strong-coupling collapse);
     CollapseDetected also when the assembled mass is nonpositive, and
-    DomainError when the balance is nowhere finite.  A negative or
-    non-finite mass raises ValueError.
+    DomainError when the balance is nowhere finite or not representable
+    near the root.  A negative or non-finite mass raises ValueError.
     """
     if not (0.0 <= m1 < math.inf and 0.0 <= m2 < math.inf):
         raise ValueError("masses must be finite and non-negative")
@@ -244,7 +308,7 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
 
     bracket = _bracket_root(balance, _scan_window(potential, qv, m1, m2), qv)
     try:
-        r0 = brentq(balance, *bracket, xtol=1e-20 * bracket[0], rtol=1e-15)
+        r0 = _brent(balance, *bracket, xtol=1e-20 * bracket[0], rtol=1e-15)
     except OverflowError as err:  # a bracket end where a term exceeds the double range
         raise DomainError("virial balance is not representable near the root") from err
     return _assemble(m1, m2, potential, q, r0)

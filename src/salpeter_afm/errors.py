@@ -10,7 +10,8 @@ class UnsupportedCase(AfmError):
 
 
 class ConvergenceFailure(AfmError):
-    """A discretized eigenvalue did not converge under grid refinement."""
+    """An iteration did not converge: a discretized eigenvalue under grid
+    refinement, or a root search within its iteration limit."""
 
 
 class NoBoundState(AfmError):

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import core, reference
 from .errors import CollapseDetected, NoBoundState
@@ -164,7 +163,7 @@ def expansion_crossing() -> tuple[float, float]:
         m = x * m0
         return core.linear_ur_expansion(m, b, q) - core.linear_nr_expansion(m, b, q)
 
-    x_star = brentq(gap, 0.1, 0.8, rtol=1e-13)
+    x_star = core._brent(gap, 0.1, 0.8, xtol=2e-12, rtol=1e-13)
     m = x_star * m0
     exact = core.linear_closed(m, b, q).mass
     err = (core.linear_ur_expansion(m, b, q) - exact) / exact

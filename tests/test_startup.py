@@ -1,0 +1,86 @@
+"""What a fresh interpreter loads: the `bound` verb and the core solver run on
+numpy alone, and the scipy-backed names load on first use.  Each check runs
+in its own subprocess, since this test process has long imported scipy; it
+asserts on sys.modules, never on times."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+BOUND_COULOMB = {
+    "mode": "bound",
+    "masses": [0.0, 1.0],
+    "potential": [{"alpha": 1.2, "exponent": -1}],
+    "state": {"n": 0, "l": 0},
+    "q": 1.0,
+}
+BOUND_P2 = {
+    "masses": [0.3, 1.0],
+    "potential": [{"alpha": 0.2, "exponent": 1}, {"alpha": 0.4, "exponent": -1}],
+    "state": {"n": 1, "l": 1},
+    "p": 2,
+}
+REFERENCE_COULOMB = dict(BOUND_COULOMB, mode="reference")
+del REFERENCE_COULOMB["q"]
+
+COLD_START = """
+import sys
+import salpeter_afm.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+for config in sys.argv[1:3]:
+    assert cli.main(["bound", "--config", config]) == 0
+assert not scipy_modules(), scipy_modules()
+assert cli.main(["reference", "--config", sys.argv[3]]) == 0
+assert cli.main(["verify", "--suite", "windows"]) == 0
+assert scipy_modules()
+"""
+
+SURFACE = """
+import salpeter_afm
+
+names = salpeter_afm.__all__
+listed = dir(salpeter_afm)
+assert all(name in listed for name in names), sorted(set(names) - set(listed))
+for name in names:
+    getattr(salpeter_afm, name)
+namespace = {}
+exec("from salpeter_afm import *", namespace)
+assert set(names) <= set(namespace), sorted(set(names) - set(namespace))
+from salpeter_afm import SpectralGrid, sse_eigenvalue
+try:
+    salpeter_afm.no_such_name
+except AttributeError as err:
+    assert "no_such_name" in str(err)
+else:
+    raise AssertionError("an unknown attribute resolved")
+"""
+
+
+def _python(code, *args, cwd):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_bound_imports_no_scipy_and_later_verbs_load_it(tmp_path):
+    paths = []
+    for name, config in (("coulomb", BOUND_COULOMB), ("p2", BOUND_P2), ("reference", REFERENCE_COULOMB)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        paths.append(str(path))
+    run = _python(COLD_START, *paths, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert "reference mass M = " in run.stdout
+    assert "checks passed" in run.stdout
+
+
+def test_public_surface_resolves_lazily(tmp_path):
+    run = _python(SURFACE, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
