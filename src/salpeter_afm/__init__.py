@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 # name -> the scipy-backed module that defines it, imported on first access
 _LAZY = {
     **dict.fromkeys(
-        ("RadialEigenpair", "SpectralGrid", "afm_eigenstate", "energy_from_q", "invert_q", "nr_eigenvalue"),
+        ("RadialEigenpair", "afm_eigenstate", "energy_from_q", "invert_q", "nr_eigenvalue"),
         "oracle",
     ),
     **dict.fromkeys(("BoundGapRow", "SseProblem", "bound_gap", "sse_eigenvalue"), "reference"),
@@ -62,7 +62,6 @@ __all__ = [
     "PowerLawPotential",
     "QuantumState",
     "RadialEigenpair",
-    "SpectralGrid",
     "SseProblem",
     "UnsupportedCase",
     "afm_eigenstate",

@@ -101,15 +101,18 @@ def q_numeric(
     Solves p^2/(2 mu) + rho*sign(p)*r^p for the (n, l) level and inverts the
     Q parameterization.  The result is independent of the (mu, rho) chosen;
     ``tol`` is the absolute accuracy requested on Q itself.  Steep-cusp
-    s-waves (noninteger p < -1) converge slowly on the uniform grid and may
-    need a looser tol to avoid ConvergenceFailure.
+    s-waves (l = 0, p <= -1.5) converge slowly in the Laguerre basis and may
+    need a looser tol to avoid ConvergenceFailure.  The basis of at most 160
+    functions reaches n <= 10-22 (by p, at l = 0) and l <= 51-56 (attractive
+    p) or 80-84 (confining p, at n = 0), as listed in :mod:`.oracle`; beyond
+    that it raises ConvergenceFailure, or DomainError for l >= 85 (l = 84
+    when p >= 1).
     """
     from . import oracle  # imports scipy: loaded here, so the solver itself runs on numpy alone
 
     # dQ/Q = |(p+2)/(2p)| * deps/eps
     eps_tol = max(tol / oracle.seed_q(p, state) * abs(2.0 * p / (p + 2.0)), 1e-9)
-    energy, _ = oracle.nr_energy(mu, rho, p, state, tol=eps_tol)
-    return oracle.invert_q(energy, mu, rho, p)
+    return oracle.invert_q(oracle.nr_energy(mu, rho, p, state, tol=eps_tol), mu, rho, p)
 
 
 def _resolve_q(q: GlobalQ | float) -> GlobalQ:
@@ -152,6 +155,12 @@ def _certified(potential: PowerLawPotential, q: GlobalQ) -> bool:
 
 # ---------------------------------------------------------------------------
 # the generic solver
+
+
+def check_mass_squares(*masses: float) -> None:
+    """Raise DomainError for a mass whose square leaves the double range."""
+    if not all(math.isfinite(m * m) for m in masses):
+        raise DomainError("masses above ~1.3e154 square beyond the double range")
 
 
 def _scan_window(

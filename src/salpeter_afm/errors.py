@@ -10,8 +10,8 @@ class UnsupportedCase(AfmError):
 
 
 class ConvergenceFailure(AfmError):
-    """An iteration did not converge: a discretized eigenvalue under grid
-    refinement, or a root search within its iteration limit."""
+    """An iteration did not converge: an eigenvalue over the basis ladder
+    within its tolerance, or a root search within its iteration limit."""
 
 
 class NoBoundState(AfmError):

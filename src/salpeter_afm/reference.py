@@ -14,7 +14,9 @@ monotone and non-negative on [0, inf), so by Hansen's inequality (Math. Ann.
 as the nested bases grow.  The ladder N = 20, 40, 80, 160 stops when two rungs
 agree to 1e-7 relative, or else (an attractive tail's origin cusp converges
 slowly) returns the Aitken limit of the last three.  Past N ~ 180 the
-Gauss-Laguerre weights underflow, hence the cap.  Where Gamma(2l+3), the
+Gauss-Laguerre weights underflow, hence the cap.  The nonrelativistic oracle
+runs the same ladder on P/(2 mu h^2) + rho*sign(p) h^p W(p, l, N), with the
+same scale rule.  Where Gamma(2l+3), the
 weights or the unit-scale r^lam entries would leave the double range (every
 l >= 85, l = 84 with a linear term, or a steep exponent), the matrices are not
 built and DomainError is raised.
@@ -36,10 +38,10 @@ from .types import GlobalQ, PowerLawPotential, QuantumState
 
 _SIZES = (20, 40, 80, 160)
 _TOL = 1e-7  # relative change between two rungs accepted as converged
+_CAPPED_TOL = 2e-6  # largest relative Aitken correction accepted on a capped basis scale
 _CACHE_SIZE = 32  # unit-scale matrices kept per cache: eight ladders of four rungs
 _LOG_MAX = math.log(np.finfo(float).max)
-
-_log = logging.getLogger(__name__)
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -67,12 +69,6 @@ class SseProblem:
                 raise ValueError("the symmetric mode uses a single mass; set m1 == m2")
 
 
-def check_mass_squares(*masses: float) -> None:
-    """Raise DomainError for a mass whose square leaves the double range."""
-    if not all(math.isfinite(m * m) for m in masses):
-        raise DomainError("masses above ~1.3e154 square beyond the double range")
-
-
 def _basis_on_nodes(l: int, size: int, nodes: int, weight: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x_i of the Gauss-Laguerre rule with weight x^weight e^-x, and
     sqrt(w_i) p_k(x_i) for k < size; carrying sqrt(w_i) through the
@@ -92,12 +88,27 @@ def _basis_on_nodes(l: int, size: int, nodes: int, weight: float) -> tuple[np.nd
     ):
         raise DomainError(f"Laguerre basis matrices at l={l}, N={size} (weight x^{weight:g}) leave the double range")
     x, w = special.roots_genlaguerre(nodes, weight)
-    phi = np.zeros((nodes, size))
-    phi[:, 0] = np.sqrt(w / special.gamma(alpha + 1.0))
+    return x, _recurrence(x, np.sqrt(w / special.gamma(alpha + 1.0)), alpha, size)
+
+
+def _recurrence(x: np.ndarray, first: np.ndarray, alpha: int, size: int) -> np.ndarray:
+    """first * p_k(x) / p_0 at the points x for k < size, by the three-term
+    recurrence of the normalised L_k^alpha; a ``first`` column that carries the
+    weight keeps every value near 1 where p_k alone would overflow."""
+    phi = np.zeros((len(x), size))
+    phi[:, 0] = first
     for k in range(size - 1):  # at k = 0, down = 0 meets a column of zeros
         down, up = math.sqrt(k * (k + alpha)), math.sqrt((k + 1) * (k + 1 + alpha))
         phi[:, k + 1] = ((2 * k + 1 + alpha - x) * phi[:, k] - down * phi[:, k - 1]) / up
-    return x, phi
+    return phi
+
+
+def basis_functions(l: int, scale: float, size: int, radii: np.ndarray) -> np.ndarray:
+    """chi_k(r) for k < size at the given radii, one row per radius."""
+    x = radii / scale
+    alpha = 2 * l + 2
+    first = np.exp((l + 1) * np.log(x) - 0.5 * x - 0.5 * special.gammaln(alpha + 1.0)) / math.sqrt(scale)
+    return _recurrence(x, first, alpha, size)
 
 
 def psq_matrix(l: int, scale: float, size: int) -> np.ndarray:
@@ -132,9 +143,17 @@ def kinetic_matrix(terms: tuple[tuple[float, float], ...], psq: np.ndarray) -> n
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
+def _unit_psq_matrix(l: int, size: int) -> np.ndarray:
+    """psq_matrix(l, 1.0, size), read-only."""
+    psq = psq_matrix(l, 1.0, size)
+    psq.flags.writeable = False
+    return psq
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _unit_psq_spectrum(l: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Clipped eigenvalues and eigenvectors of psq_matrix(l, 1.0, size), read-only."""
-    p2, u = _spectrum(psq_matrix(l, 1.0, size))
+    p2, u = _spectrum(_unit_psq_matrix(l, size))
     p2.flags.writeable = u.flags.writeable = False
     return p2, u
 
@@ -158,29 +177,50 @@ def sse_hamiltonian(problem: SseProblem, scale: float, size: int) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-def _scale(problem: SseProblem) -> float:
-    """Basis scale h from the cheap variational radius (tried at Q(-1), then Q(2)).
+def nr_hamiltonian(mu: float, rho: float, p: float, l: int, scale: float, size: int) -> np.ndarray:
+    """p_l^2/(2 mu) + rho*sign(p)*r^p in the first ``size`` basis functions of scale h."""
+    h = _unit_psq_matrix(l, size) / (2.0 * mu * scale**2)
+    h += math.copysign(rho, p) * scale**p * _unit_power_matrix(p, l, size)
+    return h
 
-    The n-th basis function has mean radius (2n+2l+3) h, so h puts it at
-    the AFM radius; cusped attractive-only potentials get a 3x finer scale.
+
+def basis_scale(radius: float, energy: float, state: QuantumState, terms, tol: float) -> tuple[float, bool]:
+    """Basis scale h for a level of variational radius and energy |energy|,
+    and whether a confining term capped it.
+
+    The n-th basis function has mean radius (2n+2l+3) h, so h puts it at the
+    radius; cusped attractive-only potentials get a 3x finer scale.  Each
+    confining term alpha r^lam then caps h: the largest node of the finest
+    rule lies below (4N + 4l + 6), so the r^lam matrix carries a round-off of
+    eps * alpha * ((4N + 4l + 6) h)^lam, which must stay below tol * |energy|.
     """
-    state = problem.state
-    radius = collapse = None
-    for q in (core.q_exact(-1, state), core.q_exact(2, state)):
+    natural = radius / (2 * state.n + 2 * state.l + 3) / (3.0 if all(lam < 0 for _, lam in terms) else 1.0)
+    span = 4 * _SIZES[-1] + 4 * state.l + 6
+    h = natural
+    for alpha, lam in terms:
+        if lam > 0:
+            h = min(h, (tol * abs(energy) / (_EPS * alpha)) ** (1.0 / lam) / span)
+    return h, h < natural
+
+
+def _scale(problem: SseProblem) -> tuple[float, bool]:
+    """Basis scale from the cheap variational solve (tried at Q(-1), then Q(2))
+    of the larger radius, and whether the round-off cap bound."""
+    seed = collapse = None
+    for q in (core.q_exact(-1, problem.state), core.q_exact(2, problem.state)):
         try:
-            r0 = core.solve_afm(problem.m1, problem.m2, problem.potential, q).r0
+            sol = core.solve_afm(problem.m1, problem.m2, problem.potential, q)
         except CollapseDetected as err:
             collapse = err
             continue
         except NoBoundState:
             continue
-        radius = max(radius, r0) if radius is not None else r0
-    if radius is None:
+        seed = sol if seed is None or sol.r0 > seed.r0 else seed
+    if seed is None:
         if collapse is not None:
             raise collapse
         raise NoBoundState("could not find a variational bound state to size the basis")
-    attractive_only = all(lam < 0 for _, lam in problem.potential.active_terms())
-    return radius / (2 * state.n + 2 * state.l + 3) / (3.0 if attractive_only else 1.0)
+    return basis_scale(seed.r0, seed.mass, problem.state, problem.potential.active_terms(), _TOL)
 
 
 def _aitken(values: list[float]) -> float:
@@ -193,27 +233,49 @@ def _aitken(values: list[float]) -> float:
     return values[2] - d2 * d2 / (d1 - d2)
 
 
+def ladder(name: str, build, n: int, scale: float, tol: float) -> tuple[float, float, int]:
+    """Level n of build(N) on the rungs N = 20, 40, 80, 160 with N > n.
+
+    Every rung is an upper bound.  The first rung within ``tol`` relative of
+    the one before is returned, with that difference as its error estimate;
+    otherwise the last three rungs must fall geometrically, and their Aitken
+    limit is returned with the Aitken correction as its error estimate.
+    Returns (value, error estimate, size of the last rung) and writes one
+    DEBUG record per rung and one for the result to the ``name`` logger.
+    """
+    log = logging.getLogger(f"{__package__}.{name}")
+    values = []
+    for size in (s for s in _SIZES if s > n):
+        values.append(float(sla.eigvalsh(build(size), subset_by_index=(n, n))[0]))
+        log.debug("%s rung N=%d h=%.9g value=%.12g", name, size, scale, values[-1])
+        if len(values) > 1 and abs(values[-1] - values[-2]) <= tol * abs(values[-1]):
+            log.debug("%s converged: %.12g, error estimate %.3g", name, values[-1], values[-2] - values[-1])
+            return values[-1], values[-2] - values[-1], size
+    if len(values) < 3:
+        raise ConvergenceFailure(f"level n={n} needs more than {_SIZES[-1]} basis functions")
+    value = _aitken(values[-3:])
+    log.debug("%s Aitken limit: %.12g, error estimate %.3g", name, value, values[-1] - value)
+    return value, values[-1] - value, _SIZES[-1]
+
+
 def sse_eigenvalue(problem: SseProblem) -> float:
     """The (n, l) eigenvalue of the semirelativistic Hamiltonian.
 
     Every rung is an upper bound.  The first rung within 1e-7 relative of
     the one before is returned; otherwise the last three rungs must fall
-    geometrically, and their Aitken limit is returned.
+    geometrically, and their Aitken limit is returned.  Where a steep
+    confining term capped the basis scale, the first rungs do not reach the
+    state and the limit is only as good as its correction, so a correction
+    above 2e-6 relative raises ConvergenceFailure.
     """
-    check_mass_squares(problem.m1, problem.m2)
-    scale = _scale(problem)
-    n = problem.state.n
-    values = []
-    for size in (s for s in _SIZES if s > n):
-        values.append(float(sla.eigvalsh(sse_hamiltonian(problem, scale, size), subset_by_index=(n, n))[0]))
-        _log.debug("reference rung N=%d h=%.9g value=%.12g", size, scale, values[-1])
-        if len(values) > 1 and abs(values[-1] - values[-2]) <= _TOL * abs(values[-1]):
-            _log.debug("reference converged: %.12g, error estimate %.3g", values[-1], values[-2] - values[-1])
-            return values[-1]
-    if len(values) < 3:
-        raise ConvergenceFailure(f"level n={n} needs more than {_SIZES[-1]} basis functions")
-    value = _aitken(values[-3:])
-    _log.debug("reference Aitken limit: %.12g, error estimate %.3g", value, values[-1] - value)
+    core.check_mass_squares(problem.m1, problem.m2)
+    scale, capped = _scale(problem)
+    value, error, _ = ladder("reference", lambda size: sse_hamiltonian(problem, scale, size), problem.state.n, scale, _TOL)
+    if capped and abs(error) > _CAPPED_TOL * abs(value):
+        raise ConvergenceFailure(
+            f"the round-off cap on the basis scale leaves an Aitken correction of {error:.3g} to {value:.12g} "
+            f"(limit {_CAPPED_TOL:g} relative); the confining exponent is too steep for the basis"
+        )
     return value
 
 

@@ -1,8 +1,8 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the code paths they are used to check: Airy zeros
-come from direct ODE integration, transcendental roots from plain interval
-bisection, and sine-basis operators from the explicit DST-I matrix.
+come from direct ODE integration and transcendental roots from plain
+interval bisection.
 """
 import numpy as np
 import pytest
@@ -54,13 +54,3 @@ def bisect_root(fn, lo, hi, iters=200):
             break
     return 0.5 * (lo + hi)
 
-
-def dst1_matrix(points):
-    """Orthonormal DST-I matrix sqrt(2/(N+1)) sin(pi i j/(N+1)), i, j = 1..N.
-
-    The argument i*j is reduced modulo 2(N+1) in exact integer arithmetic
-    first; the unreduced product loses ~1e-12 in the sine at N = 4800.
-    """
-    i = np.arange(1, points + 1)
-    phase = np.outer(i, i) % (2 * (points + 1))
-    return np.sqrt(2.0 / (points + 1)) * np.sin(np.pi * phase / (points + 1))

@@ -211,6 +211,19 @@ class TestQtableCommand:
         assert float(rows[1][5]) < 1e-6
 
 
+    def test_levels_beyond_the_oracle_keep_their_exact_q(self, tmp_path, capsys):
+        config = {
+            "mode": "qtable",
+            "format": "json",
+            "qtable": {"p_values": [2, -1], "states": [[0, 85], [160, 0], [0, 0]], "numeric": True},
+        }
+        code = main(["qtable", "--config", write_config(tmp_path, config)])
+        rows = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert [row["q"] for row in rows] == [86.5, 321.5, 1.5, 86.0, 161.0, 1.0]
+        assert [row["cross_check"] is None for row in rows] == [True, True, False] * 2
+
+
 class TestVerifyCommand:
     def test_windows_suite_passes(self, capsys):
         code = main(["verify", "--suite", "windows"])
@@ -277,9 +290,17 @@ def _with_1e400(config):
         ),
         pytest.param("bound", dict(BOUND_WITHOUT_Q, p=-2.5), [], 3, id="p-below-minus-2"),
         pytest.param("scan", SCAN_LINEAR, [], 3, id="non-numeric-scan-value"),
-        pytest.param(  # ends in ConvergenceFailure at 4800 points
+        pytest.param(  # ends in ConvergenceFailure on the N = 160 rung
             "qtable", {"mode": "qtable", "qtable": {"p_values": [-1.7], "states": [[0, 0]]}}, [], 2,
             id="qtable-no-convergence",
+        ),
+        pytest.param(  # no analytic Q and beyond the oracle's Laguerre basis
+            "qtable", {"mode": "qtable", "qtable": {"p_values": [0.5], "states": [[0, 85]]}}, [], 2,
+            id="qtable-l-85",
+        ),
+        pytest.param(
+            "qtable", {"mode": "qtable", "qtable": {"p_values": [0.5], "states": [[160, 0]]}}, [], 2,
+            id="qtable-n-160",
         ),
         pytest.param("bound", None, [], 3, id="bound-without-config"),
         pytest.param("bound", BOUND_COULOMB, ["--format", "csv"], 3, id="bound-format-csv"),

@@ -1,51 +1,22 @@
-import warnings
+import logging
 
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import dst1_matrix
 
 import salpeter_afm.oracle as oracle
 from salpeter_afm import (
     ConvergenceFailure,
-    DomainError,
     GlobalQ,
     PowerLawPotential,
     QuantumState,
-    SpectralGrid,
     afm_eigenstate,
     coulomb_closed,
     linear_closed,
     nr_eigenvalue,
+    q_numeric,
+    reference,
 )
-
-
-class TestSineOperator:
-    @pytest.mark.parametrize("points", [64, 100, 300])  # N+1 = 101 is prime
-    def test_matches_explicit_sine_basis(self, points):
-        s = dst1_matrix(points)
-        k = np.arange(1, points + 1) * np.pi / 30.0
-        rng = np.random.default_rng(points)
-        for symbol in (k * k, np.sqrt(k * k + 0.09), rng.normal(size=points)):
-            want = (s * symbol) @ s
-            got = oracle.sine_operator(symbol)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-            assert np.array_equal(got, got.T)
-
-
-class TestSpectralGrid:
-    def test_radii_layout(self):
-        grid = SpectralGrid(10.0, 99)
-        r = grid.radii
-        assert len(r) == 99
-        assert r[0] == pytest.approx(0.1)
-        assert r[-1] == pytest.approx(9.9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SpectralGrid(-1.0, 200)
-        with pytest.raises(ValueError):
-            SpectralGrid(10.0, 32)
 
 
 class TestExactCases:
@@ -78,25 +49,28 @@ class TestEigenpairStructure:
 
     def test_normalization_and_sign(self):
         pair = nr_eigenvalue(1.0, 1.0, -1.0, QuantumState(1, 0))
-        norm = np.sum(pair.amplitudes**2) * pair.grid.spacing
-        assert norm == pytest.approx(1.0, abs=1e-10)
+        spacing = pair.radii[0]
+        np.testing.assert_allclose(np.diff(pair.radii), spacing, rtol=1e-9)
+        assert np.sum(pair.amplitudes**2) * spacing == pytest.approx(1.0, abs=1e-10)
         lead = np.nonzero(np.abs(pair.amplitudes) > 1e-8 * np.max(np.abs(pair.amplitudes)))[0][0]
         assert pair.amplitudes[lead] > 0
 
     def test_virial_theorem(self):
-        # 2<T> = p<V> for an eigenstate of p^2/(2 mu) + rho sign(p) r^p
+        # 2<T> = p<V> for an eigenstate of p^2/(2 mu) + rho sign(p) r^p.  <u'^2>
+        # from first differences of the samples (u(0) = 0) and the rectangle sums
+        # err by O(dr^2); Richardson over dr and 2 dr removes that term
         mu, rho, p = 0.8, 0.6, 1.5
         pair = nr_eigenvalue(mu, rho, p, QuantumState(1, 1))
-        grid, u = pair.grid, pair.amplitudes
-        r = grid.radii
-        s = dst1_matrix(grid.points)
-        k2 = oracle.box_momenta(grid) ** 2
-        t_op = (s * (k2 / (2.0 * mu))) @ s
-        kin = u @ (t_op @ u) * grid.spacing + np.sum(
-            (1 * 2) / (2.0 * mu * r * r) * u * u
-        ) * grid.spacing
-        pot = np.sum(rho * r**p * u * u) * grid.spacing
-        assert 2.0 * kin == pytest.approx(p * pot, rel=1e-5)
+
+        def expectations(step):
+            r, u = pair.radii[step - 1 :: step], pair.amplitudes[step - 1 :: step]
+            dr = r[0]
+            kin = (np.sum(np.diff(u, prepend=0.0) ** 2) / dr + np.sum((1 * 2) / (r * r) * u * u) * dr) / (2.0 * mu)
+            return np.array([kin, np.sum(rho * r**p * u * u) * dr])
+
+        kin, pot = (4.0 * expectations(1) - expectations(2)) / 3.0
+        assert 2.0 * kin == pytest.approx(p * pot, rel=1e-8)
+        assert kin + pot == pytest.approx(pair.energy, rel=1e-8)
 
 
 class TestScalingLaw:
@@ -104,29 +78,18 @@ class TestScalingLaw:
     @pytest.mark.parametrize("p", [2.0, -1.0, 0.5])
     def test_reduced_mass_scaling(self, s, p):
         state = QuantumState(0, 1)
-        base, _ = oracle.nr_energy(1.0, 1.0, p, state, tol=1e-8)
-        scaled, _ = oracle.nr_energy(s, 1.0, p, state, tol=1e-8)
+        base = oracle.nr_energy(1.0, 1.0, p, state, tol=1e-8)
+        scaled = oracle.nr_energy(s, 1.0, p, state, tol=1e-8)
         assert scaled == pytest.approx(base * s ** (-p / (p + 2.0)), rel=1e-6)
 
 
 class TestConvergenceControl:
-    def test_grid_doubling_at_defaults_smooth(self):
-        # raw doubling difference below 1e-7 for a smooth confining potential
-        state = QuantumState(0, 0)
-        grid = oracle.default_grid(1.0, 0.5, 2.0, state)
-        e1 = oracle._dense_levels(1.0, 0.5, 2.0, state, SpectralGrid(grid.box_radius, 600))[0][0]
-        e2 = oracle._dense_levels(1.0, 0.5, 2.0, state, SpectralGrid(grid.box_radius, 1200))[0][0]
-        assert abs(e2 - e1) / abs(e2) < 1e-7
-
-    def test_unbound_state_raises(self):
-        # a hard-wall box this small pushes the lowest level above threshold
-        with pytest.raises(DomainError):
-            nr_eigenvalue(1.0, 1.0, -1.0, QuantumState(0, 0), SpectralGrid(0.5, 64))
-
-    def test_convergence_failure_at_cap(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_DEFAULT_CAP", 600)
+    def test_convergence_failure_at_cap(self):
+        # the r^-1.7 s-wave cusp is still far from converged on the N = 160 rung
         with pytest.raises(ConvergenceFailure):
-            oracle.nr_energy(1.0, 1.0, -1.0, QuantumState(0, 0), tol=1e-13)
+            oracle.nr_energy(1.0, 1.0, -1.7, QuantumState(0, 0))
+        with pytest.raises(ConvergenceFailure):
+            q_numeric(-1.7, QuantumState(0, 0))
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -141,64 +104,36 @@ def counting(monkeypatch, *names):
     for name in names:
         real = getattr(scipy.linalg, name)
 
-        def counted(*args, _real=real, **kwargs):
-            calls.append(args[0].shape[0])
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append((_name, args[0].shape[0]))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, name, counted)
     return calls
 
 
-def dense_level(p, state, grid, mu=1.0, rho=1.0):
-    h = oracle._hamiltonian(mu, rho, p, state.l, grid)
-    return scipy.linalg.eigvalsh(h, subset_by_index=(state.n, state.n))[0]
+class TestLaguerreLadder:
+    def test_one_eigvalsh_per_rung_and_one_eigh_per_eigenpair(self, monkeypatch):
+        calls = counting(monkeypatch, "eigh", "eigvalsh")
+        oracle.nr_energy(1.0, 1.0, -1.0, QuantumState(3, 0))
+        rungs = [size for _, size in calls]
+        assert calls == [("eigvalsh", size) for size in rungs]
+        assert rungs == list(reference._SIZES[: len(rungs)]) and len(rungs) >= 2
+        calls.clear()
+        nr_eigenvalue(1.0, 1.0, -1.0, QuantumState(3, 0))
+        assert calls == [("eigvalsh", size) for size in rungs] + [("eigh", rungs[-1])]
 
-
-class TestMatrixFreeLadder:
-    @pytest.mark.parametrize("p, n, l", [(-1.0, 3, 0), (2.0, 1, 0), (-0.5, 1, 1)])
-    def test_refined_rungs_match_dense(self, monkeypatch, p, n, l):
-        state = QuantumState(n, l)
-        grid = oracle.default_grid(1.0, 1.0, p, state)
-        levels, coeffs = oracle._dense_levels(1.0, 1.0, p, state, grid)
-        rescues = counting(monkeypatch, "eigh")
-        for points in (600, 1200):
-            rung = SpectralGrid(grid.box_radius, points)
-            levels, coeffs = oracle._next_rung(1.0, 1.0, p, state, rung, levels, coeffs)
-            assert levels[n] == pytest.approx(dense_level(p, state, rung), rel=1e-10)
-        assert rescues == []
-
-    def test_missed_residual_bound_is_rescued_densely(self, monkeypatch):
-        # LOBPCG stops after one step, which makes it warn, and every residual
-        # is reported far above its bound, so every refined rung is rescued
-        refine = oracle._refined_levels
-
-        def missing(*args):
-            values, vectors, residuals = refine(*args)
-            return values, vectors, residuals + 1.0
-
-        monkeypatch.setattr(oracle, "_refined_levels", missing)
-        monkeypatch.setattr(oracle, "_MAXITER", 1)
-        state = QuantumState(0, 0)
-        solves = counting(monkeypatch, "eigh")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            energy, finest = oracle.nr_energy(1.0, 1.0, 1.0, state)
-        assert caught == []
-        rungs = [300 * 2**k for k in range(len(solves))]
-        assert solves == rungs and len(rungs) >= 3 and rungs[-1] == finest.points
-        grids = [SpectralGrid(finest.box_radius, pts) for pts in rungs]
-        values = [oracle._dense_levels(1.0, 1.0, 1.0, state, g)[0][state.n] for g in grids]
-        assert energy == oracle._ladder_estimate(values)[0]
-
-    def test_one_dense_eigensolve_per_ladder(self, monkeypatch):
-        solves = counting(monkeypatch, "eigh", "eigvalsh")
-        _, finest = oracle.nr_energy(1.0, 1.0, -1.0, QuantumState(3, 0))
-        assert finest.points == 4800
-        assert solves == [300]
-        solves.clear()
-        pair = nr_eigenvalue(1.0, 1.0, -1.0, QuantumState(3, 0))
-        assert pair.grid.points == 4800
-        assert solves == [300]
+    def test_debug_record_per_rung_and_rungs_bound_the_level(self, caplog):
+        # hydrogen 2s: E = -1/8; Rayleigh-Ritz rungs lie above it and fall
+        with caplog.at_level(logging.DEBUG, logger="salpeter_afm"):
+            energy = oracle.nr_energy(1.0, 1.0, -1.0, QuantumState(1, 0), tol=1e-9)
+        records = [r for r in caplog.records if r.name == "salpeter_afm.oracle"]
+        *rungs, last = [r.getMessage() for r in records]
+        assert [m.split()[2] for m in rungs] == [f"N={s}" for s in reference._SIZES[: len(rungs)]]
+        values = [float(m.split()[-1].removeprefix("value=")) for m in rungs]
+        assert all(v >= -0.125 - 1e-12 for v in values)
+        assert values == sorted(values, reverse=True)
+        assert last.startswith(f"oracle converged: {energy:.12g}, error estimate")
 
 
 class TestAfmEigenstate:

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from salpeter_afm import (
+    ConvergenceFailure,
     DomainError,
     GlobalQ,
     QuantumState,
@@ -95,6 +96,37 @@ class TestQNumeric:
         state = QuantumState(0, 0)
         q_half = q_numeric(0.5, state).value
         assert 1.0 < q_half < 1.5
+
+    @pytest.mark.parametrize(
+        "p, n, l, want",
+        [
+            # a Richardson-extrapolated sine-basis ladder on uniform grids in a hard
+            # wall box of 3 (r_turn + 12/kappa), at tol 1e-9: no Laguerre basis
+            (-0.1, 2, 0, 4.136925041),
+            (-0.1, 0, 0, 1.200294568),
+            (-0.3, 2, 0, 3.928818735),
+            (-0.3, 1, 1, 3.509147105),
+            (-0.7, 1, 1, 3.238324677),
+            # the same ladder in a 12 r_turn box at tol 1e-6; they guard the basis-scale cap
+            (6.0, 0, 0, 1.8284662776),
+            (8.0, 0, 0, 1.9383970016),
+        ],
+    )
+    def test_independent_anchors(self, p, n, l, want):
+        assert q_numeric(p, QuantumState(n, l)).value == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("p, l", [(0.5, 85), (-1.0, 85), (2.0, 85), (1.0, 84)])
+    def test_l_beyond_the_laguerre_basis_is_a_domain_error(self, p, l):
+        # Gamma(2l + 3 + max(p, 0)) leaves the double range: every l >= 85, and l = 84 when p >= 1
+        with pytest.raises(DomainError):
+            q_numeric(p, QuantumState(0, l))
+
+    @pytest.mark.parametrize("p", [0.5, -1.0, 2.0])
+    def test_n_beyond_the_laguerre_basis_is_a_convergence_failure(self, p):
+        # level n needs rungs N > n; n = 160 has none, and no ladder reaches n >= 80
+        for n in (80, 160):
+            with pytest.raises(ConvergenceFailure):
+                q_numeric(p, QuantumState(n, 0))
 
     def test_steep_cusp_s_wave_at_relaxed_tolerance(self):
         # the r^-1.5 cusp converges slowly for l = 0; at a looser tolerance

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import salpeter_afm.oracle as oracle
 from salpeter_afm import (
     ConvergenceFailure,
     DomainError,
@@ -41,7 +40,7 @@ CRITERION_3_VALUES = {  # masses (0, m), 0.2 r, m = 0, 0.1, ..., 1
 
 def rung_values(problem):
     """Level n on every rung of the basis ladder, at the scale sse_eigenvalue picks."""
-    scale, n = reference._scale(problem), problem.state.n
+    (scale, _), n = reference._scale(problem), problem.state.n
     return [
         scipy.linalg.eigvalsh(sse_hamiltonian(problem, scale, size), subset_by_index=(n, n))[0]
         for size in reference._SIZES
@@ -208,15 +207,15 @@ class TestEigenvalues:
         assert value == pytest.approx(2.8882782, abs=1e-6)
         assert value == pytest.approx(PINNED["funnel"], rel=1e-10)
 
-    def test_nonrelativistic_consistency_linear(self):
-        # for two heavy equal masses the spectrum approaches
-        # 2m + (nonrelativistic eigenvalue at mu = m/2), at least as fast as 1/m
+    def test_nonrelativistic_consistency_linear(self, airy_zeros_oracle):
+        # for two heavy equal masses the spectrum approaches 2m + (nonrelativistic
+        # eigenvalue of p^2/(2 mu) + r at mu = m/2, -a_0 (2 mu)^(-1/3)), at least as fast as 1/m
         pot = PowerLawPotential.linear(1.0)
         gaps = []
         for m in (5.0, 10.0):
             problem = SseProblem(m, m, pot, QuantumState(0))
             mass = sse_eigenvalue(problem)
-            eps, _ = oracle.nr_energy(m / 2.0, 1.0, 1.0, QuantumState(0), tol=1e-9)
+            eps = -airy_zeros_oracle[0] * (1.0 / m) ** (1.0 / 3.0)
             gaps.append(abs(mass - 2.0 * m - eps))
         assert gaps[0] < 0.05
         assert gaps[1] <= gaps[0] * 0.5 * 1.2  # 1/m decay with 20% slack
@@ -234,6 +233,32 @@ class TestEigenvalues:
         mass = sse_eigenvalue(problem)
         assert mass == pytest.approx(2.1132922, abs=1e-3)
         assert mass < 2.158
+
+    @pytest.mark.parametrize("lam, want", [(4.5, 3.4832283), (6.0, 3.7533905), (8.0, 4.0102412)])
+    def test_steep_confinement_converges_with_falling_rungs(self, caplog, lam, want):
+        # the basis scale is capped so that the round-off of the r^lam matrix stays below the tolerance
+        problem = SseProblem(0.0, 1.0, PowerLawPotential(((0.2, lam),)), QuantumState(0))
+        with caplog.at_level(logging.DEBUG, logger="salpeter_afm"):
+            value = sse_eigenvalue(problem)
+        messages = [r.getMessage() for r in caplog.records]
+        rungs = [float(m.split()[-1].removeprefix("value=")) for m in messages if m.startswith("reference rung")]
+        assert len(rungs) >= 2
+        assert all(fine < coarse for coarse, fine in zip(rungs, rungs[1:]))
+        assert value == pytest.approx(want, abs=1e-7)
+
+    @pytest.mark.parametrize("lam", [10.0, 30.0])
+    def test_too_steep_confinement_is_a_convergence_failure(self, caplog, lam):
+        # the capped rungs still fall geometrically, but their Aitken correction
+        # (3e-5 at lam = 10, 0.25 at lam = 30) is far above what the ladder can vouch for
+        problem = SseProblem(0.0, 1.0, PowerLawPotential(((0.2, lam),)), QuantumState(0))
+        with caplog.at_level(logging.DEBUG, logger="salpeter_afm"), pytest.raises(ConvergenceFailure):
+            sse_eigenvalue(problem)
+        assert any(r.getMessage().startswith("reference Aitken limit") for r in caplog.records)
+
+    @pytest.mark.parametrize("lam, pinned", [(2.0, 2.6983923990859875), (4.0, 3.3697933359694465)])
+    def test_scale_cap_leaves_moderate_confinement_unchanged(self, lam, pinned):
+        problem = SseProblem(0.0, 1.0, PowerLawPotential(((0.2, lam),)), QuantumState(0))
+        assert sse_eigenvalue(problem) == pinned
 
     def test_pure_coulomb_massless_pair_has_no_scale(self):
         problem = SseProblem(0.0, 0.0, PowerLawPotential.coulomb(0.5), QuantumState(0))

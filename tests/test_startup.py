@@ -25,6 +25,13 @@ BOUND_P2 = {
 }
 REFERENCE_COULOMB = dict(BOUND_COULOMB, mode="reference")
 del REFERENCE_COULOMB["q"]
+SCAN_P_WAVE = {
+    "mode": "scan",
+    "masses": [0.0, 1.0],
+    "potential": [{"alpha": 0.2, "exponent": 1}],
+    "state": {"n": 0, "l": 1},
+    "scan": {"variable": "m", "values": [0.0, 0.5, 1.0], "include_reference": False},
+}
 
 COLD_START = """
 import sys
@@ -41,6 +48,24 @@ assert cli.main(["verify", "--suite", "windows"]) == 0
 assert scipy_modules()
 """
 
+MASS_SCAN = """
+import sys
+import salpeter_afm.cli as cli
+
+assert cli.main(["scan", "--config", sys.argv[1]]) == 0
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not scipy, scipy
+"""
+
+Q_NUMERIC = """
+import sys
+from salpeter_afm import QuantumState, core
+
+assert 1.0 < core.q_numeric(0.5, QuantumState(0, 0)).value < 1.5
+unused = sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.fft")))
+assert not unused, unused
+"""
+
 SURFACE = """
 import salpeter_afm
 
@@ -52,7 +77,7 @@ for name in names:
 namespace = {}
 exec("from salpeter_afm import *", namespace)
 assert set(names) <= set(namespace), sorted(set(names) - set(namespace))
-from salpeter_afm import SpectralGrid, sse_eigenvalue
+from salpeter_afm import RadialEigenpair, sse_eigenvalue
 try:
     salpeter_afm.no_such_name
 except AttributeError as err:
@@ -83,4 +108,17 @@ def test_bound_imports_no_scipy_and_later_verbs_load_it(tmp_path):
 
 def test_public_surface_resolves_lazily(tmp_path):
     run = _python(SURFACE, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+
+
+def test_mass_scan_without_the_reference_imports_no_scipy(tmp_path):
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(SCAN_P_WAVE))
+    run = _python(MASS_SCAN, str(path), cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("m,M_afm_Q1,M_afm_Q2,M_ref,M_ur,M_nr")
+
+
+def test_q_numeric_loads_no_sparse_or_fft_module(tmp_path):
+    run = _python(Q_NUMERIC, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
