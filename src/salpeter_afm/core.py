@@ -51,10 +51,6 @@ __all__ = [
     "residuals",
 ]
 
-# Below m/M0 ~ 1e-4 the closed linear-potential mass switches to its small-mass
-# expansion; the next neglected term is O((m/M0)^6).
-_LINEAR_SERIES_CUTOVER = 1e-4
-
 _ROOT32 = math.sqrt(32.0)
 
 # A candidate length scale beyond 1e250 or below 1e-250, in decades.
@@ -98,21 +94,23 @@ def q_numeric(
 ) -> GlobalQ:
     """Global quantum number from the nonrelativistic oracle, any p > -2.
 
-    Solves p^2/(2 mu) + rho*sign(p)*r^p for the (n, l) level and inverts the
-    Q parameterization.  The result is independent of the (mu, rho) chosen;
-    ``tol`` is the absolute accuracy requested on Q itself.  Steep-cusp
-    s-waves (l = 0, p <= -1.5) converge slowly in the Laguerre basis and may
-    need a looser tol to avoid ConvergenceFailure.  The basis of at most 160
-    functions reaches n <= 10-22 (by p, at l = 0) and l <= 51-56 (attractive
-    p) or 80-84 (confining p, at n = 0), as listed in :mod:`.oracle`; beyond
+    Solves p^2/2 + sign(p)*r^p for the (n, l) level and inverts the Q
+    parameterization.  The result is independent of the (mu, rho) chosen, so
+    they are only checked to be positive; ``tol`` is the absolute accuracy
+    requested on Q itself.  Steep-cusp s-waves (l = 0, p <= -1.5) converge
+    slowly in the Laguerre basis and may need a looser tol to avoid
+    ConvergenceFailure.  The basis of at most 160 functions reaches
+    n <= 17-29 (by p, at l = 0) and l <= 69-73 (attractive p) or 80-83
+    (confining p, at n = 0), as listed in :mod:`.oracle`; beyond
     that it raises ConvergenceFailure, or DomainError for l >= 85 (l = 84
     when p >= 1).
     """
     from . import oracle  # imports scipy: loaded here, so the solver itself runs on numpy alone
 
+    oracle.check_args(mu, rho, p)
     # dQ/Q = |(p+2)/(2p)| * deps/eps
     eps_tol = max(tol / oracle.seed_q(p, state) * abs(2.0 * p / (p + 2.0)), 1e-9)
-    return oracle.invert_q(oracle.nr_energy(mu, rho, p, state, tol=eps_tol), mu, rho, p)
+    return oracle.invert_q(oracle.nr_energy(1.0, 1.0, p, state, tol=eps_tol), 1.0, 1.0, p)
 
 
 def _resolve_q(q: GlobalQ | float) -> GlobalQ:
@@ -398,9 +396,6 @@ def _linear_radius(x: float, b: float, q_value: float) -> float:
 
 
 def _linear_mass(x: float, m0: float) -> float:
-    if x < _LINEAR_SERIES_CUTOVER:
-        # small-mass expansion of the closed form; error O(x^6)
-        return m0 * (1.0 + 2.0 * x * x - 10.0 * x**4)
     # the closed form in units of M0: a = sqrt(1 + 32 x^2) + 1 and the
     # conjugate 32 x^2/a, no cancellation and no x^2 that can overflow
     a = math.hypot(1.0, _ROOT32 * x) + 1.0

@@ -1,35 +1,40 @@
 """Radial nonrelativistic eigensolver for H = p^2/(2 mu) + rho*sign(p)*r^p.
 
-Rayleigh-Ritz in the Laguerre basis of :mod:`.reference`: each rung N = 20,
-40, 80, 160 builds H from the cached unit-scale p_l^2 and r^p matrices at
-the basis scale h and takes level n with one eigvalsh, and the reference's
-ladder decides when the rungs have converged or extrapolates them (Aitken).
+r = a x with a^(p+2) = 1/(mu rho) turns H into rho a^p (p_x^2/2 + sign(p)*x^p),
+so the unit problem is solved once and its energy and radii are rescaled;
+a unit of (mu, rho) outside the double range is a DomainError.  The unit
+problem is Rayleigh-Ritz in the Laguerre basis of :mod:`.reference`: each
+rung N = 20, 40, 80, 160 builds H from the cached unit-scale p_l^2 and r^p
+matrices at the basis scale h and takes level n with one eigvalsh, and the
+reference's ladder accepts, extrapolates (Aitken) or refuses the rungs.
 Every rung is an upper bound on the true level.  h puts the n-th basis
 function at the variational radius of the seed Q, and a confining r^p term
 caps it so that the round-off of its matrix stays below the tolerance.
 
 The basis bounds the levels it reaches.  Level n needs rungs N > n; at
-q_numeric's default tolerance the ladder converges, at l = 0, for n <= 10 at
-p = 4, 16 at p = 2, 17 at p = -1, 20 at p = 1 and 22 at p = 0.5, and at
-n = 0 for l <= 51 at p = -1, 56 at p = -0.5, 80 at p = 8 and 83 at p = 1
+q_numeric's default tolerance the ladder converges, at l = 0, for n <= 17 at
+p = 4, 23 at p = 2, 22 at p = -1, 27 at p = 1 and 29 at p = 0.5, and at
+n = 0 for l <= 69 at p = -1, 73 at p = -0.5, 80 at p = 8 and 83 at p = 1
 and 2; beyond that it raises ConvergenceFailure.  Every l >= 85, and l = 84
 when p >= 1, raises DomainError: Gamma(2l + 3 + p) leaves the double range.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from . import reference
-from .errors import ConvergenceFailure, DomainError
+from . import core, reference
+from .errors import DomainError
 from .types import AfmSolution, GlobalQ, PowerLawPotential, QuantumState
 
 _NR_TOL = 1e-7
 _SAMPLES = 4000  # uniform radii on which nr_eigenvalue samples u(r)
 _EXTENT = 10.0  # the sampled radii reach this many times the mean radius <r>
+_LOG_TINY, _LOG_MAX = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ def invert_q(epsilon: float, mu: float, rho: float, p: float) -> GlobalQ:
     The eigenvalue sign must match sign(p): confining exponents have positive
     spectra, attractive negative exponents have negative bound-state energies.
     """
-    _check_oracle_args(mu, rho, p)
+    check_args(mu, rho, p)
     base = 2.0 * p * epsilon / ((p + 2.0) * (abs(p) * rho) ** (2.0 / (p + 2.0)))
     if base <= 0.0:
         raise DomainError(
@@ -73,7 +78,8 @@ def invert_q(epsilon: float, mu: float, rho: float, p: float) -> GlobalQ:
     return GlobalQ(value, "numeric", p)
 
 
-def _check_oracle_args(mu: float, rho: float, p: float) -> None:
+def check_args(mu: float, rho: float, p: float) -> None:
+    """ValueError unless mu, rho > 0 and p > -2 is nonzero."""
     if not (mu > 0.0 and rho > 0.0):
         raise ValueError("mu and rho must be positive")
     if p <= -2.0 or p == 0.0:
@@ -82,29 +88,32 @@ def _check_oracle_args(mu: float, rho: float, p: float) -> None:
 
 def seed_q(p: float, state: QuantumState) -> float:
     """Analytic Q(2) = 2n+l+3/2 for p > 0 and Q(-1) = n+l+1 for p < 0."""
-    return 2.0 * state.n + state.l + 1.5 if p > 0 else float(state.n + state.l + 1)
+    return core.q_exact(2 if p > 0 else -1, state).value
 
 
-def _solve(mu, rho, p, state: QuantumState, tol: float) -> tuple[float, float, int]:
-    """Extrapolated level, the basis scale and the size of the last rung.
+def _log_units(mu: float, rho: float, p: float) -> tuple[float, float]:
+    """Logarithms of the energy unit rho^(2/(p+2)) mu^(-p/(p+2)) and the radius unit (mu rho)^(-1/(p+2))."""
+    check_args(mu, rho, p)
+    log_mu, log_rho = math.log(mu), math.log(rho)
+    return (2.0 * log_rho - p * log_mu) / (p + 2.0), -(log_mu + log_rho) / (p + 2.0)
 
-    The scale comes from the variational radius r0 = (Q^2/(mu |p| rho))^(1/(p+2))
-    and the energy of the seed Q; the ladder's error estimate must be below
-    ``tol`` relative.
-    """
-    _check_oracle_args(mu, rho, p)
+
+def _rescale(values, log_unit: float, what: str):
+    """values * e^log_unit, or DomainError where the unit or a value in it leaves the double range."""
+    logs = np.log(np.abs(values)) + log_unit
+    if not (_LOG_TINY < log_unit < _LOG_MAX and _LOG_TINY < np.min(logs) and np.max(logs) < _LOG_MAX):
+        raise DomainError(f"the {what} unit e^{log_unit:.6g} of these mu and rho leaves the double range")
+    return values * math.exp(log_unit)
+
+
+def _solve(p: float, state: QuantumState, tol: float) -> tuple[float, float, int]:
+    """Level n of p_l^2/2 + sign(p)*r^p, the basis scale and the size of the last rung; the
+    scale comes from the variational radius r0 = (Q^2/|p|)^(1/(p+2)) and energy of the seed Q."""
     q = seed_q(p, state)
-    radius = (q * q / (mu * abs(p) * rho)) ** (1.0 / (p + 2.0))
-    scale, _ = reference.basis_scale(radius, energy_from_q(q, mu, rho, p), state, ((rho, p),), tol)
-    energy, error, size = reference.ladder(
-        "oracle", lambda size: reference.nr_hamiltonian(mu, rho, p, state.l, scale, size), state.n, scale, tol
-    )
-    if abs(error) > tol * abs(energy):
-        raise ConvergenceFailure(
-            f"eigenvalue estimate stuck at relative error ~{abs(error / energy):.1e} with "
-            f"{size} basis functions (tol {tol:g}); steep-cusp s-waves (l = 0, p <= -1.5) "
-            f"converge slowly, consider a looser tol"
-        )
+    radius = (q * q / abs(p)) ** (1.0 / (p + 2.0))
+    scale, _ = reference.basis_scale(radius, energy_from_q(q, 1.0, 1.0, p), state, ((1.0, p),), tol)
+    build = functools.partial(reference.nr_hamiltonian, p, state.l, scale)
+    energy, _, size = reference.ladder("oracle", build, state.n, scale, tol, tol)
     return energy, scale, size
 
 
@@ -113,9 +122,11 @@ def nr_energy(mu: float, rho: float, p: float, state: QuantumState, *, tol: floa
 
     Raises ConvergenceFailure when the ladder's error estimate exceeds
     ``tol`` relative, which bounds the levels it reaches (see the module
-    docstring), and DomainError where l is beyond the Laguerre basis.
+    docstring), and DomainError where l is beyond the Laguerre basis or the
+    energy unit of (mu, rho) leaves the double range.
     """
-    return _solve(mu, rho, p, state, tol)[0]
+    log_energy, _ = _log_units(mu, rho, p)
+    return _rescale(_solve(p, state, tol)[0], log_energy, "energy")
 
 
 def nr_eigenvalue(mu: float, rho: float, p: float, state: QuantumState) -> RadialEigenpair:
@@ -125,20 +136,21 @@ def nr_eigenvalue(mu: float, rho: float, p: float, state: QuantumState) -> Radia
     1e-7 relative.  The amplitudes are the finest rung's eigenvector summed
     over the basis functions on uniform radii out to ten times its mean radius.
     """
-    energy, scale, size = _solve(mu, rho, p, state, _NR_TOL)
-    n = state.n
-    _, vectors = sla.eigh(reference.nr_hamiltonian(mu, rho, p, state.l, scale, size), subset_by_index=(n, n))
+    log_energy, log_radius = _log_units(mu, rho, p)
+    energy, scale, size = _solve(p, state, _NR_TOL)
+    _, vectors = sla.eigh(reference.nr_hamiltonian(p, state.l, scale, size), subset_by_index=(state.n, state.n))
     c = vectors[:, 0]
     # <r>/h from the Jacobi matrix of x in the basis: diagonal 2k+2l+3, off-diagonal -sqrt((k+1)(k+2l+3))
     k = np.arange(size)
     mean_x = (2 * k + 2 * state.l + 3) @ c**2 - 2.0 * np.sqrt(k[1:] * (k[1:] + 2 * state.l + 2)) @ (c[:-1] * c[1:])
-    radii = np.arange(1, _SAMPLES + 1) * (_EXTENT * mean_x * scale / _SAMPLES)
-    u = reference.basis_functions(state.l, scale, size, radii) @ c
+    x = np.arange(1, _SAMPLES + 1) * (_EXTENT * mean_x * scale / _SAMPLES)
+    radii = _rescale(x, log_radius, "radius")
+    u = reference.basis_functions(state.l, scale, size, x) @ c
     u /= np.linalg.norm(u) * math.sqrt(radii[0])
     lead = np.nonzero(np.abs(u) > 1e-8 * np.max(np.abs(u)))[0][0]
     if u[lead] < 0:
         u = -u
-    return RadialEigenpair(energy, radii, u)
+    return RadialEigenpair(_rescale(energy, log_energy, "energy"), radii, u)
 
 
 def afm_eigenstate(

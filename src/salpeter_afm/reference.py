@@ -13,13 +13,14 @@ monotone and non-negative on [0, inf), so by Hansen's inequality (Math. Ann.
 1980) and min-max every eigenvalue is an upper bound on the true one, falling
 as the nested bases grow.  The ladder N = 20, 40, 80, 160 stops when two rungs
 agree to 1e-7 relative, or else (an attractive tail's origin cusp converges
-slowly) returns the Aitken limit of the last three.  Past N ~ 180 the
-Gauss-Laguerre weights underflow, hence the cap.  The nonrelativistic oracle
-runs the same ladder on P/(2 mu h^2) + rho*sign(p) h^p W(p, l, N), with the
-same scale rule.  Where Gamma(2l+3), the
-weights or the unit-scale r^lam entries would leave the double range (every
-l >= 85, l = 84 with a linear term, or a steep exponent), the matrices are not
-built and DomainError is raised.
+slowly) returns the Aitken limit of the last three, unless its correction
+exceeds the caller's limit; ``ladder`` alone accepts, extrapolates or refuses
+a level.  Past N ~ 180 the Gauss-Laguerre weights underflow, hence the cap.
+The nonrelativistic oracle runs the same ladder on P/(2 h^2) + sign(p) h^p
+W(p, l, N), with the same scale rule.  Where Gamma(2l+3), the weights or the
+unit-scale r^lam entries would leave the double range (every l >= 85, l = 84
+with a linear term, or a steep exponent), the matrices are not built and
+DomainError is raised.
 """
 from __future__ import annotations
 
@@ -111,76 +112,58 @@ def basis_functions(l: int, scale: float, size: int, radii: np.ndarray) -> np.nd
     return _recurrence(x, first, alpha, size)
 
 
-def psq_matrix(l: int, scale: float, size: int) -> np.ndarray:
-    """<chi_j| p^2 + l(l+1)/r^2 |chi_k> for j, k < size."""
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def psq_matrix(l: int, size: int) -> np.ndarray:
+    """<chi_j| p^2 + l(l+1)/r^2 |chi_k> for j, k < size at unit scale, read-only."""
     x, phi = _basis_on_nodes(l, size, size + 1, 2 * l)
     # d/dx [x^(l+1) e^(-x/2) p_k] = x^l e^(-x/2) q_k, using x p_k' = k p_k - sqrt(k (k+2l+2)) p_(k-1)
     k = np.arange(size)
     q = (l + 1 + k - 0.5 * x[:, None]) * phi
     q[:, 1:] -= np.sqrt(k[1:] * (k[1:] + 2 * l + 2)) * phi[:, :-1]
-    return (q.T @ q + l * (l + 1) * (phi.T @ phi)) / scale**2
-
-
-def power_matrix(lam: float, l: int, scale: float, size: int) -> np.ndarray:
-    """<chi_j| r^lam |chi_k> for j, k < size."""
-    _, phi = _basis_on_nodes(l, size, size, 2 * l + 2 + lam)
-    return scale**lam * (phi.T @ phi)
-
-
-def _spectrum(psq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p2, u = sla.eigh(psq)
-    return np.clip(p2, 0.0, None), u  # round-off can push the smallest below zero
-
-
-def _kinetic(terms: tuple[tuple[float, float], ...], p2: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return (u * sum(weight * np.sqrt(p2 + mass * mass) for weight, mass in terms)) @ u.T
-
-
-def kinetic_matrix(terms: tuple[tuple[float, float], ...], psq: np.ndarray) -> np.ndarray:
-    """sum(weight * sqrt(p^2 + mass^2)) over (weight, mass) terms, from one
-    eigendecomposition of the p_l^2 matrix."""
-    return _kinetic(terms, *_spectrum(psq))
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _unit_psq_matrix(l: int, size: int) -> np.ndarray:
-    """psq_matrix(l, 1.0, size), read-only."""
-    psq = psq_matrix(l, 1.0, size)
+    psq = q.T @ q + l * (l + 1) * (phi.T @ phi)
     psq.flags.writeable = False
     return psq
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _unit_psq_spectrum(l: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped eigenvalues and eigenvectors of psq_matrix(l, 1.0, size), read-only."""
-    p2, u = _spectrum(_unit_psq_matrix(l, size))
+def power_matrix(lam: float, l: int, size: int) -> np.ndarray:
+    """<chi_j| r^lam |chi_k> for j, k < size at unit scale, read-only."""
+    _, phi = _basis_on_nodes(l, size, size, 2 * l + 2 + lam)
+    w = phi.T @ phi
+    w.flags.writeable = False
+    return w
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _psq_spectrum(l: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of psq_matrix(l, size), read-only."""
+    p2, u = sla.eigh(psq_matrix(l, size))
+    p2 = np.clip(p2, 0.0, None)  # round-off can push the smallest below zero
     p2.flags.writeable = u.flags.writeable = False
     return p2, u
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _unit_power_matrix(lam: float, l: int, size: int) -> np.ndarray:
-    """power_matrix(lam, l, 1.0, size), read-only."""
-    w = power_matrix(lam, l, 1.0, size)
-    w.flags.writeable = False
-    return w
+def kinetic_matrix(terms: tuple[tuple[float, float], ...], p2: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum(weight * sqrt(p^2 + mass^2)) over (weight, mass) terms, from the
+    eigenvalues p2 and eigenvectors u of the p_l^2 matrix."""
+    return (u * sum(weight * np.sqrt(p2 + mass * mass) for weight, mass in terms)) @ u.T
 
 
 def sse_hamiltonian(problem: SseProblem, scale: float, size: int) -> np.ndarray:
     """Symmetric Hamiltonian matrix in the first ``size`` basis functions of scale h."""
     terms = ((1.0, problem.m1), (1.0, problem.m2)) if problem.sigma is None else ((problem.sigma, problem.m1),)
     l = problem.state.l
-    p2, u = _unit_psq_spectrum(l, size)
-    h = _kinetic(terms, p2 / scale**2, u)
+    p2, u = _psq_spectrum(l, size)
+    h = kinetic_matrix(terms, p2 / scale**2, u)
     for alpha, lam in problem.potential.active_terms():
-        h += math.copysign(alpha, lam) * scale**lam * _unit_power_matrix(lam, l, size)
+        h += math.copysign(alpha, lam) * scale**lam * power_matrix(lam, l, size)
     return 0.5 * (h + h.T)
 
 
-def nr_hamiltonian(mu: float, rho: float, p: float, l: int, scale: float, size: int) -> np.ndarray:
-    """p_l^2/(2 mu) + rho*sign(p)*r^p in the first ``size`` basis functions of scale h."""
-    h = _unit_psq_matrix(l, size) / (2.0 * mu * scale**2)
-    h += math.copysign(rho, p) * scale**p * _unit_power_matrix(p, l, size)
+def nr_hamiltonian(p: float, l: int, scale: float, size: int) -> np.ndarray:
+    """p_l^2/2 + sign(p)*r^p in the first ``size`` basis functions of scale h."""
+    h = psq_matrix(l, size) / (2.0 * scale**2)
+    h += math.copysign(1.0, p) * scale**p * power_matrix(p, l, size)
     return h
 
 
@@ -225,7 +208,7 @@ def _scale(problem: SseProblem) -> tuple[float, bool]:
 
 def _aitken(values: list[float]) -> float:
     d1, d2 = values[0] - values[1], values[1] - values[2]
-    if not (d1 > 0 and d2 > 0 and 0.02 < d2 / d1 < 0.98):
+    if not (d1 > 0 and d2 > 0 and d2 / d1 < 0.98):
         raise ConvergenceFailure(
             "basis ladder is not geometrically decreasing; refusing to extrapolate "
             f"(values {values})"
@@ -233,15 +216,18 @@ def _aitken(values: list[float]) -> float:
     return values[2] - d2 * d2 / (d1 - d2)
 
 
-def ladder(name: str, build, n: int, scale: float, tol: float) -> tuple[float, float, int]:
+def ladder(name: str, build, n: int, scale: float, tol: float, limit: float) -> tuple[float, float, int]:
     """Level n of build(N) on the rungs N = 20, 40, 80, 160 with N > n.
 
     Every rung is an upper bound.  The first rung within ``tol`` relative of
     the one before is returned, with that difference as its error estimate;
-    otherwise the last three rungs must fall geometrically, and their Aitken
-    limit is returned with the Aitken correction as its error estimate.
-    Returns (value, error estimate, size of the last rung) and writes one
-    DEBUG record per rung and one for the result to the ``name`` logger.
+    otherwise the last three rungs must fall, at least geometrically, and
+    their Aitken limit is returned with the Aitken correction as its error
+    estimate.  An error estimate above ``limit`` relative raises
+    ConvergenceFailure: this is the one place where a ladder is accepted,
+    extrapolated or refused.  Returns (value, error estimate, size of the
+    last rung) and writes one DEBUG record per rung and one for the result
+    to the ``name`` logger.
     """
     log = logging.getLogger(f"{__package__}.{name}")
     values = []
@@ -252,10 +238,17 @@ def ladder(name: str, build, n: int, scale: float, tol: float) -> tuple[float, f
             log.debug("%s converged: %.12g, error estimate %.3g", name, values[-1], values[-2] - values[-1])
             return values[-1], values[-2] - values[-1], size
     if len(values) < 3:
-        raise ConvergenceFailure(f"level n={n} needs more than {_SIZES[-1]} basis functions")
+        raise ConvergenceFailure(f"{name}: level n={n} needs more than {_SIZES[-1]} basis functions")
     value = _aitken(values[-3:])
-    log.debug("%s Aitken limit: %.12g, error estimate %.3g", name, value, values[-1] - value)
-    return value, values[-1] - value, _SIZES[-1]
+    error = values[-1] - value
+    log.debug("%s Aitken limit: %.12g, error estimate %.3g", name, value, error)
+    if abs(error) > limit * abs(value):
+        raise ConvergenceFailure(
+            f"{name}: level n={n} stuck at relative error ~{abs(error / value):.1e} with {_SIZES[-1]} basis "
+            f"functions (limit {limit:g}); a steep cusp (l = 0, p <= -1.5) or a steep confining term "
+            "converges slowly in this basis"
+        )
+    return value, error, _SIZES[-1]
 
 
 def sse_eigenvalue(problem: SseProblem) -> float:
@@ -265,18 +258,13 @@ def sse_eigenvalue(problem: SseProblem) -> float:
     the one before is returned; otherwise the last three rungs must fall
     geometrically, and their Aitken limit is returned.  Where a steep
     confining term capped the basis scale, the first rungs do not reach the
-    state and the limit is only as good as its correction, so a correction
-    above 2e-6 relative raises ConvergenceFailure.
+    state and the limit is only as good as its correction, so the ladder
+    refuses a correction above 2e-6 relative with ConvergenceFailure.
     """
     core.check_mass_squares(problem.m1, problem.m2)
     scale, capped = _scale(problem)
-    value, error, _ = ladder("reference", lambda size: sse_hamiltonian(problem, scale, size), problem.state.n, scale, _TOL)
-    if capped and abs(error) > _CAPPED_TOL * abs(value):
-        raise ConvergenceFailure(
-            f"the round-off cap on the basis scale leaves an Aitken correction of {error:.3g} to {value:.12g} "
-            f"(limit {_CAPPED_TOL:g} relative); the confining exponent is too steep for the basis"
-        )
-    return value
+    build = functools.partial(sse_hamiltonian, problem, scale)
+    return ladder("reference", build, problem.state.n, scale, _TOL, _CAPPED_TOL if capped else math.inf)[0]
 
 
 @dataclass(frozen=True)

@@ -114,8 +114,8 @@ class TestLinearClosed:
         )
 
     def test_series_branch_joins_smoothly(self):
-        # the small-mass expansion takes over below m/M0 = 1e-4; both branches
-        # agree to near machine precision in a window around the cutover
+        # the closed form has no subtraction, so at small m/M0 it agrees with its
+        # small-mass expansion m0 (1 + 2x^2 - 10x^4) to near machine precision
         b, qv = 0.2, 1.5
         m0 = 2.0 * math.sqrt(2.0 * b * qv)
         for x in (0.3e-4, 0.9e-4, 1.1e-4, 3e-4):

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import scipy.linalg
 
 import salpeter_afm.oracle as oracle
 from salpeter_afm import (
+    AfmError,
     ConvergenceFailure,
+    DomainError,
     GlobalQ,
     PowerLawPotential,
     QuantumState,
@@ -96,6 +99,38 @@ class TestConvergenceControl:
             oracle.nr_energy(-1.0, 1.0, 2.0, QuantumState(0, 0))
         with pytest.raises(ValueError):
             oracle.nr_energy(1.0, 1.0, -2.0, QuantumState(0, 0))
+
+
+class TestExtremeUnits:
+    @pytest.mark.parametrize("p", [-1.5, -0.5, 0.5, 3.0, 8.0])
+    @pytest.mark.parametrize("mu", [1e-200, 1e-30, 1.0, 1e30, 1e200])
+    @pytest.mark.parametrize("rho", [1e-200, 1e-30, 1.0, 1e30, 1e200])
+    def test_a_value_or_a_typed_error(self, p, mu, rho):
+        # p^2/2 + sign(p) r^p is solved once and rescaled: Q is the unit value, and an
+        # energy or radius unit outside the double range is a DomainError
+        state = QuantumState(0, 0)
+        outcomes = []
+        for solve in (
+            lambda: q_numeric(p, state, mu=mu, rho=rho, tol=1e-3).value,
+            lambda: oracle.nr_energy(mu, rho, p, state, tol=1e-3),
+            lambda: oracle.nr_eigenvalue(mu, rho, p, state),
+        ):
+            try:
+                outcomes.append(solve())
+            except AfmError:
+                outcomes.append(None)
+        q, energy, pair = outcomes
+        assert q == q_numeric(p, state, tol=1e-3).value
+        if energy is not None:
+            assert math.isfinite(energy) and energy != 0.0
+        if pair is not None:
+            assert all(np.all(np.isfinite(a)) for a in (pair.energy, pair.radii, pair.amplitudes))
+            assert pair.radii[0] > 0.0
+
+    def test_a_level_beyond_the_double_range_is_a_domain_error(self):
+        # the energy unit, 1e308, is a double; the n = 5 harmonic level in that unit is not
+        with pytest.raises(DomainError, match="energy unit"):
+            oracle.nr_energy(1e-308, 1e308, 2.0, QuantumState(5, 0))
 
 
 def counting(monkeypatch, *names):

@@ -115,6 +115,12 @@ class TestQNumeric:
     def test_independent_anchors(self, p, n, l, want):
         assert q_numeric(p, QuantumState(n, l)).value == pytest.approx(want, abs=1e-6)
 
+    @pytest.mark.parametrize("p, n, l, want", [(2.0, 19, 0, 39.5), (-1.0, 19, 0, 20.0), (-1.0, 0, 60, 61.0)])
+    def test_ladders_that_fall_faster_than_geometrically(self, p, n, l, want):
+        # the last rungs fall by ratios of 1e-5 to 1e-3, the N = 160 rung is already
+        # near exact, and the Aitken correction is far inside the tolerance
+        assert q_numeric(p, QuantumState(n, l)).value == pytest.approx(want, abs=1e-6)
+
     @pytest.mark.parametrize("p, l", [(0.5, 85), (-1.0, 85), (2.0, 85), (1.0, 84)])
     def test_l_beyond_the_laguerre_basis_is_a_domain_error(self, p, l):
         # Gamma(2l + 3 + max(p, 0)) leaves the double range: every l >= 85, and l = 84 when p >= 1

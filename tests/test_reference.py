@@ -50,9 +50,9 @@ def rung_values(problem):
 def assert_massless_sqrt_on_momentum_eigenvectors(l):
     """sqrt(p^2) maps an eigenvector of the p_l^2 matrix (from numpy's own
     eigensolver) onto sqrt(eigenvalue) times itself."""
-    psq = psq_matrix(l, SCALE, SIZE)
-    vals, vecs = np.linalg.eigh(psq)
-    w = kinetic_matrix(((1.0, 0.0),), psq)
+    p2, u = reference._psq_spectrum(l, SIZE)
+    vals, vecs = np.linalg.eigh(psq_matrix(l, SIZE) / SCALE**2)
+    w = kinetic_matrix(((1.0, 0.0),), p2 / SCALE**2, u)
     for j in (0, 10, SIZE - 1):
         np.testing.assert_allclose(w @ vecs[:, j], np.sqrt(vals[j]) * vecs[:, j], atol=1e-10 * np.sqrt(vals[-1]))
 
@@ -104,15 +104,15 @@ class TestOperatorConstruction:
     def test_ground_function_closed_forms(self, l):
         # chi_0 = r^(l+1) e^(-r/2h) normalised: <p_l^2> = 1/(4h^2), <r> = (2l+3)h, <1/r> = 1/(2(l+1)h)
         h = 0.7
-        assert psq_matrix(l, h, 5)[0, 0] == pytest.approx(1.0 / (4.0 * h * h), rel=1e-14)
-        assert power_matrix(1.0, l, h, 5)[0, 0] == pytest.approx((2 * l + 3) * h, rel=1e-14)
-        assert power_matrix(-1.0, l, h, 5)[0, 0] == pytest.approx(1.0 / (2 * (l + 1) * h), rel=1e-14)
+        assert psq_matrix(l, 5)[0, 0] / h**2 == pytest.approx(1.0 / (4.0 * h * h), rel=1e-14)
+        assert h * power_matrix(1.0, l, 5)[0, 0] == pytest.approx((2 * l + 3) * h, rel=1e-14)
+        assert power_matrix(-1.0, l, 5)[0, 0] / h == pytest.approx(1.0 / (2 * (l + 1) * h), rel=1e-14)
 
     @pytest.mark.parametrize("l", [0, 2])
     def test_bases_are_nested(self, l):
         # every matrix element is exact, so a smaller basis sees the leading block of a larger one
-        for small, large in ((psq_matrix(l, SCALE, 20), psq_matrix(l, SCALE, 160)),
-                             (power_matrix(0.5, l, SCALE, 20), power_matrix(0.5, l, SCALE, 160))):
+        for small, large in ((psq_matrix(l, 20), psq_matrix(l, 160)),
+                             (power_matrix(0.5, l, 20), power_matrix(0.5, l, 160))):
             np.testing.assert_allclose(large[:20, :20], small, rtol=0.0, atol=1e-12 * np.abs(small).max())
 
     @pytest.mark.parametrize("l", [0, 2])
@@ -129,17 +129,18 @@ class TestOperatorConstruction:
 
     @pytest.mark.parametrize("l", [0, 2])
     def test_two_masses_sum_single_terms(self, l):
-        psq = psq_matrix(l, SCALE, SIZE)
-        both = kinetic_matrix(((1.0, 0.3), (1.0, 1.5)), psq)
-        one = kinetic_matrix(((1.0, 0.3),), psq)
-        two = kinetic_matrix(((1.0, 1.5),), psq)
+        p2, u = reference._psq_spectrum(l, SIZE)
+        p2 = p2 / SCALE**2
+        both = kinetic_matrix(((1.0, 0.3), (1.0, 1.5)), p2, u)
+        one = kinetic_matrix(((1.0, 0.3),), p2, u)
+        two = kinetic_matrix(((1.0, 1.5),), p2, u)
         np.testing.assert_allclose(both, one + two, rtol=0.0, atol=1e-12)
 
     def test_one_decomposition_per_rung_for_two_masses(self, monkeypatch):
         # the near-critical Coulomb level climbs the whole ladder: from cold caches one p_l^2
         # decomposition per (l, N), shared by both masses and by a later l = 0 problem
-        reference._unit_psq_spectrum.cache_clear()
-        reference._unit_power_matrix.cache_clear()
+        reference._psq_spectrum.cache_clear()
+        reference.power_matrix.cache_clear()
         calls = {"eigh": [], "eigvalsh": []}
 
         def counting(name):
@@ -174,7 +175,7 @@ class TestOperatorConstruction:
 
 class TestUnitScaleCaches:
     def test_cached_arrays_are_read_only_and_the_hamiltonian_is_fresh(self):
-        cached = (*reference._unit_psq_spectrum(1, SIZE), reference._unit_power_matrix(0.5, 1, SIZE))
+        cached = (psq_matrix(1, SIZE), *reference._psq_spectrum(1, SIZE), power_matrix(0.5, 1, SIZE))
         for array in cached:
             with pytest.raises(ValueError):
                 array[0] = 0.0
@@ -191,9 +192,10 @@ class TestUnitScaleCaches:
         sse_hamiltonian(SseProblem(0.3, 1.5, potential, QuantumState(0, l)), SCALE, SIZE)
         scale = 0.45
         h = sse_hamiltonian(SseProblem(0.0, 2.5, potential, QuantumState(0, l)), scale, SIZE)
-        direct = kinetic_matrix(((1.0, 0.0), (1.0, 2.5)), psq_matrix(l, scale, SIZE))
+        p2, u = scipy.linalg.eigh(psq_matrix(l, SIZE) / scale**2)
+        direct = kinetic_matrix(((1.0, 0.0), (1.0, 2.5)), np.clip(p2, 0.0, None), u)
         for alpha, lam in potential.active_terms():
-            direct += math.copysign(alpha, lam) * power_matrix(lam, l, scale, SIZE)
+            direct += math.copysign(alpha, lam) * scale**lam * power_matrix(lam, l, SIZE)
         assert np.linalg.norm(h - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
@@ -310,6 +312,34 @@ class TestCertificates:
     def test_aitken_refuses_a_ladder_that_does_not_fall_geometrically(self, values):
         with pytest.raises(ConvergenceFailure):
             reference._aitken(values)
+
+
+class TestLadder:
+    """The one verdict on a ladder, with a stub whose level n = 0 takes scripted values."""
+
+    @staticmethod
+    def run(levels, limit):
+        return reference.ladder("stub", lambda size: np.diag(np.full(size, levels[size])), 0, 1.0, 1e-7, limit)
+
+    def test_two_agreeing_rungs_return_the_last(self):
+        value, error, size = self.run({20: 2.001, 40: 2.0 + 1e-8, 80: 2.0, 160: 1.0}, 1e-7)
+        assert (value, size) == (2.0, 80)
+        assert error == pytest.approx(1e-8, rel=1e-6)
+
+    def test_a_geometric_fall_within_the_limit_returns_the_aitken_limit(self):
+        value, error, size = self.run({20: 1.1, 40: 1.05, 80: 1.025, 160: 1.0125}, 0.02)
+        assert value == pytest.approx(1.0, rel=1e-12)
+        assert error == pytest.approx(0.0125, rel=1e-9)
+        assert size == 160
+
+    def test_a_correction_beyond_the_limit_raises_naming_the_caller(self):
+        with pytest.raises(ConvergenceFailure, match="stub"):
+            self.run({20: 1.1, 40: 1.05, 80: 1.025, 160: 1.0125}, 1e-3)
+
+    def test_a_fall_with_ratio_1e_5_is_accepted(self):
+        value, error, _ = self.run({20: 3.0, 40: 2.0, 80: 1.0 + 1e-5, 160: 1.0}, 1e-7)
+        assert value == pytest.approx(1.0 - 1e-10, rel=1e-12)
+        assert error == pytest.approx(1e-10, rel=1e-4)
 
 
 class TestLogging:
