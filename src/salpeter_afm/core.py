@@ -20,6 +20,7 @@ nonrelativistic expansions of the linear solution.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -131,8 +132,8 @@ def concavity_certificate(potential: PowerLawPotential, p: float) -> BoundCertif
     sign(lam) * (lam/p) * (lam/p - 1) <= 0, applied termwise; a sum of
     concave terms is concave, so the test is sufficient but not necessary.
     """
-    if p <= -2.0 or p == 0.0:
-        raise DomainError("auxiliary exponent must be > -2 and nonzero")
+    if not math.isfinite(p) or p <= -2.0 or p == 0.0:
+        raise DomainError("auxiliary exponent must be finite, > -2 and nonzero")
     active = potential.active_terms()
     if not active:
         return BoundCertificate(False, CERT_NONE)
@@ -186,26 +187,51 @@ def _scan_window(
     return min(logs) - 6.0, max(logs) + 6.0
 
 
-def _bracket_root(fn, window: tuple[float, float], q_value: float) -> tuple[float, float]:
-    """First - to + crossing of fn on a log grid over the window's decades.
+def _virial_balance(terms, q_value: float, k1: float, k2: float):
+    """The virial balance divided by r (same sign, same roots), as balance(r, hypot).
 
-    For the balance of :func:`solve_afm`, dM/dr0 = balance/r0^2, so such a
-    crossing is a local minimum of M(r0); a + to - crossing is a local
-    maximum and is skipped.  fn must accept array arguments.  Returns a
-    bracketing pair, or raises the no-root errors :func:`solve_afm` documents.
+    r^2 V'(r) - Q p0 (1/nu1 + 1/nu2) with p0/nu = 1/hypot(1, m r/Q), k_i =
+    m_i/Q.  r^2 V'(r) goes term by term, since the product r**2 * V'(r)
+    underflows to a spurious sign far below the root, where the scan window
+    may reach; no term of this form overflows at a root.  ``hypot`` is
+    math.hypot for a float r (the default) and np.hypot for an array.
+    """
+    pulls = [(abs(lam) * a, lam + 1.0) for a, lam in terms]
+
+    def balance(r, hypot=math.hypot):
+        pull = 0.0
+        for c, e in pulls:
+            pull = pull + c * r**e
+        return pull - q_value / hypot(1.0, k1 * r) - q_value / hypot(1.0, k2 * r)
+
+    return balance
+
+
+def _bracket_root(balance, window: tuple[float, float], q_value: float, monotone: bool) -> tuple[float, float]:
+    """First - to + crossing of the balance on a log grid over the window's decades.
+
+    Grid point i is 10**(lo + i*step), 40 points per decade.  For the
+    balance of :func:`solve_afm`, dM/dr0 = balance/r0^2, so such a crossing
+    is a local minimum of M(r0); a + to - crossing is a local maximum and is
+    skipped.  ``balance`` is :func:`_virial_balance`'s.  When every active
+    term has lam >= -1 (``monotone``) the balance is nondecreasing in r and
+    changes sign at most once, so bisecting the grid indices on float
+    values finds the scan's cell in about a dozen evaluations; otherwise
+    (a steep attractive term can make it cross twice) the whole grid is
+    evaluated as one array.  Returns a bracketing pair, or raises the
+    no-root errors :func:`solve_afm` documents, from the sign of the first
+    finite grid value.
     """
     lo, hi = window
-    grid = np.logspace(lo, hi, round(40 * (hi - lo)) + 1)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = np.asarray(fn(grid))
-    ups = np.nonzero((values[:-1] < 0.0) & (values[1:] >= 0.0))[0]
-    if len(ups):
-        i = ups[0]
-        return grid[i], grid[i + 1]
-    finite = values[np.isfinite(values)]
-    if len(finite) == 0:
+    count = round(40 * (hi - lo)) + 1
+    step = (hi - lo) / (count - 1)
+    search = _bisect_grid if monotone else _scan_grid
+    bracket, lead = search(balance, lo, step, count)
+    if bracket is not None:
+        return bracket
+    if lead is None:
         raise DomainError("virial balance is not representable over the scanned range")
-    if finite[0] > 0.0:
+    if lead > 0.0:
         # potential overwhelms kinetic pressure at every radius
         raise CollapseDetected(
             f"virial balance has no root: the interaction drives the system to r0 -> 0 at Q={q_value:g}"
@@ -213,6 +239,60 @@ def _bracket_root(fn, window: tuple[float, float], q_value: float) -> tuple[floa
     raise NoBoundState(
         f"virial balance has no root: the interaction is too weak to bind at Q={q_value:g}"
     )
+
+
+def _scan_grid(balance, lo: float, step: float, count: int):
+    """(bracket of the first - to + cell, first finite value), from one array evaluation.
+
+    Either is None when there is none.
+    """
+    grid = 10.0 ** (lo + np.arange(count) * step)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = balance(grid, np.hypot)
+    ups = np.nonzero((values[:-1] < 0.0) & (values[1:] >= 0.0))[0]
+    if len(ups):
+        i = ups[0]
+        return (float(grid[i]), float(grid[i + 1])), None
+    finite = values[np.isfinite(values)]
+    return None, float(finite[0]) if len(finite) else None
+
+
+def _bisect_grid(balance, lo: float, step: float, count: int):
+    """:func:`_scan_grid`'s outcome for a nondecreasing balance, from float values.
+
+    An OverflowError of a float power counts as +inf.  Without a crossing
+    the second item is a finite value with the sign of the first finite
+    one: a balance that is +inf (or NaN) at the first point is nowhere
+    finite, one that is >= 0 there never crosses, and one still < 0 at the
+    last point is < 0 throughout.
+    """
+
+    def point(i):
+        return 10.0 ** (lo + i * step)
+
+    def value(i):
+        try:
+            return balance(point(i))
+        except OverflowError:
+            return math.inf
+
+    first = value(0)
+    if not first < math.inf:
+        return None, None
+    if first >= 0.0:
+        return None, first
+    last = value(count - 1)
+    if last < 0.0:
+        # all negative, and -inf only where the kinetic terms overflow at small r
+        return None, last if last > -math.inf else None
+    below, above = 0, count - 1
+    while above - below > 1:
+        mid = (below + above) // 2
+        if value(mid) < 0.0:
+            below = mid
+        else:
+            above = mid
+    return (point(below), point(above)), None
 
 
 def _brent(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
@@ -279,12 +359,14 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     """Solve the reduced extremization system for one level.
 
     Locates the smallest radius where the semirelativistic virial balance
-    crosses from negative to positive, a local minimum of M(r0) (log-grid
-    scan from six decades below the smallest candidate length scale to six
-    above the largest, then Brent's method on that bracket to machine
-    precision, see :func:`_brent`), and
-    assembles the mass.  All three defining relations hold to better
-    than 1e-10 relative on the returned solution.  At m1 = 0, r0 solves
+    crosses from negative to positive, a local minimum of M(r0) (a log grid
+    of 40 points per decade from six decades below the smallest candidate
+    length scale to six above the largest, searched by bisection when every
+    term has lam >= -1 and scanned whole otherwise, see
+    :func:`_bracket_root`; then Brent's method on that grid cell to machine
+    precision, see :func:`_brent`), and assembles the mass in floats.  All
+    three defining relations hold to better than 1e-10 relative on the
+    returned solution.  At m1 = 0, r0 solves
     Q + Q^2/sqrt(Q^2 + m2^2 r0^2) = sum_i |lam_i| alpha_i r0^(lam_i+1).
 
     Without such a crossing, raises NoBoundState when the balance is
@@ -292,7 +374,8 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     CollapseDetected when it is positive there (strong-coupling collapse);
     CollapseDetected also when the assembled mass is nonpositive, and
     DomainError when the balance is nowhere finite or not representable
-    near the root.  A negative or non-finite mass raises ValueError.
+    near the root, or when the mass or p0 = Q/r0 leaves the double range.
+    A negative or non-finite particle mass raises ValueError.
     """
     if not (0.0 <= m1 < math.inf and 0.0 <= m2 < math.inf):
         raise ValueError("masses must be finite and non-negative")
@@ -302,30 +385,35 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     if not terms:
         raise DomainError("potential has no active term")
 
-    k1, k2 = m1 / qv, m2 / qv
-
-    def balance(r):
-        # the virial balance divided by r (same sign, same roots):
-        # r^2 V'(r) - Q p0 (1/nu1 + 1/nu2) with p0/nu = 1/hypot(1, m r/Q).
-        # r^2 V'(r) goes term by term, since the product r**2 * V'(r)
-        # underflows to a spurious sign far below the root, where the scan
-        # window may reach; no term of this form overflows at a root.
-        pull = sum(abs(lam) * a * r ** (lam + 1.0) for a, lam in terms)
-        return pull - qv / np.hypot(1.0, k1 * r) - qv / np.hypot(1.0, k2 * r)
-
-    bracket = _bracket_root(balance, _scan_window(potential, qv, m1, m2), qv)
+    balance = _virial_balance(terms, qv, m1 / qv, m2 / qv)
+    monotone = all(lam >= -1.0 for _, lam in terms)
+    bracket = _bracket_root(balance, _scan_window(potential, qv, m1, m2), qv, monotone)
     try:
         r0 = _brent(balance, *bracket, xtol=1e-20 * bracket[0], rtol=1e-15)
+        # Brent stops within 1e-15 relative of r0; a balance that is infinite
+        # just beyond that marks a jump where a term overflows, not a root
+        finite = math.isfinite(balance(r0 * (1.0 - 4e-15))) and math.isfinite(balance(r0 * (1.0 + 4e-15)))
     except OverflowError as err:  # a bracket end where a term exceeds the double range
         raise DomainError("virial balance is not representable near the root") from err
+    if not finite:
+        raise DomainError(f"virial balance is not representable near the root (r0={r0:g})")
     return _assemble(m1, m2, potential, q, r0)
 
 
 def _assemble(m1, m2, potential, q: GlobalQ, r0: float) -> AfmSolution:
+    """The solution at r0, M = nu1 + nu2 + V(r0) in floats over the active terms."""
     p0 = q.value / r0
+    if p0 < sys.float_info.min:  # below the normal range p0 * r0 no longer reproduces Q
+        raise DomainError(f"the momentum Q/r0 at r0={r0:g} underflows the double range")
     nu1 = math.hypot(p0, m1)
     nu2 = math.hypot(p0, m2)
-    mass = nu1 + nu2 + potential.value(r0)
+    try:
+        v0 = sum(math.copysign(1.0, lam) * a * r0**lam for a, lam in potential.active_terms())
+    except OverflowError as err:
+        raise DomainError(f"the potential at r0={r0:g} exceeds the double range") from err
+    mass = nu1 + nu2 + v0
+    if not math.isfinite(mass):
+        raise DomainError(f"the mass at r0={r0:g} exceeds the double range")
     if mass <= 0.0:
         raise CollapseDetected(f"solution at r0={r0:g} has nonpositive mass {mass:g}")
     return AfmSolution(r0, p0, nu1, nu2, mass, q, _certified(potential, q))
@@ -480,5 +568,6 @@ def residuals(
     res_mass = abs(sol.mass - (nu1 + nu2 + potential.value(sol.r0))) / abs(sol.mass)
     res_q = abs(sol.p0 * sol.r0 - qv) / qv
     pull = sol.r0 * potential.derivative(sol.r0)
-    res_virial = abs(sol.p0**2 / nu1 + sol.p0**2 / nu2 - pull) / abs(pull)
+    # p0 * (p0/nu), since p0**2 leaves the double range for p0 above ~1e154 or below ~1e-154
+    res_virial = abs(sol.p0 * (sol.p0 / nu1) + sol.p0 * (sol.p0 / nu2) - pull) / abs(pull)
     return res_mass, res_q, res_virial

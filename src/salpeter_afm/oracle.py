@@ -79,11 +79,11 @@ def invert_q(epsilon: float, mu: float, rho: float, p: float) -> GlobalQ:
 
 
 def check_args(mu: float, rho: float, p: float) -> None:
-    """ValueError unless mu, rho > 0 and p > -2 is nonzero."""
+    """ValueError unless mu, rho > 0 and p > -2 is finite and nonzero."""
     if not (mu > 0.0 and rho > 0.0):
         raise ValueError("mu and rho must be positive")
-    if p <= -2.0 or p == 0.0:
-        raise ValueError("exponent p must be > -2 and nonzero")
+    if not math.isfinite(p) or p <= -2.0 or p == 0.0:
+        raise ValueError("exponent p must be finite, > -2 and nonzero")
 
 
 def seed_q(p: float, state: QuantumState) -> float:

@@ -119,6 +119,8 @@ class GlobalQ:
             raise ValueError(f"Q must be finite and > 0, got {self.value}")
         if self.source not in Q_SOURCES:
             raise ValueError(f"unknown Q source {self.source!r}")
+        if self.p is not None and not math.isfinite(self.p):
+            raise ValueError(f"auxiliary exponent must be finite, got {self.p}")
         object.__setattr__(self, "value", float(self.value))
 
     @classmethod

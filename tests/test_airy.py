@@ -1,6 +1,21 @@
+import numpy as np
 import pytest
+from scipy import special
 
 from salpeter_afm.airy import airy_ai_zeros
+
+
+def _polished_ai_zeros(count):
+    """scipy's ai_zeros, refined by two Newton steps on (Ai, Ai').
+
+    ai_zeros alone is off by up to 1e-12 relative at a_3 .. a_5 (its a_5 is
+    -7.944133587112781 against -7.9441335871208532).
+    """
+    zeros = special.ai_zeros(count)[0]
+    for _ in range(2):
+        ai, aip, _, _ = special.airy(zeros)
+        zeros = zeros - ai / aip
+    return zeros
 
 
 def test_first_ten_zeros_match_ode_integration(airy_zeros_oracle):
@@ -10,10 +25,22 @@ def test_first_ten_zeros_match_ode_integration(airy_zeros_oracle):
         assert got == pytest.approx(want, abs=5e-11)
 
 
+def test_table_matches_polished_scipy_zeros():
+    np.testing.assert_allclose(airy_ai_zeros(10), _polished_ai_zeros(10), rtol=1e-15, atol=0.0)
+
+
+def test_asymptotic_series_beyond_the_table():
+    # a_11 .. a_200 from the six-term series; ai_zeros is exact to round-off there
+    zeros = airy_ai_zeros(200)
+    np.testing.assert_allclose(zeros[10:], special.ai_zeros(200)[0][10:], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(zeros[10:], _polished_ai_zeros(200)[10:], rtol=1e-15, atol=0.0)
+
+
 def test_zeros_are_negative_and_ordered():
-    zeros = airy_ai_zeros(10)
+    zeros = airy_ai_zeros(40)
     assert all(z < 0 for z in zeros)
     assert all(a > b for a, b in zip(zeros, zeros[1:]))
+    assert airy_ai_zeros(12)[:10] == airy_ai_zeros(10)
 
 
 def test_ground_zero_value(airy_zeros_oracle):

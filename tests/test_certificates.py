@@ -41,6 +41,11 @@ class TestConcavityCertificate:
         with pytest.raises(DomainError):
             concavity_certificate(PowerLawPotential.linear(0.2), -2.0)
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_exponent_is_a_domain_error(self, p):
+        with pytest.raises(DomainError, match="finite"):
+            concavity_certificate(PowerLawPotential.linear(0.2), p)
+
     def test_certificate_flows_into_solutions(self):
         from salpeter_afm import GlobalQ, solve_afm
 

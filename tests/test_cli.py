@@ -69,6 +69,14 @@ class TestBoundCommand:
         assert record["certified_upper_bound"] is True
         assert max(record["residuals"].values()) < 1e-10
 
+    def test_momentum_beyond_1e154_json(self, tmp_path, capsys):
+        # p0 = 7.1e154, whose square overflows in the virial residual
+        config = dict(BOUND_COULOMB, masses=[0.0, 0.0], potential=[{"alpha": 1e10, "exponent": 1}], q=1e300)
+        assert main(["bound", "--config", write_config(tmp_path, config), "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["mass"] == pytest.approx(2.0 * math.sqrt(2.0 * 1e10) * 1e150, rel=1e-12)
+        assert max(record["residuals"].values()) < 1e-10
+
     def test_no_binding_exits_2_with_window(self, tmp_path, capsys):
         config = dict(BOUND_COULOMB, q=2.0)
         code = main(["bound", "--config", write_config(tmp_path, config)])
@@ -343,6 +351,14 @@ def _with_1e400(config):
         pytest.param(
             "scan", dict(SCAN_LINEAR, scan=dict(SCAN_LINEAR["scan"], values=[1e300])), [], 2,
             id="scan-mass-1e300",
+        ),
+        pytest.param(  # the balance jumps to inf where 1e308 r^2 overflows, below the root
+            "bound", dict(BOUND_COULOMB, masses=[0.0, 0.0], potential=[{"alpha": 1e308, "exponent": 1}], q=1e308),
+            ["--format", "json"], 2, id="bound-overflow-jump",
+        ),
+        pytest.param(  # r0 = 1.10 and p0 = 7.3e307: the mass 8 p0/3 overflows
+            "bound", dict(BOUND_COULOMB, masses=[0.0, 0.0], potential=[{"alpha": 3.64e307, "exponent": 3}], q=8e307),
+            ["--format", "json"], 2, id="bound-mass-overflow",
         ),
         pytest.param(  # the kinetic term is built from m^2
             "reference", dict(REFERENCE_COULOMB, masses=[0.0, 1e300], potential=[{"alpha": 0.2, "exponent": 1}]),

@@ -134,6 +134,11 @@ class TestQNumeric:
             with pytest.raises(ConvergenceFailure):
                 q_numeric(p, QuantumState(n, 0))
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_exponent(self, p):
+        with pytest.raises(ValueError, match="finite"):
+            q_numeric(p, QuantumState(0, 0))
+
     def test_steep_cusp_s_wave_at_relaxed_tolerance(self):
         # the r^-1.5 cusp converges slowly for l = 0; at a looser tolerance
         # the value is still scale-invariant and sits below the p = -1 one

@@ -1,22 +1,28 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 from conftest import bisect_root
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from salpeter_afm import (
+    AfmError,
     CollapseDetected,
     DomainError,
     GlobalQ,
     NoBoundState,
     PowerLawPotential,
     QuantumState,
+    core,
     q_exact,
     residuals,
     rotation_radii,
     solve_afm,
 )
+from salpeter_afm.verification import random_bound_configuration
 
 COULOMB_12 = PowerLawPotential.coulomb(1.2)
 LINEAR_02 = PowerLawPotential.linear(0.2)
@@ -158,6 +164,129 @@ class TestSolveAfm:
         assert one_body + eps == pytest.approx(sol.mass, rel=1e-12)
 
 
+def _scan_oracle(m1, m2, potential, qv):
+    """(outcome, r0) of solve_afm by the full 40-per-decade numpy scan.
+
+    Every grid value of the balance at once, the first - to + crossing,
+    scipy's brentq on it and the mass assembled by hand; without a crossing
+    the first finite value decides, and nowhere finite is a DomainError, as
+    is a "root" where the balance jumps to infinity (a term overflows).
+    Only the scan window is shared with the solver.
+    """
+    terms = potential.active_terms()
+
+    def balance(r):
+        pull = sum(abs(lam) * a * r ** (lam + 1.0) for a, lam in terms)
+        return pull - qv / np.hypot(1.0, m1 / qv * r) - qv / np.hypot(1.0, m2 / qv * r)
+
+    lo, hi = core._scan_window(potential, qv, m1, m2)
+    grid = np.logspace(lo, hi, round(40 * (hi - lo)) + 1)
+    with np.errstate(all="ignore"):
+        values = balance(grid)
+        ups = np.nonzero((values[:-1] < 0.0) & (values[1:] >= 0.0))[0]
+        if not len(ups):
+            finite = values[np.isfinite(values)]
+            if not len(finite):
+                return DomainError, None
+            return (CollapseDetected if finite[0] > 0.0 else NoBoundState), None
+        left, right = float(grid[ups[0]]), float(grid[ups[0] + 1])
+        try:
+            r0 = brentq(lambda r: float(balance(r)), left, right, xtol=1e-20 * left, rtol=1e-15)
+            if not all(np.isfinite(balance(r0 * (1.0 + step))) for step in (-1e-14, 1e-14)):
+                return DomainError, None
+            p0 = qv / r0
+            potential_at_r0 = sum(math.copysign(1.0, lam) * a * r0**lam for a, lam in terms)
+        except OverflowError:
+            return DomainError, None
+        mass = math.hypot(p0, m1) + math.hypot(p0, m2) + potential_at_r0
+    if not math.isfinite(mass) or p0 < sys.float_info.min:
+        return DomainError, None
+    return (CollapseDetected if mass <= 0.0 else "solved"), r0
+
+
+def _outcome(m1, m2, potential, qv):
+    try:
+        return "solved", solve_afm(m1, m2, potential, GlobalQ.explicit(qv)).r0
+    except AfmError as err:
+        return type(err), None
+
+
+EDGE_ROWS = [
+    # the balance is exactly 0 at every radius
+    pytest.param(0.0, 0.0, PowerLawPotential.coulomb(2.0), 1.0, NoBoundState, id="balance-zero"),
+    # nowhere finite: the pull overflows at every grid radius
+    pytest.param(0.0, 1.0, PowerLawPotential(((1e-300, 3.0),)), 1e300, DomainError, id="pull-overflows"),
+    pytest.param(0.0, 0.0, PowerLawPotential(((1e308, 3.0),)), 1e308, DomainError, id="huge-cubic"),
+    # a - 2Q = 1e307 - 2e308 overflows to -inf at every radius, so no grid value is finite
+    pytest.param(0.0, 0.0, PowerLawPotential.coulomb(1e307), 1e308, DomainError, id="kinetic-overflows"),
+    # the balance jumps from -2e307 to inf where 1e308 r^2 overflows, at r = 1.34;
+    # the root sqrt(2Q/alpha) = 1.41, where 1e308 r^2 = 2e308, is beyond the double range
+    pytest.param(0.0, 0.0, PowerLawPotential(((1e308, 1.0),)), 1e308, DomainError, id="overflow-jump"),
+    # a root at r0 = 1.10 whose mass 8 p0/3 = 1.9e308 overflows
+    pytest.param(0.0, 0.0, PowerLawPotential(((3.64e307, 3.0),)), 8e307, DomainError, id="mass-overflows"),
+    # a root at r0 = 8.6e160 whose p0 = Q/r0 underflows to 0
+    pytest.param(
+        0.0, 3.5e-274, PowerLawPotential(((5.2e-309, -0.437),)), 9.2e-219, DomainError, id="momentum-underflows"
+    ),
+    pytest.param(0.0, 1.0, PowerLawPotential.coulomb(2.0), 0.9, CollapseDetected, id="coulomb-collapse"),
+]
+
+
+class TestBisectedBracket:
+    """With every lam >= -1 the bracket comes from bisecting the scan's grid:
+    the same outcome as the scan, and the same root to round-off."""
+
+    @pytest.mark.parametrize("m1, m2, potential, qv, kind", EDGE_ROWS)
+    def test_edge_rows(self, m1, m2, potential, qv, kind):
+        assert _scan_oracle(m1, m2, potential, qv)[0] is kind
+        with pytest.raises(kind):
+            solve_afm(m1, m2, potential, qv)
+
+    def test_seeded_configurations_match_the_scan(self, monkeypatch):
+        scans = []
+        real_scan = core._scan_grid
+
+        def spy(balance, *grid):
+            scans.append(grid)
+            return real_scan(balance, *grid)
+
+        monkeypatch.setattr(core, "_scan_grid", spy)
+        rng = np.random.default_rng(20261018)
+        monotone = steep = 0
+        while monotone < 3000:
+            m1, m2, potential, qv = random_bound_configuration(rng)
+            if all(lam >= -1.0 for _, lam in potential.active_terms()):
+                monotone += 1
+            else:
+                steep += 1  # a lam < -1 term: the array scan, checked here too
+            kind, r0 = _outcome(m1, m2, potential, qv)
+            want_kind, want_r0 = _scan_oracle(m1, m2, potential, qv)
+            assert kind == want_kind, (m1, m2, potential, qv)
+            if r0 is not None:
+                assert abs(r0 - want_r0) <= 1e-14 * want_r0, (m1, m2, potential, qv)
+        # a balance with every lam >= -1 is never evaluated as an array
+        assert steep > 100 and len(scans) == steep
+
+    def test_minus_infinity_below_the_root_still_brackets(self):
+        # Q + Q overflows to -inf at the first grid points, the heavy masses
+        # bring the kinetic terms back into range at the root r0 = 2.7e105
+        potential = PowerLawPotential.linear(1.0)
+        kind, r0 = _scan_oracle(1e300, 1e300, potential, 1e308)
+        assert kind == "solved"
+        sol = solve_afm(1e300, 1e300, potential, 1e308)
+        assert sol.r0 == pytest.approx(r0, rel=1e-14)
+        assert max(residuals(sol, 1e300, 1e300, potential, 1e308)) < 1e-10
+
+    def test_mass_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="the mass at r0=1.1"):
+            solve_afm(0.0, 0.0, PowerLawPotential(((3.64e307, 3.0),)), 8e307)
+
+    def test_overflow_jump_is_no_root(self):
+        # Brent converges on the jump where 1e308 r^2 reaches 1.8e308, not on a root
+        with pytest.raises(DomainError, match="not representable near the root"):
+            solve_afm(0.0, 0.0, PowerLawPotential(((1e308, 1.0),)), 1e308)
+
+
 class TestMasslessTranscendental:
     """The balance equation with particle 1 massless, solved through solve_afm."""
 
@@ -179,6 +308,13 @@ class TestResiduals:
         sol = solve_afm(0.0, 1.0, COULOMB_12, GlobalQ.explicit(1.0, -1.0))
         res = residuals(sol, 0.0, 1.0, COULOMB_12, sol.q)
         assert max(res) < 1e-10
+
+    @pytest.mark.parametrize("b, qv", [(1e10, 1e300), (1e-300, 1e-300)], ids=["p0-7e154", "p0-7e-301"])
+    def test_extreme_momentum_scales(self, b, qv):
+        # p0**2 would overflow (underflow) here; both particles are massless
+        sol = solve_afm(0.0, 0.0, PowerLawPotential.linear(b), qv)
+        assert sol.r0 == pytest.approx(math.sqrt(2.0 * qv / b), rel=1e-12)
+        assert max(residuals(sol, 0.0, 0.0, PowerLawPotential.linear(b), qv)) < 1e-10
 
     def test_virial_residual_is_sensitive(self):
         # a 1% shift of the radius must blow the virial residual far past

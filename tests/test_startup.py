@@ -32,6 +32,14 @@ SCAN_P_WAVE = {
     "state": {"n": 0, "l": 1},
     "scan": {"variable": "m", "values": [0.0, 0.5, 1.0], "include_reference": False},
 }
+# README's mass scan: l = 0, so the Q(1) column needs the Airy zeros
+SCAN_S_WAVE = {
+    "mode": "scan",
+    "masses": [0.0, 1.0],
+    "potential": [{"alpha": 0.2, "exponent": 1}],
+    "state": {"n": 0, "l": 0},
+    "scan": {"variable": "m", "start": 0.0, "stop": 1.0, "step": 0.05, "include_reference": False},
+}
 
 COLD_START = """
 import sys
@@ -117,6 +125,16 @@ def test_mass_scan_without_the_reference_imports_no_scipy(tmp_path):
     run = _python(MASS_SCAN, str(path), cwd=tmp_path)
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("m,M_afm_Q1,M_afm_Q2,M_ref,M_ur,M_nr")
+
+
+def test_s_wave_mass_scan_takes_the_airy_zeros_without_scipy(tmp_path):
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(SCAN_S_WAVE))
+    run = _python(MASS_SCAN, str(path), cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    rows = run.stdout.splitlines()
+    assert rows[0] == "m,M_afm_Q1,M_afm_Q2,M_ref,M_ur,M_nr"
+    assert len(rows) == 22 and all(row.split(",")[1] != "n/a" for row in rows[1:])
 
 
 def test_q_numeric_loads_no_sparse_or_fft_module(tmp_path):

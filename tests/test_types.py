@@ -67,6 +67,11 @@ class TestGlobalQ:
         with pytest.raises(ValueError):
             GlobalQ(1.0, "guesswork")
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_exponent(self, p):
+        with pytest.raises(ValueError, match="finite"):
+            GlobalQ.explicit(1.5, p)
+
 
 class TestAfmSolution:
     def test_q_consistency_enforced(self):
