@@ -24,19 +24,18 @@ from . import core
 from .errors import AfmError, CollapseDetected, ConvergenceFailure, DomainError, NoBoundState, UnsupportedCase
 from .types import GlobalQ, PowerLawPotential, QuantumState
 
-# Allowed configuration keys.  A set lists the keys of a nested object, a
-# one-set list those of each object in a list, and str marks a string value.
-CONFIG_KEYS = {
+# What a configuration may hold.  A dict is an object with those keys, a
+# one-item list a list whose items all have that schema; the leaves are str,
+# bool (the only keys that take true or false) and float, a finite number.
+SCHEMA = {
     "mode": str, "suite": str, "out": str, "format": str,
-    "masses": None, "sigma": None, "p": None, "q": None,
-    "potential": [{"alpha", "exponent"}],
-    "state": {"n", "l"},
-    "scan": {"variable", "values", "start", "stop", "step", "include_reference"},
-    "qtable": {"p_values", "states", "numeric"},
+    "masses": [float], "sigma": float, "p": float, "q": float,
+    "potential": [{"alpha": float, "exponent": float}],
+    "state": {"n": float, "l": float},
+    "scan": {"variable": str, "values": [float], "start": float, "stop": float, "step": float,
+             "include_reference": bool},
+    "qtable": {"p_values": [float], "states": [[float]], "numeric": bool},
 }
-# The only values that are true or false; anywhere else a JSON boolean stands
-# where a number belongs, and Python would read it as 0 or 1.
-SWITCHES = {("scan", "include_reference"), ("qtable", "numeric")}
 
 
 class ConfigError(ValueError):
@@ -47,32 +46,30 @@ class ConfigError(ValueError):
 # configuration and output
 
 
-def _check_object(raw, allowed: set[str], where: str) -> None:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+def _check(node, schema, path: str = "configuration") -> None:
+    """Raise ConfigError, naming the path, where node departs from schema.
 
-
-def _check_values(node, path: tuple = ()) -> None:
-    """Require true or false at the SWITCHES; elsewhere reject a boolean and a
-    number that is not a finite double: 1e400 reads as inf, a 400-digit
-    integer does not fit, and NaN or Infinity is not JSON."""
-    if path in SWITCHES:
-        if not isinstance(node, bool):
-            raise ConfigError(f"{path[-1]} must be true or false")
-    elif isinstance(node, bool):
-        raise ConfigError(f"{'.'.join(path)} must be a number, not {json.dumps(node)}")
-    elif isinstance(node, (int, float)):
-        if not abs(node) <= sys.float_info.max:
-            raise ConfigError(f"{'.'.join(path)} must be a finite number")
-    elif isinstance(node, dict):
+    A number is an int or a float but not a boolean, which Python would read
+    as 0 or 1, and fits a finite double: 1e400 reads as inf, a 400-digit
+    integer does not fit, and NaN or Infinity is not JSON.
+    """
+    if isinstance(schema, dict):
+        if not isinstance(node, dict):
+            raise ConfigError(f"{path} must be a JSON object")
         for key, child in node.items():
-            _check_values(child, path + (key,))
-    elif isinstance(node, list):
-        for child in node:
-            _check_values(child, path)
+            if key not in schema:
+                raise ConfigError(f"unknown key {key!r} in {path}")
+            _check(child, schema[key], f"{path}.{key}")
+    elif isinstance(schema, list):
+        if not isinstance(node, list):
+            raise ConfigError(f"{path} must be a list")
+        for i, item in enumerate(node):
+            _check(item, schema[0], f"{path}[{i}]")
+    elif schema is float:
+        if isinstance(node, bool) or not isinstance(node, (int, float)) or not abs(node) <= sys.float_info.max:
+            raise ConfigError(f"{path} must be a finite number")
+    elif not isinstance(node, schema):
+        raise ConfigError(f"{path} must be {'true or false' if schema is bool else 'a string'}")
 
 
 def load_config(args: argparse.Namespace) -> dict:
@@ -89,21 +86,7 @@ def load_config(args: argparse.Namespace) -> dict:
                 config = json.load(handle)
         except (OSError, ValueError) as err:
             raise ConfigError(f"cannot read configuration {args.config}: {err}") from None
-    _check_object(config, set(CONFIG_KEYS), "configuration")
-    for key, rule in CONFIG_KEYS.items():
-        if key not in config:
-            continue
-        value = config[key]
-        if rule is str and not isinstance(value, str):
-            raise ConfigError(f"{key} must be a string")
-        elif isinstance(rule, set):
-            _check_object(value, rule, key)
-        elif isinstance(rule, list):
-            if not isinstance(value, list):
-                raise ConfigError(f"{key} must be a list")
-            for item in value:
-                _check_object(item, rule[0], f"{key} term")
-    _check_values(config)
+    _check(config, SCHEMA)
     if "p" in config and "q" in config:
         raise ConfigError("give either the auxiliary exponent p or an explicit Q, not both")
     if config.get("mode", verb) != verb:
@@ -131,7 +114,7 @@ def _config_values():
 
 def _masses(config: dict) -> tuple[float, float]:
     pair = config["masses"]
-    if not (isinstance(pair, list) and len(pair) == 2):
+    if len(pair) != 2:
         raise ConfigError("masses must be a pair [m1, m2]")
     masses = (float(pair[0]), float(pair[1]))
     if min(masses) < 0:
@@ -261,8 +244,8 @@ def _scan_values(section: dict) -> list[float]:
         start, stop, step = (float(section[k]) for k in ("start", "stop", "step"))
     except KeyError:
         raise ConfigError("scan needs either values or start/stop/step") from None
-    if not (math.isfinite(start) and math.isfinite(stop) and 0.0 < step < math.inf):
-        raise ConfigError("scan start and stop must be finite and step positive")
+    if not step > 0.0:
+        raise ConfigError("scan step must be positive")
     count = math.floor((stop + 1e-12 * max(abs(stop), 1.0) - start) / step) + 1
     return [start + i * step for i in range(max(count, 0))]
 
@@ -279,14 +262,11 @@ def cmd_scan(config: dict) -> int:
         section = config["scan"]
         potential = _potential(config)
         values = _scan_values(section)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    if section.get("variable") == "m":
-        _scan_mass(config, potential, values, writer)
-    elif section.get("variable") == "Q":
-        _scan_q(config, potential, values, writer)
-    else:
+    scans = {"m": _scan_mass, "Q": _scan_q}
+    if section.get("variable") not in scans:
         raise ConfigError("scan variable must be 'm' or 'Q'")
+    buffer = io.StringIO()
+    scans[section["variable"]](config, potential, values, csv.writer(buffer))
     _emit(buffer.getvalue(), config)
     return 0
 

@@ -373,8 +373,10 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     negative at small radii (no binding, e.g. pure Coulomb with Q >= a) and
     CollapseDetected when it is positive there (strong-coupling collapse);
     CollapseDetected also when the assembled mass is nonpositive, and
-    DomainError when the balance is nowhere finite or not representable
-    near the root, or when the mass or p0 = Q/r0 leaves the double range.
+    DomainError when the balance is nowhere finite, when the mass or
+    p0 = Q/r0 leaves the double range, or when the root fails the 1e-10
+    contract: its virial residual, recomputed in floats, is above 1e-10
+    (the balance is not representable near the root).
     A negative or non-finite particle mass raises ValueError.
     """
     if not (0.0 <= m1 < math.inf and 0.0 <= m2 < math.inf):
@@ -390,25 +392,28 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     bracket = _bracket_root(balance, _scan_window(potential, qv, m1, m2), qv, monotone)
     try:
         r0 = _brent(balance, *bracket, xtol=1e-20 * bracket[0], rtol=1e-15)
-        # Brent stops within 1e-15 relative of r0; a balance that is infinite
-        # just beyond that marks a jump where a term overflows, not a root
-        finite = math.isfinite(balance(r0 * (1.0 - 4e-15))) and math.isfinite(balance(r0 * (1.0 + 4e-15)))
     except OverflowError as err:  # a bracket end where a term exceeds the double range
         raise DomainError("virial balance is not representable near the root") from err
-    if not finite:
-        raise DomainError(f"virial balance is not representable near the root (r0={r0:g})")
     return _assemble(m1, m2, potential, q, r0)
 
 
 def _assemble(m1, m2, potential, q: GlobalQ, r0: float) -> AfmSolution:
-    """The solution at r0, M = nu1 + nu2 + V(r0) in floats over the active terms."""
+    """The solution at r0, M = nu1 + nu2 + V(r0) in floats over the active terms.
+
+    The virial residual is checked first: above 1e-10 the balance lost its
+    digits at r0 (a power subnormal or 0 while its product is not), or Brent
+    converged on a jump to infinity where a term overflows, not on a root.
+    """
     p0 = q.value / r0
     if p0 < sys.float_info.min:  # below the normal range p0 * r0 no longer reproduces Q
         raise DomainError(f"the momentum Q/r0 at r0={r0:g} underflows the double range")
     nu1 = math.hypot(p0, m1)
     nu2 = math.hypot(p0, m2)
+    terms = potential.active_terms()
+    if not _virial_residual(terms, r0, p0, nu1, nu2) <= 1e-10:
+        raise DomainError(f"virial balance is not representable near the root (r0={r0:g})")
     try:
-        v0 = sum(math.copysign(1.0, lam) * a * r0**lam for a, lam in potential.active_terms())
+        v0 = sum(math.copysign(1.0, lam) * a * r0**lam for a, lam in terms)
     except OverflowError as err:
         raise DomainError(f"the potential at r0={r0:g} exceeds the double range") from err
     mass = nu1 + nu2 + v0
@@ -567,7 +572,19 @@ def residuals(
     nu2 = math.hypot(sol.p0, m2)
     res_mass = abs(sol.mass - (nu1 + nu2 + potential.value(sol.r0))) / abs(sol.mass)
     res_q = abs(sol.p0 * sol.r0 - qv) / qv
-    pull = sol.r0 * potential.derivative(sol.r0)
+    return res_mass, res_q, _virial_residual(potential.active_terms(), sol.r0, sol.p0, nu1, nu2)
+
+
+def _virial_residual(terms, r0: float, p0: float, nu1: float, nu2: float) -> float:
+    """Relative residual of the virial balance r0 V'(r0) = p0^2/nu1 + p0^2/nu2, in floats.
+
+    inf where the pull sum |lam| alpha r0^lam is 0 or leaves the double range.
+    """
+    try:
+        pull = sum(abs(lam) * a * r0**lam for a, lam in terms)
+    except OverflowError:
+        return math.inf
+    if not 0.0 < pull < math.inf:
+        return math.inf
     # p0 * (p0/nu), since p0**2 leaves the double range for p0 above ~1e154 or below ~1e-154
-    res_virial = abs(sol.p0 * (sol.p0 / nu1) + sol.p0 * (sol.p0 / nu2) - pull) / abs(pull)
-    return res_mass, res_q, res_virial
+    return abs(p0 * (p0 / nu1) + p0 * (p0 / nu2) - pull) / pull

@@ -47,35 +47,35 @@ class CheckResult:
         return "  ".join(parts)
 
 
+def _within(name: str, value: float, expected: float, tol: float) -> CheckResult:
+    """Pass when value lies within tol of expected."""
+    return CheckResult(name, abs(value - expected) < tol, value, expected, tol)
+
+
+def _raises(name: str, call, error: type) -> CheckResult:
+    """Pass when call() raises error; the other no-root error fails, with its name."""
+    try:
+        call()
+    except error:
+        return CheckResult(name, True)
+    except (NoBoundState, CollapseDetected) as err:
+        return CheckResult(name, False, detail=f"{type(err).__name__} instead")
+    return CheckResult(name, False, detail=f"expected {error.__name__}")
+
+
 # ---------------------------------------------------------------------------
 # quoted benchmark values for the heavy-light Coulomb system
 
 
 def check_coulomb_afm_value() -> list[CheckResult]:
     sol = core.solve_afm(0.0, 1.0, PowerLawPotential.coulomb(1.2), core.q_exact(-1, QuantumState(0, 0)))
-    return [
-        CheckResult(
-            "coulomb-afm-mass-ratio",
-            abs(sol.mass - COULOMB_AFM_RATIO) < 1e-4,
-            sol.mass,
-            COULOMB_AFM_RATIO,
-            1e-4,
-        )
-    ]
+    return [_within("coulomb-afm-mass-ratio", sol.mass, COULOMB_AFM_RATIO, 1e-4)]
 
 
 def check_coulomb_reference_value() -> list[CheckResult]:
     problem = reference.SseProblem(0.0, 1.0, PowerLawPotential.coulomb(1.2), QuantumState(0, 0))
     mass = reference.sse_eigenvalue(problem)
-    return [
-        CheckResult(
-            "coulomb-reference-mass-ratio",
-            abs(mass - COULOMB_REF_RATIO) < 3e-3,
-            mass,
-            COULOMB_REF_RATIO,
-            3e-3,
-        )
-    ]
+    return [_within("coulomb-reference-mass-ratio", mass, COULOMB_REF_RATIO, 3e-3)]
 
 
 # ---------------------------------------------------------------------------
@@ -120,30 +120,27 @@ def random_linear_config(rng: np.random.Generator) -> tuple[float, float, float]
 
 
 def check_closed_form_equivalence() -> list[CheckResult]:
+    # each closed form: its name, sampler, function, potential and exponent p
+    pairs = (
+        ("coulomb", random_coulomb_config, core.coulomb_closed, PowerLawPotential.coulomb, -1.0),
+        ("linear", random_linear_config, core.linear_closed, PowerLawPotential.linear, 1.0),
+    )
     rng = np.random.default_rng(SEED)
-    worst_c = worst_l = 0.0
+    worst = [0.0] * len(pairs)
     for _ in range(25):
-        m, a, qv = random_coulomb_config(rng)
-        q = GlobalQ.explicit(qv, -1.0)
-        closed = core.coulomb_closed(m, a, q)
-        generic = core.solve_afm(0.0, m, PowerLawPotential.coulomb(a), q)
-        worst_c = max(
-            worst_c,
-            abs(closed.mass - generic.mass) / generic.mass,
-            abs(closed.r0 - generic.r0) / generic.r0,
-        )
-        m, b, qv = random_linear_config(rng)
-        q = GlobalQ.explicit(qv, 1.0)
-        closed = core.linear_closed(m, b, q)
-        generic = core.solve_afm(0.0, m, PowerLawPotential.linear(b), q)
-        worst_l = max(
-            worst_l,
-            abs(closed.mass - generic.mass) / generic.mass,
-            abs(closed.r0 - generic.r0) / generic.r0,
-        )
+        for i, (_, sample, closed_form, potential, p) in enumerate(pairs):
+            m, coupling, qv = sample(rng)
+            q = GlobalQ.explicit(qv, p)
+            closed = closed_form(m, coupling, q)
+            generic = core.solve_afm(0.0, m, potential(coupling), q)
+            worst[i] = max(
+                worst[i],
+                abs(closed.mass - generic.mass) / generic.mass,
+                abs(closed.r0 - generic.r0) / generic.r0,
+            )
     return [
-        CheckResult("closed-form-coulomb-vs-generic", worst_c < 1e-9, worst_c, 0.0, 1e-9),
-        CheckResult("closed-form-linear-vs-generic", worst_l < 1e-9, worst_l, 0.0, 1e-9),
+        _within(f"closed-form-{name}-vs-generic", w, 0.0, 1e-9)
+        for (name, *_), w in zip(pairs, worst)
     ]
 
 
@@ -173,8 +170,8 @@ def expansion_crossing() -> tuple[float, float]:
 def check_asymptotic_crossing() -> list[CheckResult]:
     x_star, err = expansion_crossing()
     return [
-        CheckResult("expansion-crossing-location", abs(x_star - 0.34) < 0.02, x_star, 0.34, 0.02),
-        CheckResult("expansion-crossing-error", abs(err - 0.055) < 0.01, err, 0.055, 0.01),
+        _within("expansion-crossing-location", x_star, 0.34, 0.02),
+        _within("expansion-crossing-error", err, 0.055, 0.01),
     ]
 
 
@@ -197,9 +194,7 @@ def check_q_oracle() -> list[CheckResult]:
         state = QuantumState(n, l)
         exact = core.q_exact(p, state).value
         numeric = core.q_numeric(p, state, tol=Q_TOL).value
-        results.append(
-            CheckResult(f"q-oracle-p{p:g}-n{n}-l{l}", abs(numeric - exact) < Q_TOL, numeric, exact, Q_TOL)
-        )
+        results.append(_within(f"q-oracle-p{p:g}-n{n}-l{l}", numeric, exact, Q_TOL))
     return results
 
 
@@ -209,24 +204,16 @@ def check_q_oracle() -> list[CheckResult]:
 
 def check_existence_window() -> list[CheckResult]:
     potential = PowerLawPotential.coulomb(1.2)
-    results = []
-    sol = core.solve_afm(0.0, 1.0, potential, GlobalQ.explicit(1.0, -1.0))
-    results.append(CheckResult("window-binds-inside", sol.mass > 0.0, sol.mass))
-    try:
-        core.solve_afm(0.0, 1.0, potential, GlobalQ.explicit(2.0, -1.0))
-        results.append(CheckResult("window-no-bound-above", False, detail="expected NoBoundState"))
-    except NoBoundState:
-        results.append(CheckResult("window-no-bound-above", True))
-    except CollapseDetected:
-        results.append(CheckResult("window-no-bound-above", False, detail="collapse instead"))
-    try:
-        core.solve_afm(0.0, 1.0, potential, GlobalQ.explicit(0.6, -1.0))
-        results.append(CheckResult("window-collapse-below", False, detail="expected CollapseDetected"))
-    except CollapseDetected:
-        results.append(CheckResult("window-collapse-below", True))
-    except NoBoundState:
-        results.append(CheckResult("window-collapse-below", False, detail="no-bound instead"))
-    return results
+
+    def solve(qv):
+        return core.solve_afm(0.0, 1.0, potential, GlobalQ.explicit(qv, -1.0))
+
+    sol = solve(1.0)
+    return [
+        CheckResult("window-binds-inside", sol.mass > 0.0, sol.mass),
+        _raises("window-no-bound-above", lambda: solve(2.0), NoBoundState),
+        _raises("window-collapse-below", lambda: solve(0.6), CollapseDetected),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +249,10 @@ def check_residual_property() -> list[CheckResult]:
         r1, r2 = core.rotation_radii(sol)
         worst_split = max(worst_split, abs(r1 + r2 - sol.r0) / sol.r0)
     return [
-        CheckResult("residual-mass-assembly", worst[0] < 1e-10, worst[0], 0.0, 1e-10),
-        CheckResult("residual-q-identity", worst[1] < 1e-10, worst[1], 0.0, 1e-10),
-        CheckResult("residual-virial-balance", worst[2] < 1e-10, worst[2], 0.0, 1e-10),
-        CheckResult("rotation-radii-split", worst_split < 2e-15, worst_split, 0.0, 2e-15),
+        _within("residual-mass-assembly", worst[0], 0.0, 1e-10),
+        _within("residual-q-identity", worst[1], 0.0, 1e-10),
+        _within("residual-virial-balance", worst[2], 0.0, 1e-10),
+        _within("rotation-radii-split", worst_split, 0.0, 2e-15),
     ]
 
 
@@ -291,7 +278,7 @@ def check_symmetric_reduction() -> list[CheckResult]:
             target = core.linear_symmetric_massless(2.0, b, q)
             sol = core.solve_afm(0.0, 0.0, PowerLawPotential.linear(b), q)
         worst = max(worst, abs(sol.mass - target) / target)
-    return [CheckResult("symmetric-reduction", worst < 1e-9, worst, 0.0, 1e-9)]
+    return [_within("symmetric-reduction", worst, 0.0, 1e-9)]
 
 
 # ---------------------------------------------------------------------------

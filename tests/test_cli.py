@@ -2,14 +2,16 @@ import copy
 import csv
 import json
 import math
+import re
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from salpeter_afm import GlobalQ, coulomb_closed, linear_closed, linear_ur_expansion, q_exact
-from salpeter_afm.cli import _scan_values, main
+from salpeter_afm.cli import _build_parser, _scan_values, load_config, main
 from salpeter_afm.types import QuantumState
 
 
@@ -49,6 +51,19 @@ class TestRunConfig:
     def test_bad_mode(self, tmp_path, capsys):
         assert main(["bound", "--config", write_config(tmp_path, {"mode": "fit"})]) == 3
         assert "does not match" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_json_blocks_are_valid_configurations(tmp_path):
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme-{i}.json"
+        path.write_text(block)
+        mode = json.loads(block)["mode"]
+        assert load_config(_build_parser().parse_args([mode, "--config", str(path)]))["mode"] == mode
 
 
 class TestBoundCommand:
@@ -385,6 +400,31 @@ def _with_1e400(config):
             "scan", dict(SCAN_LINEAR, scan=dict(SCAN_LINEAR["scan"], values=[1.2e154])), [], 2,
             id="scan-mass-ur-overflow",
         ),
+        pytest.param(  # r0^4.127 underflows to 0 at the root, and with it r0 V'(r0)
+            "bound",
+            dict(BOUND_COULOMB, masses=[1.3e-22, 1.2e-34], potential=[{"alpha": 3.64e235, "exponent": 4.127}], q=8e-237),
+            [], 2, id="bound-pull-underflows",
+        ),
+        # a string where a list or a number belongs is not read character by character or converted
+        pytest.param(
+            "scan", dict(SCAN_LINEAR, scan=dict(SCAN_LINEAR["scan"], values="12")), [], 3, id="scan-values-string",
+        ),
+        pytest.param(
+            "qtable", {"mode": "qtable", "qtable": {"p_values": "21", "states": [[0, 0]], "numeric": False}}, [], 3,
+            id="qtable-p-values-string",
+        ),
+        pytest.param("bound", dict(BOUND_COULOMB, q="1.0"), [], 3, id="q-string"),
+        pytest.param(
+            "bound", dict(BOUND_COULOMB, potential=[{"alpha": "1.2", "exponent": -1}]), [], 3, id="alpha-string",
+        ),
+        pytest.param(
+            "qtable", {"mode": "qtable", "qtable": {"p_values": [2], "states": [[0, 0]], "numeric": 1}}, [], 3,
+            id="numeric-not-boolean",
+        ),
+        pytest.param("bound", dict(BOUND_COULOMB, out=5), [], 3, id="out-number"),
+        pytest.param("scan", dict(SCAN_LINEAR, scan=dict(SCAN_LINEAR["scan"], variable=5)), [], 3, id="variable-number"),
+        pytest.param("verify", {"mode": "verify", "suite": 7}, [], 3, id="suite-number"),
+        pytest.param("bound", dict(BOUND_COULOMB, format=True), [], 3, id="format-boolean"),
     ],
 )
 def test_failure_exit_codes(tmp_path, monkeypatch, verb, config, flags, code):
@@ -449,10 +489,10 @@ def malformed_configs(draw):
     elif kind == "drop":
         del _at(config, path[:-1])[path[-1]]
     else:
-        # letters only: a numeric string in p_values could start a slow numeric Q solve
+        # a numeric string is no number, so it cannot start a slow numeric Q solve
         _at(config, path[:-1])[path[-1]] = draw(
             st.one_of(
-                st.text(string.ascii_letters, max_size=6),
+                st.text(string.ascii_letters + string.digits + ".", max_size=6),
                 st.lists(st.integers(), max_size=2),
                 st.none(),
                 st.integers(-10, -1),

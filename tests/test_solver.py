@@ -287,6 +287,44 @@ class TestBisectedBracket:
             solve_afm(0.0, 0.0, PowerLawPotential(((1e308, 1.0),)), 1e308)
 
 
+class TestResidualContract:
+    """Every returned solution has residuals below 1e-10; a root that fails
+    that contract is a DomainError."""
+
+    @pytest.mark.parametrize(
+        "m1, m2, potential, qv",
+        [
+            # r0^2 = 2.6e-320 is subnormal: Brent's root has a virial residual of 5.5e-5
+            pytest.param(0.0, 4.3e-292, PowerLawPotential(((4.77e180, 1.0),)), 6.13e-140, id="subnormal-pull"),
+            # r0^4.127 underflows to 0, and with it the pull r0 V'(r0)
+            pytest.param(1.3e-22, 1.2e-34, PowerLawPotential(((3.64e235, 4.127),)), 8e-237, id="pull-underflows"),
+        ],
+    )
+    def test_root_without_digits_is_a_domain_error(self, m1, m2, potential, qv):
+        with pytest.raises(DomainError, match="not representable near the root"):
+            solve_afm(m1, m2, potential, qv)
+
+    def test_log_uniform_draws_keep_the_contract(self):
+        # couplings, masses and Q over 1e-300..1e300, where the powers of r0
+        # can be subnormal, 0 or beyond the double range
+        rng = np.random.default_rng(7)
+        solved = 0
+        for _ in range(2000):
+            terms = [(10.0 ** rng.uniform(-300, 300), rng.uniform(0.2, 5.0))]
+            if rng.random() < 0.5:
+                terms.append((10.0 ** rng.uniform(-300, 300), rng.choice([-1.9, -1.0, -0.5, 0.5, 2.0, 4.5])))
+            m1 = 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-300, 300)
+            m2 = 10.0 ** rng.uniform(-300, 300)
+            potential, qv = PowerLawPotential(tuple(terms)), 10.0 ** rng.uniform(-300, 300)
+            try:
+                sol = solve_afm(m1, m2, potential, qv)
+            except AfmError:
+                continue
+            solved += 1
+            assert max(residuals(sol, m1, m2, potential, qv)) <= 1e-10, (m1, m2, terms, qv)
+        assert solved > 1000
+
+
 class TestMasslessTranscendental:
     """The balance equation with particle 1 massless, solved through solve_afm."""
 
