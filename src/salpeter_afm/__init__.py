@@ -3,8 +3,9 @@
 Public surface: the auxiliary-field solver and closed forms (:mod:`.core`),
 the nonrelativistic radial oracle (:mod:`.oracle`), the semirelativistic
 reference eigensolver (:mod:`.reference`), and the shared domain types.
-The oracle and the reference need scipy; their names are resolved on first
-access (PEP 562), so importing the package or :mod:`.core` loads numpy only.
+The oracle and the reference need numpy and scipy; their names are resolved
+on first access (PEP 562), so importing the package or :mod:`.core` loads
+neither.
 """
 import importlib
 

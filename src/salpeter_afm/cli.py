@@ -5,9 +5,10 @@ it; all quantities are GeV-based natural units.  Exit codes: 0 success,
 1 verification failure, 2 domain error (any AfmError: no bound state,
 collapse, no convergence, ...), 3 bad configuration or usage.
 
-The oracle, the reference and the verification suites, and with them scipy,
-are imported by the first verb that needs them; ``bound`` with an explicit Q
-or with p = 2 or -1 runs on numpy alone.
+The oracle, the reference and the verification suites, and with them numpy
+and scipy, are imported by the first verb that needs them; ``bound`` with an
+explicit Q or an analytic one (p = 2, 1 or -1), the ``scan`` sweeps without
+the reference column and the analytic ``qtable`` run on floats alone.
 """
 from __future__ import annotations
 
@@ -36,6 +37,9 @@ SCHEMA = {
              "include_reference": bool},
     "qtable": {"p_values": [float], "states": [[float]], "numeric": bool},
 }
+
+# The most points a start/stop/step scan grid may have.
+SCAN_MAX_POINTS = 100_000
 
 
 class ConfigError(ValueError):
@@ -246,7 +250,10 @@ def _scan_values(section: dict) -> list[float]:
         raise ConfigError("scan needs either values or start/stop/step") from None
     if not step > 0.0:
         raise ConfigError("scan step must be positive")
-    count = math.floor((stop + 1e-12 * max(abs(stop), 1.0) - start) / step) + 1
+    span = (stop + 1e-12 * max(abs(stop), 1.0) - start) / step
+    if not span < SCAN_MAX_POINTS:  # also an infinite span, which floor cannot take
+        raise ConfigError(f"scan grid has more than {SCAN_MAX_POINTS} points; use a larger step or a shorter range")
+    count = math.floor(span) + 1
     return [start + i * step for i in range(max(count, 0))]
 
 

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 from .airy import airy_ai_zeros
 from .errors import CollapseDetected, ConvergenceFailure, DomainError, NoBoundState, UnsupportedCase
 from .types import (
@@ -106,7 +104,7 @@ def q_numeric(
     that it raises ConvergenceFailure, or DomainError for l >= 85 (l = 84
     when p >= 1).
     """
-    from . import oracle  # imports scipy: loaded here, so the solver itself runs on numpy alone
+    from . import oracle  # imports numpy and scipy: loaded here, so the solver itself runs on floats alone
 
     oracle.check_args(mu, rho, p)
     # dQ/Q = |(p+2)/(2p)| * deps/eps
@@ -246,6 +244,8 @@ def _scan_grid(balance, lo: float, step: float, count: int):
 
     Either is None when there is none.
     """
+    import numpy as np
+
     grid = 10.0 ** (lo + np.arange(count) * step)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         values = balance(grid, np.hypot)

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 Q_SOURCES = ("analytic_p2", "analytic_p1", "analytic_pm1", "numeric", "explicit")
 
 CERT_PROPORTIONAL = "proportional"
@@ -66,7 +64,24 @@ class PowerLawPotential:
         return tuple((a, lam) for a, lam in self.terms if a > 0.0)
 
     def value(self, r):
-        """V(r); accepts scalars or arrays."""
+        """V(r); accepts scalars or arrays.
+
+        A float r > 0 is summed in floats, term by term, with a power beyond
+        the double range counted as inf, as :mod:`.core` assembles the mass;
+        any other input (an array, an int, a numpy scalar, r <= 0) goes
+        through numpy.
+        """
+        if type(r) is float and r > 0.0:
+            total = 0.0
+            for a, lam in self.terms:
+                try:
+                    power = r**lam
+                except OverflowError:
+                    power = math.inf
+                total += math.copysign(1.0, lam) * a * power
+            return total
+        import numpy as np
+
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         for a, lam in self.terms:
@@ -75,6 +90,8 @@ class PowerLawPotential:
 
     def derivative(self, r):
         """V'(r) = sum |lam| alpha r**(lam-1); positive for r > 0."""
+        import numpy as np
+
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         for a, lam in self.terms:

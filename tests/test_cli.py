@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from salpeter_afm import GlobalQ, coulomb_closed, linear_closed, linear_ur_expansion, q_exact
-from salpeter_afm.cli import _build_parser, _scan_values, load_config, main
+from salpeter_afm.cli import SCAN_MAX_POINTS, ConfigError, _build_parser, _scan_values, load_config, main
 from salpeter_afm.types import QuantumState
 
 
@@ -206,6 +206,11 @@ class TestScanCommand:
         values = _scan_values(config["scan"])
         assert values[-1] == 100.0  # repeated x += step ends at 99.999999999999
         assert values == [i * 0.1 for i in range(1001)]
+
+    def test_grid_is_capped(self):
+        assert len(_scan_values({"start": 1.0, "stop": float(SCAN_MAX_POINTS), "step": 1.0})) == SCAN_MAX_POINTS
+        with pytest.raises(ConfigError, match="more than"):
+            _scan_values({"start": 0.0, "stop": float(SCAN_MAX_POINTS), "step": 1.0})
 
 
 class TestQtableCommand:
@@ -414,6 +419,15 @@ def _with_1e400(config):
             id="qtable-p-values-string",
         ),
         pytest.param("bound", dict(BOUND_COULOMB, q="1.0"), [], 3, id="q-string"),
+        # a start/stop/step grid of more than SCAN_MAX_POINTS points, or an infinite count
+        pytest.param(
+            "scan", dict(SCAN_LINEAR, scan={"variable": "m", "start": -1e308, "stop": 1e308, "step": 1}), [], 3,
+            id="scan-grid-count-overflows",
+        ),
+        pytest.param(
+            "scan", dict(SCAN_LINEAR, scan={"variable": "m", "start": 0, "stop": 1e10, "step": 1e-5}), [], 3,
+            id="scan-grid-1e15-points",
+        ),
         pytest.param(
             "bound", dict(BOUND_COULOMB, potential=[{"alpha": "1.2", "exponent": -1}]), [], 3, id="alpha-string",
         ),

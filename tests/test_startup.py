@@ -1,7 +1,9 @@
-"""What a fresh interpreter loads: the `bound` verb and the core solver run on
-numpy alone, and the scipy-backed names load on first use.  Each check runs
-in its own subprocess, since this test process has long imported scipy; it
-asserts on sys.modules, never on times."""
+"""What a fresh interpreter loads: the `bound` verb, the scan sweeps without
+the reference column, the analytic `qtable` and the core solver run on floats
+alone, numpy loads where an array is needed, and the scipy-backed names load
+on first use.  Each check runs in its own subprocess, since this test process
+has long imported numpy and scipy; it asserts on sys.modules, never on
+times."""
 import json
 import os
 import subprocess
@@ -40,29 +42,67 @@ SCAN_S_WAVE = {
     "state": {"n": 0, "l": 0},
     "scan": {"variable": "m", "start": 0.0, "stop": 1.0, "step": 0.05, "include_reference": False},
 }
+SCAN_Q = {
+    "mode": "scan",
+    "masses": [0.0, 1.0],
+    "potential": [{"alpha": 1.2, "exponent": -1}],
+    "scan": {"variable": "Q", "start": 0.5, "stop": 1.3, "step": 0.1},
+}
+QTABLE_ANALYTIC = {
+    "mode": "qtable",
+    "qtable": {"p_values": [2, 1, -1], "states": [[0, 0], [1, 0]], "numeric": False},
+}
+# a steep attractive term (lam < -1) is searched with one numpy array over the scan grid
+BOUND_STEEP = {
+    "mode": "bound",
+    "masses": [0.5, 1.0],
+    "potential": [{"alpha": 0.3, "exponent": -1.5}, {"alpha": 0.2, "exponent": 1}],
+    "state": {"n": 0, "l": 0},
+    "q": 1.5,
+}
 
-COLD_START = """
+# sys.modules entries of numpy and scipy, defined in each fresh interpreter below
+ARRAY_MODULES = """
 import sys
-import salpeter_afm.cli as cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-for config in sys.argv[1:3]:
-    assert cli.main(["bound", "--config", config]) == 0
-assert not scipy_modules(), scipy_modules()
-assert cli.main(["reference", "--config", sys.argv[3]]) == 0
-assert cli.main(["verify", "--suite", "windows"]) == 0
-assert scipy_modules()
+def array_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 """
 
-MASS_SCAN = """
-import sys
+COLD_START = ARRAY_MODULES + """
 import salpeter_afm.cli as cli
 
-assert cli.main(["scan", "--config", sys.argv[1]]) == 0
-scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not scipy, scipy
+assert not array_modules(), array_modules()
+for config in sys.argv[1:3]:
+    for flags in ([], ["--format", "json"]):
+        assert cli.main(["bound", "--config", config, *flags]) == 0
+        assert not array_modules(), array_modules()
+assert cli.main(["reference", "--config", sys.argv[3]]) == 0
+assert "numpy" in sys.modules
+assert cli.main(["verify", "--suite", "windows"]) == 0
+assert "scipy" in sys.modules
+"""
+
+# one verb on the configuration given, after which neither numpy nor scipy is loaded
+FLOAT_VERB = ARRAY_MODULES + """
+import salpeter_afm.cli as cli
+
+assert cli.main([sys.argv[1], "--config", sys.argv[2]]) == 0
+assert not array_modules(), array_modules()
+"""
+
+LAZY_ARRAYS = ARRAY_MODULES + """
+import salpeter_afm.cli as cli
+from salpeter_afm import PowerLawPotential
+
+assert cli.main([sys.argv[1], "--config", sys.argv[2]]) == 0
+assert "numpy" in sys.modules
+import numpy as np
+
+r = np.array([0.5, 1.0, 2.0])
+values = PowerLawPotential.funnel(1.2, 0.2).value(r)
+assert type(values) is np.ndarray and values.shape == (3,), values
+assert values.tolist() == (np.zeros(3) + -1.0 * 1.2 * r**-1.0 + 1.0 * 0.2 * r**1.0).tolist(), values
 """
 
 Q_NUMERIC = """
@@ -102,6 +142,12 @@ def _python(code, *args, cwd):
     )
 
 
+def _run_verb(tmp_path, verb, config, script=FLOAT_VERB):
+    path = tmp_path / f"{verb}.json"
+    path.write_text(json.dumps(config))
+    return _python(script, verb, str(path), cwd=tmp_path)
+
+
 def test_bound_imports_no_scipy_and_later_verbs_load_it(tmp_path):
     paths = []
     for name, config in (("coulomb", BOUND_COULOMB), ("p2", BOUND_P2), ("reference", REFERENCE_COULOMB)):
@@ -120,17 +166,13 @@ def test_public_surface_resolves_lazily(tmp_path):
 
 
 def test_mass_scan_without_the_reference_imports_no_scipy(tmp_path):
-    path = tmp_path / "scan.json"
-    path.write_text(json.dumps(SCAN_P_WAVE))
-    run = _python(MASS_SCAN, str(path), cwd=tmp_path)
+    run = _run_verb(tmp_path, "scan", SCAN_P_WAVE)
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("m,M_afm_Q1,M_afm_Q2,M_ref,M_ur,M_nr")
 
 
 def test_s_wave_mass_scan_takes_the_airy_zeros_without_scipy(tmp_path):
-    path = tmp_path / "scan.json"
-    path.write_text(json.dumps(SCAN_S_WAVE))
-    run = _python(MASS_SCAN, str(path), cwd=tmp_path)
+    run = _run_verb(tmp_path, "scan", SCAN_S_WAVE)
     assert run.returncode == 0, run.stderr
     rows = run.stdout.splitlines()
     assert rows[0] == "m,M_afm_Q1,M_afm_Q2,M_ref,M_ur,M_nr"
@@ -140,3 +182,22 @@ def test_s_wave_mass_scan_takes_the_airy_zeros_without_scipy(tmp_path):
 def test_q_numeric_loads_no_sparse_or_fft_module(tmp_path):
     run = _python(Q_NUMERIC, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
+
+
+def test_q_scan_imports_neither_numpy_nor_scipy(tmp_path):
+    run = _run_verb(tmp_path, "scan", SCAN_Q)
+    assert run.returncode == 0, run.stderr
+    rows = run.stdout.splitlines()
+    assert rows[0] == "Q,r0_am,M_over_m" and len(rows) == 10
+
+
+def test_analytic_qtable_imports_neither_numpy_nor_scipy(tmp_path):
+    run = _run_verb(tmp_path, "qtable", QTABLE_ANALYTIC)
+    assert run.returncode == 0, run.stderr
+    assert "analytic_p1" in run.stdout
+
+
+def test_array_paths_load_numpy_when_they_run(tmp_path):
+    run = _run_verb(tmp_path, "bound", BOUND_STEEP, script=LAZY_ARRAYS)
+    assert run.returncode == 0, run.stderr
+    assert "mass          M   = " in run.stdout

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,58 @@ class TestPowerLawPotential:
     def test_active_terms_drops_zero_couplings(self):
         pot = PowerLawPotential(((0.0, -1.0), (0.2, 1.0)))
         assert pot.active_terms() == ((0.2, 1.0),)
+
+
+def _numpy_value(pot, r):
+    """V(r) through numpy, as value computes it for any input but a float r > 0."""
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    for a, lam in pot.terms:
+        out = out + math.copysign(1.0, lam) * a * r**lam
+    return out if out.ndim else float(out)
+
+
+class TestValueFloatPath:
+    """A float r > 0 is summed in floats, as core assembles the mass; numpy takes the rest."""
+
+    def _draws(self):
+        rng = np.random.default_rng(13)
+        for _ in range(400):
+            lams = rng.uniform(-1.99, 4.0, rng.integers(1, 4))
+            terms = tuple((float(a), float(lam)) for a, lam in zip(10 ** rng.uniform(-3, 3, len(lams)), lams) if lam)
+            yield PowerLawPotential(terms), float(10 ** rng.uniform(-30, 30))
+
+    def test_equals_the_sum_core_assembles(self):
+        for pot, r in self._draws():
+            value = pot.value(r)
+            assert type(value) is float
+            assert value == sum(math.copysign(1.0, lam) * a * r**lam for a, lam in pot.active_terms())
+
+    def test_agrees_with_the_array_path_to_4_ulp(self):
+        for pot, r in self._draws():
+            scale = sum(a * r**lam for a, lam in pot.terms)
+            assert abs(pot.value(r) - pot.value(np.array([r]))[0]) <= 4 * math.ulp(scale), (pot, r)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "terms,r,expected",
+        [
+            (((1.0, 1.9),), 1e300, math.inf),
+            (((1.0, -1.9),), 1e-300, -math.inf),
+            (((0.5, -1.5), (2.0, 3.0)), 1e200, math.inf),
+            (((0.5, -1.5), (2.0, 3.0)), 1e-250, -math.inf),
+        ],
+    )
+    def test_overflow_is_infinite_without_a_warning(self, terms, r, expected):
+        assert PowerLawPotential(terms).value(r) == expected
+
+    @pytest.mark.parametrize("r", [np.float64(2.5), np.float64(1e-3), 3, 0.0, -0.0, -2.0, float("nan")])
+    def test_other_inputs_take_the_numpy_path(self, r):
+        pot = PowerLawPotential(((0.4, -1.0), (0.2, 1.0), (0.1, 0.5)))
+        with np.errstate(all="ignore"):
+            value, expected = pot.value(r), _numpy_value(pot, r)
+        assert type(value) is float
+        assert value == expected or (math.isnan(value) and math.isnan(expected))
 
 
 class TestQuantumState:
