@@ -32,6 +32,17 @@ def _asymptotic_zero(index: int) -> float:
     return -(t ** (2.0 / 3.0)) * total
 
 
+def airy_ai_zero(index: int) -> float:
+    """Zero a_(index+1) of Ai, the (index+1)-th on the negative real axis.
+
+    The tabulated value for index < 10, the asymptotic series beyond; the
+    cost does not grow with index.
+    """
+    if index < 0:
+        raise ValueError("index must be >= 0")
+    return _TABLE[index] if index < len(_TABLE) else _asymptotic_zero(index)
+
+
 def airy_ai_zeros(count: int = 10) -> tuple[float, ...]:
     """First ``count`` zeros of Ai on the negative real axis.
 
@@ -41,4 +52,4 @@ def airy_ai_zeros(count: int = 10) -> tuple[float, ...]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return _TABLE[:count] + tuple(_asymptotic_zero(i) for i in range(len(_TABLE), count))
+    return tuple(airy_ai_zero(i) for i in range(count))

@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -414,7 +415,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The verbs' argument parser, built on first use and then kept for the process.
+
+    Nothing changes it after it is built and each ``parse_args`` makes a
+    fresh Namespace, so one call leaves no flag behind for the next.
+    """
     parser = _Parser(
         prog="salpeter-afm",
         description="Variational upper bounds and reference eigenvalues for the "

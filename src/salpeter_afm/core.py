@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .airy import airy_ai_zeros
+from .airy import airy_ai_zero
 from .errors import CollapseDetected, ConvergenceFailure, DomainError, NoBoundState, UnsupportedCase
 from .types import (
     CERT_CONCAVE,
@@ -78,7 +78,7 @@ def q_exact(p: float, state: QuantumState) -> GlobalQ:
     if p == 1:
         if state.l != 0:
             raise UnsupportedCase("p = 1 has analytic Q only for l = 0; use q_numeric")
-        a_n = airy_ai_zeros(state.n + 1)[state.n]
+        a_n = airy_ai_zero(state.n)
         return GlobalQ(2.0 * (-a_n / 3.0) ** 1.5, "analytic_p1", 1.0)
     raise UnsupportedCase(f"no analytic Q for p = {p:g}; use q_numeric")
 
@@ -565,14 +565,20 @@ def residuals(
     """Relative residuals of the three defining relations of a solution.
 
     Returns (mass assembly, p0*r0 = Q, virial balance); each is below 1e-10
-    for every solution produced by this module.
+    for every solution produced by this module.  The mass is summed again
+    with fsum, so its residual is the rounding of the assembly's float sum.
     """
     qv = _resolve_q(q).value
     nu1 = math.hypot(sol.p0, m1)
     nu2 = math.hypot(sol.p0, m2)
-    res_mass = abs(sol.mass - (nu1 + nu2 + potential.value(sol.r0))) / abs(sol.mass)
+    terms = potential.active_terms()
+    try:  # correctly rounded, where the assembly rounds at each float add
+        exact = math.fsum([nu1, nu2, *(math.copysign(1.0, lam) * a * sol.r0**lam for a, lam in terms)])
+    except (OverflowError, ValueError):  # a power beyond the double range, or inf - inf
+        exact = math.inf
+    res_mass = abs(sol.mass - exact) / abs(sol.mass)
     res_q = abs(sol.p0 * sol.r0 - qv) / qv
-    return res_mass, res_q, _virial_residual(potential.active_terms(), sol.r0, sol.p0, nu1, nu2)
+    return res_mass, res_q, _virial_residual(terms, sol.r0, sol.p0, nu1, nu2)
 
 
 def _virial_residual(terms, r0: float, p0: float, nu1: float, nu2: float) -> float:

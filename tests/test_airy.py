@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from scipy import special
 
-from salpeter_afm.airy import airy_ai_zeros
+from salpeter_afm import QuantumState, q_exact
+from salpeter_afm.airy import airy_ai_zero, airy_ai_zeros
 
 
 def _polished_ai_zeros(count):
@@ -52,3 +55,20 @@ def test_ground_zero_value(airy_zeros_oracle):
 def test_count_validation():
     with pytest.raises(ValueError):
         airy_ai_zeros(0)
+    with pytest.raises(ValueError):
+        airy_ai_zero(-1)
+
+
+def test_single_zero_is_the_same_double():
+    zeros = airy_ai_zeros(201)
+    for n in range(200):
+        assert airy_ai_zero(n).hex() == zeros[n].hex()
+        assert q_exact(1, QuantumState(n)).value == 2.0 * (-zeros[n] / 3.0) ** 1.5
+
+
+def test_high_level_q_does_not_build_the_lower_zeros():
+    # building all 10**7 + 1 zeros took seconds and hundreds of MB
+    start = time.perf_counter()
+    q = q_exact(1, QuantumState(10**7))
+    assert time.perf_counter() - start < 0.1
+    assert q.value == 2.0 * (-airy_ai_zero(10**7) / 3.0) ** 1.5

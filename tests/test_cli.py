@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from salpeter_afm import GlobalQ, coulomb_closed, linear_closed, linear_ur_expansion, q_exact
-from salpeter_afm.cli import SCAN_MAX_POINTS, ConfigError, _build_parser, _scan_values, load_config, main
+from salpeter_afm.cli import SCAN_MAX_POINTS, VERBS, ConfigError, _build_parser, _scan_values, load_config, main
 from salpeter_afm.types import QuantumState
 
 
@@ -268,6 +268,71 @@ class TestVerifyCommand:
 
     def test_unknown_suite_exits_3(self, capsys):
         assert main(["verify", "--suite", "nonsense"]) == 3
+
+
+class TestCachedParser:
+    """One parser serves every call in the process; each call parses afresh."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_cache_clear_costs_one_build(self, tmp_path, capsys):
+        # a benchmark round clears the cache to start like a fresh process
+        config = write_config(tmp_path, BOUND_COULOMB)
+        _build_parser.cache_clear()
+        assert main(["bound", "--config", config]) == 0
+        assert main(["bound", "--config", config, "--format", "json"]) == 0
+        assert _build_parser.cache_info().misses == 1
+
+    def test_format_does_not_carry_over(self, tmp_path, capsys):
+        config = write_config(tmp_path, BOUND_COULOMB)
+        assert main(["bound", "--config", config, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["mass"] > 0
+        assert main(["bound", "--config", config]) == 0
+        assert capsys.readouterr().out.startswith("mass          M   = ")
+
+    def test_out_does_not_carry_over(self, tmp_path, capsys):
+        config = write_config(tmp_path, BOUND_COULOMB)
+        out = tmp_path / "bound.txt"
+        assert main(["bound", "--config", config, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["bound", "--config", config]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["bound"],
+            ["bound", "--config", "CONFIG", "--format", "xml"],
+            ["bound", "--config", "CONFIG", "--suite", "windows"],
+            ["fit", "--config", "CONFIG"],
+        ],
+        ids=["missing-config", "bad-choice", "other-verbs-flag", "unknown-verb"],
+    )
+    def test_usage_error_leaves_the_next_call_alone(self, tmp_path, capsys, bad):
+        config = write_config(tmp_path, BOUND_COULOMB)
+        assert main([config if arg == "CONFIG" else arg for arg in bad]) == 3
+        assert "usage: salpeter-afm" in capsys.readouterr().err
+        assert main(["bound", "--config", config]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("mass          M   = ") and captured.err == ""
+
+    def test_top_level_help_lists_every_verb(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        listed = capsys.readouterr().out
+        assert all(verb in listed for verb in VERBS)
+        assert main(["bound", "--config", write_config(tmp_path, BOUND_COULOMB)]) == 0
+
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_verb_help_lists_every_flag(self, capsys, verb):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--help"])
+        assert exit_info.value.code == 0
+        listed = capsys.readouterr().out
+        flags = ["--config", "--out"] + ["--format"] * (len(VERBS[verb][1]) > 1) + ["--suite"] * (verb == "verify")
+        assert set(re.findall(r"--\w+", listed)) == {"--help", *flags}
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,14 @@ class TestResiduals:
         res = residuals(sol, 0.0, 1.0, COULOMB_12, sol.q)
         assert max(res) < 1e-10
 
+    def test_mass_residual_measures_the_float_assembly(self):
+        # the float sum nu1 + nu2 + V(r0) the mass was assembled from rounds
+        # away from the correctly rounded sum here, so the residual is not 0
+        sol = solve_afm(0.0, 1.0, COULOMB_12, GlobalQ.explicit(1.0, -1.0))
+        parts = [sol.nu1, sol.nu2, -1.2 * sol.r0**-1.0]
+        assert sol.mass == sum(parts) != math.fsum(parts)
+        assert 0.0 < residuals(sol, 0.0, 1.0, COULOMB_12, sol.q)[0] <= 1e-10
+
     @pytest.mark.parametrize("b, qv", [(1e10, 1e300), (1e-300, 1e-300)], ids=["p0-7e154", "p0-7e-301"])
     def test_extreme_momentum_scales(self, b, qv):
         # p0**2 would overflow (underflow) here; both particles are massless
