@@ -294,8 +294,8 @@ def _scan_mass(config: dict, potential: PowerLawPotential, values: list[float], 
     writer.writerow(["m", "M_afm_Q1", "M_afm_Q2", "M_ref", "M_ur", "M_nr"])
     for m in values:
         row = [_fmt(m)]
-        row.append(_fmt(core.linear_closed(m, b, q1).mass) if q1 is not None else "n/a")
-        row.append(_fmt(core.linear_closed(m, b, q2).mass))
+        row.append(_fmt(core.linear_closed_mass(m, b, q1)) if q1 is not None else "n/a")
+        row.append(_fmt(core.linear_closed_mass(m, b, q2)))
         if include_ref:
             from . import reference  # imports scipy, which the other columns do without
 

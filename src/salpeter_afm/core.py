@@ -43,6 +43,7 @@ __all__ = [
     "coulomb_closed",
     "coulomb_symmetric",
     "linear_closed",
+    "linear_closed_mass",
     "linear_symmetric_massless",
     "linear_ur_expansion",
     "linear_nr_expansion",
@@ -496,20 +497,25 @@ def _linear_mass(x: float, m0: float) -> float:
     return m0 * (num / math.sqrt(16.0 + 32.0 / a))
 
 
-def linear_closed(m: float, b: float, q: GlobalQ | float) -> AfmSolution:
-    """Closed-form solution for V = b*r with masses (0, m), any m >= 0."""
+def linear_closed_mass(m: float, b: float, q: GlobalQ | float) -> float:
+    """The mass of linear_closed(m, b, q) alone: no radius and no certificate."""
     if b <= 0.0:
         raise DomainError("slope must be positive")
     if m < 0.0:
         raise ValueError("mass must be non-negative")
-    q = _resolve_q(q)
-    m0 = _linear_mass_scale(b, q.value)
-    x = m / m0
-    r0 = _linear_radius(x, b, q.value)
-    p0 = q.value / r0
-    mass = _linear_mass(x, m0)
+    m0 = _linear_mass_scale(b, _resolve_q(q).value)
+    mass = _linear_mass(m / m0, m0)
     if not math.isfinite(mass):
         raise DomainError(f"the linear closed form is not representable at m={m:g}, b={b:g}")
+    return mass
+
+
+def linear_closed(m: float, b: float, q: GlobalQ | float) -> AfmSolution:
+    """Closed-form solution for V = b*r with masses (0, m), any m >= 0."""
+    mass = linear_closed_mass(m, b, q)
+    q = _resolve_q(q)
+    r0 = _linear_radius(m / _linear_mass_scale(b, q.value), b, q.value)
+    p0 = q.value / r0
     potential = PowerLawPotential.linear(b)
     return AfmSolution(r0, p0, p0, math.hypot(p0, m), mass, q, _certified(potential, q))
 

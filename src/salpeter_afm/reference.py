@@ -3,24 +3,29 @@
 Rayleigh-Ritz for sqrt(p^2 + m1^2) + sqrt(p^2 + m2^2) + V(r), or the symmetric
 sigma * sqrt(p^2 + m^2) + V, in the orthonormal Laguerre basis
 chi_k(r) = h^(-1/2) x^(l+1) e^(-x/2) p_k(x), x = r/h, k < N, with p_k the
-L_k^(2l+2) normalised by its three-term recurrence.  Every matrix element is
-an exact Gauss-Laguerre sum.  In the basis of scale h the p_l^2 matrix is
-P(l, N) / h^2 and the r^lam matrix h^lam W(lam, l, N), so the eigendecomposition
-of P, from which the kinetic sum of both masses is built, and each W are made
-once per (l, N) at unit scale and shared by every mass, scale and problem of
-the process (bounded functools caches).  sqrt(x + m^2) is operator
-monotone and non-negative on [0, inf), so by Hansen's inequality (Math. Ann.
-1980) and min-max every eigenvalue is an upper bound on the true one, falling
-as the nested bases grow.  The ladder N = 20, 40, 80, 160 stops when two rungs
-agree to 1e-7 relative, or else (an attractive tail's origin cusp converges
-slowly) returns the Aitken limit of the last three, unless its correction
-exceeds the caller's limit; ``ladder`` alone accepts, extrapolates or refuses
-a level.  Past N ~ 180 the Gauss-Laguerre weights underflow, hence the cap.
-The nonrelativistic oracle runs the same ladder on P/(2 h^2) + sign(p) h^p
-W(p, l, N), with the same scale rule.  Where Gamma(2l+3), the weights or the
-unit-scale r^lam entries would leave the double range (every l >= 85, l = 84
-with a linear term, or a steep exponent), the matrices are not built and
-DomainError is raised.
+L_k^(2l+2) normalised by its three-term recurrence.  The p_l^2 matrix is in
+closed form: the Coulomb-Sturmian functions s_k = sqrt(k+2l+2) chi_k -
+sqrt(k) chi_(k-1) (x^(l+1) e^(-x/2) L_k^(2l+1), normalised; s = chi M with M
+upper bidiagonal) obey (p_l^2 + 1/4) s_k = (k+l+1) s_k / x and
+<s_j|1/x|s_k> = delta_jk, so on the first N functions P + 1/4 =
+M^-T D M^-1 exactly, D = diag(k+l+1).  P itself is semiseparable, and its
+eigenpairs come from the tridiagonal (P + 1/4)^-1 = M D^-1 M^T.  Each r^lam
+matrix is an exact Gauss-Laguerre sum.  In the basis of scale h the p_l^2
+matrix is P(l, N) / h^2 and the r^lam matrix h^lam W(lam, l, N), so the
+eigendecomposition of P, from which the kinetic sum of both masses is built,
+and each W are made once per (l, N) at unit scale and shared by every mass,
+scale and problem of the process (bounded functools caches).  sqrt(x + m^2)
+is operator monotone and non-negative on [0, inf), so by Hansen's inequality
+(Math. Ann. 1980) and min-max every eigenvalue is an upper bound on the true
+one, falling as the nested bases grow.  The ladder N = 20, 40, 80, 160 stops
+when two rungs agree to 1e-7 relative, or else (an attractive tail's origin
+cusp converges slowly) returns the Aitken limit of the last three, unless its
+correction exceeds the caller's limit; ``ladder`` alone accepts, extrapolates
+or refuses a level.  Past N ~ 180 the Gauss-Laguerre weights underflow, hence
+the cap.  The nonrelativistic oracle runs the same ladder on P/(2 h^2) +
+sign(p) h^p W(p, l, N), with the same scale rule.  Where the r^lam matrix
+would leave the double range (every l >= 85, l = 84 with a linear term, or a
+steep exponent), it is not built and DomainError is raised.
 """
 from __future__ import annotations
 
@@ -70,25 +75,25 @@ class SseProblem:
                 raise ValueError("the symmetric mode uses a single mass; set m1 == m2")
 
 
-def _basis_on_nodes(l: int, size: int, nodes: int, weight: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x_i of the Gauss-Laguerre rule with weight x^weight e^-x, and
-    sqrt(w_i) p_k(x_i) for k < size; carrying sqrt(w_i) through the
-    recurrence keeps every value near 1 where p_k alone would overflow.
+def _basis_on_nodes(l: int, size: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_i of the size-point Gauss-Laguerre rule with weight
+    x^(2l+2+lam) e^-x, and sqrt(w_i) p_k(x_i) for k < size; carrying sqrt(w_i)
+    through the recurrence keeps every value near 1 where p_k alone would
+    overflow.
 
-    Raises DomainError, before anything is computed, where Gamma(2l+3) or the
-    weights (they sum to Gamma(weight+1)) would leave the double range, or
-    where the unit-scale r^lam entries this rule integrates (lam = weight -
-    2l - 2 > 0) might: each <chi_k|x^lam|chi_k> is at most ||J^m||^(lam/m) <=
-    (4(size+m) + 4l + 6)^lam, m = ceil(lam), J the Jacobi matrix of x
-    (Lyapunov's inequality), and every other entry and partial sum is at most
-    the largest of these (Cauchy-Schwarz)."""
+    Raises DomainError, before anything is computed, where Gamma(2l+3) (the
+    normalisation of p_0) or the weights (they sum to Gamma(2l+3+lam)) would
+    leave the double range, or where the unit-scale r^lam entries this rule
+    integrates might (lam > 0): each <chi_k|x^lam|chi_k> is at most
+    ||J^m||^(lam/m) <= (4(size+m) + 4l + 6)^lam, m = ceil(lam), J the Jacobi
+    matrix of x (Lyapunov's inequality), and every other entry and partial sum
+    is at most the largest of these (Cauchy-Schwarz)."""
     alpha = 2 * l + 2
-    lam = weight - alpha
-    if special.gammaln(max(weight, alpha) + 1.0) >= _LOG_MAX or (
+    if special.gammaln(alpha + max(lam, 0.0) + 1.0) >= _LOG_MAX or (
         lam > 0 and lam * math.log(4 * (size + math.ceil(lam)) + 2 * alpha + 2) >= _LOG_MAX
     ):
-        raise DomainError(f"Laguerre basis matrices at l={l}, N={size} (weight x^{weight:g}) leave the double range")
-    x, w = special.roots_genlaguerre(nodes, weight)
+        raise DomainError(f"Laguerre basis matrices at l={l}, N={size} (r^{lam:g}) leave the double range")
+    x, w = special.roots_genlaguerre(size, alpha + lam)
     return x, _recurrence(x, np.sqrt(w / special.gamma(alpha + 1.0)), alpha, size)
 
 
@@ -114,13 +119,20 @@ def basis_functions(l: int, scale: float, size: int, radii: np.ndarray) -> np.nd
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def psq_matrix(l: int, size: int) -> np.ndarray:
-    """<chi_j| p^2 + l(l+1)/r^2 |chi_k> for j, k < size at unit scale, read-only."""
-    x, phi = _basis_on_nodes(l, size, size + 1, 2 * l)
-    # d/dx [x^(l+1) e^(-x/2) p_k] = x^l e^(-x/2) q_k, using x p_k' = k p_k - sqrt(k (k+2l+2)) p_(k-1)
+    """<chi_j| p^2 + l(l+1)/r^2 |chi_k> for j, k < size at unit scale, read-only.
+
+    The semiseparable closed form of P = M^-T D M^-1 - 1/4: P_kk = e_k - 1/4
+    with e_0 = 1/2 and e_k = (k e_(k-1) + k+l+1) / (k+2l+2), and for j < k
+    P_jk = e_j prod_(i=j+1..k) sqrt(i / (i+2l+2))."""
+    e = np.empty(size)
+    e[0] = 0.5
+    for k in range(1, size):
+        e[k] = (k * e[k - 1] + k + l + 1) / (k + 2 * l + 2)
     k = np.arange(size)
-    q = (l + 1 + k - 0.5 * x[:, None]) * phi
-    q[:, 1:] -= np.sqrt(k[1:] * (k[1:] + 2 * l + 2)) * phi[:, :-1]
-    psq = q.T @ q + l * (l + 1) * (phi.T @ phi)
+    steps = np.where(k > k[:, None], np.sqrt(k / (k + 2.0 * l + 2.0)), 1.0)
+    upper = np.triu(e[:, None] * np.cumprod(steps, axis=1), 1)
+    psq = upper + upper.T
+    psq[k, k] = e - 0.25
     psq.flags.writeable = False
     return psq
 
@@ -128,7 +140,7 @@ def psq_matrix(l: int, size: int) -> np.ndarray:
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def power_matrix(lam: float, l: int, size: int) -> np.ndarray:
     """<chi_j| r^lam |chi_k> for j, k < size at unit scale, read-only."""
-    _, phi = _basis_on_nodes(l, size, size, 2 * l + 2 + lam)
+    _, phi = _basis_on_nodes(l, size, lam)
     w = phi.T @ phi
     w.flags.writeable = False
     return w
@@ -136,9 +148,18 @@ def power_matrix(lam: float, l: int, size: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _psq_spectrum(l: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of psq_matrix(l, size), read-only."""
-    p2, u = sla.eigh(psq_matrix(l, size))
-    p2 = np.clip(p2, 0.0, None)  # round-off can push the smallest below zero
+    """Eigenvalues and orthonormal eigenvectors of psq_matrix(l, size), read-only.
+
+    (P + 1/4)^-1 = M D^-1 M^T is tridiagonal: its diagonal is (k+2l+2)/(k+l+1)
+    + (k+1)/(k+l+2), without the second term on the last row, and its
+    off-diagonal -sqrt((k+1)(k+2l+3))/(k+l+2).  Each of its eigenpairs
+    (mu, u) is an eigenpair (1/mu - 1/4, u) of P."""
+    k = np.arange(size, dtype=float)
+    diag = (k + 2 * l + 2) / (k + l + 1)
+    diag[:-1] += (k[:-1] + 1) / (k[:-1] + l + 2)
+    off = -np.sqrt((k[:-1] + 1) * (k[:-1] + 2 * l + 3)) / (k[:-1] + l + 2)
+    mu, u = sla.eigh_tridiagonal(diag, off)
+    p2 = np.clip(1.0 / mu - 0.25, 0.0, None)  # round-off can push the smallest below zero
     p2.flags.writeable = u.flags.writeable = False
     return p2, u
 
@@ -232,7 +253,10 @@ def ladder(name: str, build, n: int, scale: float, tol: float, limit: float) -> 
     log = logging.getLogger(f"{__package__}.{name}")
     values = []
     for size in (s for s in _SIZES if s > n):
-        values.append(float(sla.eigvalsh(build(size), subset_by_index=(n, n))[0]))
+        # p_l^2 grows like k and r^lam like k^lam down the diagonal.  Reversed, the matrix is graded
+        # downward, where the QR solve keeps a low level to ~eps |x|^T |H| |x|; the subset solvers
+        # lose eps ||H||, up to 2e-7 at a steep confining term's capped scale
+        values.append(float(sla.eigvalsh(build(size)[::-1, ::-1], driver="ev")[n]))
         log.debug("%s rung N=%d h=%.9g value=%.12g", name, size, scale, values[-1])
         if len(values) > 1 and abs(values[-1] - values[-2]) <= tol * abs(values[-1]):
             log.debug("%s converged: %.12g, error estimate %.3g", name, values[-1], values[-2] - values[-1])

@@ -19,6 +19,7 @@ from salpeter_afm import (
     residuals,
     solve_afm,
 )
+from salpeter_afm.core import linear_closed_mass
 
 
 class TestCoulombClosed:
@@ -93,6 +94,19 @@ class TestLinearClosed:
             sol = linear_closed(m, b, GlobalQ.explicit(qv, 1.0))
             assert sol.mass == pytest.approx(want, rel=1e-8)
             assert sol.r0 == pytest.approx(r0, rel=1e-10)
+
+    @pytest.mark.parametrize("m", [0.0, 1e-300, 0.4, 1.0, 3.0, 1e100, 1e154, 1e200])
+    @pytest.mark.parametrize("q", [GlobalQ.explicit(1.5, 1.0), GlobalQ.explicit(2.5, 2.0), 0.9])
+    def test_mass_alone_is_the_same_double(self, m, q):
+        # the mass scan's path: no radius, no potential and no certificate, the same mass
+        assert linear_closed_mass(m, 0.2, q) == linear_closed(m, 0.2, q).mass
+
+    @pytest.mark.parametrize("m, b, error", [(1.0, 0.0, DomainError), (-1.0, 0.2, ValueError),
+                                             (1e308, 1e-300, DomainError)])
+    def test_mass_alone_raises_as_the_closed_form_does(self, m, b, error):
+        for fn in (linear_closed, linear_closed_mass):
+            with pytest.raises(error):
+                fn(m, b, GlobalQ.explicit(1.5, 1.0))
 
     def test_benchmark_point(self):
         sol = linear_closed(1.0, 0.2, GlobalQ.explicit(1.5, 1.0))

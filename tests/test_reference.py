@@ -1,5 +1,11 @@
+import functools
+import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +27,7 @@ from salpeter_afm import (
 )
 from salpeter_afm.reference import kinetic_matrix, power_matrix, psq_matrix, sse_hamiltonian
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 LINEAR = PowerLawPotential.linear(0.2)
 FUNNEL = SseProblem(0.3, 1.5, PowerLawPotential.funnel(0.5, 0.2), QuantumState(0, 1))
 COULOMB = SseProblem(0.0, 1.0, PowerLawPotential.coulomb(1.2), QuantumState(0))
@@ -38,6 +45,16 @@ CRITERION_3_VALUES = {  # masses (0, m), 0.2 r, m = 0, 0.1, ..., 1
 }
 
 
+def pinned_problems():
+    """Every problem whose reference value a test below pins: the Coulomb and funnel anchors,
+    the steep and moderate confinements and the 22 criterion-3 rows."""
+    problems = [COULOMB, FUNNEL]
+    problems += [SseProblem(0.0, 1.0, PowerLawPotential(((0.2, lam),)), QuantumState(0))
+                 for lam in (2.0, 4.0, 4.5, 6.0, 8.0)]
+    problems += [SseProblem(0.0, round(0.1 * i, 1), LINEAR, QuantumState(n)) for n in (0, 1) for i in range(11)]
+    return problems
+
+
 def rung_values(problem):
     """Level n on every rung of the basis ladder, at the scale sse_eigenvalue picks."""
     (scale, _), n = reference._scale(problem), problem.state.n
@@ -45,6 +62,17 @@ def rung_values(problem):
         scipy.linalg.eigvalsh(sse_hamiltonian(problem, scale, size), subset_by_index=(n, n))[0]
         for size in reference._SIZES
     ]
+
+
+def quadrature_psq(l, size):
+    """P as the exact Gauss-Laguerre sum on size + 1 nodes with weight x^(2l):
+    d/dx [x^(l+1) e^(-x/2) p_k] = x^l e^(-x/2) q_k, using x p_k' = k p_k - sqrt(k(k+2l+2)) p_(k-1)."""
+    x, phi = reference._basis_on_nodes(l, size + 1, -2.0)
+    phi = phi[:, :size]
+    k = np.arange(size)
+    q = (l + 1 + k - 0.5 * x[:, None]) * phi
+    q[:, 1:] -= np.sqrt(k[1:] * (k[1:] + 2 * l + 2)) * phi[:, :-1]
+    return q.T @ q + l * (l + 1) * (phi.T @ phi)
 
 
 def assert_massless_sqrt_on_momentum_eigenvectors(l):
@@ -108,6 +136,37 @@ class TestOperatorConstruction:
         assert h * power_matrix(1.0, l, 5)[0, 0] == pytest.approx((2 * l + 3) * h, rel=1e-14)
         assert power_matrix(-1.0, l, 5)[0, 0] / h == pytest.approx(1.0 / (2 * (l + 1) * h), rel=1e-14)
 
+    @pytest.mark.parametrize("size", [20, 160])
+    @pytest.mark.parametrize("l", [0, 1, 5, 40, 84])
+    def test_closed_form_psq_matches_quadrature(self, l, size):
+        quadrature = quadrature_psq(l, size)
+        scale = np.abs(quadrature).max()
+        assert np.abs(psq_matrix(l, size) - quadrature).max() <= 1e-12 * scale
+
+    def test_closed_form_psq_first_entries(self):
+        # at l = 0: <chi_0|p^2|chi_0> = 1/4, <chi_1|p^2|chi_1> = 7/12 and <chi_0|p^2|chi_1> = 1/sqrt(12)
+        psq = psq_matrix(0, 5)
+        assert psq[0, 0] == 0.25
+        assert psq[1, 1] == pytest.approx(7.0 / 12.0, rel=1e-15)
+        assert psq[0, 1] == psq[1, 0] == pytest.approx(1.0 / math.sqrt(12.0), rel=1e-15)
+
+    @pytest.mark.parametrize("size", [20, 160])
+    @pytest.mark.parametrize("l", [0, 1, 5, 40, 84])
+    def test_tridiagonal_spectrum_reproduces_psq(self, l, size):
+        p2, u = reference._psq_spectrum(l, size)
+        assert np.abs(u.T @ u - np.eye(size)).max() <= 1e-13
+        psq = psq_matrix(l, size)
+        assert np.abs((u * p2) @ u.T - psq).max() <= 1e-12 * np.abs(psq).max()
+
+    def test_momentum_matrices_are_finite_past_the_power_matrix_limit(self):
+        # P needs no Gamma function; the l >= 85 limit is the r^lam matrix's alone
+        p2, u = reference._psq_spectrum(200, 160)
+        assert np.isfinite(psq_matrix(200, 160)).all() and np.isfinite(p2).all() and np.isfinite(u).all()
+        with pytest.raises(DomainError, match="leave the double range"):
+            power_matrix(-1.0, 85, 20)
+        with pytest.raises(DomainError, match="leave the double range"):
+            sse_eigenvalue(SseProblem(0.0, 1.0, LINEAR, QuantumState(0, 85)))
+
     @pytest.mark.parametrize("l", [0, 2])
     def test_bases_are_nested(self, l):
         # every matrix element is exact, so a smaller basis sees the leading block of a larger one
@@ -137,17 +196,18 @@ class TestOperatorConstruction:
         np.testing.assert_allclose(both, one + two, rtol=0.0, atol=1e-12)
 
     def test_one_decomposition_per_rung_for_two_masses(self, monkeypatch):
-        # the near-critical Coulomb level climbs the whole ladder: from cold caches one p_l^2
-        # decomposition per (l, N), shared by both masses and by a later l = 0 problem
+        # the near-critical Coulomb level climbs the whole ladder: from cold caches one tridiagonal
+        # p_l^2 decomposition per (l, N), shared by both masses and by a later l = 0 problem,
+        # and no dense eigh
         reference._psq_spectrum.cache_clear()
         reference.power_matrix.cache_clear()
-        calls = {"eigh": [], "eigvalsh": []}
+        calls = {"eigh": [], "eigh_tridiagonal": [], "eigvalsh": []}
 
         def counting(name):
             real = getattr(scipy.linalg, name)
 
             def solve(a, *args, **kwargs):
-                calls[name].append(a.shape)
+                calls[name].append(len(a))
                 return real(a, *args, **kwargs)
 
             return solve
@@ -155,14 +215,15 @@ class TestOperatorConstruction:
         for name in calls:
             monkeypatch.setattr(scipy.linalg, name, counting(name))
         assert sse_eigenvalue(COULOMB) == pytest.approx(PINNED["coulomb"], rel=1e-10)
-        assert calls["eigh"] == [(n, n) for n in (20, 40, 80, 160)]
-        assert calls["eigvalsh"] == calls["eigh"]
-        calls["eigh"].clear()
-        calls["eigvalsh"].clear()
+        assert calls["eigh_tridiagonal"] == [20, 40, 80, 160]
+        assert calls["eigvalsh"] == calls["eigh_tridiagonal"]
+        assert calls["eigh"] == []
+        for sizes in calls.values():
+            sizes.clear()
         assert sse_eigenvalue(SseProblem(0.0, 0.5, LINEAR, QuantumState(0))) == pytest.approx(
             CRITERION_3_VALUES[0][5], rel=1e-10
         )
-        assert calls["eigh"] == []
+        assert calls["eigh_tridiagonal"] == calls["eigh"] == []
         assert len(calls["eigvalsh"]) >= 2
 
     def test_sigma_two_equals_equal_mass_two_body(self):
@@ -236,7 +297,11 @@ class TestEigenvalues:
         assert mass == pytest.approx(2.1132922, abs=1e-3)
         assert mass < 2.158
 
-    @pytest.mark.parametrize("lam, want", [(4.5, 3.4832283), (6.0, 3.7533905), (8.0, 4.0102412)])
+    # want: the ladder's rule applied to round-off-free rungs at the capped scale sse_eigenvalue picks,
+    # each rung from 40-digit mpmath matrices (P from the weight-x^0 moments, not the closed form; W from
+    # the x^(2+lam) moments) and an mpmath eigendecomposition.  At lam = 4.5 the rungs 80 and 160 agree
+    # to 1e-7, so want is the N = 160 rung; at 6 and 8 it is the Aitken limit of the last three
+    @pytest.mark.parametrize("lam, want", [(4.5, 3.4832284159), (6.0, 3.7533905897), (8.0, 4.0102412415)])
     def test_steep_confinement_converges_with_falling_rungs(self, caplog, lam, want):
         # the basis scale is capped so that the round-off of the r^lam matrix stays below the tolerance
         problem = SseProblem(0.0, 1.0, PowerLawPotential(((0.2, lam),)), QuantumState(0))
@@ -259,8 +324,19 @@ class TestEigenvalues:
 
     @pytest.mark.parametrize("lam, pinned", [(2.0, 2.6983923990859875), (4.0, 3.3697933359694465)])
     def test_scale_cap_leaves_moderate_confinement_unchanged(self, lam, pinned):
+        # the cap does not bind, so the level is, to the double, the ladder's at the natural scale
+        # r0/(2n+2l+3) of the larger variational radius; pinned, the value before the cap from a rung
+        # solve that lost ~eps ||H|| at N = 160, holds to the ladder's own tolerance
         problem = SseProblem(0.0, 1.0, PowerLawPotential(((0.2, lam),)), QuantumState(0))
-        assert sse_eigenvalue(problem) == pinned
+        seed = max((solve_afm(0.0, 1.0, problem.potential, q_exact(p, problem.state)) for p in (-1, 2)),
+                   key=lambda sol: sol.r0)
+        natural = seed.r0 / 3
+        terms = problem.potential.active_terms()
+        assert reference.basis_scale(seed.r0, seed.mass, problem.state, terms, reference._TOL) == (natural, False)
+        build = functools.partial(sse_hamiltonian, problem, natural)
+        value = sse_eigenvalue(problem)
+        assert value == reference.ladder("reference", build, 0, natural, reference._TOL, math.inf)[0]
+        assert value == pytest.approx(pinned, rel=reference._TOL)
 
     def test_pure_coulomb_massless_pair_has_no_scale(self):
         problem = SseProblem(0.0, 0.0, PowerLawPotential.coulomb(0.5), QuantumState(0))
@@ -353,3 +429,21 @@ class TestLogging:
         sizes = [int(m.split()[2].removeprefix("N=")) for m in rungs]
         assert sizes == list(reference._SIZES[: len(sizes)]) and len(sizes) >= 2
         assert last.startswith(f"reference {result}: {value:.12g}, error estimate")
+
+
+class TestThreadCount:
+    CHILD = (
+        "import json, sys\n"
+        "from salpeter_afm import PowerLawPotential, QuantumState, SseProblem, sse_eigenvalue\n"
+        "print(json.dumps([sse_eigenvalue(SseProblem(m1, m2, PowerLawPotential(terms), QuantumState(n, l)))\n"
+        "                  for m1, m2, terms, n, l in json.load(sys.stdin)]))\n"
+    )
+
+    def test_one_blas_thread_gives_the_same_doubles(self):
+        # every pinned reference value is the same double with one BLAS thread as in this process
+        problems = pinned_problems()
+        specs = [(p.m1, p.m2, p.potential.terms, p.state.n, p.state.l) for p in problems]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+        child = subprocess.run([sys.executable, "-c", self.CHILD], input=json.dumps(specs), env=env,
+                               capture_output=True, text=True, timeout=300, check=True)
+        assert json.loads(child.stdout) == [sse_eigenvalue(p) for p in problems]
