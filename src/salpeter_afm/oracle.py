@@ -14,9 +14,12 @@ caps it so that the round-off of its matrix stays below the tolerance.
 The basis bounds the levels it reaches.  Level n needs rungs N > n; at
 q_numeric's default tolerance the ladder converges, at l = 0, for n <= 17 at
 p = 4, 23 at p = 2, 22 at p = -1, 27 at p = 1 and 29 at p = 0.5, and at
-n = 0 for l <= 69 at p = -1, 73 at p = -0.5, 80 at p = 8 and 83 at p = 1
-and 2; beyond that it raises ConvergenceFailure.  Every l >= 85, and l = 84
-when p >= 1, raises DomainError: Gamma(2l + 3 + p) leaves the double range.
+n = 0 for l <= 69 at p = -1 and 73 at p = -0.5; beyond that it raises
+ConvergenceFailure.  An integer p >= 1 has closed-form matrices and no
+l limit (p = 1, 2 and 8 converge at n = 0 for every l measured, up to
+1000).  A non-integer p takes the Gauss-Laguerre rule, and every l >= 85
+(l = 84 when p >= 1) raises DomainError: Gamma(2l + 3 + p) leaves the
+double range.
 """
 from __future__ import annotations
 
@@ -140,9 +143,8 @@ def nr_eigenvalue(mu: float, rho: float, p: float, state: QuantumState) -> Radia
     energy, scale, size = _solve(p, state, _NR_TOL)
     _, vectors = sla.eigh(reference.nr_hamiltonian(p, state.l, scale, size), subset_by_index=(state.n, state.n))
     c = vectors[:, 0]
-    # <r>/h from the Jacobi matrix of x in the basis: diagonal 2k+2l+3, off-diagonal -sqrt((k+1)(k+2l+3))
-    k = np.arange(size)
-    mean_x = (2 * k + 2 * state.l + 3) @ c**2 - 2.0 * np.sqrt(k[1:] * (k[1:] + 2 * state.l + 2)) @ (c[:-1] * c[1:])
+    diag, off = reference.jacobi_matrix(state.l, size)
+    mean_x = diag @ c**2 + 2.0 * off @ (c[:-1] * c[1:])  # <r>/h
     x = np.arange(1, _SAMPLES + 1) * (_EXTENT * mean_x * scale / _SAMPLES)
     radii = _rescale(x, log_radius, "radius")
     u = reference.basis_functions(state.l, scale, size, x) @ c

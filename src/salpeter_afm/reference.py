@@ -3,35 +3,42 @@
 Rayleigh-Ritz for sqrt(p^2 + m1^2) + sqrt(p^2 + m2^2) + V(r), or the symmetric
 sigma * sqrt(p^2 + m^2) + V, in the orthonormal Laguerre basis
 chi_k(r) = h^(-1/2) x^(l+1) e^(-x/2) p_k(x), x = r/h, k < N, with p_k the
-L_k^(2l+2) normalised by its three-term recurrence.  The p_l^2 matrix is in
-closed form: the Coulomb-Sturmian functions s_k = sqrt(k+2l+2) chi_k -
-sqrt(k) chi_(k-1) (x^(l+1) e^(-x/2) L_k^(2l+1), normalised; s = chi M with M
-upper bidiagonal) obey (p_l^2 + 1/4) s_k = (k+l+1) s_k / x and
-<s_j|1/x|s_k> = delta_jk, so on the first N functions P + 1/4 =
-M^-T D M^-1 exactly, D = diag(k+l+1).  P itself is semiseparable, and its
-eigenpairs come from the tridiagonal (P + 1/4)^-1 = M D^-1 M^T.  Each r^lam
-matrix is an exact Gauss-Laguerre sum.  In the basis of scale h the p_l^2
-matrix is P(l, N) / h^2 and the r^lam matrix h^lam W(lam, l, N), so the
-eigendecomposition of P, from which the kinetic sum of both masses is built,
-and each W are made once per (l, N) at unit scale and shared by every mass,
-scale and problem of the process (bounded functools caches).  sqrt(x + m^2)
-is operator monotone and non-negative on [0, inf), so by Hansen's inequality
-(Math. Ann. 1980) and min-max every eigenvalue is an upper bound on the true
-one, falling as the nested bases grow.  The ladder N = 20, 40, 80, 160 stops
-when two rungs agree to 1e-7 relative, or else (an attractive tail's origin
-cusp converges slowly) returns the Aitken limit of the last three, unless its
-correction exceeds the caller's limit; ``ladder`` alone accepts, extrapolates
-or refuses a level.  Past N ~ 180 the Gauss-Laguerre weights underflow, hence
-the cap.  The nonrelativistic oracle runs the same ladder on P/(2 h^2) +
-sign(p) h^p W(p, l, N), with the same scale rule.  Where the r^lam matrix
-would leave the double range (every l >= 85, l = 84 with a linear term, or a
-steep exponent), it is not built and DomainError is raised.
+L_k^(2l+2) normalised by its three-term recurrence.  The matrices of the
+paper's potentials are in closed form.  The Coulomb-Sturmian functions
+s_k = sqrt(k+2l+2) chi_k - sqrt(k) chi_(k-1) (x^(l+1) e^(-x/2) L_k^(2l+1),
+normalised; s = chi M with M upper bidiagonal) obey
+(p_l^2 + 1/4) s_k = (k+l+1) s_k / x and <s_j|1/x|s_k> = delta_jk, so on the
+first N functions P + 1/4 = M^-T D M^-1 with D = diag(k+l+1), and the 1/x
+matrix is M^-T M^-1, both exactly.  Both are semiseparable, and the
+eigenpairs of P come from the tridiagonal (P + 1/4)^-1 = M D^-1 M^T.  The x
+matrix is the tridiagonal Jacobi matrix J of the recurrence, and x^m, m a
+positive integer, is the top-left block of J^m.  Only a non-integer
+exponent takes an exact Gauss-Laguerre sum.  In the basis of scale h the
+p_l^2 matrix is P(l, N) / h^2 and the r^lam matrix h^lam W(lam, l, N), so
+the eigendecomposition of P, from which the kinetic sum of both masses is
+built, and each W are made once per (l, N) at unit scale and shared by
+every mass, scale and problem of the process (bounded functools caches).
+sqrt(x + m^2) is operator monotone and non-negative on [0, inf), so by
+Hansen's inequality (Math. Ann. 1980) and min-max every eigenvalue is an
+upper bound on the true one, falling as the nested bases grow.  The ladder
+N = 20, 40, 80, 160 stops when two rungs agree to 1e-7 relative, or else
+(an attractive tail's origin cusp converges slowly) returns the Aitken
+limit of the last three, unless its correction exceeds the caller's limit;
+``ladder`` alone accepts, extrapolates or refuses a level.  Past N ~ 180
+the Gauss-Laguerre weights of a non-integer exponent underflow, hence the
+cap.  The nonrelativistic oracle runs the same ladder on
+P/(2 h^2) + sign(p) h^p W(p, l, N), with the same scale rule.  Where the
+unit-scale r^lam entries would leave the double range (a steep exponent),
+or, for a non-integer exponent, the Gauss-Laguerre rule would (every
+l >= 85, l = 84 with lam >= 1), the matrix is not built and DomainError is
+raised.
 """
 from __future__ import annotations
 
 import functools
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +53,8 @@ _SIZES = (20, 40, 80, 160)
 _TOL = 1e-7  # relative change between two rungs accepted as converged
 _CAPPED_TOL = 2e-6  # largest relative Aitken correction accepted on a capped basis scale
 _CACHE_SIZE = 32  # unit-scale matrices kept per cache: eight ladders of four rungs
-_LOG_MAX = math.log(np.finfo(float).max)
-_EPS = np.finfo(float).eps
+_LOG_MAX = math.log(sys.float_info.max)
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -79,19 +86,13 @@ def _basis_on_nodes(l: int, size: int, lam: float) -> tuple[np.ndarray, np.ndarr
     """Nodes x_i of the size-point Gauss-Laguerre rule with weight
     x^(2l+2+lam) e^-x, and sqrt(w_i) p_k(x_i) for k < size; carrying sqrt(w_i)
     through the recurrence keeps every value near 1 where p_k alone would
-    overflow.
+    overflow.  Only a non-integer exponent needs it (see power_matrix).
 
     Raises DomainError, before anything is computed, where Gamma(2l+3) (the
     normalisation of p_0) or the weights (they sum to Gamma(2l+3+lam)) would
-    leave the double range, or where the unit-scale r^lam entries this rule
-    integrates might (lam > 0): each <chi_k|x^lam|chi_k> is at most
-    ||J^m||^(lam/m) <= (4(size+m) + 4l + 6)^lam, m = ceil(lam), J the Jacobi
-    matrix of x (Lyapunov's inequality), and every other entry and partial sum
-    is at most the largest of these (Cauchy-Schwarz)."""
+    leave the double range: every l >= 85, and l = 84 when lam >= 1."""
     alpha = 2 * l + 2
-    if special.gammaln(alpha + max(lam, 0.0) + 1.0) >= _LOG_MAX or (
-        lam > 0 and lam * math.log(4 * (size + math.ceil(lam)) + 2 * alpha + 2) >= _LOG_MAX
-    ):
+    if special.gammaln(alpha + max(lam, 0.0) + 1.0) >= _LOG_MAX:
         raise DomainError(f"Laguerre basis matrices at l={l}, N={size} (r^{lam:g}) leave the double range")
     x, w = special.roots_genlaguerre(size, alpha + lam)
     return x, _recurrence(x, np.sqrt(w / special.gamma(alpha + 1.0)), alpha, size)
@@ -117,31 +118,85 @@ def basis_functions(l: int, scale: float, size: int, radii: np.ndarray) -> np.nd
     return _recurrence(x, first, alpha, size)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def psq_matrix(l: int, size: int) -> np.ndarray:
-    """<chi_j| p^2 + l(l+1)/r^2 |chi_k> for j, k < size at unit scale, read-only.
+def jacobi_matrix(l: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of J, the matrix <chi_j|x|chi_k> on the first
+    ``size`` functions: 2k+2l+3 and -sqrt((k+1)(k+2l+3)), from the three-term
+    recurrence of p_k."""
+    k = np.arange(size, dtype=float)
+    return 2 * k + 2 * l + 3, -np.sqrt((k[:-1] + 1) * (k[:-1] + 2 * l + 3))
 
-    The semiseparable closed form of P = M^-T D M^-1 - 1/4: P_kk = e_k - 1/4
-    with e_0 = 1/2 and e_k = (k e_(k-1) + k+l+1) / (k+2l+2), and for j < k
-    P_jk = e_j prod_(i=j+1..k) sqrt(i / (i+2l+2))."""
-    e = np.empty(size)
-    e[0] = 0.5
-    for k in range(1, size):
-        e[k] = (k * e[k - 1] + k + l + 1) / (k + 2 * l + 2)
+
+def _sturmian_form(d: np.ndarray, l: int) -> np.ndarray:
+    """M^-T diag(d) M^-1 on the first len(d) functions, M the upper-bidiagonal
+    map from chi to the Coulomb-Sturmian functions.
+
+    It is semiseparable: the diagonal is g_0 = d_0 / (2l+2),
+    g_k = (k g_(k-1) + d_k) / (k+2l+2), and for j < k the entry is
+    g_j prod_(i=j+1..k) sqrt(i / (i+2l+2)).  Each product runs from its own
+    row's diagonal, so nothing underflows at large l."""
+    size = len(d)
+    g = np.empty(size)
+    previous = 0.0
+    for k in range(size):
+        previous = g[k] = (k * previous + d[k]) / (k + 2 * l + 2)
     k = np.arange(size)
     steps = np.where(k > k[:, None], np.sqrt(k / (k + 2.0 * l + 2.0)), 1.0)
-    upper = np.triu(e[:, None] * np.cumprod(steps, axis=1), 1)
-    psq = upper + upper.T
-    psq[k, k] = e - 0.25
+    upper = np.triu(g[:, None] * np.cumprod(steps, axis=1), 1)
+    form = upper + upper.T
+    form[k, k] = g
+    return form
+
+
+def _jacobi_power(m: int, l: int, size: int) -> np.ndarray:
+    """<chi_j|x^m|chi_k> for j, k < size, m >= 1: the top-left block of J^m.
+
+    A path of m steps between two of the first ``size`` functions reaches no
+    further than size + m // 2 functions, so J of that size gives the block
+    exactly, from m - 1 tridiagonal-times-dense products on its first
+    ``size`` columns."""
+    diag, off = jacobi_matrix(l, size + m // 2)
+    power = (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[:, :size]
+    for _ in range(m - 1):
+        step = diag[:, None] * power
+        step[:-1] += off[:, None] * power[1:]
+        step[1:] += off[:, None] * power[:-1]
+        power = step
+    block = power[:size]
+    return 0.5 * (block + block.T)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def psq_matrix(l: int, size: int) -> np.ndarray:
+    """<chi_j| p^2 + l(l+1)/r^2 |chi_k> for j, k < size at unit scale, read-only:
+    the closed form P = M^-T D M^-1 - 1/4, D = diag(k+l+1)."""
+    k = np.arange(size)
+    psq = _sturmian_form(k + l + 1.0, l)
+    psq[k, k] -= 0.25
     psq.flags.writeable = False
     return psq
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def power_matrix(lam: float, l: int, size: int) -> np.ndarray:
-    """<chi_j| r^lam |chi_k> for j, k < size at unit scale, read-only."""
-    _, phi = _basis_on_nodes(l, size, lam)
-    w = phi.T @ phi
+    """<chi_j| r^lam |chi_k> for j, k < size at unit scale, read-only.
+
+    Closed forms for the integer exponents: W(-1) = M^-T M^-1 and, for a
+    positive integer m, W(m) the top-left block of J^m; any other exponent is
+    the exact Gauss-Laguerre sum of :func:`_basis_on_nodes`.  Raises
+    DomainError, before anything is computed, where the entries might leave
+    the double range (lam > 0): each <chi_k|x^lam|chi_k> is at most
+    ||J^m||^(lam/m) <= (4(size+m) + 4l + 6)^lam, m = ceil(lam) (Lyapunov's
+    inequality), and every other entry is at most the largest of these
+    (Cauchy-Schwarz)."""
+    if lam > 0 and lam * math.log(4 * (size + math.ceil(lam)) + 4 * l + 6) >= _LOG_MAX:
+        raise DomainError(f"Laguerre basis matrices at l={l}, N={size} (r^{lam:g}) leave the double range")
+    if lam == -1:
+        w = _sturmian_form(np.ones(size), l)
+    elif lam >= 1 and float(lam).is_integer():
+        w = _jacobi_power(int(lam), l, size)
+    else:
+        _, phi = _basis_on_nodes(l, size, lam)
+        w = phi.T @ phi
     w.flags.writeable = False
     return w
 
@@ -194,16 +249,20 @@ def basis_scale(radius: float, energy: float, state: QuantumState, terms, tol: f
 
     The n-th basis function has mean radius (2n+2l+3) h, so h puts it at the
     radius; cusped attractive-only potentials get a 3x finer scale.  Each
-    confining term alpha r^lam then caps h: the largest node of the finest
-    rule lies below (4N + 4l + 6), so the r^lam matrix carries a round-off of
+    confining term alpha r^lam then caps h: the spectrum of x on the finest
+    rung lies below (4N + 4l + 6), so the r^lam matrix carries a round-off of
     eps * alpha * ((4N + 4l + 6) h)^lam, which must stay below tol * |energy|.
+    The cap is formed in logarithms, so a tiny alpha leaves h uncapped
+    instead of overflowing.
     """
     natural = radius / (2 * state.n + 2 * state.l + 3) / (3.0 if all(lam < 0 for _, lam in terms) else 1.0)
     span = 4 * _SIZES[-1] + 4 * state.l + 6
     h = natural
     for alpha, lam in terms:
         if lam > 0:
-            h = min(h, (tol * abs(energy) / (_EPS * alpha)) ** (1.0 / lam) / span)
+            log_cap = (math.log(tol * abs(energy)) - math.log(_EPS) - math.log(alpha)) / lam - math.log(span)
+            if log_cap < math.log(h):
+                h = math.exp(log_cap)
     return h, h < natural
 
 

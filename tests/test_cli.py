@@ -156,6 +156,15 @@ class TestScanCommand:
             assert float(row[4]) == pytest.approx(linear_ur_expansion(m, 0.2, q2), rel=1e-8)
         assert rows[1][5] == "n/a"  # no nonrelativistic expansion at m = 0
 
+    def test_tiny_slope_with_reference_writes_no_warning(self, tmp_path):
+        # the reference's round-off cap on the basis scale would overflow at b = 1e-300
+        config = self.scan_config(include_reference=True)
+        config["potential"] = [{"alpha": 1e-300, "exponent": 1}]
+        out = tmp_path / "fig.csv"
+        assert main(["scan", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+        for row in list(csv.reader(out.read_text().splitlines()))[1:]:
+            assert 0.0 < float(row[3]) <= min(float(row[1]), float(row[2]))
+
     def test_heavy_mass_row_is_finite(self, tmp_path, capsys):
         # m*m is finite at 1e150, but the closed form's intermediate products were not
         config = self.scan_config()
@@ -249,7 +258,21 @@ class TestQtableCommand:
         rows = json.loads(capsys.readouterr().out)
         assert code == 0
         assert [row["q"] for row in rows] == [86.5, 321.5, 1.5, 86.0, 161.0, 1.0]
-        assert [row["cross_check"] is None for row in rows] == [True, True, False] * 2
+        # n = 160 has no rung, and p = -1 at l = 85 does not converge; p = 2 at l = 85 is cross-checked
+        assert [row["cross_check"] is None for row in rows] == [False, True, False, True, True, False]
+        assert rows[0]["cross_check"] < 1e-6
+
+
+class TestReferenceCommand:
+    @pytest.mark.parametrize("l", [84, 200])
+    def test_linear_reference_past_the_gamma_limit(self, tmp_path, capsys, l):
+        # the closed-form x matrix needs no Gamma function; the level lies below the p = 2 bound
+        config = dict(REFERENCE_COULOMB, potential=[{"alpha": 0.2, "exponent": 1}], state={"n": 0, "l": l},
+                      format="json")
+        assert main(["reference", "--config", write_config(tmp_path, config)]) == 0
+        mass = json.loads(capsys.readouterr().out)["mass"]
+        state = QuantumState(0, l)
+        assert 11.568674 < mass < linear_closed(1.0, 0.2, q_exact(2, state)).mass
 
 
 class TestVerifyCommand:
@@ -449,15 +472,7 @@ def _with_1e400(config):
             "reference", dict(REFERENCE_COULOMB, masses=[0.0, 1e300], potential=[{"alpha": 0.2, "exponent": 1}]),
             [], 2, id="reference-mass-1e300",
         ),
-        # Gamma(2l+3), the Gauss-Laguerre weights or the r^lam entries of the basis leave the double range
-        pytest.param(
-            "reference", dict(REFERENCE_COULOMB, potential=[{"alpha": 0.2, "exponent": 1}], state={"n": 0, "l": 84}),
-            [], 2, id="reference-l-84",
-        ),
-        pytest.param(
-            "reference", dict(REFERENCE_COULOMB, potential=[{"alpha": 0.2, "exponent": 1}], state={"n": 0, "l": 200}),
-            [], 2, id="reference-l-200",
-        ),
+        # the r^lam entries of the basis leave the double range
         pytest.param(
             "reference", dict(REFERENCE_COULOMB, potential=[{"alpha": 0.2, "exponent": 150}]), [], 2,
             id="reference-exponent-150",

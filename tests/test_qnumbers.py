@@ -121,11 +121,30 @@ class TestQNumeric:
         # near exact, and the Aitken correction is far inside the tolerance
         assert q_numeric(p, QuantumState(n, l)).value == pytest.approx(want, abs=1e-6)
 
-    @pytest.mark.parametrize("p, l", [(0.5, 85), (-1.0, 85), (2.0, 85), (1.0, 84)])
+    @pytest.mark.parametrize("p, l", [(0.5, 85)])
     def test_l_beyond_the_laguerre_basis_is_a_domain_error(self, p, l):
-        # Gamma(2l + 3 + max(p, 0)) leaves the double range: every l >= 85, and l = 84 when p >= 1
+        # a non-integer exponent takes the Gauss-Laguerre rule, whose Gamma(2l + 3 + max(p, 0))
+        # leaves the double range for every l >= 85
         with pytest.raises(DomainError):
             q_numeric(p, QuantumState(0, l))
+
+    @pytest.mark.parametrize("l", [85, 200])
+    def test_oscillator_past_the_gamma_limit_is_exact(self, l):
+        # the closed-form r^2 matrix needs no Gamma function
+        assert q_numeric(2.0, QuantumState(0, l)).value == pytest.approx(l + 1.5, abs=1e-6)
+
+    @pytest.mark.parametrize("l", [84, 200])
+    def test_linear_past_the_gamma_limit_lies_between_the_exact_q(self, l):
+        # Q(1) lies between Q(-1) = l + 1 and Q(2) = l + 3/2 and, at large l, rises by one per unit of l
+        q = q_numeric(1.0, QuantumState(0, l)).value
+        assert l + 1.0 < q < l + 1.5
+        assert q - q_numeric(1.0, QuantumState(0, l - 1)).value == pytest.approx(1.0, abs=1e-5)
+
+    def test_coulomb_past_l_69_is_a_convergence_failure(self):
+        # W(-1) is finite at any l, but the 3x finer scale of an attractive-only potential leaves
+        # the n = 0 level unconverged at N = 160 beyond l = 69: a typed refusal, no DomainError
+        with pytest.raises(ConvergenceFailure, match="stuck"):
+            q_numeric(-1.0, QuantumState(0, 85))
 
     @pytest.mark.parametrize("p", [0.5, -1.0, 2.0])
     def test_n_beyond_the_laguerre_basis_is_a_convergence_failure(self, p):

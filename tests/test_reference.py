@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from salpeter_afm import (
     ConvergenceFailure,
@@ -21,6 +22,7 @@ from salpeter_afm import (
     SseProblem,
     bound_gap,
     q_exact,
+    q_numeric,
     reference,
     solve_afm,
     sse_eigenvalue,
@@ -75,6 +77,17 @@ def quadrature_psq(l, size):
     return q.T @ q + l * (l + 1) * (phi.T @ phi)
 
 
+def quadrature_power(lam, l, size):
+    """W(lam) as the exact Gauss-Laguerre sum on size nodes with weight x^(2l+2+lam)."""
+    _, phi = reference._basis_on_nodes(l, size, lam)
+    return phi.T @ phi
+
+
+def dense_jacobi(l, size):
+    diag, off = reference.jacobi_matrix(l, size)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def assert_massless_sqrt_on_momentum_eigenvectors(l):
     """sqrt(p^2) maps an eigenvector of the p_l^2 matrix (from numpy's own
     eigensolver) onto sqrt(eigenvalue) times itself."""
@@ -115,16 +128,37 @@ class TestProblemValidation:
 
     @pytest.mark.parametrize(
         "potential, l",
-        [(LINEAR, 84), (LINEAR, 200), (PowerLawPotential(((0.2, 150.0),)), 0)],
-        ids=["l-84", "l-200", "exponent-150"],
+        [(PowerLawPotential(((0.2, 150.0),)), 0), (PowerLawPotential(((0.2, 0.5),)), 85)],
+        ids=["exponent-150", "half-power-l-85"],
     )
     def test_non_representable_laguerre_matrices_are_a_domain_error(self, potential, l):
-        # Gamma(2l+3), the Gauss-Laguerre weights or the r^lam entries would overflow; no warning escapes
+        # the r^lam entries, or for a non-integer exponent Gamma(2l+3) and the Gauss-Laguerre
+        # weights, would overflow; no warning escapes
         with pytest.raises(DomainError, match="leave the double range"):
             sse_eigenvalue(SseProblem(0.0, 1.0, potential, QuantumState(0, l)))
 
     def test_l_80_is_still_representable(self):
         assert sse_eigenvalue(SseProblem(0.0, 1.0, LINEAR, QuantumState(0, 80))) == pytest.approx(11.568674, abs=1e-6)
+
+    @pytest.mark.parametrize("l", [84, 200])
+    def test_linear_reference_past_the_gamma_limit(self, caplog, l):
+        # the closed-form x matrix needs no Gamma function: the rungs do not rise, and the level sits below
+        # the certified p = 2 bound (the linear potential is concave in r^2) and above the l = 80 level
+        state = QuantumState(0, l)
+        with caplog.at_level(logging.DEBUG, logger="salpeter_afm"):
+            value = sse_eigenvalue(SseProblem(0.0, 1.0, LINEAR, state))
+        rungs = [float(r.getMessage().split()[-1].removeprefix("value="))
+                 for r in caplog.records if r.getMessage().startswith("reference rung")]
+        assert len(rungs) >= 2
+        assert_non_increasing(rungs)
+        assert 11.568674 < value < solve_afm(0.0, 1.0, LINEAR, q_exact(2, state)).mass
+
+    def test_tiny_confining_coupling_leaves_the_scale_uncapped(self):
+        # the round-off cap (tol |E| / (eps alpha))^(1/lam) would overflow; formed in logarithms it
+        # does not bind, and no warning escapes
+        problem = SseProblem(0.0, 1.0, PowerLawPotential(((1e-300, 1.0),)), QuantumState(0))
+        assert reference._scale(problem)[1] is False
+        assert sse_eigenvalue(problem) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestOperatorConstruction:
@@ -143,6 +177,53 @@ class TestOperatorConstruction:
         scale = np.abs(quadrature).max()
         assert np.abs(psq_matrix(l, size) - quadrature).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("size", [20, 160])
+    @pytest.mark.parametrize(
+        "lam, l",
+        [(lam, l) for lam in (-1.0, 1.0, 2.0, 3.0) for l in (0, 1, 5, 40, 84) if lam < 1 or l < 84],
+    )
+    def test_closed_form_powers_match_quadrature(self, lam, l, size):
+        # at l = 84 the Gauss-Laguerre weights of a positive exponent leave the double range
+        quadrature = quadrature_power(lam, l, size)
+        assert np.abs(power_matrix(lam, l, size) - quadrature).max() <= 1e-12 * np.abs(quadrature).max()
+
+    @pytest.mark.parametrize("size", [20, 160])
+    @pytest.mark.parametrize("l", [0, 1, 5, 40, 84, 200])
+    def test_coulomb_sturmians_are_orthonormal_with_weight_1_over_x(self, l, size):
+        # s = chi M, M upper bidiagonal with M_kk = sqrt(k+2l+2) and M_(k-1)k = -sqrt(k): M^T W(-1) M = I
+        k = np.arange(size)
+        m = np.diag(np.sqrt(k + 2.0 * l + 2.0)) - np.diag(np.sqrt(k[1:] + 0.0), 1)
+        assert np.abs(m.T @ power_matrix(-1.0, l, size) @ m - np.eye(size)).max() <= 1e-13
+
+    @pytest.mark.parametrize("size", [20, 160])
+    @pytest.mark.parametrize("l", [0, 5, 200])
+    def test_integer_powers_are_blocks_of_jacobi_powers(self, l, size):
+        # W(1) is J itself; W(2) and W(3) are the top-left blocks of J^2 and J^3 on one more function
+        assert np.array_equal(power_matrix(1.0, l, size), dense_jacobi(l, size))
+        jacobi = dense_jacobi(l, size + 1)
+        for m in (2, 3):
+            block = np.linalg.matrix_power(jacobi, m)[:size, :size]
+            assert np.abs(power_matrix(float(m), l, size) - block).max() <= 1e-14 * np.abs(block).max()
+
+    def test_integer_powers_need_no_quadrature(self, monkeypatch):
+        # the paper's potentials and the oracle's integer exponents build without a Gauss-Laguerre rule
+        def refuse(*args, **kwargs):
+            raise AssertionError("Gauss-Laguerre rule built for an integer exponent")
+
+        monkeypatch.setattr(scipy.special, "roots_genlaguerre", refuse)
+        reference.power_matrix.cache_clear()
+        try:
+            for lam in (-1.0, 1.0, 2.0, 3.0, 8):
+                assert np.isfinite(power_matrix(lam, 2, 40)).all()
+            assert sse_eigenvalue(COULOMB) == pytest.approx(PINNED["coulomb"], rel=1e-10)
+            assert sse_eigenvalue(FUNNEL) == pytest.approx(PINNED["funnel"], rel=1e-10)
+            for p, want in ((-1, 1.0), (1, q_exact(1, QuantumState(0)).value), (2, 1.5)):
+                assert q_numeric(p, QuantumState(0)).value == pytest.approx(want, abs=1e-6)
+            with pytest.raises(AssertionError, match="integer exponent"):
+                power_matrix(0.5, 2, 40)
+        finally:
+            reference.power_matrix.cache_clear()
+
     def test_closed_form_psq_first_entries(self):
         # at l = 0: <chi_0|p^2|chi_0> = 1/4, <chi_1|p^2|chi_1> = 7/12 and <chi_0|p^2|chi_1> = 1/sqrt(12)
         psq = psq_matrix(0, 5)
@@ -159,13 +240,14 @@ class TestOperatorConstruction:
         assert np.abs((u * p2) @ u.T - psq).max() <= 1e-12 * np.abs(psq).max()
 
     def test_momentum_matrices_are_finite_past_the_power_matrix_limit(self):
-        # P needs no Gamma function; the l >= 85 limit is the r^lam matrix's alone
+        # P and the integer-power matrices need no Gamma function; the l >= 85 limit is the
+        # Gauss-Laguerre rule's, for a non-integer exponent alone
         p2, u = reference._psq_spectrum(200, 160)
         assert np.isfinite(psq_matrix(200, 160)).all() and np.isfinite(p2).all() and np.isfinite(u).all()
+        for lam in (-1.0, 1.0, 2.0):
+            assert np.isfinite(power_matrix(lam, 200, 160)).all()
         with pytest.raises(DomainError, match="leave the double range"):
-            power_matrix(-1.0, 85, 20)
-        with pytest.raises(DomainError, match="leave the double range"):
-            sse_eigenvalue(SseProblem(0.0, 1.0, LINEAR, QuantumState(0, 85)))
+            power_matrix(0.5, 85, 20)
 
     @pytest.mark.parametrize("l", [0, 2])
     def test_bases_are_nested(self, l):
