@@ -210,7 +210,7 @@ def cmd_bound(config: dict) -> int:
             "certificate_reason": reason,
             "residuals": {"mass": res[0], "q": res[1], "virial": res[2]},
         }
-        _emit(json.dumps(record, indent=2) + "\n", config)
+        _emit(json.dumps(record) + "\n", config)
     else:
         lines = [
             f"mass          M   = {_fmt(sol.mass)} GeV",
@@ -360,7 +360,7 @@ def cmd_qtable(config: dict) -> int:
             {"p": p, "n": n, "l": l, "q": qv, "source": src, "cross_check": delta}
             for p, n, l, qv, src, delta in rows
         ]
-        _emit(json.dumps(payload, indent=2) + "\n", config)
+        _emit(json.dumps(payload) + "\n", config)
     elif config.get("format") == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)
@@ -385,7 +385,7 @@ def cmd_verify(config: dict) -> int:
     except KeyError as err:
         raise ConfigError(str(err)) from None
     if config.get("format") == "json":
-        _emit(json.dumps([dataclasses.asdict(r) for r in results], indent=2) + "\n", config)
+        _emit(json.dumps([dataclasses.asdict(r) for r in results]) + "\n", config)
     else:
         text = "\n".join(r.line() for r in results)
         n_fail = sum(not r.passed for r in results)

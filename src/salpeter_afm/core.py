@@ -101,9 +101,8 @@ def q_numeric(
     slowly in the Laguerre basis and may need a looser tol to avoid
     ConvergenceFailure.  The basis of at most 160 functions reaches
     n <= 17-29 (by p, at l = 0) and l <= 69-73 (attractive p, at n = 0),
-    and any l for an integer p >= 1, as listed in :mod:`.oracle`; beyond
-    that it raises ConvergenceFailure, or, for a non-integer p,
-    DomainError at l >= 85 (l = 84 when p >= 1).
+    and any l for a confining p, as listed in :mod:`.oracle`; beyond that
+    it raises ConvergenceFailure.
     """
     from . import oracle  # imports numpy and scipy: loaded here, so the solver itself runs on floats alone
 

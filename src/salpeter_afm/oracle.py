@@ -15,11 +15,9 @@ The basis bounds the levels it reaches.  Level n needs rungs N > n; at
 q_numeric's default tolerance the ladder converges, at l = 0, for n <= 17 at
 p = 4, 23 at p = 2, 22 at p = -1, 27 at p = 1 and 29 at p = 0.5, and at
 n = 0 for l <= 69 at p = -1 and 73 at p = -0.5; beyond that it raises
-ConvergenceFailure.  An integer p >= 1 has closed-form matrices and no
-l limit (p = 1, 2 and 8 converge at n = 0 for every l measured, up to
-1000).  A non-integer p takes the Gauss-Laguerre rule, and every l >= 85
-(l = 84 when p >= 1) raises DomainError: Gamma(2l + 3 + p) leaves the
-double range.
+ConvergenceFailure.  Every matrix is exact and finite at any l, so a
+confining p has no l limit: p = 0.5, 1, 1.5, 2, 2.5, 4.5 and 8 converge at
+n = 0 for every l measured, up to 1000.
 """
 from __future__ import annotations
 
@@ -125,7 +123,7 @@ def nr_energy(mu: float, rho: float, p: float, state: QuantumState, *, tol: floa
 
     Raises ConvergenceFailure when the ladder's error estimate exceeds
     ``tol`` relative, which bounds the levels it reaches (see the module
-    docstring), and DomainError where l is beyond the Laguerre basis or the
+    docstring), and DomainError where the r^p matrix (a steep p) or the
     energy unit of (mu, rho) leaves the double range.
     """
     log_energy, _ = _log_units(mu, rho, p)

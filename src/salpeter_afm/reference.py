@@ -12,8 +12,9 @@ first N functions P + 1/4 = M^-T D M^-1 with D = diag(k+l+1), and the 1/x
 matrix is M^-T M^-1, both exactly.  Both are semiseparable, and the
 eigenpairs of P come from the tridiagonal (P + 1/4)^-1 = M D^-1 M^T.  The x
 matrix is the tridiagonal Jacobi matrix J of the recurrence, and x^m, m a
-positive integer, is the top-left block of J^m.  Only a non-integer
-exponent takes an exact Gauss-Laguerre sum.  In the basis of scale h the
+positive integer, is the top-left block of J^m.  Any other exponent
+expands L_j^(2l+2) in the L_i^(2l+2+lam) (a connection formula) and is
+exact as well.  In the basis of scale h the
 p_l^2 matrix is P(l, N) / h^2 and the r^lam matrix h^lam W(lam, l, N), so
 the eigendecomposition of P, from which the kinetic sum of both masses is
 built, and each W are made once per (l, N) at unit scale and shared by
@@ -24,14 +25,12 @@ upper bound on the true one, falling as the nested bases grow.  The ladder
 N = 20, 40, 80, 160 stops when two rungs agree to 1e-7 relative, or else
 (an attractive tail's origin cusp converges slowly) returns the Aitken
 limit of the last three, unless its correction exceeds the caller's limit;
-``ladder`` alone accepts, extrapolates or refuses a level.  Past N ~ 180
-the Gauss-Laguerre weights of a non-integer exponent underflow, hence the
-cap.  The nonrelativistic oracle runs the same ladder on
+``ladder`` alone accepts, extrapolates or refuses a level.  The cap at
+N = 160 is the ladder's own choice of rungs, not a limit of the matrices.
+The nonrelativistic oracle runs the same ladder on
 P/(2 h^2) + sign(p) h^p W(p, l, N), with the same scale rule.  Where the
 unit-scale r^lam entries would leave the double range (a steep exponent),
-or, for a non-integer exponent, the Gauss-Laguerre rule would (every
-l >= 85, l = 84 with lam >= 1), the matrix is not built and DomainError is
-raised.
+the matrix is not built and DomainError is raised; no l is out of reach.
 """
 from __future__ import annotations
 
@@ -82,40 +81,17 @@ class SseProblem:
                 raise ValueError("the symmetric mode uses a single mass; set m1 == m2")
 
 
-def _basis_on_nodes(l: int, size: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x_i of the size-point Gauss-Laguerre rule with weight
-    x^(2l+2+lam) e^-x, and sqrt(w_i) p_k(x_i) for k < size; carrying sqrt(w_i)
-    through the recurrence keeps every value near 1 where p_k alone would
-    overflow.  Only a non-integer exponent needs it (see power_matrix).
-
-    Raises DomainError, before anything is computed, where Gamma(2l+3) (the
-    normalisation of p_0) or the weights (they sum to Gamma(2l+3+lam)) would
-    leave the double range: every l >= 85, and l = 84 when lam >= 1."""
+def basis_functions(l: int, scale: float, size: int, radii: np.ndarray) -> np.ndarray:
+    """chi_k(r) for k < size at the given radii, one row per radius, by the
+    three-term recurrence of the normalised L_k^(2l+2)."""
+    x = radii / scale
     alpha = 2 * l + 2
-    if special.gammaln(alpha + max(lam, 0.0) + 1.0) >= _LOG_MAX:
-        raise DomainError(f"Laguerre basis matrices at l={l}, N={size} (r^{lam:g}) leave the double range")
-    x, w = special.roots_genlaguerre(size, alpha + lam)
-    return x, _recurrence(x, np.sqrt(w / special.gamma(alpha + 1.0)), alpha, size)
-
-
-def _recurrence(x: np.ndarray, first: np.ndarray, alpha: int, size: int) -> np.ndarray:
-    """first * p_k(x) / p_0 at the points x for k < size, by the three-term
-    recurrence of the normalised L_k^alpha; a ``first`` column that carries the
-    weight keeps every value near 1 where p_k alone would overflow."""
     phi = np.zeros((len(x), size))
-    phi[:, 0] = first
+    phi[:, 0] = np.exp((l + 1) * np.log(x) - 0.5 * x - 0.5 * special.gammaln(alpha + 1.0)) / math.sqrt(scale)
     for k in range(size - 1):  # at k = 0, down = 0 meets a column of zeros
         down, up = math.sqrt(k * (k + alpha)), math.sqrt((k + 1) * (k + 1 + alpha))
         phi[:, k + 1] = ((2 * k + 1 + alpha - x) * phi[:, k] - down * phi[:, k - 1]) / up
     return phi
-
-
-def basis_functions(l: int, scale: float, size: int, radii: np.ndarray) -> np.ndarray:
-    """chi_k(r) for k < size at the given radii, one row per radius."""
-    x = radii / scale
-    alpha = 2 * l + 2
-    first = np.exp((l + 1) * np.log(x) - 0.5 * x - 0.5 * special.gammaln(alpha + 1.0)) / math.sqrt(scale)
-    return _recurrence(x, first, alpha, size)
 
 
 def jacobi_matrix(l: int, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -165,6 +141,26 @@ def _jacobi_power(m: int, l: int, size: int) -> np.ndarray:
     return 0.5 * (block + block.T)
 
 
+def _connection_power(lam: float, l: int, size: int) -> np.ndarray:
+    """<chi_j|x^lam|chi_k> for j, k < size, any lam > -2l-3: F F^T.
+
+    With alpha = 2l+2, L_j^alpha = sum_(i<=j) a_(j-i) L_i^(alpha+lam),
+    a_d = (-lam)_d / d! (DLMF 18.18.18), and the L_i^(alpha+lam) are
+    orthogonal with weight x^(alpha+lam) e^-x, so F is lower triangular with
+    F_ji = a_(j-i) sqrt(j! Gamma(i+alpha+lam+1) / (Gamma(j+alpha+1) i!)).  The
+    exponential is taken on i <= j alone: above the diagonal it would overflow
+    at large l."""
+    alpha = 2 * l + 2
+    k = np.arange(size, dtype=float)
+    a = np.cumprod(np.concatenate(([1.0], (k[1:] - 1.0 - lam) / k[1:])))
+    g = special.gammaln(k + 1.0)
+    row, column = g - special.gammaln(k + alpha + 1.0), special.gammaln(k + alpha + lam + 1.0) - g
+    j, i = np.tril_indices(size)
+    f = np.zeros((size, size))
+    f[j, i] = a[j - i] * np.exp(0.5 * (row[j] + column[i]))
+    return f @ f.T
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def psq_matrix(l: int, size: int) -> np.ndarray:
     """<chi_j| p^2 + l(l+1)/r^2 |chi_k> for j, k < size at unit scale, read-only:
@@ -182,7 +178,7 @@ def power_matrix(lam: float, l: int, size: int) -> np.ndarray:
 
     Closed forms for the integer exponents: W(-1) = M^-T M^-1 and, for a
     positive integer m, W(m) the top-left block of J^m; any other exponent is
-    the exact Gauss-Laguerre sum of :func:`_basis_on_nodes`.  Raises
+    F F^T from the connection coefficients of :func:`_connection_power`.  Raises
     DomainError, before anything is computed, where the entries might leave
     the double range (lam > 0): each <chi_k|x^lam|chi_k> is at most
     ||J^m||^(lam/m) <= (4(size+m) + 4l + 6)^lam, m = ceil(lam) (Lyapunov's
@@ -195,8 +191,7 @@ def power_matrix(lam: float, l: int, size: int) -> np.ndarray:
     elif lam >= 1 and float(lam).is_integer():
         w = _jacobi_power(int(lam), l, size)
     else:
-        _, phi = _basis_on_nodes(l, size, lam)
-        w = phi.T @ phi
+        w = _connection_power(lam, l, size)
     w.flags.writeable = False
     return w
 

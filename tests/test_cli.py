@@ -262,6 +262,16 @@ class TestQtableCommand:
         assert [row["cross_check"] is None for row in rows] == [False, True, False, True, True, False]
         assert rows[0]["cross_check"] < 1e-6
 
+    @pytest.mark.parametrize("l", [85, 200])
+    def test_half_power_past_l_84_has_a_numeric_q(self, tmp_path, capsys, l):
+        # no analytic Q; the connection-formula r^0.5 matrix is finite at any l, so the oracle answers
+        config = {"mode": "qtable", "format": "json", "qtable": {"p_values": [0.5], "states": [[0, l]]}}
+        code = main(["qtable", "--config", write_config(tmp_path, config)])
+        [row] = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert row["source"].startswith("numeric") and row["cross_check"] is None
+        assert l + 1.0 < row["q"] < l + 1.5
+
 
 class TestReferenceCommand:
     @pytest.mark.parametrize("l", [84, 200])
@@ -409,10 +419,6 @@ def _with_1e400(config):
         pytest.param(  # ends in ConvergenceFailure on the N = 160 rung
             "qtable", {"mode": "qtable", "qtable": {"p_values": [-1.7], "states": [[0, 0]]}}, [], 2,
             id="qtable-no-convergence",
-        ),
-        pytest.param(  # no analytic Q and beyond the oracle's Laguerre basis
-            "qtable", {"mode": "qtable", "qtable": {"p_values": [0.5], "states": [[0, 85]]}}, [], 2,
-            id="qtable-l-85",
         ),
         pytest.param(
             "qtable", {"mode": "qtable", "qtable": {"p_values": [0.5], "states": [[160, 0]]}}, [], 2,

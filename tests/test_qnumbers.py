@@ -121,12 +121,13 @@ class TestQNumeric:
         # near exact, and the Aitken correction is far inside the tolerance
         assert q_numeric(p, QuantumState(n, l)).value == pytest.approx(want, abs=1e-6)
 
-    @pytest.mark.parametrize("p, l", [(0.5, 85)])
-    def test_l_beyond_the_laguerre_basis_is_a_domain_error(self, p, l):
-        # a non-integer exponent takes the Gauss-Laguerre rule, whose Gamma(2l + 3 + max(p, 0))
-        # leaves the double range for every l >= 85
-        with pytest.raises(DomainError):
-            q_numeric(p, QuantumState(0, l))
+    @pytest.mark.parametrize("l", [85, 200])
+    def test_half_power_past_l_84_lies_between_the_exact_q(self, l):
+        # the connection-formula r^0.5 matrix is finite at any l: Q(0.5) lies between Q(-1) = l + 1
+        # and Q(2) = l + 3/2 and, at large l, rises by one per unit of l
+        q = q_numeric(0.5, QuantumState(0, l)).value
+        assert l + 1.0 < q < l + 1.5
+        assert q - q_numeric(0.5, QuantumState(0, l - 1)).value == pytest.approx(1.0, abs=1e-5)
 
     @pytest.mark.parametrize("l", [85, 200])
     def test_oscillator_past_the_gamma_limit_is_exact(self, l):

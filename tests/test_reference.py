@@ -66,10 +66,24 @@ def rung_values(problem):
     ]
 
 
+def gauss_laguerre_basis(l, size, lam):
+    """Nodes x_i of the size-point Gauss-Laguerre rule with weight x^(2l+2+lam) e^-x, and sqrt(w_i) p_k(x_i)
+    for k < size by the three-term recurrence: an independent oracle for the closed forms.  The weights sum to
+    Gamma(2l+3+lam), which must stay finite: l <= 84 for lam < 1, and lower for a larger lam."""
+    alpha = 2 * l + 2
+    x, w = scipy.special.roots_genlaguerre(size, alpha + lam)
+    phi = np.zeros((size, size))
+    phi[:, 0] = np.sqrt(w / scipy.special.gamma(alpha + 1.0))
+    for k in range(size - 1):
+        down, up = math.sqrt(k * (k + alpha)), math.sqrt((k + 1) * (k + 1 + alpha))
+        phi[:, k + 1] = ((2 * k + 1 + alpha - x) * phi[:, k] - down * phi[:, k - 1]) / up
+    return x, phi
+
+
 def quadrature_psq(l, size):
     """P as the exact Gauss-Laguerre sum on size + 1 nodes with weight x^(2l):
     d/dx [x^(l+1) e^(-x/2) p_k] = x^l e^(-x/2) q_k, using x p_k' = k p_k - sqrt(k(k+2l+2)) p_(k-1)."""
-    x, phi = reference._basis_on_nodes(l, size + 1, -2.0)
+    x, phi = gauss_laguerre_basis(l, size + 1, -2.0)
     phi = phi[:, :size]
     k = np.arange(size)
     q = (l + 1 + k - 0.5 * x[:, None]) * phi
@@ -79,8 +93,18 @@ def quadrature_psq(l, size):
 
 def quadrature_power(lam, l, size):
     """W(lam) as the exact Gauss-Laguerre sum on size nodes with weight x^(2l+2+lam)."""
-    _, phi = reference._basis_on_nodes(l, size, lam)
+    _, phi = gauss_laguerre_basis(l, size, lam)
     return phi.T @ phi
+
+
+def mpmath_connection_rows(lam, l, rows, mp):
+    """Rows j of F, F_ji = a_(j-i) sqrt(j! Gamma(i+2l+3+lam) / (Gamma(j+2l+3) i!)) for i <= j, in the
+    working precision of ``mp``."""
+    alpha, lam = 2 * l + 2, mp.mpf(lam)
+    return {j: [mp.rf(-lam, j - i) / mp.factorial(j - i)
+                * mp.sqrt(mp.factorial(j) * mp.gamma(i + alpha + lam + 1) / (mp.gamma(j + alpha + 1) * mp.factorial(i)))
+                for i in range(j + 1)]
+            for j in rows}
 
 
 def dense_jacobi(l, size):
@@ -126,14 +150,9 @@ class TestProblemValidation:
         with pytest.raises(DomainError, match="square beyond the double range"):
             sse_eigenvalue(SseProblem(0.0, 1e300, LINEAR, QuantumState(0)))
 
-    @pytest.mark.parametrize(
-        "potential, l",
-        [(PowerLawPotential(((0.2, 150.0),)), 0), (PowerLawPotential(((0.2, 0.5),)), 85)],
-        ids=["exponent-150", "half-power-l-85"],
-    )
+    @pytest.mark.parametrize("potential, l", [(PowerLawPotential(((0.2, 150.0),)), 0)], ids=["exponent-150"])
     def test_non_representable_laguerre_matrices_are_a_domain_error(self, potential, l):
-        # the r^lam entries, or for a non-integer exponent Gamma(2l+3) and the Gauss-Laguerre
-        # weights, would overflow; no warning escapes
+        # the r^lam entries would overflow; no warning escapes
         with pytest.raises(DomainError, match="leave the double range"):
             sse_eigenvalue(SseProblem(0.0, 1.0, potential, QuantumState(0, l)))
 
@@ -205,24 +224,58 @@ class TestOperatorConstruction:
             block = np.linalg.matrix_power(jacobi, m)[:size, :size]
             assert np.abs(power_matrix(float(m), l, size) - block).max() <= 1e-14 * np.abs(block).max()
 
-    def test_integer_powers_need_no_quadrature(self, monkeypatch):
-        # the paper's potentials and the oracle's integer exponents build without a Gauss-Laguerre rule
+    def test_no_exponent_needs_a_quadrature(self, monkeypatch):
+        # every r^lam matrix, and so every reference and oracle level, builds without a Gauss-Laguerre rule
         def refuse(*args, **kwargs):
-            raise AssertionError("Gauss-Laguerre rule built for an integer exponent")
+            raise AssertionError("Gauss-Laguerre rule built")
 
         monkeypatch.setattr(scipy.special, "roots_genlaguerre", refuse)
         reference.power_matrix.cache_clear()
         try:
-            for lam in (-1.0, 1.0, 2.0, 3.0, 8):
+            for lam in (-1.5, -1.0, 0.5, 1.0, 2.0, 2.5, 3.0, 8):
                 assert np.isfinite(power_matrix(lam, 2, 40)).all()
             assert sse_eigenvalue(COULOMB) == pytest.approx(PINNED["coulomb"], rel=1e-10)
             assert sse_eigenvalue(FUNNEL) == pytest.approx(PINNED["funnel"], rel=1e-10)
             for p, want in ((-1, 1.0), (1, q_exact(1, QuantumState(0)).value), (2, 1.5)):
                 assert q_numeric(p, QuantumState(0)).value == pytest.approx(want, abs=1e-6)
-            with pytest.raises(AssertionError, match="integer exponent"):
-                power_matrix(0.5, 2, 40)
+            # Q(p) rises with p: Q(-1) = 1 < Q(-0.5) < Q(0.5) < Q(1) < Q(2) = 1.5 < Q(2.5)
+            q = [q_numeric(p, QuantumState(0)).value for p in (-0.5, 0.5, 2.5)]
+            assert 1.0 < q[0] < q[1] < q_exact(1, QuantumState(0)).value < 1.5 < q[2]
         finally:
             reference.power_matrix.cache_clear()
+
+    @pytest.mark.parametrize("size", [20, 160])
+    @pytest.mark.parametrize(
+        "lam, l",
+        [(lam, l) for lam in (-1.7, -1.5, -0.5, 0.5, 1.2, 2.5, 3.5, 4.5) for l in (0, 1, 5, 40, 84)
+         if lam < 1 or l < 84],
+    )
+    def test_connection_form_matches_quadrature(self, lam, l, size):
+        # at l = 84 the Gauss-Laguerre weights of an exponent >= 1 leave the double range
+        quadrature = quadrature_power(lam, l, size)
+        assert np.abs(power_matrix(lam, l, size) - quadrature).max() <= 2e-12 * np.abs(quadrature).max()
+
+    @pytest.mark.parametrize("l", [0, 5, 84])
+    @pytest.mark.parametrize("lam", [-1.7, -0.5, 0.5, 2.5, 6.5, 8.5])
+    def test_connection_form_matches_40_digit_entries(self, lam, l):
+        # the same sum F F^T in 40 digits: the doubles lose no more than 5e-13 of sqrt(W_jj W_kk)
+        mp = pytest.importorskip("mpmath").mp.clone()
+        mp.dps = 40
+        pairs = [(0, 0), (0, 159), (3, 150), (80, 81), (120, 37), (159, 159)]
+        rows = mpmath_connection_rows(lam, l, {j for pair in pairs for j in pair}, mp)
+        exact = {(j, k): mp.fsum(a * b for a, b in zip(rows[j], rows[k])) for j, k in pairs}
+        exact.update({(j, j): mp.fsum(a * a for a in rows[j]) for j in rows})
+        w = power_matrix(lam, l, 160)
+        for j, k in pairs:
+            assert abs(w[j, k] - exact[j, k]) <= 5e-13 * mp.sqrt(exact[j, j] * exact[k, k])
+
+    @pytest.mark.parametrize("lam, l", [(0.5, 1000), (-1.5, 200)])
+    def test_non_integer_powers_are_positive_definite_at_large_l(self, lam, l):
+        # the exponential of the connection coefficients is taken on the lower triangle alone, so
+        # nothing overflows (warnings are errors) and F F^T is positive definite
+        w = power_matrix(lam, l, 160)
+        assert np.isfinite(w).all() and np.array_equal(w, w.T)
+        np.linalg.cholesky(w)
 
     def test_closed_form_psq_first_entries(self):
         # at l = 0: <chi_0|p^2|chi_0> = 1/4, <chi_1|p^2|chi_1> = 7/12 and <chi_0|p^2|chi_1> = 1/sqrt(12)
@@ -239,15 +292,12 @@ class TestOperatorConstruction:
         psq = psq_matrix(l, size)
         assert np.abs((u * p2) @ u.T - psq).max() <= 1e-12 * np.abs(psq).max()
 
-    def test_momentum_matrices_are_finite_past_the_power_matrix_limit(self):
-        # P and the integer-power matrices need no Gamma function; the l >= 85 limit is the
-        # Gauss-Laguerre rule's, for a non-integer exponent alone
+    def test_momentum_and_power_matrices_are_finite_at_l_200(self):
+        # no matrix of the basis has an l limit
         p2, u = reference._psq_spectrum(200, 160)
         assert np.isfinite(psq_matrix(200, 160)).all() and np.isfinite(p2).all() and np.isfinite(u).all()
-        for lam in (-1.0, 1.0, 2.0):
+        for lam in (-1.0, 1.0, 2.0, 2.5):
             assert np.isfinite(power_matrix(lam, 200, 160)).all()
-        with pytest.raises(DomainError, match="leave the double range"):
-            power_matrix(0.5, 85, 20)
 
     @pytest.mark.parametrize("l", [0, 2])
     def test_bases_are_nested(self, l):
