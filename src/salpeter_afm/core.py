@@ -56,6 +56,8 @@ _ROOT32 = math.sqrt(32.0)
 # A candidate length scale beyond 1e250 or below 1e-250, in decades.
 _DECADE_LIMIT = 250.0
 
+_LN10 = math.log(10.0)
+
 # Iterations of Brent's method before it gives up, scipy's brentq default.
 _BRENT_MAXITER = 100
 
@@ -130,9 +132,13 @@ def concavity_certificate(potential: PowerLawPotential, p: float) -> BoundCertif
     sign(lam) * (lam/p) * (lam/p - 1) <= 0, applied termwise; a sum of
     concave terms is concave, so the test is sufficient but not necessary.
     """
+    return _certificate(potential.active_terms(), p)
+
+
+def _certificate(active, p: float) -> BoundCertificate:
+    """:func:`concavity_certificate` over the potential's active terms."""
     if not math.isfinite(p) or p <= -2.0 or p == 0.0:
         raise DomainError("auxiliary exponent must be finite, > -2 and nonzero")
-    active = potential.active_terms()
     if not active:
         return BoundCertificate(False, CERT_NONE)
     if all(lam == p for _, lam in active):
@@ -144,10 +150,10 @@ def concavity_certificate(potential: PowerLawPotential, p: float) -> BoundCertif
     return BoundCertificate(True, CERT_CONCAVE)
 
 
-def _certified(potential: PowerLawPotential, q: GlobalQ) -> bool:
+def _certified(terms, q: GlobalQ) -> bool:
     if q.p is None:
         return False
-    return concavity_certificate(potential, q.p).is_upper_bound
+    return _certificate(terms, q.p).is_upper_bound
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +166,7 @@ def check_mass_squares(*masses: float) -> None:
         raise DomainError("masses above ~1.3e154 square beyond the double range")
 
 
-def _scan_window(
-    potential: PowerLawPotential, q_value: float, m1: float, m2: float
-) -> tuple[float, float]:
+def _scan_window(terms, q_value: float, m1: float, m2: float) -> tuple[float, float]:
     """Decades (log10 radii) of the scan where the virial balance may close.
 
     Each active term and the heavier mass give a candidate length scale; the
@@ -175,7 +179,7 @@ def _scan_window(
     log_q = math.log10(q_value)
     logs = [
         (log_q - math.log10(abs(lam)) - math.log10(a)) / (lam + 1.0)
-        for a, lam in potential.active_terms()
+        for a, lam in terms
         if lam != -1.0
     ]
     heaviest = max(m1, m2)
@@ -205,28 +209,68 @@ def _virial_balance(terms, q_value: float, k1: float, k2: float):
     return balance
 
 
-def _bracket_root(balance, window: tuple[float, float], q_value: float, monotone: bool) -> tuple[float, float]:
+def _root_estimate(terms, q_value: float, k1: float, k2: float, window: tuple[float, float]) -> float:
+    """A log10 radius near the root of a nondecreasing balance, where its search starts.
+
+    The term with the largest e = lam + 1 > 0 balances Q alone at
+    s0 = ln(Q/(|lam| alpha))/e; without such a term (pure Coulomb) s0 is the
+    window's middle.  From s0 one Newton step on F(s) = ln(pull/(Q kin)),
+    r = e^s, with pull = sum |lam| alpha r^(lam+1) and kin = 1/hypot(1, k1 r)
+    + 1/hypot(1, k2 r), F' = sum e |lam| alpha r^e / pull
+    + sum (k r)^2/hypot^3 / kin.  The estimate only chooses where the search
+    starts, never an outcome: where it cannot be formed in floats it is the
+    window's middle.
+    """
+    middle = (window[0] + window[1]) / 2
+    c = e = 0.0
+    for a, lam in terms:
+        if lam + 1.0 > e:
+            c, e = abs(lam) * a, lam + 1.0
+    try:
+        s = (math.log(q_value) - math.log(c)) / e if e else middle * _LN10
+        r = math.exp(s)
+        pull = slope = 0.0
+        for a, lam in terms:
+            t = abs(lam) * a * r ** (lam + 1.0)
+            pull += t
+            slope += (lam + 1.0) * t
+        h1, h2 = math.hypot(1.0, k1 * r), math.hypot(1.0, k2 * r)
+        kin = 1.0 / h1 + 1.0 / h2
+        x1, x2 = k1 * r / h1, k2 * r / h2
+        s -= (math.log(pull) - math.log(q_value * kin)) / (slope / pull + (x1 * x1 / h1 + x2 * x2 / h2) / kin)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return middle
+    return s / _LN10 if math.isfinite(s) else middle
+
+
+def _bracket_root(balance, window: tuple[float, float], q_value: float, estimate: float | None):
     """First - to + crossing of the balance on a log grid over the window's decades.
 
     Grid point i is 10**(lo + i*step), 40 points per decade.  For the
     balance of :func:`solve_afm`, dM/dr0 = balance/r0^2, so such a crossing
     is a local minimum of M(r0); a + to - crossing is a local maximum and is
     skipped.  ``balance`` is :func:`_virial_balance`'s.  When every active
-    term has lam >= -1 (``monotone``) the balance is nondecreasing in r and
-    changes sign at most once, so bisecting the grid indices on float
-    values finds the scan's cell in about a dozen evaluations; otherwise
-    (a steep attractive term can make it cross twice) the whole grid is
-    evaluated as one array.  Returns a bracketing pair, or raises the
-    no-root errors :func:`solve_afm` documents, from the sign of the first
-    finite grid value.
+    term has lam >= -1 the balance is nondecreasing in r and changes sign at
+    most once: ``estimate`` is then :func:`_root_estimate`'s log10 radius,
+    and the search starts at its grid cell, gallops to a - / + pair and
+    bisects it on float values: two evaluations when the estimate's cell
+    holds the root, as it does for 99.5 % of the seeded bound draws.
+    Otherwise (``estimate`` None: a steep attractive term can make the
+    balance cross twice) the whole grid is evaluated as one array.  Returns
+    (xa, xb, f(xa), f(xb)), an end value None where it was not computed as a
+    float, or raises the no-root errors :func:`solve_afm` documents, from the
+    sign of the first finite grid value.
     """
     lo, hi = window
     count = round(40 * (hi - lo)) + 1
     step = (hi - lo) / (count - 1)
-    search = _bisect_grid if monotone else _scan_grid
-    bracket, lead = search(balance, lo, step, count)
-    if bracket is not None:
-        return bracket
+    if estimate is None:
+        cell, lead = _scan_grid(balance, lo, step, count)
+    else:
+        start = min(math.floor((min(max(estimate, lo), hi) - lo) / step), count - 2)
+        cell, lead = _bisect_grid(balance, lo, step, count, start)
+    if cell is not None:
+        return cell
     if lead is None:
         raise DomainError("virial balance is not representable over the scanned range")
     if lead > 0.0:
@@ -240,7 +284,7 @@ def _bracket_root(balance, window: tuple[float, float], q_value: float, monotone
 
 
 def _scan_grid(balance, lo: float, step: float, count: int):
-    """(bracket of the first - to + cell, first finite value), from one array evaluation.
+    """(the first - to + cell as (xa, xb, None, None), first finite value), from one array evaluation.
 
     Either is None when there is none.
     """
@@ -252,70 +296,94 @@ def _scan_grid(balance, lo: float, step: float, count: int):
     ups = np.nonzero((values[:-1] < 0.0) & (values[1:] >= 0.0))[0]
     if len(ups):
         i = ups[0]
-        return (float(grid[i]), float(grid[i + 1])), None
+        return (float(grid[i]), float(grid[i + 1]), None, None), None
     finite = values[np.isfinite(values)]
     return None, float(finite[0]) if len(finite) else None
 
 
-def _bisect_grid(balance, lo: float, step: float, count: int):
+def _bisect_grid(balance, lo: float, step: float, count: int, start: int):
     """:func:`_scan_grid`'s outcome for a nondecreasing balance, from float values.
 
-    An OverflowError of a float power counts as +inf.  Without a crossing
-    the second item is a finite value with the sign of the first finite
-    one: a balance that is +inf (or NaN) at the first point is nowhere
-    finite, one that is >= 0 there never crosses, and one still < 0 at the
-    last point is < 0 throughout.
+    Probes the cell [start, start + 1] first, gallops down or up from it in
+    doubling steps to a grid point below 0 and one not below 0, and bisects
+    between them.  Since the sign changes at most once, that is the cell a
+    bisection of the whole grid finds.  The cell comes with its end values
+    for Brent, except one where a float power raised OverflowError: that
+    counts as +inf here and is left None, so Brent evaluates it again and the
+    solve reports the overflow.  Without a crossing the second item is a
+    finite value with the sign of the first finite one: a balance that is
+    +inf (or NaN) at the first point is nowhere finite, one that is >= 0
+    there never crosses, and one still < 0 at the last point is < 0
+    throughout.
     """
+    ends = {}
 
     def point(i):
         return 10.0 ** (lo + i * step)
 
     def value(i):
         try:
-            return balance(point(i))
+            ends[i] = fx = balance(point(i))
         except OverflowError:
+            ends[i] = None
             return math.inf
+        return fx
 
-    first = value(0)
-    if not first < math.inf:
-        return None, None
-    if first >= 0.0:
-        return None, first
-    last = value(count - 1)
-    if last < 0.0:
-        # all negative, and -inf only where the kinetic terms overflow at small r
-        return None, last if last > -math.inf else None
-    below, above = 0, count - 1
+    width = 1
+    if (fx := value(start)) < 0.0:
+        below = start
+        while True:
+            above = min(below + width, count - 1)
+            if not (fx := value(above)) < 0.0:
+                break
+            if above == count - 1:
+                # all negative, and -inf only where the kinetic terms overflow at small r
+                return None, fx if fx > -math.inf else None
+            below, width = above, 2 * width
+    else:
+        above = start
+        while True:
+            if above == 0:
+                return None, fx if fx < math.inf else None
+            below = max(above - width, 0)
+            if (fx := value(below)) < 0.0:
+                break
+            above, width = below, 2 * width
     while above - below > 1:
         mid = (below + above) // 2
         if value(mid) < 0.0:
             below = mid
         else:
             above = mid
-    return (point(below), point(above)), None
+    return (point(below), point(above), ends[below], ends[above]), None
 
 
-def _brent(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+def _brent(
+    f, xa: float, xb: float, xtol: float, rtol: float, fa: float | None = None, fb: float | None = None
+) -> float:
     """Root of the scalar function f in the bracket [xa, xb] by Brent's method.
 
     R. P. Brent, *Algorithms for Minimization without Derivatives* (1973),
     ch. 4, as coded in scipy's ``brentq.c`` and ported here step for step,
     so every iterate, and the root, is the double ``scipy.optimize.brentq``
-    returns for the same arguments and its default of 100 iterations.  Stops
-    when half the bracket is below (xtol + rtol*|x|)/2.  A NaN value of f
-    raises DomainError, no sign change ValueError, and 100 iterations without
-    convergence ConvergenceFailure.
+    returns for the same arguments and its default of 100 iterations.
+    ``fa`` and ``fb``, when given, stand for f(xa) and f(xb), which are then
+    not evaluated; the root is still ``brentq``'s double whenever they are
+    those values.  Stops when half the bracket is below
+    (xtol + rtol*|x|)/2.  A NaN value of f raises DomainError, no sign
+    change ValueError, and 100 iterations without convergence
+    ConvergenceFailure.
     """
 
-    def value(x):
-        fx = float(f(x))
+    def value(x, fx=None):
+        fx = float(f(x) if fx is None else fx)
         if math.isnan(fx):
             raise DomainError(f"the function value at x={x!r} is NaN")
         return fx
 
     # doubles, as scipy's C loop has them: a numpy scalar here would leak into the root
     xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = value(xpre, fa), value(xcur, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -361,12 +429,15 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     Locates the smallest radius where the semirelativistic virial balance
     crosses from negative to positive, a local minimum of M(r0) (a log grid
     of 40 points per decade from six decades below the smallest candidate
-    length scale to six above the largest, searched by bisection when every
-    term has lam >= -1 and scanned whole otherwise, see
-    :func:`_bracket_root`; then Brent's method on that grid cell to machine
-    precision, see :func:`_brent`), and assembles the mass in floats.  All
-    three defining relations hold to better than 1e-10 relative on the
-    returned solution.  At m1 = 0, r0 solves
+    length scale to six above the largest, see :func:`_bracket_root`; when
+    every term has lam >= -1 the search starts at the cell of a one-step
+    Newton estimate of ln r0, see :func:`_root_estimate`, and otherwise
+    scans the whole grid; then Brent's method on that grid cell to machine
+    precision, handed the cell's end values, see :func:`_brent`), and
+    assembles the mass in floats.  With every lam >= -1 a call evaluates
+    the balance ~7 times: ~2 for the cell and ~5 in Brent.  All three
+    defining relations hold to better than 1e-10 relative on the returned
+    solution.  At m1 = 0, r0 solves
     Q + Q^2/sqrt(Q^2 + m2^2 r0^2) = sum_i |lam_i| alpha_i r0^(lam_i+1).
 
     Without such a crossing, raises NoBoundState when the balance is
@@ -387,17 +458,19 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     if not terms:
         raise DomainError("potential has no active term")
 
-    balance = _virial_balance(terms, qv, m1 / qv, m2 / qv)
-    monotone = all(lam >= -1.0 for _, lam in terms)
-    bracket = _bracket_root(balance, _scan_window(potential, qv, m1, m2), qv, monotone)
+    k1, k2 = m1 / qv, m2 / qv
+    balance = _virial_balance(terms, qv, k1, k2)
+    window = _scan_window(terms, qv, m1, m2)
+    estimate = _root_estimate(terms, qv, k1, k2, window) if all(lam >= -1.0 for _, lam in terms) else None
+    xa, xb, fa, fb = _bracket_root(balance, window, qv, estimate)
     try:
-        r0 = _brent(balance, *bracket, xtol=1e-20 * bracket[0], rtol=1e-15)
+        r0 = _brent(balance, xa, xb, xtol=1e-20 * xa, rtol=1e-15, fa=fa, fb=fb)
     except OverflowError as err:  # a bracket end where a term exceeds the double range
         raise DomainError("virial balance is not representable near the root") from err
-    return _assemble(m1, m2, potential, q, r0)
+    return _assemble(m1, m2, terms, q, r0)
 
 
-def _assemble(m1, m2, potential, q: GlobalQ, r0: float) -> AfmSolution:
+def _assemble(m1, m2, terms, q: GlobalQ, r0: float) -> AfmSolution:
     """The solution at r0, M = nu1 + nu2 + V(r0) in floats over the active terms.
 
     The virial residual is checked first: above 1e-10 the balance lost its
@@ -409,7 +482,6 @@ def _assemble(m1, m2, potential, q: GlobalQ, r0: float) -> AfmSolution:
         raise DomainError(f"the momentum Q/r0 at r0={r0:g} underflows the double range")
     nu1 = math.hypot(p0, m1)
     nu2 = math.hypot(p0, m2)
-    terms = potential.active_terms()
     if not _virial_residual(terms, r0, p0, nu1, nu2) <= 1e-10:
         raise DomainError(f"virial balance is not representable near the root (r0={r0:g})")
     try:
@@ -421,7 +493,7 @@ def _assemble(m1, m2, potential, q: GlobalQ, r0: float) -> AfmSolution:
         raise DomainError(f"the mass at r0={r0:g} exceeds the double range")
     if mass <= 0.0:
         raise CollapseDetected(f"solution at r0={r0:g} has nonpositive mass {mass:g}")
-    return AfmSolution(r0, p0, nu1, nu2, mass, q, _certified(potential, q))
+    return AfmSolution(r0, p0, nu1, nu2, mass, q, _certified(terms, q))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +527,7 @@ def coulomb_closed(m: float, a: float, q: GlobalQ | float) -> AfmSolution:
     x = a / (2.0 * qv)
     mass = 2.0 * m * math.sqrt(x * (1.0 - x))
     potential = PowerLawPotential.coulomb(a)
-    return AfmSolution(r0, p0, p0, nu2, mass, q, _certified(potential, q))
+    return AfmSolution(r0, p0, p0, nu2, mass, q, _certified(potential.active_terms(), q))
 
 
 def coulomb_symmetric(sigma: float, m: float, a: float, q: GlobalQ | float) -> float:
@@ -516,7 +588,7 @@ def linear_closed(m: float, b: float, q: GlobalQ | float) -> AfmSolution:
     r0 = _linear_radius(m / _linear_mass_scale(b, q.value), b, q.value)
     p0 = q.value / r0
     potential = PowerLawPotential.linear(b)
-    return AfmSolution(r0, p0, p0, math.hypot(p0, m), mass, q, _certified(potential, q))
+    return AfmSolution(r0, p0, p0, math.hypot(p0, m), mass, q, _certified(potential.active_terms(), q))
 
 
 def linear_symmetric_massless(sigma: float, b: float, q: GlobalQ | float) -> float:

@@ -45,12 +45,19 @@ def _same(f, a, b, **tols):
 
 @pytest.fixture
 def balances(monkeypatch):
-    """Every (balance, bracket end, bracket end, tolerances) that solve_afm hands to _brent."""
+    """Every (balance, bracket end, bracket end, tolerances) that solve_afm hands to _brent.
+
+    The end values that the bracket search passes along must be f(a) and
+    f(b) to the bit; they are dropped from the tolerances, since brentq
+    evaluates the ends itself.
+    """
     calls = []
 
-    def spy(f, xa, xb, **tols):
+    def spy(f, xa, xb, fa=None, fb=None, **tols):
+        for x, fx in ((xa, fa), (xb, fb)):
+            assert fx is None or repr(fx) == repr(f(x)), (x, fx)
         calls.append((f, xa, xb, tols))
-        return _brent(f, xa, xb, **tols)
+        return _brent(f, xa, xb, fa=fa, fb=fb, **tols)
 
     monkeypatch.setattr(core, "_brent", spy)
     return calls

@@ -179,7 +179,7 @@ def _scan_oracle(m1, m2, potential, qv):
         pull = sum(abs(lam) * a * r ** (lam + 1.0) for a, lam in terms)
         return pull - qv / np.hypot(1.0, m1 / qv * r) - qv / np.hypot(1.0, m2 / qv * r)
 
-    lo, hi = core._scan_window(potential, qv, m1, m2)
+    lo, hi = core._scan_window(potential.active_terms(), qv, m1, m2)
     grid = np.logspace(lo, hi, round(40 * (hi - lo)) + 1)
     with np.errstate(all="ignore"):
         values = balance(grid)
@@ -229,6 +229,16 @@ EDGE_ROWS = [
         0.0, 3.5e-274, PowerLawPotential(((5.2e-309, -0.437),)), 9.2e-219, DomainError, id="momentum-underflows"
     ),
     pytest.param(0.0, 1.0, PowerLawPotential.coulomb(2.0), 0.9, CollapseDetected, id="coulomb-collapse"),
+    # the root's cell ends at r = 4.98e56, where r^5.44 overflows: Brent evaluates that end itself,
+    # so the OverflowError refuses the solve (as +inf the end would bracket a root at r0 = 4.708e56)
+    pytest.param(
+        6.20515946784944e160,
+        4.4750034593502297e-212,
+        PowerLawPotential(((1.2991747738616603e-108, 4.437407153857256),)),
+        8.208701777449884e200,
+        DomainError,
+        id="overflow-at-the-cell-end",
+    ),
 ]
 
 
@@ -285,6 +295,159 @@ class TestBisectedBracket:
         # Brent converges on the jump where 1e308 r^2 reaches 1.8e308, not on a root
         with pytest.raises(DomainError, match="not representable near the root"):
             solve_afm(0.0, 0.0, PowerLawPotential(((1e308, 1.0),)), 1e308)
+
+
+def _whole_grid_bisection(balance, lo, step, count, start):
+    """The grid search before the root estimate, kept as the oracle of the seeded one.
+
+    Both grid ends first, then bisection of the whole grid; ``start`` is
+    unused and no end value is handed to Brent.
+    """
+
+    def point(i):
+        return 10.0 ** (lo + i * step)
+
+    def value(i):
+        try:
+            return balance(point(i))
+        except OverflowError:
+            return math.inf
+
+    first = value(0)
+    if not first < math.inf:
+        return None, None
+    if first >= 0.0:
+        return None, first
+    last = value(count - 1)
+    if last < 0.0:
+        return None, last if last > -math.inf else None
+    below, above = 0, count - 1
+    while above - below > 1:
+        mid = (below + above) // 2
+        if value(mid) < 0.0:
+            below = mid
+        else:
+            above = mid
+    return (point(below), point(above), None, None), None
+
+
+@pytest.fixture
+def both_searches(monkeypatch):
+    """solve_afm's (Brent cells, outcome) with the seeded search, then with the whole-grid bisection.
+
+    An outcome is the five doubles of the solution as hex, or the error's
+    type and message.  A solve that never reaches the grid search (a lam <
+    -1 term scans the grid as an array) is run once and reported twice.
+    """
+    seeded, real_brent = core._bisect_grid, core._brent
+    oracle, cells, searches = [False], [], []
+
+    def search(*args):
+        searches.append(args)
+        return (_whole_grid_bisection if oracle[0] else seeded)(*args)
+
+    def brent(f, xa, xb, **kwargs):
+        cells.append((xa, xb))
+        return real_brent(f, xa, xb, **kwargs)
+
+    monkeypatch.setattr(core, "_bisect_grid", search)
+    monkeypatch.setattr(core, "_brent", brent)
+
+    def run(m1, m2, potential, qv):
+        results = []
+        searches.clear()
+        for oracle[0] in (False, True):
+            if oracle[0] and not searches:
+                return results * 2
+            cells.clear()
+            try:
+                sol = solve_afm(m1, m2, potential, qv)
+                outcome = tuple(x.hex() for x in (sol.r0, sol.p0, sol.nu1, sol.nu2, sol.mass))
+            except AfmError as err:
+                outcome = (type(err), str(err))
+            results.append((tuple(cells), outcome))
+        return results
+
+    return run
+
+
+def _solved(result):
+    """Whether a (cells, outcome) of ``both_searches`` is a solution: its outcome holds hex strings."""
+    return isinstance(result[1][0], str)
+
+
+class TestSeededSearch:
+    """With every lam >= -1 the grid search starts at the root estimate's
+    cell: the same cell, the same doubles and the same errors as bisecting
+    the whole grid, in far fewer balance evaluations."""
+
+    def test_seeded_draws(self, both_searches):
+        rng = np.random.default_rng(20261018)
+        solved = 0
+        for _ in range(3000):
+            m1, m2, potential, qv = random_bound_configuration(rng)
+            seeded, oracle = both_searches(m1, m2, potential, qv)
+            assert seeded == oracle, (m1, m2, potential, qv)
+            solved += _solved(seeded)
+        assert solved > 2500
+
+    def test_log_uniform_draws(self, both_searches):
+        # shaped like TestResidualContract's draws: powers of r0 subnormal, 0 or beyond the double range
+        rng = np.random.default_rng(20261019)
+        solved = 0
+        for _ in range(30000):
+            terms = [(10.0 ** rng.uniform(-300, 300), rng.uniform(0.2, 5.0))]
+            if rng.random() < 0.5:
+                terms.append((10.0 ** rng.uniform(-300, 300), rng.choice([-1.9, -1.0, -0.5, 0.5, 2.0, 4.5])))
+            m1 = 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-300, 300)
+            m2 = 10.0 ** rng.uniform(-300, 300)
+            potential, qv = PowerLawPotential(tuple(terms)), 10.0 ** rng.uniform(-300, 300)
+            seeded, oracle = both_searches(m1, m2, potential, qv)
+            assert seeded == oracle, (m1, m2, terms, qv)
+            solved += _solved(seeded)
+        assert solved > 15000
+
+    def test_coulomb_draws(self, both_searches):
+        # no term with lam + 1 > 0: the Newton step starts from the window's middle
+        rng = np.random.default_rng(20261018)
+        kinds = set()
+        for i in range(3000):
+            if i % 2:
+                m, a, qv = 10.0 ** rng.uniform(-300, 300, size=3)
+            else:
+                m, a, qv = rng.uniform(0.1, 5.0), rng.uniform(0.1, 3.0), rng.uniform(0.3, 3.0)
+            seeded, oracle = both_searches(0.0, float(m), PowerLawPotential.coulomb(float(a)), float(qv))
+            assert seeded == oracle, (m, a, qv)
+            kinds.add("solved" if _solved(seeded) else seeded[1][0])
+        assert kinds == {"solved", NoBoundState, CollapseDetected}
+
+    @pytest.mark.parametrize("m1, m2, potential, qv, kind", EDGE_ROWS)
+    def test_edge_rows(self, both_searches, m1, m2, potential, qv, kind):
+        seeded, oracle = both_searches(m1, m2, potential, qv)
+        assert seeded == oracle and seeded[1][0] is kind
+
+    def test_balance_evaluations_per_call(self, monkeypatch):
+        # the whole-grid bisection takes 18: both ends, ~9 halvings and Brent's 7
+        real_balance, evaluations = core._virial_balance, [0]
+
+        def counted(*args):
+            balance = real_balance(*args)
+
+            def value(r, *rest):
+                evaluations[0] += 1
+                return balance(r, *rest)
+
+            return value
+
+        monkeypatch.setattr(core, "_virial_balance", counted)
+        rng = np.random.default_rng(20261018)
+        calls = 0
+        while calls < 2000:
+            m1, m2, potential, qv = random_bound_configuration(rng)
+            if all(lam >= -1.0 for _, lam in potential.active_terms()):
+                calls += 1
+                solve_afm(m1, m2, potential, qv)
+        assert evaluations[0] / calls <= 9.0
 
 
 class TestResidualContract:
