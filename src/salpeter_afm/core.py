@@ -209,12 +209,12 @@ def _virial_balance(terms, q_value: float, k1: float, k2: float):
     return balance
 
 
-def _root_estimate(terms, q_value: float, k1: float, k2: float, window: tuple[float, float]) -> float:
+def _root_estimate(terms, c: float, e: float, q_value: float, k1: float, k2: float, window) -> float:
     """A log10 radius near the root of a nondecreasing balance, where its search starts.
 
-    The term with the largest e = lam + 1 > 0 balances Q alone at
-    s0 = ln(Q/(|lam| alpha))/e; without such a term (pure Coulomb) s0 is the
-    window's middle.  From s0 one Newton step on F(s) = ln(pull/(Q kin)),
+    The term with the largest e = lam + 1 > 0, c = |lam| alpha, balances Q
+    alone at s0 = ln(Q/c)/e; without such a term (pure Coulomb, e = 0) s0
+    is the window's middle.  From s0 one Newton step on F(s) = ln(pull/(Q kin)),
     r = e^s, with pull = sum |lam| alpha r^(lam+1) and kin = 1/hypot(1, k1 r)
     + 1/hypot(1, k2 r), F' = sum e |lam| alpha r^e / pull
     + sum (k r)^2/hypot^3 / kin.  The estimate only chooses where the search
@@ -222,10 +222,6 @@ def _root_estimate(terms, q_value: float, k1: float, k2: float, window: tuple[fl
     window's middle.
     """
     middle = (window[0] + window[1]) / 2
-    c = e = 0.0
-    for a, lam in terms:
-        if lam + 1.0 > e:
-            c, e = abs(lam) * a, lam + 1.0
     try:
         s = (math.log(q_value) - math.log(c)) / e if e else middle * _LN10
         r = math.exp(s)
@@ -316,46 +312,31 @@ def _bisect_grid(balance, lo: float, step: float, count: int, start: int):
     there never crosses, and one still < 0 at the last point is < 0
     throughout.
     """
-    ends = {}
-
-    def point(i):
-        return 10.0 ** (lo + i * step)
-
-    def value(i):
+    below = above = None  # (index, x, value) of the nearest grid points known below 0 and not below 0
+    i, width = start, 1
+    while True:
+        x = 10.0 ** (lo + i * step)
         try:
-            ends[i] = fx = balance(point(i))
+            fx = balance(x)
         except OverflowError:
-            ends[i] = None
-            return math.inf
-        return fx
-
-    width = 1
-    if (fx := value(start)) < 0.0:
-        below = start
-        while True:
-            above = min(below + width, count - 1)
-            if not (fx := value(above)) < 0.0:
-                break
-            if above == count - 1:
+            fx = None  # +inf to the search, and no end value for Brent
+        if fx is not None and fx < 0.0:
+            below = i, x, fx
+            if i == count - 1:
                 # all negative, and -inf only where the kinetic terms overflow at small r
                 return None, fx if fx > -math.inf else None
-            below, width = above, 2 * width
-    else:
-        above = start
-        while True:
-            if above == 0:
-                return None, fx if fx < math.inf else None
-            below = max(above - width, 0)
-            if (fx := value(below)) < 0.0:
-                break
-            above, width = below, 2 * width
-    while above - below > 1:
-        mid = (below + above) // 2
-        if value(mid) < 0.0:
-            below = mid
         else:
-            above = mid
-    return (point(below), point(above), ends[below], ends[above]), None
+            above = i, x, fx
+            if i == 0:
+                return None, fx if fx is not None and fx < math.inf else None
+        if below is None:
+            i, width = max(i - width, 0), 2 * width
+        elif above is None:
+            i, width = min(i + width, count - 1), 2 * width
+        elif above[0] - below[0] > 1:
+            i = (below[0] + above[0]) // 2
+        else:
+            return (below[1], above[1], below[2], above[2]), None
 
 
 def _brent(
@@ -374,16 +355,14 @@ def _brent(
     change ValueError, and 100 iterations without convergence
     ConvergenceFailure.
     """
-
-    def value(x, fx=None):
-        fx = float(f(x) if fx is None else fx)
-        if math.isnan(fx):
-            raise DomainError(f"the function value at x={x!r} is NaN")
-        return fx
-
     # doubles, as scipy's C loop has them: a numpy scalar here would leak into the root
     xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
-    fpre, fcur = value(xpre, fa), value(xcur, fb)
+    fpre = float(f(xpre) if fa is None else fa)
+    if fpre != fpre:
+        raise _nan_value(xpre)
+    fcur = float(f(xcur) if fb is None else fb)
+    if fcur != fcur:
+        raise _nan_value(xcur)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -419,8 +398,14 @@ def _brent(
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise _nan_value(xcur)
     raise ConvergenceFailure(f"Brent's method did not converge in {_BRENT_MAXITER} iterations (last x={xcur!r})")
+
+
+def _nan_value(x: float) -> DomainError:
+    return DomainError(f"the function value at x={x!r} is NaN")
 
 
 def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | float) -> AfmSolution:
@@ -435,7 +420,8 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     scans the whole grid; then Brent's method on that grid cell to machine
     precision, handed the cell's end values, see :func:`_brent`), and
     assembles the mass in floats.  With every lam >= -1 a call evaluates
-    the balance ~7 times: ~2 for the cell and ~5 in Brent.  All three
+    the balance ~7 times, ~2 for the cell and ~5 in Brent, and takes ~17 us
+    (CPython 3.11, 2-core x86_64), ~2 us of it in the balance.  All three
     defining relations hold to better than 1e-10 relative on the returned
     solution.  At m1 = 0, r0 solves
     Q + Q^2/sqrt(Q^2 + m2^2 r0^2) = sum_i |lam_i| alpha_i r0^(lam_i+1).
@@ -452,16 +438,23 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     """
     if not (0.0 <= m1 < math.inf and 0.0 <= m2 < math.inf):
         raise ValueError("masses must be finite and non-negative")
-    q = _resolve_q(q)
+    q = q if isinstance(q, GlobalQ) else _resolve_q(q)
     qv = q.value
     terms = potential.active_terms()
     if not terms:
         raise DomainError("potential has no active term")
 
+    # whether the balance is nondecreasing, and its term with the largest e = lam + 1 > 0
+    monotone, c, e = True, 0.0, 0.0
+    for a, lam in terms:
+        if lam < -1.0:
+            monotone = False
+        elif lam + 1.0 > e:
+            c, e = abs(lam) * a, lam + 1.0
     k1, k2 = m1 / qv, m2 / qv
     balance = _virial_balance(terms, qv, k1, k2)
     window = _scan_window(terms, qv, m1, m2)
-    estimate = _root_estimate(terms, qv, k1, k2, window) if all(lam >= -1.0 for _, lam in terms) else None
+    estimate = _root_estimate(terms, c, e, qv, k1, k2, window) if monotone else None
     xa, xb, fa, fb = _bracket_root(balance, window, qv, estimate)
     try:
         r0 = _brent(balance, xa, xb, xtol=1e-20 * xa, rtol=1e-15, fa=fa, fb=fb)
@@ -484,8 +477,10 @@ def _assemble(m1, m2, terms, q: GlobalQ, r0: float) -> AfmSolution:
     nu2 = math.hypot(p0, m2)
     if not _virial_residual(terms, r0, p0, nu1, nu2) <= 1e-10:
         raise DomainError(f"virial balance is not representable near the root (r0={r0:g})")
+    v0 = 0.0
     try:
-        v0 = sum(math.copysign(1.0, lam) * a * r0**lam for a, lam in terms)
+        for a, lam in terms:
+            v0 += math.copysign(1.0, lam) * a * r0**lam
     except OverflowError as err:
         raise DomainError(f"the potential at r0={r0:g} exceeds the double range") from err
     mass = nu1 + nu2 + v0
@@ -526,8 +521,7 @@ def coulomb_closed(m: float, a: float, q: GlobalQ | float) -> AfmSolution:
     nu2 = math.hypot(p0, m)
     x = a / (2.0 * qv)
     mass = 2.0 * m * math.sqrt(x * (1.0 - x))
-    potential = PowerLawPotential.coulomb(a)
-    return AfmSolution(r0, p0, p0, nu2, mass, q, _certified(potential.active_terms(), q))
+    return AfmSolution(r0, p0, p0, nu2, mass, q, _certified(((a, -1.0),), q))
 
 
 def coulomb_symmetric(sigma: float, m: float, a: float, q: GlobalQ | float) -> float:
@@ -568,27 +562,31 @@ def _linear_mass(x: float, m0: float) -> float:
     return m0 * (num / math.sqrt(16.0 + 32.0 / a))
 
 
-def linear_closed_mass(m: float, b: float, q: GlobalQ | float) -> float:
-    """The mass of linear_closed(m, b, q) alone: no radius and no certificate."""
+def _linear_closed(m: float, b: float, q: GlobalQ | float) -> tuple[float, GlobalQ, float]:
+    """(mass, Q, x = m/M0) of the linear closed form."""
     if b <= 0.0:
         raise DomainError("slope must be positive")
     if m < 0.0:
         raise ValueError("mass must be non-negative")
-    m0 = _linear_mass_scale(b, _resolve_q(q).value)
-    mass = _linear_mass(m / m0, m0)
+    q = _resolve_q(q)
+    m0 = _linear_mass_scale(b, q.value)
+    mass = _linear_mass(x := m / m0, m0)
     if not math.isfinite(mass):
         raise DomainError(f"the linear closed form is not representable at m={m:g}, b={b:g}")
-    return mass
+    return mass, q, x
+
+
+def linear_closed_mass(m: float, b: float, q: GlobalQ | float) -> float:
+    """The mass of linear_closed(m, b, q) alone: no radius and no certificate."""
+    return _linear_closed(m, b, q)[0]
 
 
 def linear_closed(m: float, b: float, q: GlobalQ | float) -> AfmSolution:
     """Closed-form solution for V = b*r with masses (0, m), any m >= 0."""
-    mass = linear_closed_mass(m, b, q)
-    q = _resolve_q(q)
-    r0 = _linear_radius(m / _linear_mass_scale(b, q.value), b, q.value)
+    mass, q, x = _linear_closed(m, b, q)
+    r0 = _linear_radius(x, b, q.value)
     p0 = q.value / r0
-    potential = PowerLawPotential.linear(b)
-    return AfmSolution(r0, p0, p0, math.hypot(p0, m), mass, q, _certified(potential.active_terms(), q))
+    return AfmSolution(r0, p0, p0, math.hypot(p0, m), mass, q, _certified(((b, 1.0),), q))
 
 
 def linear_symmetric_massless(sigma: float, b: float, q: GlobalQ | float) -> float:
@@ -663,8 +661,10 @@ def _virial_residual(terms, r0: float, p0: float, nu1: float, nu2: float) -> flo
 
     inf where the pull sum |lam| alpha r0^lam is 0 or leaves the double range.
     """
+    pull = 0.0
     try:
-        pull = sum(abs(lam) * a * r0**lam for a, lam in terms)
+        for a, lam in terms:
+            pull += abs(lam) * a * r0**lam
     except OverflowError:
         return math.inf
     if not 0.0 < pull < math.inf:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -22,7 +23,7 @@ from salpeter_afm import (
     rotation_radii,
     solve_afm,
 )
-from salpeter_afm.verification import random_bound_configuration
+from salpeter_afm.verification import random_bound_configuration, random_coulomb_config, random_linear_config
 
 COULOMB_12 = PowerLawPotential.coulomb(1.2)
 LINEAR_02 = PowerLawPotential.linear(0.2)
@@ -448,6 +449,75 @@ class TestSeededSearch:
                 calls += 1
                 solve_afm(m1, m2, potential, qv)
         assert evaluations[0] / calls <= 9.0
+
+
+def _pinned(solve, *args):
+    """One line per outcome: the solution's five doubles as hex and its certificate, or the error."""
+    try:
+        sol = solve(*args)
+    except AfmError as err:
+        return f"{type(err).__name__}: {err}"
+    return " ".join([*(x.hex() for x in (sol.r0, sol.p0, sol.nu1, sol.nu2, sol.mass)), str(sol.certified_upper_bound)])
+
+
+class TestPinnedOutcomes:
+    """solve_afm and the closed forms return the same doubles, certificates
+    and errors as the code this digest was recorded from."""
+
+    DIGEST = "79ebdeb399d6d5c10d37ff0cc19ca9d16fadf508d0e8eef5c37ae887fe6de376"
+
+    def test_outcome_digest(self):
+        """SHA-256 over 2000 seeded bound draws, 200 Coulomb and 200 linear
+        closed-form configurations (generic solve and closed form each) and
+        the edge rows.  Like the other pinned doubles it pins this
+        platform's libm: a pow or hypot that rounds differently moves it.
+        """
+        rng = np.random.default_rng(20261018)
+        lines = []
+        for _ in range(2000):
+            m1, m2, potential, qv = random_bound_configuration(rng)
+            lines.append(_pinned(solve_afm, m1, m2, potential, GlobalQ.explicit(qv)))
+        for _ in range(200):
+            m, a, qv = random_coulomb_config(rng)
+            q = GlobalQ.explicit(qv, -1.0)
+            lines.append(_pinned(solve_afm, 0.0, m, PowerLawPotential.coulomb(a), q))
+            lines.append(_pinned(core.coulomb_closed, m, a, q))
+            m, b, qv = random_linear_config(rng)
+            q = GlobalQ.explicit(qv, 1.0)
+            lines.append(_pinned(solve_afm, 0.0, m, PowerLawPotential.linear(b), q))
+            lines.append(_pinned(core.linear_closed, m, b, q))
+        for row in EDGE_ROWS:
+            lines.append(_pinned(solve_afm, *row.values[:4]))
+        assert sum(not line.startswith("0x") for line in lines) == 24  # 15 draws collapse, and the 9 edge rows
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
+
+    def test_no_state_outlives_a_call(self):
+        """200 solves leave core's names, objects, caches and containers as
+        they were, and every potential and Q passed in unchanged."""
+
+        def module_state():
+            return {
+                name: (
+                    id(value),
+                    value.cache_info() if hasattr(value, "cache_info") else None,
+                    len(value) if isinstance(value, (dict, list, set)) else None,
+                )
+                for name, value in vars(core).items()
+            }
+
+        def fields(obj):
+            return {name: (id(value), value) for name, value in vars(obj).items()}
+
+        rng = np.random.default_rng(20261018)
+        args = [random_bound_configuration(rng) for _ in range(200)]
+        args = [(m1, m2, potential, GlobalQ.explicit(qv)) for m1, m2, potential, qv in args]
+        before = module_state(), [(fields(potential), fields(q)) for _, _, potential, q in args]
+        for m1, m2, potential, q in args:
+            try:
+                solve_afm(m1, m2, potential, q)
+            except AfmError:
+                pass
+        assert (module_state(), [(fields(potential), fields(q)) for _, _, potential, q in args]) == before
 
 
 class TestResidualContract:
