@@ -137,23 +137,41 @@ def concavity_certificate(potential: PowerLawPotential, p: float) -> BoundCertif
 
 def _certificate(active, p: float) -> BoundCertificate:
     """:func:`concavity_certificate` over the potential's active terms."""
-    if not math.isfinite(p) or p <= -2.0 or p == 0.0:
-        raise DomainError("auxiliary exponent must be finite, > -2 and nonzero")
+    _check_auxiliary_exponent(p)
     if not active:
         return BoundCertificate(False, CERT_NONE)
     if all(lam == p for _, lam in active):
         return BoundCertificate(True, CERT_PROPORTIONAL)
-    for _, lam in active:
-        ratio = lam / p
-        if math.copysign(1.0, lam) * ratio * (ratio - 1.0) > 0.0:
-            return BoundCertificate(False, CERT_NONE)
-    return BoundCertificate(True, CERT_CONCAVE)
+    if _termwise_concave(active, p):
+        return BoundCertificate(True, CERT_CONCAVE)
+    return BoundCertificate(False, CERT_NONE)
 
 
 def _certified(terms, q: GlobalQ) -> bool:
-    if q.p is None:
+    """``_certificate(terms, q.p).is_upper_bound`` without building the record; False without q.p.
+
+    A term with lam == p passes the termwise test (its ratio is 1), so the
+    proportional case needs no test of its own here.
+    """
+    p = q.p
+    if p is None:
         return False
-    return _certificate(terms, q.p).is_upper_bound
+    _check_auxiliary_exponent(p)
+    return bool(terms) and _termwise_concave(terms, p)
+
+
+def _check_auxiliary_exponent(p: float) -> None:
+    if not math.isfinite(p) or p <= -2.0 or p == 0.0:
+        raise DomainError("auxiliary exponent must be finite, > -2 and nonzero")
+
+
+def _termwise_concave(active, p: float) -> bool:
+    """Whether every term has sign(lam) * (lam/p) * (lam/p - 1) <= 0."""
+    for _, lam in active:
+        ratio = lam / p
+        if math.copysign(1.0, lam) * ratio * (ratio - 1.0) > 0.0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +208,17 @@ def _scan_window(terms, q_value: float, m1: float, m2: float) -> tuple[float, fl
 
 
 def _virial_balance(terms, q_value: float, k1: float, k2: float):
-    """The virial balance divided by r (same sign, same roots), as balance(r, hypot).
+    """The virial balance divided by r (same sign, same roots), as balance(r).
 
     r^2 V'(r) - Q p0 (1/nu1 + 1/nu2) with p0/nu = 1/hypot(1, m r/Q), k_i =
     m_i/Q.  r^2 V'(r) goes term by term, since the product r**2 * V'(r)
     underflows to a spurious sign far below the root, where the scan window
-    may reach; no term of this form overflows at a root.  ``hypot`` is
-    math.hypot for a float r (the default) and np.hypot for an array.
+    may reach; no term of this form overflows at a root.  r is a float.
     """
     pulls = [(abs(lam) * a, lam + 1.0) for a, lam in terms]
+    hypot = math.hypot
 
-    def balance(r, hypot=math.hypot):
+    def balance(r):
         pull = 0.0
         for c, e in pulls:
             pull = pull + c * r**e
@@ -239,7 +257,9 @@ def _root_estimate(terms, c: float, e: float, q_value: float, k1: float, k2: flo
     return s / _LN10 if math.isfinite(s) else middle
 
 
-def _bracket_root(balance, window: tuple[float, float], q_value: float, estimate: float | None):
+def _bracket_root(
+    balance, window: tuple[float, float], q_value: float, estimate: float | None, terms, k1: float, k2: float
+):
     """First - to + crossing of the balance on a log grid over the window's decades.
 
     Grid point i is 10**(lo + i*step), 40 points per decade.  For the
@@ -252,16 +272,18 @@ def _bracket_root(balance, window: tuple[float, float], q_value: float, estimate
     bisects it on float values: two evaluations when the estimate's cell
     holds the root, as it does for 99.5 % of the seeded bound draws.
     Otherwise (``estimate`` None: a steep attractive term can make the
-    balance cross twice) the whole grid is evaluated as one array.  Returns
-    (xa, xb, f(xa), f(xb)), an end value None where it was not computed as a
-    float, or raises the no-root errors :func:`solve_afm` documents, from the
-    sign of the first finite grid value.
+    balance cross twice) :func:`_steep_grid` bisects the grid from the left,
+    skipping the ranges whose bounds from ``terms`` and k_i = m_i/Q show no
+    crossing: ~12 evaluations on the seeded draws, of ~800 grid points.
+    Returns (xa, xb, f(xa), f(xb)), an end value None where a power
+    overflowed, or raises the no-root errors :func:`solve_afm` documents,
+    from the sign of the first finite grid value.
     """
     lo, hi = window
     count = round(40 * (hi - lo)) + 1
     step = (hi - lo) / (count - 1)
     if estimate is None:
-        cell, lead = _scan_grid(balance, lo, step, count)
+        cell, lead = _steep_grid(balance, terms, q_value, k1, k2, lo, step, count)
     else:
         start = min(math.floor((min(max(estimate, lo), hi) - lo) / step), count - 2)
         cell, lead = _bisect_grid(balance, lo, step, count, start)
@@ -279,26 +301,8 @@ def _bracket_root(balance, window: tuple[float, float], q_value: float, estimate
     )
 
 
-def _scan_grid(balance, lo: float, step: float, count: int):
-    """(the first - to + cell as (xa, xb, None, None), first finite value), from one array evaluation.
-
-    Either is None when there is none.
-    """
-    import numpy as np
-
-    grid = 10.0 ** (lo + np.arange(count) * step)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = balance(grid, np.hypot)
-    ups = np.nonzero((values[:-1] < 0.0) & (values[1:] >= 0.0))[0]
-    if len(ups):
-        i = ups[0]
-        return (float(grid[i]), float(grid[i + 1]), None, None), None
-    finite = values[np.isfinite(values)]
-    return None, float(finite[0]) if len(finite) else None
-
-
 def _bisect_grid(balance, lo: float, step: float, count: int, start: int):
-    """:func:`_scan_grid`'s outcome for a nondecreasing balance, from float values.
+    """(the first - to + grid cell, first finite value) of a nondecreasing balance, from float values.
 
     Probes the cell [start, start + 1] first, gallops down or up from it in
     doubling steps to a grid point below 0 and one not below 0, and bisects
@@ -337,6 +341,148 @@ def _bisect_grid(balance, lo: float, step: float, count: int, start: int):
             i = (below[0] + above[0]) // 2
         else:
             return (below[1], above[1], below[2], above[2]), None
+
+
+# the kinetic slope Q t^2/hypot(1, t)^3 of one particle, t = k r, peaks at t = sqrt(2), at 2/3^(3/2) Q
+_KINETIC_PEAK_T = math.sqrt(2.0)
+_KINETIC_PEAK = 2.0 / 3.0**1.5
+
+
+def _balance_parts(terms, q_value: float, k1: float, k2: float):
+    """The virial balance at a float r with the monotone parts that bound it on a range of radii.
+
+    parts(r) is (r, f, fb, d, p, kin, ds, ks1, ks2).  f is the balance of
+    :func:`_virial_balance`, bit for bit, with a power beyond the double
+    range counted as +inf, and fb is f, or None where a power raised
+    OverflowError.  d is the pull of the lam < -1 terms, which does not
+    increase with r, p that of the other terms, which does not decrease,
+    and kin = (Q/hypot(1, t1) + Q/hypot(1, t2))/2, t_i = k_i r, which does
+    not increase: f = d + p - 2 kin up to rounding (halved, so that it stays
+    finite for Q up to the largest double).  In s = ln r the pull has the
+    slope ds = sum (lam + 1) |lam| alpha r^(lam+1), whose lam < -1 part
+    rises to 0 and the rest from 0, and -Q/hypot(1, t_i) the slope
+    ks_i = Q t_i^2/hypot(1, t_i)^3 >= 0.
+    """
+    pulls = [(abs(lam) * a, lam + 1.0, lam < -1.0) for a, lam in terms]
+    hypot, inf = math.hypot, math.inf
+
+    def parts(r):
+        pull = d = p = ds = 0.0
+        exact = True
+        for c, e, steep in pulls:
+            try:
+                t = c * r**e
+            except OverflowError:
+                t, exact = inf, False
+            pull = pull + t
+            ds += e * t
+            if steep:
+                d += t
+            else:
+                p += t
+        t1, t2 = k1 * r, k2 * r
+        h1, h2 = hypot(1.0, t1), hypot(1.0, t2)
+        kin1, kin2 = q_value / h1, q_value / h2
+        f = pull - kin1 - kin2
+        s1 = t1 / h1 if t1 < inf else 1.0
+        s2 = t2 / h2 if t2 < inf else 1.0
+        return r, f, f if exact else None, d, p, 0.5 * kin1 + 0.5 * kin2, ds, kin1 * s1 * s1, kin2 * s2 * s2
+
+    return parts
+
+
+def _steep_grid(balance, terms, q_value: float, k1: float, k2: float, lo: float, step: float, count: int):
+    """(the first - to + grid cell with its end values, first finite value) of any balance, from float values.
+
+    Either is None when there is none; an end value is None where a power
+    raised OverflowError, as in :func:`_bisect_grid`.  Ranges [i, j] of the
+    grid are bisected from the left, and one is skipped when it cannot
+    hold such a cell (interval bounds from monotone parts, as in R. E.
+    Moore, *Interval Analysis*, 1966).  With the parts of
+    :func:`_balance_parts`, every value on [i, j] lies between
+    d(x_j) + p(x_i) - 2 kin(x_i) and d(x_i) + p(x_j) - 2 kin(x_j), and every
+    slope in ln r between ds(x_i) + min ks and ds(x_j) + max ks, where ks_i
+    peaks at t_i = sqrt(2).  A range is skipped when its values have one
+    sign, or its slope is negative, beyond a rounding margin of a few eps
+    times the magnitudes in play; with a positive slope the float values
+    rise from point to point, so the range holds the cell only when its
+    ends differ in sign, and it is then bisected straight to it.  A range
+    whose d(x_j) or p(x_i) is +inf is +inf throughout; any other non-finite
+    bound is split down to single points, where the balance values
+    decide.  Since the ranges are visited left to right, the cell found is
+    the first one; without one, the first finite value is the left end of
+    the first range skipped at a finite value, or the last point.
+    """
+    parts = _balance_parts(terms, q_value, k1, k2)
+    # each float value below is off by at most ~(terms + 7) roundings of the magnitudes summed into it
+    rounding = 4.0 * (len(terms) + 8) * sys.float_info.epsilon
+    slope_scale = max([abs(lam + 1.0) for _, lam in terms])
+    inf = math.inf
+    # the radii where the two kinetic slopes peak, and their common peak value
+    peak1, peak2 = (_KINETIC_PEAK_T / k if k else inf for k in (k1, k2))
+    peak = _KINETIC_PEAK * q_value
+    two_over_span = 2.0 / (step * _LN10)
+    i = 0
+    x, f, fb, d, p, kin, ds, ks1, ks2 = left = parts(10.0 ** lo)
+    pending = [(count - 1, parts(10.0 ** (lo + (count - 1) * step)))]  # right ends, the nearest last
+    lead = None
+    while pending:
+        j, right = pending[-1]
+        if j - i == 1:
+            if f < 0.0 <= right[1]:
+                return (x, right[0], fb, right[2]), None
+        else:
+            xj, fj, _, dj, pj, kinj, dsj, ks1j, ks2j = right
+            if dj == inf or p == inf:  # a power beyond the double range throughout: +inf
+                pending.pop()
+                i = j
+                x, f, fb, d, p, kin, ds, ks1, ks2 = left = right
+                continue
+            margin = rounding * (d + pj) + 2.0 * rounding * kin
+            # no - to + cell where the values have one sign, the slope is < 0, or it is > 0 and the ends agree
+            settled = dj + p - kin - kin > margin or d + pj - kinj - kinj < -margin
+            if not settled:
+                ks1_max = ks1j if xj <= peak1 else ks1 if x >= peak1 else peak
+                ks2_max = ks2j if xj <= peak2 else ks2 if x >= peak2 else peak
+                # a slope beyond it moves the values by more than their rounding from one point to the next
+                gap = rounding * (slope_scale * (d + pj) + ks1_max + ks2_max) + two_over_span * margin
+                if ds + min(ks1, ks1j) + min(ks2, ks2j) > gap:
+                    if f < 0.0 <= fj:
+                        return _rising_cell(balance, lo, step, i, left, j, right), None
+                    settled = True
+                else:
+                    settled = dsj + ks1_max + ks2_max < -gap
+            if not settled or lead is None and not -inf < f < inf:
+                m = (i + j) // 2
+                pending.append((m, parts(10.0 ** (lo + m * step))))
+                continue
+        if lead is None and -inf < f < inf:
+            lead = f
+        pending.pop()
+        i = j
+        x, f, fb, d, p, kin, ds, ks1, ks2 = left = right
+    if lead is None and -inf < f < inf:
+        lead = f
+    return None, lead
+
+
+def _rising_cell(balance, lo: float, step: float, i: int, left, j: int, right):
+    """The cell (xa, xb, f(xa), f(xb)) where float values rising from i to j turn from < 0 to >= 0, by bisection.
+
+    ``left`` and ``right`` are the points i and j as :func:`_balance_parts`
+    gives them.  No power overflows on a range whose bounds are finite, so
+    ``balance`` gives the values in between.
+    """
+    xa, fa, xb, fb = left[0], left[1], right[0], right[1]
+    while j - i > 1:
+        m = (i + j) // 2
+        x = 10.0 ** (lo + m * step)
+        fx = balance(x)
+        if fx < 0.0:
+            i, xa, fa = m, x, fx
+        else:
+            j, xb, fb = m, x, fx
+    return xa, xb, fa, fb
 
 
 def _brent(
@@ -417,13 +563,16 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     length scale to six above the largest, see :func:`_bracket_root`; when
     every term has lam >= -1 the search starts at the cell of a one-step
     Newton estimate of ln r0, see :func:`_root_estimate`, and otherwise
-    scans the whole grid; then Brent's method on that grid cell to machine
-    precision, handed the cell's end values, see :func:`_brent`), and
-    assembles the mass in floats.  With every lam >= -1 a call evaluates
-    the balance ~7 times, ~2 for the cell and ~5 in Brent, and takes ~17 us
-    (CPython 3.11, 2-core x86_64), ~2 us of it in the balance.  All three
-    defining relations hold to better than 1e-10 relative on the returned
-    solution.  At m1 = 0, r0 solves
+    bisects ranges of the grid from the left, skipping those whose
+    monotone bounds show no crossing, see :func:`_steep_grid`; then Brent's
+    method on that grid cell to machine precision, handed the cell's end
+    values, see :func:`_brent`), and assembles the mass in floats, with no
+    numpy.  With every lam >= -1 a call evaluates the balance ~7 times, ~2
+    for the cell and ~5 in Brent, and takes ~17 us (CPython 3.11, 2-core
+    x86_64), ~2 us of it in the balance; with a lam < -1 term ~17 times,
+    ~12 for the cell, in ~40 us.  All three defining relations hold to
+    better than 1e-10 relative on the returned solution.  At m1 = 0, r0
+    solves
     Q + Q^2/sqrt(Q^2 + m2^2 r0^2) = sum_i |lam_i| alpha_i r0^(lam_i+1).
 
     Without such a crossing, raises NoBoundState when the balance is
@@ -455,7 +604,7 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     balance = _virial_balance(terms, qv, k1, k2)
     window = _scan_window(terms, qv, m1, m2)
     estimate = _root_estimate(terms, c, e, qv, k1, k2, window) if monotone else None
-    xa, xb, fa, fb = _bracket_root(balance, window, qv, estimate)
+    xa, xb, fa, fb = _bracket_root(balance, window, qv, estimate, terms, k1, k2)
     try:
         r0 = _brent(balance, xa, xb, xtol=1e-20 * xa, rtol=1e-15, fa=fa, fb=fb)
     except OverflowError as err:  # a bracket end where a term exceeds the double range

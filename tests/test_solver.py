@@ -212,7 +212,8 @@ def _outcome(m1, m2, potential, qv):
         return type(err), None
 
 
-EDGE_ROWS = [
+# the rows TestPinnedOutcomes' digest was recorded over
+PINNED_EDGE_ROWS = [
     # the balance is exactly 0 at every radius
     pytest.param(0.0, 0.0, PowerLawPotential.coulomb(2.0), 1.0, NoBoundState, id="balance-zero"),
     # nowhere finite: the pull overflows at every grid radius
@@ -241,27 +242,54 @@ EDGE_ROWS = [
         id="overflow-at-the-cell-end",
     ),
 ]
+EDGE_ROWS = PINNED_EDGE_ROWS + [
+    # lam < -1: the balance crosses upward at r = 0.00228 and again at r = 57.3, and the first root is kept
+    pytest.param(
+        0.03417883015199504,
+        2862.6121773991945,
+        PowerLawPotential(((1.7887875095822916, -1.1180939309019897), (0.00012386119364067648, 1.1943313196351413))),
+        2.9244015143575197,
+        "solved",
+        id="steep-two-upward-crossings",
+    ),
+    # lam < -1 strong enough that the balance stays positive: no minimum of M(r0)
+    pytest.param(1.0, 1.0, PowerLawPotential(((5.0, -1.5), (0.01, 1.0))), 1.0, CollapseDetected, id="steep-collapse"),
+    # the lam < -1 term's scale lies beyond the window, and the Coulomb pull 0.5 < Q never binds
+    pytest.param(0.0, 1.0, PowerLawPotential(((1e-300, -1.5), (0.5, -1.0))), 1.0, NoBoundState, id="steep-no-bound"),
+]
 
 
 class TestBisectedBracket:
-    """With every lam >= -1 the bracket comes from bisecting the scan's grid:
-    the same outcome as the scan, and the same root to round-off."""
+    """The bracket comes from float values on the scan's grid: the same
+    outcome as the scan, and the same root to round-off."""
 
     @pytest.mark.parametrize("m1, m2, potential, qv, kind", EDGE_ROWS)
     def test_edge_rows(self, m1, m2, potential, qv, kind):
-        assert _scan_oracle(m1, m2, potential, qv)[0] is kind
-        with pytest.raises(kind):
-            solve_afm(m1, m2, potential, qv)
+        want_kind, want_r0 = _scan_oracle(m1, m2, potential, qv)
+        assert want_kind == kind
+        if kind == "solved":
+            assert solve_afm(m1, m2, potential, qv).r0 == pytest.approx(want_r0, rel=1e-14)
+        else:
+            with pytest.raises(kind):
+                solve_afm(m1, m2, potential, qv)
 
     def test_seeded_configurations_match_the_scan(self, monkeypatch):
-        scans = []
-        real_scan = core._scan_grid
+        arguments = set()
 
-        def spy(balance, *grid):
-            scans.append(grid)
-            return real_scan(balance, *grid)
+        def spy(factory):
+            def make(*args):
+                evaluate = factory(*args)
 
-        monkeypatch.setattr(core, "_scan_grid", spy)
+                def value(r):
+                    arguments.add(type(r))
+                    return evaluate(r)
+
+                return value
+
+            return make
+
+        monkeypatch.setattr(core, "_virial_balance", spy(core._virial_balance))
+        monkeypatch.setattr(core, "_balance_parts", spy(core._balance_parts))
         rng = np.random.default_rng(20261018)
         monotone = steep = 0
         while monotone < 3000:
@@ -269,14 +297,14 @@ class TestBisectedBracket:
             if all(lam >= -1.0 for _, lam in potential.active_terms()):
                 monotone += 1
             else:
-                steep += 1  # a lam < -1 term: the array scan, checked here too
+                steep += 1  # a lam < -1 term: the bounded search, checked here too
             kind, r0 = _outcome(m1, m2, potential, qv)
             want_kind, want_r0 = _scan_oracle(m1, m2, potential, qv)
             assert kind == want_kind, (m1, m2, potential, qv)
             if r0 is not None:
                 assert abs(r0 - want_r0) <= 1e-14 * want_r0, (m1, m2, potential, qv)
-        # a balance with every lam >= -1 is never evaluated as an array
-        assert steep > 100 and len(scans) == steep
+        # no balance, with or without a lam < -1 term, is ever evaluated on an array
+        assert steep > 100 and arguments == {float}
 
     def test_minus_infinity_below_the_root_still_brackets(self):
         # Q + Q overflows to -inf at the first grid points, the heavy masses
@@ -337,8 +365,8 @@ def both_searches(monkeypatch):
     """solve_afm's (Brent cells, outcome) with the seeded search, then with the whole-grid bisection.
 
     An outcome is the five doubles of the solution as hex, or the error's
-    type and message.  A solve that never reaches the grid search (a lam <
-    -1 term scans the grid as an array) is run once and reported twice.
+    type and message.  A solve that never reaches this grid search (a lam <
+    -1 term takes core._steep_grid) is run once and reported twice.
     """
     seeded, real_brent = core._bisect_grid, core._brent
     oracle, cells, searches = [False], [], []
@@ -425,7 +453,7 @@ class TestSeededSearch:
     @pytest.mark.parametrize("m1, m2, potential, qv, kind", EDGE_ROWS)
     def test_edge_rows(self, both_searches, m1, m2, potential, qv, kind):
         seeded, oracle = both_searches(m1, m2, potential, qv)
-        assert seeded == oracle and seeded[1][0] is kind
+        assert seeded == oracle and (_solved(seeded) if kind == "solved" else seeded[1][0] is kind)
 
     def test_balance_evaluations_per_call(self, monkeypatch):
         # the whole-grid bisection takes 18: both ends, ~9 halvings and Brent's 7
@@ -451,6 +479,210 @@ class TestSeededSearch:
         assert evaluations[0] / calls <= 9.0
 
 
+def _array_balance(terms, q_value, k1, k2):
+    """The balance of core._virial_balance over an array of radii, in numpy."""
+    pulls = [(abs(lam) * a, lam + 1.0) for a, lam in terms]
+
+    def balance(r, hypot=np.hypot):
+        pull = 0.0
+        for c, e in pulls:
+            pull = pull + c * r**e
+        return pull - q_value / hypot(1.0, k1 * r) - q_value / hypot(1.0, k2 * r)
+
+    return balance
+
+
+def _scan_grid(balance, lo, step, count):
+    """The lam < -1 search before the bounded one, kept as its oracle: the whole grid as one array.
+
+    (the first - to + cell as (xa, xb, None, None), first finite value);
+    either is None when there is none.
+    """
+    grid = 10.0 ** (lo + np.arange(count) * step)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = balance(grid, np.hypot)
+    ups = np.nonzero((values[:-1] < 0.0) & (values[1:] >= 0.0))[0]
+    if len(ups):
+        i = ups[0]
+        return (float(grid[i]), float(grid[i + 1]), None, None), None
+    finite = values[np.isfinite(values)]
+    return None, float(finite[0]) if len(finite) else None
+
+
+def _upward_crossings(m1, m2, potential, qv):
+    """How many - to + cells the scan's grid has."""
+    terms = potential.active_terms()
+    lo, hi = core._scan_window(terms, qv, m1, m2)
+    grid = np.logspace(lo, hi, round(40 * (hi - lo)) + 1)
+    with np.errstate(all="ignore"):
+        values = _array_balance(terms, qv, m1 / qv, m2 / qv)(grid)
+    return int(np.count_nonzero((values[:-1] < 0.0) & (values[1:] >= 0.0)))
+
+
+@pytest.fixture
+def steep_and_scan(monkeypatch):
+    """solve_afm's (grid cell index, outcome) with the bounded search, then with the array scan.
+
+    The index is that of the Brent cell's left end on the grid, None
+    without a crossing.  An outcome is ("solved", r0) or the error's type
+    and message.
+    """
+    bounded, searches = core._steep_grid, []
+
+    def scan(balance, terms, q_value, k1, k2, lo, step, count):
+        return _scan_grid(_array_balance(terms, q_value, k1, k2), lo, step, count)
+
+    def recorded(search):
+        def run(balance, terms, q_value, k1, k2, lo, step, count):
+            cell, lead = search(balance, terms, q_value, k1, k2, lo, step, count)
+            index = None
+            if cell is not None:
+                index = round((math.log10(cell[0]) - lo) / step)
+                assert cell[1] / cell[0] == pytest.approx(10.0**step, rel=1e-12)
+                for x, fx in ((cell[0], cell[2]), (cell[1], cell[3])):  # end values for Brent: f(x) to the bit
+                    assert fx is None or repr(fx) == repr(balance(x)), (x, fx)
+            searches.append(index)
+            return cell, lead
+
+        return run
+
+    def run(m1, m2, potential, qv):
+        results = []
+        for search in (bounded, scan):
+            monkeypatch.setattr(core, "_steep_grid", recorded(search))
+            searches.clear()
+            try:
+                outcome = ("solved", solve_afm(m1, m2, potential, qv).r0)
+            except AfmError as err:
+                outcome = (type(err), str(err))
+            assert len(searches) == 1
+            results.append((searches[0], outcome))
+        return results
+
+    return run
+
+
+def _same_outcome(bounded, scanned):
+    """The same cell and the same error, or the same root to round-off (the scan's grid is numpy's pow)."""
+    (cell, outcome), (want_cell, want) = bounded, scanned
+    if cell != want_cell or outcome[0] != want[0]:
+        return False
+    if outcome[0] == "solved":
+        return abs(outcome[1] - want[1]) <= 1e-14 * want[1]
+    return outcome == want
+
+
+class TestSteepSearch:
+    """With a lam < -1 term the grid search bisects ranges of the grid from
+    the left, skipping those whose monotone bounds show no crossing: the
+    same first - to + cell, the same error and the same root to round-off
+    as evaluating the whole grid as one array."""
+
+    def test_seeded_draws(self, steep_and_scan):
+        rng = np.random.default_rng(20261018)
+        steep = solved = 0
+        while steep < 3000:
+            m1, m2, potential, qv = random_bound_configuration(rng)
+            if all(lam >= -1.0 for _, lam in potential.active_terms()):
+                continue
+            steep += 1
+            bounded, scanned = steep_and_scan(m1, m2, potential, qv)
+            assert _same_outcome(bounded, scanned), (m1, m2, potential, qv, bounded, scanned)
+            solved += bounded[1][0] == "solved"
+        assert solved > 2500
+
+    def test_mass_hierarchy_draws(self, steep_and_scan):
+        # masses four to six decades apart and a weak confining term: some balances cross upward twice
+        rng = np.random.default_rng(20261020)
+        kinds, twice = set(), 0
+        for _ in range(3000):
+            m1, m2 = (float(m) for m in 10.0 ** rng.uniform(-2.0, 4.0, size=2))
+            steep = (10.0 ** rng.uniform(-1.0, 0.5), rng.uniform(-1.3, -1.02))
+            potential = PowerLawPotential((steep, (10.0 ** rng.uniform(-5.0, -2.0), rng.uniform(0.5, 2.0))))
+            qv = rng.uniform(0.3, 8.0)
+            bounded, scanned = steep_and_scan(m1, m2, potential, qv)
+            assert _same_outcome(bounded, scanned), (m1, m2, potential, qv, bounded, scanned)
+            kinds.add(bounded[1][0])
+            twice += bounded[1][0] == "solved" and _upward_crossings(m1, m2, potential, qv) > 1
+        assert kinds == {"solved", CollapseDetected} and twice >= 10
+
+    def test_log_uniform_draws(self, steep_and_scan):
+        # powers of the radii subnormal, 0 or beyond the double range, with a lam = -1.9 term in each
+        rng = np.random.default_rng(20261021)
+        kinds = set()
+        for _ in range(3000):
+            terms = ((10.0 ** rng.uniform(-300, 300), rng.uniform(0.2, 5.0)), (10.0 ** rng.uniform(-300, 300), -1.9))
+            m1 = 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-300, 300)
+            m2 = 10.0 ** rng.uniform(-300, 300)
+            potential, qv = PowerLawPotential(terms), 10.0 ** rng.uniform(-300, 300)
+            bounded, scanned = steep_and_scan(m1, m2, potential, qv)
+            assert _same_outcome(bounded, scanned), (m1, m2, terms, qv, bounded, scanned)
+            kinds.add(bounded[1][0])
+        assert kinds == {"solved", CollapseDetected, NoBoundState, DomainError}
+
+    def test_kinetic_overflow_draws(self, steep_and_scan, monkeypatch):
+        # Q up to the largest double: Q/hypot(1, k1 r) + Q/hypot(1, k2 r) overflows, and the bounds stay finite
+        real_parts, points = core._balance_parts, [0]
+
+        def counted(*args):
+            parts = real_parts(*args)
+
+            def value(r):
+                points[0] += 1
+                return parts(r)
+
+            return value
+
+        monkeypatch.setattr(core, "_balance_parts", counted)
+        rng = np.random.default_rng(20261022)
+        kinds = set()
+        for _ in range(1000):
+            terms = (
+                (10.0 ** rng.uniform(-300, 308), rng.uniform(0.2, 5.0)),
+                (10.0 ** rng.uniform(-300, 308), float(rng.choice([-1.9, -1.5, -1.1]))),
+            )
+            m1 = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-300, 300)
+            m2 = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-300, 300)
+            potential, qv = PowerLawPotential(terms), 10.0 ** rng.uniform(306, 308.25)
+            bounded, scanned = steep_and_scan(m1, m2, potential, qv)
+            assert _same_outcome(bounded, scanned), (m1, m2, terms, qv, bounded, scanned)
+            kinds.add(bounded[1][0])
+        assert kinds == {"solved", CollapseDetected, NoBoundState, DomainError}
+        # ~28 points per search; split down to single points, a grid of up to ~6000 would be evaluated whole
+        assert points[0] / 1000 <= 40.0
+
+    def test_two_upward_crossings_keep_the_first_root(self):
+        m1, m2, potential, qv = EDGE_ROWS[-3].values[:4]
+        assert _upward_crossings(m1, m2, potential, qv) == 2
+        sol = solve_afm(m1, m2, potential, qv)
+        assert sol.r0 == 0.002361431092936742
+        assert max(residuals(sol, m1, m2, potential, qv)) < 1e-10
+
+    def test_grid_evaluations_per_search(self, monkeypatch):
+        # the array scan evaluated every grid point, ~800 for these draws
+        real_search, real_parts, evaluations, searches = core._steep_grid, core._balance_parts, [0], [0]
+
+        def counted(evaluate):
+            def value(r):
+                evaluations[0] += 1
+                return evaluate(r)
+
+            return value
+
+        def search(balance, *args):
+            searches[0] += 1
+            return real_search(counted(balance), *args)
+
+        monkeypatch.setattr(core, "_balance_parts", lambda *args: counted(real_parts(*args)))
+        monkeypatch.setattr(core, "_steep_grid", search)
+        rng = np.random.default_rng(20261018)
+        while searches[0] < 2000:
+            m1, m2, potential, qv = random_bound_configuration(rng)
+            if any(lam < -1.0 for _, lam in potential.active_terms()):
+                _outcome(m1, m2, potential, qv)
+        assert evaluations[0] / searches[0] <= 14.0  # ~18 % above the measured 11.9
+
+
 def _pinned(solve, *args):
     """One line per outcome: the solution's five doubles as hex and its certificate, or the error."""
     try:
@@ -469,7 +701,7 @@ class TestPinnedOutcomes:
     def test_outcome_digest(self):
         """SHA-256 over 2000 seeded bound draws, 200 Coulomb and 200 linear
         closed-form configurations (generic solve and closed form each) and
-        the edge rows.  Like the other pinned doubles it pins this
+        the edge rows it was recorded with.  Like the other pinned doubles it pins this
         platform's libm: a pow or hypot that rounds differently moves it.
         """
         rng = np.random.default_rng(20261018)
@@ -486,7 +718,7 @@ class TestPinnedOutcomes:
             q = GlobalQ.explicit(qv, 1.0)
             lines.append(_pinned(solve_afm, 0.0, m, PowerLawPotential.linear(b), q))
             lines.append(_pinned(core.linear_closed, m, b, q))
-        for row in EDGE_ROWS:
+        for row in PINNED_EDGE_ROWS:
             lines.append(_pinned(solve_afm, *row.values[:4]))
         assert sum(not line.startswith("0x") for line in lines) == 24  # 15 draws collapse, and the 9 edge rows
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST

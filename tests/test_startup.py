@@ -1,9 +1,9 @@
-"""What a fresh interpreter loads: the `bound` verb, the scan sweeps without
-the reference column, the analytic `qtable` and the core solver run on floats
-alone, numpy loads where an array is needed, and the scipy-backed names load
-on first use.  Each check runs in its own subprocess, since this test process
-has long imported numpy and scipy; it asserts on sys.modules, never on
-times."""
+"""What a fresh interpreter loads: the `bound` verb (with any exponents), the
+scan sweeps without the reference column, the analytic `qtable` and the core
+solver run on floats alone, numpy loads where an array is needed, and the
+scipy-backed names load on first use.  Each check runs in its own
+subprocess, since this test process has long imported numpy and scipy; it
+asserts on sys.modules, never on times."""
 import json
 import os
 import subprocess
@@ -52,7 +52,7 @@ QTABLE_ANALYTIC = {
     "mode": "qtable",
     "qtable": {"p_values": [2, 1, -1], "states": [[0, 0], [1, 0]], "numeric": False},
 }
-# a steep attractive term (lam < -1) is searched with one numpy array over the scan grid
+# a steep attractive term (lam < -1): the balance may cross twice, and its grid is searched in floats too
 BOUND_STEEP = {
     "mode": "bound",
     "masses": [0.5, 1.0],
@@ -92,15 +92,14 @@ assert not array_modules(), array_modules()
 """
 
 LAZY_ARRAYS = ARRAY_MODULES + """
-import salpeter_afm.cli as cli
 from salpeter_afm import PowerLawPotential
 
-assert cli.main([sys.argv[1], "--config", sys.argv[2]]) == 0
+assert not array_modules(), array_modules()
+values = PowerLawPotential.funnel(1.2, 0.2).value([0.5, 1.0, 2.0])
 assert "numpy" in sys.modules
 import numpy as np
 
 r = np.array([0.5, 1.0, 2.0])
-values = PowerLawPotential.funnel(1.2, 0.2).value(r)
 assert type(values) is np.ndarray and values.shape == (3,), values
 assert values.tolist() == (np.zeros(3) + -1.0 * 1.2 * r**-1.0 + 1.0 * 0.2 * r**1.0).tolist(), values
 """
@@ -142,10 +141,10 @@ def _python(code, *args, cwd):
     )
 
 
-def _run_verb(tmp_path, verb, config, script=FLOAT_VERB):
+def _run_verb(tmp_path, verb, config):
     path = tmp_path / f"{verb}.json"
     path.write_text(json.dumps(config))
-    return _python(script, verb, str(path), cwd=tmp_path)
+    return _python(FLOAT_VERB, verb, str(path), cwd=tmp_path)
 
 
 def test_bound_imports_no_scipy_and_later_verbs_load_it(tmp_path):
@@ -197,7 +196,12 @@ def test_analytic_qtable_imports_neither_numpy_nor_scipy(tmp_path):
     assert "analytic_p1" in run.stdout
 
 
-def test_array_paths_load_numpy_when_they_run(tmp_path):
-    run = _run_verb(tmp_path, "bound", BOUND_STEEP, script=LAZY_ARRAYS)
+def test_steep_bound_imports_neither_numpy_nor_scipy(tmp_path):
+    run = _run_verb(tmp_path, "bound", BOUND_STEEP)
     assert run.returncode == 0, run.stderr
     assert "mass          M   = " in run.stdout
+
+
+def test_array_paths_load_numpy_when_they_run(tmp_path):
+    run = _python(LAZY_ARRAYS, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr

@@ -1,0 +1,126 @@
+"""Per-call timing of core.solve_afm on the afm-sweep draws of one seed.
+
+Usage: python tools/percall.py [SRC] [SEED] [PASSES]
+
+SRC is the source tree to import salpeter_afm from (default: this
+checkout's src), SEED the draw seed (default 1835) and PASSES the number
+of timed passes (default 15).  The draws are those of perfbench's
+afm-sweep workload for the seed: the seeded bound configurations, then
+for each closed-form draw the generic solve of a Coulomb (0, m) and of a
+linear (0, m) configuration.  Each call is timed alone in every pass and
+keeps its fastest time; the mean of those is printed per class as JSON:
+
+- "lam>=-1": the bound draws with every active exponent >= -1 and the
+  linear solves;
+- "lam<-1": the bound draws with an exponent below -1;
+- "coulomb": the Coulomb (0, m) solves.
+
+After the timed passes each call runs once more with the balance counted:
+"evals" is the mean number of scalar evaluations per call, of the balance
+from core._virial_balance and, where the tree has it, of
+core._balance_parts's grid points; a tree that evaluates the grid as one
+array counts that as one.
+"""
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+BOUND_DRAWS = 2000
+CLOSED_DRAWS = 200
+
+
+def draws(seed, verification, GlobalQ, PowerLawPotential):
+    """(class, m1, m2, potential, Q) in afm-sweep's order for the seed."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(BOUND_DRAWS):
+        m1, m2, potential, qv = verification.random_bound_configuration(rng)
+        steep = any(lam < -1.0 for _, lam in potential.active_terms())
+        out.append(("lam<-1" if steep else "lam>=-1", m1, m2, potential, GlobalQ.explicit(qv)))
+    for _ in range(CLOSED_DRAWS):
+        m, a, qv = verification.random_coulomb_config(rng)
+        out.append(("coulomb", 0.0, m, PowerLawPotential.coulomb(a), GlobalQ.explicit(qv, -1.0)))
+        m, b, qv = verification.random_linear_config(rng)
+        out.append(("lam>=-1", 0.0, m, PowerLawPotential.linear(b), GlobalQ.explicit(qv, 1.0)))
+    return out
+
+
+def solve(package, args):
+    """package.core.solve_afm(*args); a typed error counts as a call like any other."""
+    try:
+        package.core.solve_afm(*args)
+    except package.AfmError:
+        pass
+
+
+def count_evaluations(package, items):
+    """Scalar balance evaluations per item, with the counting wrappers in place."""
+    core, counter = package.core, [0]
+
+    def counting(factory):
+        def make(*args):
+            inner = factory(*args)
+
+            def evaluate(*x):
+                counter[0] += 1
+                return inner(*x)
+
+            return evaluate
+
+        return make
+
+    names = [name for name in ("_virial_balance", "_balance_parts") if hasattr(core, name)]
+    saved = {name: getattr(core, name) for name in names}
+    for name in names:
+        setattr(core, name, counting(saved[name]))
+    try:
+        counts = []
+        for _, *args in items:
+            counter[0] = 0
+            solve(package, args)
+            counts.append(counter[0])
+    finally:
+        for name, value in saved.items():
+            setattr(core, name, value)
+    return counts
+
+
+def main(argv):
+    src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
+    seed = int(argv[2]) if len(argv) > 2 else 1835
+    passes = int(argv[3]) if len(argv) > 3 else 15
+    sys.path.insert(0, str(src))
+    import salpeter_afm as package
+    from salpeter_afm import verification
+
+    items = draws(seed, verification, package.GlobalQ, package.PowerLawPotential)
+    best = [float("inf")] * len(items)
+    clock, solve_afm, error = time.perf_counter, package.core.solve_afm, package.AfmError
+    for _ in range(passes):
+        for n, (_, *args) in enumerate(items):
+            start = clock()
+            try:
+                solve_afm(*args)
+            except error:
+                pass
+            elapsed = clock() - start
+            if elapsed < best[n]:
+                best[n] = elapsed
+    counts = count_evaluations(package, items)
+    report = {}
+    for name in ("lam>=-1", "lam<-1", "coulomb"):
+        picked = [n for n, item in enumerate(items) if item[0] == name]
+        report[name] = {
+            "calls": len(picked),
+            "us": round(1e6 * sum(best[n] for n in picked) / len(picked), 2),
+            "evals": round(sum(counts[n] for n in picked) / len(picked), 2),
+            "max_evals": max(counts[n] for n in picked),
+        }
+    print(json.dumps(report))
+
+
+if __name__ == "__main__":
+    main(sys.argv)
