@@ -274,7 +274,8 @@ def _bracket_root(
     Otherwise (``estimate`` None: a steep attractive term can make the
     balance cross twice) :func:`_steep_grid` bisects the grid from the left,
     skipping the ranges whose bounds from ``terms`` and k_i = m_i/Q show no
-    crossing: ~12 evaluations on the seeded draws, of ~800 grid points.
+    crossing, and bisects the range it shows rising through 0 with the same
+    :func:`_bisect_grid`: ~12 evaluations on the seeded draws, of ~800 points.
     Returns (xa, xb, f(xa), f(xb)), an end value None where a power
     overflowed, or raises the no-root errors :func:`solve_afm` documents,
     from the sign of the first finite grid value.
@@ -301,13 +302,16 @@ def _bracket_root(
     )
 
 
-def _bisect_grid(balance, lo: float, step: float, count: int, start: int):
+def _bisect_grid(balance, lo: float, step: float, count: int, start: int, below=None, above=None):
     """(the first - to + grid cell, first finite value) of a nondecreasing balance, from float values.
 
     Probes the cell [start, start + 1] first, gallops down or up from it in
     doubling steps to a grid point below 0 and one not below 0, and bisects
     between them.  Since the sign changes at most once, that is the cell a
-    bisection of the whole grid finds.  The cell comes with its end values
+    bisection of the whole grid finds.  ``below`` and ``above`` are the
+    (index, x, value) of points known below 0 and not below 0, if any: the
+    ends of a range :func:`_steep_grid` has shown rising, around ``start``,
+    which is then bisected alone.  The cell comes with its end values
     for Brent, except one where a float power raised OverflowError: that
     counts as +inf here and is left None, so Brent evaluates it again and the
     solve reports the overflow.  Without a crossing the second item is a
@@ -316,7 +320,6 @@ def _bisect_grid(balance, lo: float, step: float, count: int, start: int):
     there never crosses, and one still < 0 at the last point is < 0
     throughout.
     """
-    below = above = None  # (index, x, value) of the nearest grid points known below 0 and not below 0
     i, width = start, 1
     while True:
         x = 10.0 ** (lo + i * step)
@@ -406,7 +409,7 @@ def _steep_grid(balance, terms, q_value: float, k1: float, k2: float, lo: float,
     sign, or its slope is negative, beyond a rounding margin of a few eps
     times the magnitudes in play; with a positive slope the float values
     rise from point to point, so the range holds the cell only when its
-    ends differ in sign, and it is then bisected straight to it.  A range
+    ends differ in sign, and :func:`_bisect_grid` then bisects it.  A range
     whose d(x_j) or p(x_i) is +inf is +inf throughout; any other non-finite
     bound is split down to single points, where the balance values
     decide.  Since the ranges are visited left to right, the cell found is
@@ -423,7 +426,7 @@ def _steep_grid(balance, terms, q_value: float, k1: float, k2: float, lo: float,
     peak = _KINETIC_PEAK * q_value
     two_over_span = 2.0 / (step * _LN10)
     i = 0
-    x, f, fb, d, p, kin, ds, ks1, ks2 = left = parts(10.0 ** lo)
+    x, f, fb, d, p, kin, ds, ks1, ks2 = parts(10.0 ** lo)
     pending = [(count - 1, parts(10.0 ** (lo + (count - 1) * step)))]  # right ends, the nearest last
     lead = None
     while pending:
@@ -436,7 +439,7 @@ def _steep_grid(balance, terms, q_value: float, k1: float, k2: float, lo: float,
             if dj == inf or p == inf:  # a power beyond the double range throughout: +inf
                 pending.pop()
                 i = j
-                x, f, fb, d, p, kin, ds, ks1, ks2 = left = right
+                x, f, fb, d, p, kin, ds, ks1, ks2 = right
                 continue
             margin = rounding * (d + pj) + 2.0 * rounding * kin
             # no - to + cell where the values have one sign, the slope is < 0, or it is > 0 and the ends agree
@@ -448,7 +451,7 @@ def _steep_grid(balance, terms, q_value: float, k1: float, k2: float, lo: float,
                 gap = rounding * (slope_scale * (d + pj) + ks1_max + ks2_max) + two_over_span * margin
                 if ds + min(ks1, ks1j) + min(ks2, ks2j) > gap:
                     if f < 0.0 <= fj:
-                        return _rising_cell(balance, lo, step, i, left, j, right), None
+                        return _bisect_grid(balance, lo, step, count, (i + j) // 2, (i, x, f), (j, xj, fj))
                     settled = True
                 else:
                     settled = dsj + ks1_max + ks2_max < -gap
@@ -460,29 +463,10 @@ def _steep_grid(balance, terms, q_value: float, k1: float, k2: float, lo: float,
             lead = f
         pending.pop()
         i = j
-        x, f, fb, d, p, kin, ds, ks1, ks2 = left = right
+        x, f, fb, d, p, kin, ds, ks1, ks2 = right
     if lead is None and -inf < f < inf:
         lead = f
     return None, lead
-
-
-def _rising_cell(balance, lo: float, step: float, i: int, left, j: int, right):
-    """The cell (xa, xb, f(xa), f(xb)) where float values rising from i to j turn from < 0 to >= 0, by bisection.
-
-    ``left`` and ``right`` are the points i and j as :func:`_balance_parts`
-    gives them.  No power overflows on a range whose bounds are finite, so
-    ``balance`` gives the values in between.
-    """
-    xa, fa, xb, fb = left[0], left[1], right[0], right[1]
-    while j - i > 1:
-        m = (i + j) // 2
-        x = 10.0 ** (lo + m * step)
-        fx = balance(x)
-        if fx < 0.0:
-            i, xa, fa = m, x, fx
-        else:
-            j, xb, fb = m, x, fx
-    return xa, xb, fa, fb
 
 
 def _brent(
@@ -564,7 +548,8 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     every term has lam >= -1 the search starts at the cell of a one-step
     Newton estimate of ln r0, see :func:`_root_estimate`, and otherwise
     bisects ranges of the grid from the left, skipping those whose
-    monotone bounds show no crossing, see :func:`_steep_grid`; then Brent's
+    monotone bounds show no crossing, see :func:`_steep_grid`, both ending
+    in the one bisection of :func:`_bisect_grid`; then Brent's
     method on that grid cell to machine precision, handed the cell's end
     values, see :func:`_brent`), and assembles the mass in floats, with no
     numpy.  With every lam >= -1 a call evaluates the balance ~7 times, ~2
@@ -649,8 +634,12 @@ def coulomb_closed(m: float, a: float, q: GlobalQ | float) -> AfmSolution:
 
     Exists only inside the window a/2 < Q < a: at Q >= a the binding
     cancels (M -> m, r0 -> infinity), at Q <= a/2 the system collapses
-    (M -> 0, r0 -> 0).
+    (M -> 0, r0 -> 0).  A non-finite m or a raises DomainError, as does an
+    r0 or p0 = Q/r0 outside the normal double range or a nu2 beyond it;
+    the mass, at most m, is then finite.
     """
+    if not (math.isfinite(m) and math.isfinite(a)):
+        raise DomainError("mass and coupling must be finite")
     if m <= 0.0:
         raise DomainError("the massive particle must have m > 0 (no scale otherwise)")
     if a <= 0.0:
@@ -666,10 +655,13 @@ def coulomb_closed(m: float, a: float, q: GlobalQ | float) -> AfmSolution:
             f"collapse: Q <= a/2 (Q={qv:g}, a={a:g}); need a/2 < Q < a"
         )
     r0 = (qv / m) * math.sqrt(a * (2.0 * qv - a)) / (a - qv)
-    p0 = qv / r0
+    p0 = qv / r0 if r0 else math.inf
     nu2 = math.hypot(p0, m)
+    # a NaN or infinite r0 fails here too, through p0
+    if not (r0 >= sys.float_info.min and p0 >= sys.float_info.min and nu2 < math.inf):
+        raise DomainError(f"the Coulomb solution leaves the double range at m={m:g}, a={a:g}, Q={qv:g}")
     x = a / (2.0 * qv)
-    mass = 2.0 * m * math.sqrt(x * (1.0 - x))
+    mass = m * (2.0 * math.sqrt(x * (1.0 - x)))  # not 2m, which overflows for m near the largest double
     return AfmSolution(r0, p0, p0, nu2, mass, q, _certified(((a, -1.0),), q))
 
 
@@ -684,7 +676,10 @@ def coulomb_symmetric(sigma: float, m: float, a: float, q: GlobalQ | float) -> f
     if a >= sigma * qv:
         raise NoBoundState(f"no bound state: a >= sigma*Q (a={a:g}, sigma*Q={sigma * qv:g})")
     ratio = a / (sigma * qv)
-    return sigma * m * math.sqrt(1.0 - ratio * ratio)
+    mass = sigma * m * math.sqrt(1.0 - ratio * ratio)
+    if not math.isfinite(mass):
+        raise DomainError(f"the symmetric Coulomb mass is not representable at sigma={sigma:g}, m={m:g}, a={a:g}")
+    return mass
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +737,10 @@ def linear_symmetric_massless(sigma: float, b: float, q: GlobalQ | float) -> flo
     """Massless mass scale for the sigma-fold symmetric kinetic term: 2*sqrt(sigma b Q)."""
     if sigma <= 0.0 or b <= 0.0:
         raise DomainError("need sigma > 0 and b > 0")
-    return 2.0 * math.sqrt(sigma * b * _resolve_q(q).value)
+    mass = 2.0 * math.sqrt(sigma * b * _resolve_q(q).value)
+    if not math.isfinite(mass):
+        raise DomainError(f"the symmetric linear mass is not representable at sigma={sigma:g}, b={b:g}")
+    return mass
 
 
 def linear_ur_expansion(m: float, b: float, q: GlobalQ | float) -> float:
@@ -763,7 +761,10 @@ def linear_nr_expansion(m: float, b: float, q: GlobalQ | float) -> float:
     if b <= 0.0:
         raise DomainError("slope must be positive")
     m1 = 2.0 * math.sqrt(b * _resolve_q(q).value)
-    return m + m1 + m1 * m1 / (8.0 * m)
+    mass = m + m1 + m1 * m1 / (8.0 * m)
+    if not math.isfinite(mass):
+        raise DomainError(f"the nonrelativistic expansion is not representable at m={m:g}, b={b:g}")
+    return mass
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,35 @@ class TestScanCommand:
         assert float(rows[2][1]) == pytest.approx(sol.r0 / 1.2, rel=1e-8)
         assert float(rows[2][2]) == pytest.approx(sol.mass, rel=1e-8)
 
+    def test_q_sweep_radius_beyond_double_range_is_a_row(self, tmp_path, capsys):
+        # r0 = (Q/m) sqrt(a(2Q - a))/(a - Q) overflows at m = 1e-308
+        config = {
+            "mode": "scan",
+            "masses": [0, 1e-308],
+            "potential": [{"alpha": 1.2, "exponent": -1}],
+            "state": {"n": 0, "l": 0},
+            "scan": {"variable": "Q", "values": [1.0]},
+        }
+        assert main(["scan", "--config", write_config(tmp_path, config)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "1,DomainError,DomainError"
+
+    @pytest.mark.parametrize("m", [5e-324, 1e-308, 1.0, 1e154, 1.7976931348623157e308])
+    @pytest.mark.parametrize("alpha", [1e-320, 1e-300, 1.2, 1e300, 1.7976931348623157e308])
+    def test_finite_extremes_never_raise(self, tmp_path, capsys, m, alpha):
+        q_sweep = {
+            "mode": "scan",
+            "masses": [0.0, m],
+            "potential": [{"alpha": alpha, "exponent": -1}],
+            "state": {"n": 0, "l": 0},
+            "scan": {"variable": "Q", "values": [alpha * f for f in (0.4, 0.5000001, 0.75, 0.9999999)]},
+        }
+        mass_scan = dict(self.scan_config(), potential=[{"alpha": alpha, "exponent": 1}])
+        mass_scan["scan"]["values"] = [m]
+        assert main(["scan", "--config", write_config(tmp_path, q_sweep)]) == 0
+        assert main(["scan", "--config", write_config(tmp_path, mass_scan)]) in (0, 2)
+        out = capsys.readouterr().out
+        assert "inf" not in out and "nan" not in out
+
     def test_grid_is_start_plus_index_times_step(self, tmp_path, capsys):
         config = self.scan_config()
         config["scan"] = {"variable": "m", "start": 0.0, "stop": 100.0, "step": 0.1, "include_reference": False}
@@ -490,6 +519,10 @@ def _with_1e400(config):
         pytest.param(  # m*m is finite, M_ur = M0 + 2 m^2/M0 is not
             "scan", dict(SCAN_LINEAR, scan=dict(SCAN_LINEAR["scan"], values=[1.2e154])), [], 2,
             id="scan-mass-ur-overflow",
+        ),
+        pytest.param(  # M_nr = m + M1 + M1^2/(8m) overflows at a subnormal mass
+            "scan", dict(SCAN_LINEAR, scan=dict(SCAN_LINEAR["scan"], values=[1e-320])), [], 2,
+            id="scan-mass-nr-overflow",
         ),
         pytest.param(  # r0^4.127 underflows to 0 at the root, and with it r0 V'(r0)
             "bound",

@@ -67,6 +67,28 @@ class TestCoulombClosed:
         res = residuals(sol, 0.0, 0.7, PowerLawPotential.coulomb(0.9), sol.q)
         assert max(res) < 1e-10
 
+    @pytest.mark.parametrize(
+        "m, a, qv",
+        [
+            pytest.param(math.inf, 1.2, 1.0, id="infinite-mass"),
+            pytest.param(math.nan, 1.2, 1.0, id="nan-mass"),
+            pytest.param(1.0, math.inf, 1.0, id="infinite-coupling"),
+            pytest.param(1.0, math.nan, 1.0, id="nan-coupling"),
+            pytest.param(1e-308, 1.2, 1.0, id="r0-overflows"),
+            pytest.param(1.0, 1e-300, 7.5e-301, id="r0-underflows-to-zero"),
+            pytest.param(1e308, 1.0, 0.55, id="r0-subnormal"),
+            pytest.param(1.5e308, 1e10, 5.8e9, id="nu2-overflows"),
+        ],
+    )
+    def test_edge_of_double_range_raises_domain_error(self, m, a, qv):
+        with pytest.raises(DomainError):
+            coulomb_closed(m, a, GlobalQ.explicit(qv, -1.0))
+
+    def test_mass_near_largest_double_stays_finite(self):
+        # M = 2m sqrt(x(1 - x)) <= m, but 2m alone overflows
+        sol = coulomb_closed(1e308, 1.2, GlobalQ.explicit(1.0, -1.0))
+        assert sol.mass == pytest.approx(2.0 * math.sqrt(0.24) * 1e308, rel=1e-14)
+
 
 class TestCoulombSymmetric:
     def test_two_body_value(self):
@@ -237,6 +259,23 @@ class TestExpansions:
             gap = abs(linear_closed(m, b, q).mass - linear_nr_expansion(m, b, q))
             scaled.append(gap * m)
         assert all(b2 < 0.8 * b1 for b1, b2 in zip(scaled, scaled[1:]))
+
+
+@pytest.mark.parametrize(
+    "closed_form, args",
+    [
+        pytest.param(linear_nr_expansion, (1e-320, 1.0, 1.0), id="nr-subnormal-mass"),
+        pytest.param(linear_nr_expansion, (1.0, math.nan, 1.0), id="nr-nan-slope"),
+        pytest.param(coulomb_symmetric, (2.0, 1.0, math.nan, 1.0), id="coulomb-symmetric-nan-coupling"),
+        pytest.param(coulomb_symmetric, (2.0, math.inf, 1.0, 1.0), id="coulomb-symmetric-infinite-mass"),
+        pytest.param(coulomb_symmetric, (math.inf, 0.0, 1.0, 1.0), id="coulomb-symmetric-infinite-sigma"),
+        pytest.param(linear_symmetric_massless, (math.inf, 1.0, 1.0), id="linear-symmetric-infinite-sigma"),
+        pytest.param(linear_symmetric_massless, (2.0, math.nan, 1.0), id="linear-symmetric-nan-slope"),
+    ],
+)
+def test_non_finite_result_raises_domain_error(closed_form, args):
+    with pytest.raises(DomainError):
+        closed_form(*args)
 
 
 class TestEqualMassReduction:

@@ -366,12 +366,16 @@ def both_searches(monkeypatch):
 
     An outcome is the five doubles of the solution as hex, or the error's
     type and message.  A solve that never reaches this grid search (a lam <
-    -1 term takes core._steep_grid) is run once and reported twice.
+    -1 term takes core._steep_grid) is run once and reported twice; the
+    rising range that core._steep_grid hands to core._bisect_grid, with its
+    two ends known, goes to the real search.
     """
     seeded, real_brent = core._bisect_grid, core._brent
     oracle, cells, searches = [False], [], []
 
     def search(*args):
+        if len(args) > 5:  # a range core._steep_grid has shown rising, with its known ends
+            return seeded(*args)
         searches.append(args)
         return (_whole_grid_bisection if oracle[0] else seeded)(*args)
 

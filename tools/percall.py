@@ -19,7 +19,8 @@ After the timed passes each call runs once more with the balance counted:
 "evals" is the mean number of scalar evaluations per call, of the balance
 from core._virial_balance and, where the tree has it, of
 core._balance_parts's grid points; a tree that evaluates the grid as one
-array counts that as one.
+array counts that as one.  "brent_evals" is the mean number of those made
+inside core._brent, so the cell search made the rest.
 """
 import json
 import sys
@@ -57,8 +58,8 @@ def solve(package, args):
 
 
 def count_evaluations(package, items):
-    """Scalar balance evaluations per item, with the counting wrappers in place."""
-    core, counter = package.core, [0]
+    """(scalar balance evaluations, those inside core._brent) per item, with the counting wrappers in place."""
+    core, counter, in_brent = package.core, [0], [0]
 
     def counting(factory):
         def make(*args):
@@ -72,16 +73,24 @@ def count_evaluations(package, items):
 
         return make
 
+    def brent(f, *args, **kwargs):
+        def evaluate(x):
+            in_brent[0] += 1
+            return f(x)
+
+        return saved["_brent"](evaluate, *args, **kwargs)
+
     names = [name for name in ("_virial_balance", "_balance_parts") if hasattr(core, name)]
-    saved = {name: getattr(core, name) for name in names}
+    saved = {name: getattr(core, name) for name in [*names, "_brent"]}
     for name in names:
         setattr(core, name, counting(saved[name]))
+    core._brent = brent
     try:
         counts = []
         for _, *args in items:
-            counter[0] = 0
+            counter[0] = in_brent[0] = 0
             solve(package, args)
-            counts.append(counter[0])
+            counts.append((counter[0], in_brent[0]))
     finally:
         for name, value in saved.items():
             setattr(core, name, value)
@@ -116,8 +125,9 @@ def main(argv):
         report[name] = {
             "calls": len(picked),
             "us": round(1e6 * sum(best[n] for n in picked) / len(picked), 2),
-            "evals": round(sum(counts[n] for n in picked) / len(picked), 2),
-            "max_evals": max(counts[n] for n in picked),
+            "evals": round(sum(counts[n][0] for n in picked) / len(picked), 2),
+            "max_evals": max(counts[n][0] for n in picked),
+            "brent_evals": round(sum(counts[n][1] for n in picked) / len(picked), 2),
         }
     print(json.dumps(report))
 
