@@ -325,7 +325,10 @@ def _scan_q(config: dict, potential: PowerLawPotential, values: list[float], wri
             q = GlobalQ.explicit(qv, -1.0)
         try:
             sol = core.coulomb_closed(m, a, q)
-            writer.writerow([_fmt(qv), _fmt(sol.r0 * m / a), _fmt(sol.mass / m)])
+            radius = sol.r0 * m / a
+            if not 0.0 < radius < math.inf:  # r0 m alone leaves the double range, r0 m/a does not
+                radius = sol.r0 / a * m
+            writer.writerow([_fmt(qv), _fmt(radius), _fmt(sol.mass / m)])
         except AfmError as err:
             writer.writerow([_fmt(qv), type(err).__name__, type(err).__name__])
 

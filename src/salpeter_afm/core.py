@@ -33,6 +33,7 @@ from .types import (
     GlobalQ,
     PowerLawPotential,
     QuantumState,
+    _trusted_solution,
 )
 
 __all__ = [
@@ -235,13 +236,21 @@ def _root_estimate(terms, c: float, e: float, q_value: float, k1: float, k2: flo
     is the window's middle.  From s0 one Newton step on F(s) = ln(pull/(Q kin)),
     r = e^s, with pull = sum |lam| alpha r^(lam+1) and kin = 1/hypot(1, k1 r)
     + 1/hypot(1, k2 r), F' = sum e |lam| alpha r^e / pull
-    + sum (k r)^2/hypot^3 / kin.  The estimate only chooses where the search
-    starts, never an outcome: where it cannot be formed in floats it is the
-    window's middle.
+    + sum (k r)^2/hypot^3 / kin.  A pure Coulomb balance at masses (0, m)
+    has the closed-form root r0 = (Q/m) sqrt(2u - 1)/(1 - u), u = Q/a with a
+    the sum of the couplings, which is the estimate itself.  The estimate
+    only chooses where the search starts, never an outcome: where it cannot
+    be formed in floats it is the window's middle.
     """
     middle = (window[0] + window[1]) / 2
     try:
-        s = (math.log(q_value) - math.log(c)) / e if e else middle * _LN10
+        if e:
+            s = (math.log(q_value) - math.log(c)) / e
+        elif min(k1, k2) == 0.0:
+            u = q_value / sum(a for a, _ in terms)
+            return (0.5 * math.log(2.0 * u - 1.0) - math.log(1.0 - u) - math.log(k1 + k2)) / _LN10
+        else:
+            s = middle * _LN10
         r = math.exp(s)
         pull = slope = 0.0
         for a, lam in terms:
@@ -622,7 +631,7 @@ def _assemble(m1, m2, terms, q: GlobalQ, r0: float) -> AfmSolution:
         raise DomainError(f"the mass at r0={r0:g} exceeds the double range")
     if mass <= 0.0:
         raise CollapseDetected(f"solution at r0={r0:g} has nonpositive mass {mass:g}")
-    return AfmSolution(r0, p0, nu1, nu2, mass, q, _certified(terms, q))
+    return _trusted_solution(r0, p0, nu1, nu2, mass, q, _certified(terms, q))
 
 
 # ---------------------------------------------------------------------------
@@ -654,13 +663,15 @@ def coulomb_closed(m: float, a: float, q: GlobalQ | float) -> AfmSolution:
         raise CollapseDetected(
             f"collapse: Q <= a/2 (Q={qv:g}, a={a:g}); need a/2 < Q < a"
         )
-    r0 = (qv / m) * math.sqrt(a * (2.0 * qv - a)) / (a - qv)
+    # r0 = (Q/m) sqrt(a (2Q - a))/(a - Q) = (Q/m) sqrt(2u - 1)/(1 - u), u = Q/a, whose a (2Q - a) would leave the
+    # double range; 2u - 1 and 1 - u are taken as (Q - a/2)/a and (a - Q)/a, each difference exact (Sterbenz)
+    r0 = (qv / m) * math.sqrt(2.0 * ((qv - 0.5 * a) / a)) / ((a - qv) / a)
     p0 = qv / r0 if r0 else math.inf
     nu2 = math.hypot(p0, m)
     # a NaN or infinite r0 fails here too, through p0
     if not (r0 >= sys.float_info.min and p0 >= sys.float_info.min and nu2 < math.inf):
         raise DomainError(f"the Coulomb solution leaves the double range at m={m:g}, a={a:g}, Q={qv:g}")
-    x = a / (2.0 * qv)
+    x = 0.5 * (a / qv)  # a/(2Q), whose 2Q would overflow for Q above half the largest double
     mass = m * (2.0 * math.sqrt(x * (1.0 - x)))  # not 2m, which overflows for m near the largest double
     return AfmSolution(r0, p0, p0, nu2, mass, q, _certified(((a, -1.0),), q))
 

@@ -6,7 +6,8 @@ a unit of (mu, rho) outside the double range is a DomainError.  The unit
 problem is Rayleigh-Ritz in the Laguerre basis of :mod:`.reference`: each
 rung N = 20, 40, 80, 160 builds H from the cached unit-scale p_l^2 and r^p
 matrices at the basis scale h and takes level n with one eigvalsh, and the
-reference's ladder accepts, extrapolates (Aitken) or refuses the rungs.
+reference's ladder accepts, extrapolates (Aitken) or refuses the rungs, on
+one BLAS thread, as :func:`nr_eigenvalue` also takes its eigenvector.
 Every rung is an upper bound on the true level.  h puts the n-th basis
 function at the variational radius of the seed Q, and a confining r^p term
 caps it so that the round-off of its matrix stays below the tolerance.
@@ -130,6 +131,7 @@ def nr_energy(mu: float, rho: float, p: float, state: QuantumState, *, tol: floa
     return _rescale(_solve(p, state, tol)[0], log_energy, "energy")
 
 
+@reference._one_blas_thread  # the ladder's rungs and the finest rung's eigenvector alike
 def nr_eigenvalue(mu: float, rho: float, p: float, state: QuantumState) -> RadialEigenpair:
     """Converged (n, l) eigenpair of p^2/(2 mu) + rho*sign(p)*r^p.
 

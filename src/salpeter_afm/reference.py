@@ -31,13 +31,22 @@ The nonrelativistic oracle runs the same ladder on
 P/(2 h^2) + sign(p) h^p W(p, l, N), with the same scale rule.  Where the
 unit-scale r^lam entries would leave the double range (a steep exponent),
 the matrix is not built and DomainError is raised; no l is out of reach.
+Every ladder runs on one BLAS thread: the rung products and eigensolves are
+small (N <= 160), and waking a second OpenBLAS thread for each costs more
+than it saves.  The thread counts of the OpenBLAS copies that numpy and
+scipy loaded are set to 1 on entry and put back on exit, also when the
+ladder raises; where no such control is found (another BLAS), nothing is
+changed.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import logging
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +63,14 @@ _CAPPED_TOL = 2e-6  # largest relative Aitken correction accepted on a capped ba
 _CACHE_SIZE = 32  # unit-scale matrices kept per cache: eight ladders of four rungs
 _LOG_MAX = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
+# extension modules linked to the BLAS that numpy's products and scipy's eigensolvers run on
+_BLAS_MODULES = ("numpy._core._multiarray_umath", "scipy.linalg._flapack")
+# (get, set) thread count functions of OpenBLAS: numpy's wheel, scipy's wheel, a plain build
+_BLAS_THREAD_CONTROLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 @dataclass(frozen=True)
@@ -281,6 +298,64 @@ def _scale(problem: SseProblem) -> tuple[float, bool]:
     return basis_scale(seed.r0, seed.mass, problem.state, problem.potential.active_terms(), _TOL)
 
 
+@functools.cache
+def _blas_controls() -> tuple:
+    """(get, set) thread count functions of the OpenBLAS each of :data:`_BLAS_MODULES`
+    loaded, found with dlsym on the loaded extension module, which also
+    searches the libraries it links; () where there is none."""
+    controls = []
+    for name in _BLAS_MODULES:
+        path = getattr(sys.modules.get(name), "__file__", None)
+        if path is None:
+            continue
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_CONTROLS:
+            try:
+                controls.append((library[get_name], library[set_name]))
+                break
+            except AttributeError:
+                continue
+    return tuple(controls)
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Context manager, and decorator, that runs its body with every OpenBLAS of the process on one thread.
+
+    One lock and a depth count: the first caller to enter saves each
+    library's thread count and sets 1, the last one to leave puts the
+    counts back, so nested and concurrent bodies all run on one thread and
+    the counts are restored once, whether the body returns or raises.  The
+    counts are process-wide: BLAS calls made meanwhile outside any such body
+    run on one thread too.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = tuple((set_, get()) for get, set_ in _blas_controls())
+                for set_, _ in self._saved:
+                    set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_, count in self._saved:
+                    set_(count)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def _aitken(values: list[float]) -> float:
     d1, d2 = values[0] - values[1], values[1] - values[2]
     if not (d1 > 0 and d2 > 0 and d2 / d1 < 0.98):
@@ -291,6 +366,7 @@ def _aitken(values: list[float]) -> float:
     return values[2] - d2 * d2 / (d1 - d2)
 
 
+@_one_blas_thread
 def ladder(name: str, build, n: int, scale: float, tol: float, limit: float) -> tuple[float, float, int]:
     """Level n of build(N) on the rungs N = 20, 40, 80, 160 with N > n.
 
@@ -302,7 +378,7 @@ def ladder(name: str, build, n: int, scale: float, tol: float, limit: float) -> 
     ConvergenceFailure: this is the one place where a ladder is accepted,
     extrapolated or refused.  Returns (value, error estimate, size of the
     last rung) and writes one DEBUG record per rung and one for the result
-    to the ``name`` logger.
+    to the ``name`` logger.  It runs on one BLAS thread (:class:`_OneBlasThread`).
     """
     log = logging.getLogger(f"{__package__}.{name}")
     values = []

@@ -184,3 +184,13 @@ class AfmSolution:
             raise ValueError("p0 * r0 does not reproduce Q")
         if self.nu1 < self.p0 * (1 - 1e-12) or self.nu2 < self.p0 * (1 - 1e-12):
             raise ValueError("kinetic einbeins cannot be below p0")
+
+
+def _trusted_solution(r0, p0, nu1, nu2, mass, q, certified_upper_bound) -> AfmSolution:
+    """An AfmSolution built without ``__init__`` and its checks, for the
+    solver's own records, which meet them by construction (p0 = Q/r0 > 0,
+    nu_i = hypot(p0, m_i)); equal to the checked record of the same fields.
+    An AfmSolution built by its constructor keeps every check."""
+    sol = object.__new__(AfmSolution)
+    sol.__dict__.update(r0=r0, p0=p0, nu1=nu1, nu2=nu2, mass=mass, q=q, certified_upper_bound=certified_upper_bound)
+    return sol

@@ -75,7 +75,7 @@ class TestCoulombClosed:
             pytest.param(1.0, math.inf, 1.0, id="infinite-coupling"),
             pytest.param(1.0, math.nan, 1.0, id="nan-coupling"),
             pytest.param(1e-308, 1.2, 1.0, id="r0-overflows"),
-            pytest.param(1.0, 1e-300, 7.5e-301, id="r0-underflows-to-zero"),
+            pytest.param(1e308, 1e-300, 7.5e-301, id="r0-underflows-to-zero"),
             pytest.param(1e308, 1.0, 0.55, id="r0-subnormal"),
             pytest.param(1.5e308, 1e10, 5.8e9, id="nu2-overflows"),
         ],
@@ -88,6 +88,21 @@ class TestCoulombClosed:
         # M = 2m sqrt(x(1 - x)) <= m, but 2m alone overflows
         sol = coulomb_closed(1e308, 1.2, GlobalQ.explicit(1.0, -1.0))
         assert sol.mass == pytest.approx(2.0 * math.sqrt(0.24) * 1e308, rel=1e-14)
+
+    @pytest.mark.parametrize("m, a, qv", [(1e200, 1e200, 7.5e199), (1.0, 1e-300, 7.5e-301), (1.0, 1.7e308, 1e308)])
+    def test_coupling_at_the_edge_of_the_double_range(self, m, a, qv):
+        # r0 = (Q/m) sqrt(2u - 1)/(1 - u), u = Q/a: a (2Q - a) and 2Q would leave the double range
+        u, x = qv / a, 0.5 * a / qv
+        sol = coulomb_closed(m, a, GlobalQ.explicit(qv, -1.0))
+        assert sol.r0 == pytest.approx((qv / m) * math.sqrt(2.0 * u - 1.0) / (1.0 - u), rel=1e-13)
+        assert sol.mass == pytest.approx(2.0 * m * math.sqrt(x * (1.0 - x)), rel=1e-14)
+
+    def test_large_coupling_matches_the_generic_solver(self):
+        q = GlobalQ.explicit(7.5e199, -1.0)
+        closed = coulomb_closed(1e200, 1e200, q)
+        generic = solve_afm(0.0, 1e200, PowerLawPotential.coulomb(1e200), q)
+        assert closed.r0 == pytest.approx(generic.r0, rel=1e-14)
+        assert closed.mass == pytest.approx(generic.mass, rel=1e-14)
 
 
 class TestCoulombSymmetric:

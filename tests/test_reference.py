@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from salpeter_afm import (
     QuantumState,
     SseProblem,
     bound_gap,
+    oracle,
     q_exact,
     q_numeric,
     reference,
@@ -55,6 +57,12 @@ def pinned_problems():
                  for lam in (2.0, 4.0, 4.5, 6.0, 8.0)]
     problems += [SseProblem(0.0, round(0.1 * i, 1), LINEAR, QuantumState(n)) for n in (0, 1) for i in range(11)]
     return problems
+
+
+# q_numeric levels the thread tests pin: integer and non-integer p (the connection build's GEMM), up to N = 160
+Q_NUMERIC_SPECS = [
+    (p, n, l) for p in (-1.0, -0.5, 0.5, 1.5, 2.0, 4.0) for n, l in ((0, 0), (3, 0), (10, 0), (0, 5), (2, 3))
+]
 
 
 def rung_values(problem):
@@ -579,3 +587,159 @@ class TestThreadCount:
         child = subprocess.run([sys.executable, "-c", self.CHILD], input=json.dumps(specs), env=env,
                                capture_output=True, text=True, timeout=300, check=True)
         assert json.loads(child.stdout) == [sse_eigenvalue(p) for p in problems]
+
+    Q_CHILD = (
+        "import json, sys\n"
+        "from salpeter_afm import QuantumState, q_numeric\n"
+        "print(json.dumps([q_numeric(p, QuantumState(n, l)).value for p, n, l in json.load(sys.stdin)]))\n"
+    )
+
+    def test_one_blas_thread_gives_the_same_q_numeric_doubles(self):
+        # and so does every pinned oracle level behind q_numeric
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+        child = subprocess.run([sys.executable, "-c", self.Q_CHILD], input=json.dumps(Q_NUMERIC_SPECS), env=env,
+                               capture_output=True, text=True, timeout=300, check=True)
+        assert json.loads(child.stdout) == [q_numeric(p, QuantumState(n, l)).value for p, n, l in Q_NUMERIC_SPECS]
+
+
+def blas_counts():
+    """The thread count of each OpenBLAS the reference pins."""
+    return [get() for get, _ in reference._blas_controls()]
+
+
+def counting_build(seen):
+    """A rung build that records the BLAS thread counts at each rung: a diagonal matrix, so the
+    ladder converges on its second rung."""
+
+    def build(size):
+        seen.append(blas_counts())
+        return np.diag(np.arange(1.0, size + 1.0))
+
+    return build
+
+
+def run_ladder(build, n=0):
+    return reference.ladder("test", build, n, 1.0, reference._TOL, math.inf)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every pinned OpenBLAS at two threads for the test and at its own count again after it, so
+    that a count the code under test left at one, or at any other value, shows."""
+    controls = reference._blas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this process")
+    before = blas_counts()
+    for _, set_ in controls:
+        set_(2)
+    yield [2] * len(controls)
+    for (_, set_), count in zip(controls, before):
+        set_(count)
+
+
+class TestOneBlasThread:
+    """Every ladder of the reference and the oracle runs on one BLAS thread, and
+    puts each library's thread count back however it ends."""
+
+    def test_a_ladder_that_returns(self, two_blas_threads):
+        seen = []
+        assert run_ladder(counting_build(seen)) == (1.0, 0.0, 40)
+        assert seen == [[1] * len(two_blas_threads)] * 2
+        assert blas_counts() == two_blas_threads
+
+    @pytest.mark.parametrize("error", [ConvergenceFailure, DomainError])
+    def test_a_ladder_whose_build_raises(self, two_blas_threads, error):
+        seen = []
+
+        def build(size):
+            if size == 40:
+                raise error("refused")
+            return counting_build(seen)(size)
+
+        with pytest.raises(error, match="refused"):
+            run_ladder(build)
+        assert seen == [[1] * len(two_blas_threads)]
+        assert blas_counts() == two_blas_threads
+
+    def test_a_ladder_that_refuses_its_rungs(self, two_blas_threads):
+        # p = -1.5 at (0, 0): the Aitken correction exceeds q_numeric's tolerance
+        with pytest.raises(ConvergenceFailure, match="stuck at relative error"):
+            q_numeric(-1.5, QuantumState(0))
+        with pytest.raises(ConvergenceFailure, match="needs more than"):
+            run_ladder(counting_build([]), n=reference._SIZES[-1])
+        assert blas_counts() == two_blas_threads
+
+    def test_a_ladder_whose_matrix_leaves_the_double_range(self, two_blas_threads):
+        with pytest.raises(DomainError, match="leave the double range"):
+            oracle.nr_energy(1.0, 1.0, 150.0, QuantumState(0))
+        assert blas_counts() == two_blas_threads
+
+    def test_nested_ladders(self, two_blas_threads):
+        inner, outer, after_inner = [], [], []
+
+        def build(size):
+            if size == 20:
+                run_ladder(counting_build(inner))
+                after_inner.append(blas_counts())
+            return counting_build(outer)(size)
+
+        run_ladder(build)
+        one = [1] * len(two_blas_threads)
+        assert inner == outer == [one, one] and after_inner == [one]
+        assert blas_counts() == two_blas_threads
+
+    def test_two_threads_running_ladders_at_once(self, two_blas_threads):
+        # b's ladder is still running when a's returns, and must stay on one thread
+        both_inside, a_returned = threading.Barrier(2, timeout=30), threading.Event()
+        seen, errors = {"a": [], "b": []}, []
+
+        def run(name):
+            def build(size):
+                if size == 20:
+                    both_inside.wait()
+                    if name == "b":
+                        assert a_returned.wait(timeout=30)
+                return counting_build(seen[name])(size)
+
+            try:
+                run_ladder(build)
+            except BaseException as err:  # reported by the test thread
+                errors.append(err)
+            if name == "a":
+                a_returned.set()
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in seen]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        one = [1] * len(two_blas_threads)
+        assert not errors and seen == {"a": [one, one], "b": [one, one]}
+        assert blas_counts() == two_blas_threads
+
+    def test_the_eigenvector_of_nr_eigenvalue(self, two_blas_threads, monkeypatch):
+        seen, eigh = [], scipy.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            seen.append(blas_counts())
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        oracle.nr_eigenvalue(1.0, 1.0, 1.5, QuantumState(2, 1))
+        assert seen == [[1] * len(two_blas_threads)]
+        assert blas_counts() == two_blas_threads
+
+    def test_without_a_control_nothing_changes_and_every_pinned_value_holds(self, two_blas_threads, monkeypatch):
+        # the path of a BLAS without a control (MKL, Accelerate): the counts stay, and the pinned
+        # reference and oracle values, built afresh, are the same doubles on two threads as on one
+        def values():
+            for cache in (reference.psq_matrix, reference.power_matrix, reference._psq_spectrum):
+                cache.cache_clear()
+            sse = [sse_eigenvalue(p) for p in pinned_problems()]
+            return sse, [q_numeric(p, QuantumState(n, l)).value for p, n, l in Q_NUMERIC_SPECS]
+
+        one_thread, controls = values(), reference._blas_controls()
+        monkeypatch.setattr(reference, "_blas_controls", lambda: ())
+        with reference._one_blas_thread:
+            assert [get() for get, _ in controls] == two_blas_threads
+        assert values() == one_thread

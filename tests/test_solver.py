@@ -441,7 +441,7 @@ class TestSeededSearch:
         assert solved > 15000
 
     def test_coulomb_draws(self, both_searches):
-        # no term with lam + 1 > 0: the Newton step starts from the window's middle
+        # no term with lam + 1 > 0: the search starts at the closed-form root of masses (0, m)
         rng = np.random.default_rng(20261018)
         kinds = set()
         for i in range(3000):
@@ -459,8 +459,9 @@ class TestSeededSearch:
         seeded, oracle = both_searches(m1, m2, potential, qv)
         assert seeded == oracle and (_solved(seeded) if kind == "solved" else seeded[1][0] is kind)
 
-    def test_balance_evaluations_per_call(self, monkeypatch):
-        # the whole-grid bisection takes 18: both ends, ~9 halvings and Brent's 7
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """[n], n the balance evaluations made by the solves of the test."""
         real_balance, evaluations = core._virial_balance, [0]
 
         def counted(*args):
@@ -473,6 +474,10 @@ class TestSeededSearch:
             return value
 
         monkeypatch.setattr(core, "_virial_balance", counted)
+        return evaluations
+
+    def test_balance_evaluations_per_call(self, evaluations):
+        # the whole-grid bisection takes 18: both ends, ~9 halvings and Brent's 7
         rng = np.random.default_rng(20261018)
         calls = 0
         while calls < 2000:
@@ -481,6 +486,14 @@ class TestSeededSearch:
                 calls += 1
                 solve_afm(m1, m2, potential, qv)
         assert evaluations[0] / calls <= 9.0
+
+    def test_coulomb_balance_evaluations_per_call(self, evaluations):
+        # from the closed-form root ~6.6: 2 for the cell and Brent's ~4.6; ~8.6 from the window's middle
+        rng = np.random.default_rng(20261018)
+        for _ in range(400):
+            m, a, qv = random_coulomb_config(rng)
+            solve_afm(0.0, m, PowerLawPotential.coulomb(a), GlobalQ.explicit(qv, -1.0))
+        assert evaluations[0] / 400 <= 7.0
 
 
 def _array_balance(terms, q_value, k1, k2):
@@ -700,7 +713,7 @@ class TestPinnedOutcomes:
     """solve_afm and the closed forms return the same doubles, certificates
     and errors as the code this digest was recorded from."""
 
-    DIGEST = "79ebdeb399d6d5c10d37ff0cc19ca9d16fadf508d0e8eef5c37ae887fe6de376"
+    DIGEST = "1e500ea92b230a07fcc21793d16e07baedd9a5af46c3b1b6fee9da394fde340d"
 
     def test_outcome_digest(self):
         """SHA-256 over 2000 seeded bound draws, 200 Coulomb and 200 linear

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from salpeter_afm import AfmSolution, GlobalQ, PowerLawPotential, QuantumState
+from salpeter_afm import AfmError, AfmSolution, GlobalQ, PowerLawPotential, QuantumState, solve_afm
+from salpeter_afm.verification import random_bound_configuration
 
 
 class TestPowerLawPotential:
@@ -132,3 +133,32 @@ class TestAfmSolution:
         q = GlobalQ.explicit(1.0)
         with pytest.raises(ValueError):
             AfmSolution(r0=2.0, p0=1.0, nu1=1.0, nu2=1.5, mass=1.0, q=q, certified_upper_bound=False)
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ((0.0, 1.0, 1.0, 1.0, 1.0), "positive"),
+            ((1.0, -1.0, 1.0, 1.0, 1.0), "positive"),
+            ((1.0, 1.0, 0.5, 1.0, 1.0), "einbeins"),
+            ((1.0, 1.0, 1.0, 0.5, 1.0), "einbeins"),
+        ],
+    )
+    def test_caller_built_record_keeps_every_check(self, fields, match):
+        # the solver builds its records without these checks; a caller's constructor still runs them
+        with pytest.raises(ValueError, match=match):
+            AfmSolution(*fields, GlobalQ.explicit(1.0), False)
+
+    def test_solver_records_equal_checked_records(self):
+        # every record solve_afm makes passes the checks and equals the one the constructor builds
+        rng = np.random.default_rng(7)
+        solved = 0
+        for _ in range(300):
+            m1, m2, potential, qv = random_bound_configuration(rng)
+            try:
+                sol = solve_afm(m1, m2, potential, GlobalQ.explicit(qv))
+            except AfmError:
+                continue
+            checked = AfmSolution(**vars(sol))
+            assert (checked, vars(checked), hash(checked), repr(checked)) == (sol, vars(sol), hash(sol), repr(sol))
+            solved += 1
+        assert solved > 250
