@@ -214,15 +214,20 @@ def _virial_balance(terms, q_value: float, k1: float, k2: float):
     r^2 V'(r) - Q p0 (1/nu1 + 1/nu2) with p0/nu = 1/hypot(1, m r/Q), k_i =
     m_i/Q.  r^2 V'(r) goes term by term, since the product r**2 * V'(r)
     underflows to a spurious sign far below the root, where the scan window
-    may reach; no term of this form overflows at a root.  r is a float.
+    may reach.  A power beyond the double range makes the pull +inf, so
+    every value is a float; no term of this form overflows at a root.  r is
+    a float.
     """
     pulls = [(abs(lam) * a, lam + 1.0) for a, lam in terms]
-    hypot = math.hypot
+    hypot, inf = math.hypot, math.inf
 
     def balance(r):
         pull = 0.0
-        for c, e in pulls:
-            pull = pull + c * r**e
+        try:
+            for c, e in pulls:
+                pull = pull + c * r**e
+        except OverflowError:  # every term is >= 0, so the sum is +inf
+            pull = inf
         return pull - q_value / hypot(1.0, k1 * r) - q_value / hypot(1.0, k2 * r)
 
     return balance
@@ -285,9 +290,9 @@ def _bracket_root(
     skipping the ranges whose bounds from ``terms`` and k_i = m_i/Q show no
     crossing, and bisects the range it shows rising through 0 with the same
     :func:`_bisect_grid`: ~12 evaluations on the seeded draws, of ~800 points.
-    Returns (xa, xb, f(xa), f(xb)), an end value None where a power
-    overflowed, or raises the no-root errors :func:`solve_afm` documents,
-    from the sign of the first finite grid value.
+    Returns (xa, xb, f(xa), f(xb)), or raises the no-root errors
+    :func:`solve_afm` documents, from the sign of the first finite grid
+    value.
     """
     lo, hi = window
     count = round(40 * (hi - lo)) + 1
@@ -320,23 +325,18 @@ def _bisect_grid(balance, lo: float, step: float, count: int, start: int, below=
     bisection of the whole grid finds.  ``below`` and ``above`` are the
     (index, x, value) of points known below 0 and not below 0, if any: the
     ends of a range :func:`_steep_grid` has shown rising, around ``start``,
-    which is then bisected alone.  The cell comes with its end values
-    for Brent, except one where a float power raised OverflowError: that
-    counts as +inf here and is left None, so Brent evaluates it again and the
-    solve reports the overflow.  Without a crossing the second item is a
-    finite value with the sign of the first finite one: a balance that is
-    +inf (or NaN) at the first point is nowhere finite, one that is >= 0
-    there never crosses, and one still < 0 at the last point is < 0
-    throughout.
+    which is then bisected alone.  The cell comes with its end values for
+    Brent, +inf where a power leaves the double range.  Without a crossing
+    the second item is a finite value with the sign of the first finite
+    one: a balance that is +inf (or NaN) at the first point is nowhere
+    finite, one that is >= 0 there never crosses, and one still < 0 at the
+    last point is < 0 throughout.
     """
     i, width = start, 1
     while True:
         x = 10.0 ** (lo + i * step)
-        try:
-            fx = balance(x)
-        except OverflowError:
-            fx = None  # +inf to the search, and no end value for Brent
-        if fx is not None and fx < 0.0:
+        fx = balance(x)
+        if fx < 0.0:
             below = i, x, fx
             if i == count - 1:
                 # all negative, and -inf only where the kinetic terms overflow at small r
@@ -344,7 +344,7 @@ def _bisect_grid(balance, lo: float, step: float, count: int, start: int, below=
         else:
             above = i, x, fx
             if i == 0:
-                return None, fx if fx is not None and fx < math.inf else None
+                return None, fx if fx < math.inf else None
         if below is None:
             i, width = max(i - width, 0), 2 * width
         elif above is None:
@@ -363,14 +363,13 @@ _KINETIC_PEAK = 2.0 / 3.0**1.5
 def _balance_parts(terms, q_value: float, k1: float, k2: float):
     """The virial balance at a float r with the monotone parts that bound it on a range of radii.
 
-    parts(r) is (r, f, fb, d, p, kin, ds, ks1, ks2).  f is the balance of
-    :func:`_virial_balance`, bit for bit, with a power beyond the double
-    range counted as +inf, and fb is f, or None where a power raised
-    OverflowError.  d is the pull of the lam < -1 terms, which does not
-    increase with r, p that of the other terms, which does not decrease,
-    and kin = (Q/hypot(1, t1) + Q/hypot(1, t2))/2, t_i = k_i r, which does
-    not increase: f = d + p - 2 kin up to rounding (halved, so that it stays
-    finite for Q up to the largest double).  In s = ln r the pull has the
+    parts(r) is (r, f, d, p, kin, ds, ks1, ks2).  f is the balance of
+    :func:`_virial_balance`, bit for bit, and a power beyond the double
+    range counts as +inf in every part.  d is the pull of the lam < -1
+    terms, which does not increase with r, p that of the other terms, which
+    does not decrease, and kin = (Q/hypot(1, t1) + Q/hypot(1, t2))/2, t_i =
+    k_i r, which does not increase: f = d + p - 2 kin up to rounding
+    (halved, so that it stays finite for Q up to the largest double).  In s = ln r the pull has the
     slope ds = sum (lam + 1) |lam| alpha r^(lam+1), whose lam < -1 part
     rises to 0 and the rest from 0, and -Q/hypot(1, t_i) the slope
     ks_i = Q t_i^2/hypot(1, t_i)^3 >= 0.
@@ -380,12 +379,11 @@ def _balance_parts(terms, q_value: float, k1: float, k2: float):
 
     def parts(r):
         pull = d = p = ds = 0.0
-        exact = True
         for c, e, steep in pulls:
             try:
                 t = c * r**e
             except OverflowError:
-                t, exact = inf, False
+                t = inf
             pull = pull + t
             ds += e * t
             if steep:
@@ -398,7 +396,7 @@ def _balance_parts(terms, q_value: float, k1: float, k2: float):
         f = pull - kin1 - kin2
         s1 = t1 / h1 if t1 < inf else 1.0
         s2 = t2 / h2 if t2 < inf else 1.0
-        return r, f, f if exact else None, d, p, 0.5 * kin1 + 0.5 * kin2, ds, kin1 * s1 * s1, kin2 * s2 * s2
+        return r, f, d, p, 0.5 * kin1 + 0.5 * kin2, ds, kin1 * s1 * s1, kin2 * s2 * s2
 
     return parts
 
@@ -406,11 +404,10 @@ def _balance_parts(terms, q_value: float, k1: float, k2: float):
 def _steep_grid(balance, terms, q_value: float, k1: float, k2: float, lo: float, step: float, count: int):
     """(the first - to + grid cell with its end values, first finite value) of any balance, from float values.
 
-    Either is None when there is none; an end value is None where a power
-    raised OverflowError, as in :func:`_bisect_grid`.  Ranges [i, j] of the
-    grid are bisected from the left, and one is skipped when it cannot
-    hold such a cell (interval bounds from monotone parts, as in R. E.
-    Moore, *Interval Analysis*, 1966).  With the parts of
+    Either is None when there is none.  Ranges [i, j] of the grid are
+    bisected from the left, and one is skipped when it cannot hold such a
+    cell (interval bounds from monotone parts, as in R. E. Moore, *Interval
+    Analysis*, 1966).  With the parts of
     :func:`_balance_parts`, every value on [i, j] lies between
     d(x_j) + p(x_i) - 2 kin(x_i) and d(x_i) + p(x_j) - 2 kin(x_j), and every
     slope in ln r between ds(x_i) + min ks and ds(x_j) + max ks, where ks_i
@@ -435,20 +432,20 @@ def _steep_grid(balance, terms, q_value: float, k1: float, k2: float, lo: float,
     peak = _KINETIC_PEAK * q_value
     two_over_span = 2.0 / (step * _LN10)
     i = 0
-    x, f, fb, d, p, kin, ds, ks1, ks2 = parts(10.0 ** lo)
+    x, f, d, p, kin, ds, ks1, ks2 = parts(10.0 ** lo)
     pending = [(count - 1, parts(10.0 ** (lo + (count - 1) * step)))]  # right ends, the nearest last
     lead = None
     while pending:
         j, right = pending[-1]
         if j - i == 1:
             if f < 0.0 <= right[1]:
-                return (x, right[0], fb, right[2]), None
+                return (x, right[0], f, right[1]), None
         else:
-            xj, fj, _, dj, pj, kinj, dsj, ks1j, ks2j = right
+            xj, fj, dj, pj, kinj, dsj, ks1j, ks2j = right
             if dj == inf or p == inf:  # a power beyond the double range throughout: +inf
                 pending.pop()
                 i = j
-                x, f, fb, d, p, kin, ds, ks1, ks2 = right
+                x, f, d, p, kin, ds, ks1, ks2 = right
                 continue
             margin = rounding * (d + pj) + 2.0 * rounding * kin
             # no - to + cell where the values have one sign, the slope is < 0, or it is > 0 and the ends agree
@@ -472,7 +469,7 @@ def _steep_grid(balance, terms, q_value: float, k1: float, k2: float, lo: float,
             lead = f
         pending.pop()
         i = j
-        x, f, fb, d, p, kin, ds, ks1, ks2 = right
+        x, f, d, p, kin, ds, ks1, ks2 = right
     if lead is None and -inf < f < inf:
         lead = f
     return None, lead
@@ -558,15 +555,14 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     Newton estimate of ln r0, see :func:`_root_estimate`, and otherwise
     bisects ranges of the grid from the left, skipping those whose
     monotone bounds show no crossing, see :func:`_steep_grid`, both ending
-    in the one bisection of :func:`_bisect_grid`; then Brent's
-    method on that grid cell to machine precision, handed the cell's end
-    values, see :func:`_brent`), and assembles the mass in floats, with no
-    numpy.  With every lam >= -1 a call evaluates the balance ~7 times, ~2
-    for the cell and ~5 in Brent, and takes ~17 us (CPython 3.11, 2-core
-    x86_64), ~2 us of it in the balance; with a lam < -1 term ~17 times,
-    ~12 for the cell, in ~40 us.  All three defining relations hold to
-    better than 1e-10 relative on the returned solution.  At m1 = 0, r0
-    solves
+    in the one bisection of :func:`_bisect_grid`; then Brent's method on
+    that grid cell to machine precision, handed the cell's end values, see
+    :func:`_brent`), and assembles the mass in floats, with no numpy.  With
+    every lam >= -1 a call evaluates the balance ~7 times, ~2 for the cell
+    and ~5 in Brent, and takes ~17 us (CPython 3.11, 2-core x86_64), ~2 us
+    of it in the balance; with a lam < -1 term ~17 times, ~12 for the cell,
+    in ~40 us.  All three defining relations hold to better than 1e-10
+    relative on the returned solution.  At m1 = 0, r0 solves
     Q + Q^2/sqrt(Q^2 + m2^2 r0^2) = sum_i |lam_i| alpha_i r0^(lam_i+1).
 
     Without such a crossing, raises NoBoundState when the balance is
@@ -576,7 +572,9 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     DomainError when the balance is nowhere finite, when the mass or
     p0 = Q/r0 leaves the double range, or when the root fails the 1e-10
     contract: its virial residual, recomputed in floats, is above 1e-10
-    (the balance is not representable near the root).
+    (the balance is not representable near the root, or Brent converged on
+    a jump to +inf: the balance counts a power beyond the double range as
+    +inf).
     A negative or non-finite particle mass raises ValueError.
     """
     if not (0.0 <= m1 < math.inf and 0.0 <= m2 < math.inf):
@@ -599,10 +597,7 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     window = _scan_window(terms, qv, m1, m2)
     estimate = _root_estimate(terms, c, e, qv, k1, k2, window) if monotone else None
     xa, xb, fa, fb = _bracket_root(balance, window, qv, estimate, terms, k1, k2)
-    try:
-        r0 = _brent(balance, xa, xb, xtol=1e-20 * xa, rtol=1e-15, fa=fa, fb=fb)
-    except OverflowError as err:  # a bracket end where a term exceeds the double range
-        raise DomainError("virial balance is not representable near the root") from err
+    r0 = _brent(balance, xa, xb, xtol=1e-20 * xa, rtol=1e-15, fa=fa, fb=fb)
     return _assemble(m1, m2, terms, q, r0)
 
 
@@ -621,11 +616,8 @@ def _assemble(m1, m2, terms, q: GlobalQ, r0: float) -> AfmSolution:
     if not _virial_residual(terms, r0, p0, nu1, nu2) <= 1e-10:
         raise DomainError(f"virial balance is not representable near the root (r0={r0:g})")
     v0 = 0.0
-    try:
-        for a, lam in terms:
-            v0 += math.copysign(1.0, lam) * a * r0**lam
-    except OverflowError as err:
-        raise DomainError(f"the potential at r0={r0:g} exceeds the double range") from err
+    for a, lam in terms:  # _virial_residual has formed these powers: none overflows
+        v0 += math.copysign(1.0, lam) * a * r0**lam
     mass = nu1 + nu2 + v0
     if not math.isfinite(mass):
         raise DomainError(f"the mass at r0={r0:g} exceeds the double range")
@@ -758,6 +750,8 @@ def linear_ur_expansion(m: float, b: float, q: GlobalQ | float) -> float:
     """Ultrarelativistic (m << sqrt(b)) expansion: M0 + 2 m^2/M0."""
     if b <= 0.0:
         raise DomainError("slope must be positive")
+    if m < 0.0:
+        raise ValueError("mass must be non-negative")
     m0 = _linear_mass_scale(b, _resolve_q(q).value)
     mass = m0 + 2.0 * m * m / m0
     if not math.isfinite(mass):

@@ -92,6 +92,14 @@ class TestBoundCommand:
         assert record["mass"] == pytest.approx(2.0 * math.sqrt(2.0 * 1e10) * 1e150, rel=1e-12)
         assert max(record["residuals"].values()) < 1e-10
 
+    def test_power_overflowing_at_the_cell_end_json(self, tmp_path, capsys):
+        # r**20001 goes from ~1 past the double range within the root's grid cell: +inf at that end
+        config = dict(BOUND_COULOMB, masses=[0.0, 1.0], potential=[{"alpha": 1e-254, "exponent": 20000}], q=1.0)
+        assert main(["bound", "--config", write_config(tmp_path, config), "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["r0"] == 1.0291905883170291
+        assert max(record["residuals"].values()) < 1e-10
+
     def test_no_binding_exits_2_with_window(self, tmp_path, capsys):
         config = dict(BOUND_COULOMB, q=2.0)
         code = main(["bound", "--config", write_config(tmp_path, config)])
@@ -487,8 +495,8 @@ def _with_1e400(config):
             "scan", dict(SCAN_LINEAR, scan=dict(SCAN_LINEAR["scan"], values=[0.5], include_reference=0)), [], 3,
             id="switch-not-boolean",
         ),
-        pytest.param(  # between two scan points r**20001 goes from ~1 past the double range
-            "bound", dict(BOUND_COULOMB, masses=[0.0, 1.0], potential=[{"alpha": 1e-254, "exponent": 20000}], q=1.0),
+        pytest.param(  # the root sqrt(2Q/alpha) = 1.41 lies where 1e308 r^2 is beyond the double range
+            "bound", dict(BOUND_COULOMB, masses=[0.0, 0.0], potential=[{"alpha": 1e308, "exponent": 1}], q=1e308),
             [], 2, id="balance-not-representable",
         ),
         pytest.param(

@@ -233,6 +233,11 @@ class TestExpansions:
             11.110445115010332, rel=1e-13
         )
 
+    @pytest.mark.parametrize("closed_form", [linear_closed, linear_ur_expansion])
+    def test_negative_mass_is_a_value_error(self, closed_form):
+        with pytest.raises(ValueError, match="mass must be non-negative"):
+            closed_form(-1.0, 0.2, GlobalQ.explicit(1.5))
+
     def test_nr_needs_positive_mass(self):
         with pytest.raises(DomainError):
             linear_nr_expansion(0.0, 0.2, GlobalQ.explicit(1.5))

@@ -171,13 +171,15 @@ def _scan_oracle(m1, m2, potential, qv):
     Every grid value of the balance at once, the first - to + crossing,
     scipy's brentq on it and the mass assembled by hand; without a crossing
     the first finite value decides, and nowhere finite is a DomainError, as
-    is a "root" where the balance jumps to infinity (a term overflows).
-    Only the scan window is shared with the solver.
+    is a "root" where the balance jumps to infinity (a term overflows).  A
+    power beyond the double range is +inf, at a grid point and at one of
+    brentq's float radii alike.  Only the scan window is shared with the
+    solver.
     """
     terms = potential.active_terms()
 
     def balance(r):
-        pull = sum(abs(lam) * a * r ** (lam + 1.0) for a, lam in terms)
+        pull = sum(abs(lam) * a * np.power(r, lam + 1.0) for a, lam in terms)
         return pull - qv / np.hypot(1.0, m1 / qv * r) - qv / np.hypot(1.0, m2 / qv * r)
 
     lo, hi = core._scan_window(potential.active_terms(), qv, m1, m2)
@@ -231,14 +233,13 @@ PINNED_EDGE_ROWS = [
         0.0, 3.5e-274, PowerLawPotential(((5.2e-309, -0.437),)), 9.2e-219, DomainError, id="momentum-underflows"
     ),
     pytest.param(0.0, 1.0, PowerLawPotential.coulomb(2.0), 0.9, CollapseDetected, id="coulomb-collapse"),
-    # the root's cell ends at r = 4.98e56, where r^5.44 overflows: Brent evaluates that end itself,
-    # so the OverflowError refuses the solve (as +inf the end would bracket a root at r0 = 4.708e56)
+    # the root's cell ends at r = 4.98e56, where r^5.44 overflows: +inf there, and the root is r0 = 4.708e56
     pytest.param(
         6.20515946784944e160,
         4.4750034593502297e-212,
         PowerLawPotential(((1.2991747738616603e-108, 4.437407153857256),)),
         8.208701777449884e200,
-        DomainError,
+        "solved",
         id="overflow-at-the-cell-end",
     ),
 ]
@@ -337,10 +338,7 @@ def _whole_grid_bisection(balance, lo, step, count, start):
         return 10.0 ** (lo + i * step)
 
     def value(i):
-        try:
-            return balance(point(i))
-        except OverflowError:
-            return math.inf
+        return balance(point(i))
 
     first = value(0)
     if not first < math.inf:
@@ -556,8 +554,9 @@ def steep_and_scan(monkeypatch):
             if cell is not None:
                 index = round((math.log10(cell[0]) - lo) / step)
                 assert cell[1] / cell[0] == pytest.approx(10.0**step, rel=1e-12)
-                for x, fx in ((cell[0], cell[2]), (cell[1], cell[3])):  # end values for Brent: f(x) to the bit
-                    assert fx is None or repr(fx) == repr(balance(x)), (x, fx)
+                if search is bounded:  # end values for Brent: floats, f(x) to the bit; the scan hands it none
+                    for x, fx in ((cell[0], cell[2]), (cell[1], cell[3])):
+                        assert type(fx) is float and repr(fx) == repr(balance(x)), (x, fx)
             searches.append(index)
             return cell, lead
 
@@ -713,7 +712,7 @@ class TestPinnedOutcomes:
     """solve_afm and the closed forms return the same doubles, certificates
     and errors as the code this digest was recorded from."""
 
-    DIGEST = "1e500ea92b230a07fcc21793d16e07baedd9a5af46c3b1b6fee9da394fde340d"
+    DIGEST = "fd89562d1b11e32e580b27e5ea5d9852aaa461cba8c7d285ca052ceee80ce1e6"
 
     def test_outcome_digest(self):
         """SHA-256 over 2000 seeded bound draws, 200 Coulomb and 200 linear
@@ -737,7 +736,7 @@ class TestPinnedOutcomes:
             lines.append(_pinned(core.linear_closed, m, b, q))
         for row in PINNED_EDGE_ROWS:
             lines.append(_pinned(solve_afm, *row.values[:4]))
-        assert sum(not line.startswith("0x") for line in lines) == 24  # 15 draws collapse, and the 9 edge rows
+        assert sum(not line.startswith("0x") for line in lines) == 23  # 15 draws collapse, and 8 of the 9 edge rows
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
 
     def test_no_state_outlives_a_call(self):
