@@ -12,14 +12,13 @@ the reference column and the analytic ``qtable`` run on floats alone.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import dataclasses
-import functools
 import io
 import json
 import math
+import re
 import sys
 
 from . import core
@@ -77,28 +76,25 @@ def _check(node, schema, path: str = "configuration") -> None:
         raise ConfigError(f"{path} must be {'true or false' if schema is bool else 'a string'}")
 
 
-def load_config(args: argparse.Namespace) -> dict:
-    """Read the --config file, check its keys and values, and lay the flags over it.
+def load_config(verb: str, flags: dict[str, str]) -> dict:
+    """Read the --config file, check its keys and values, and lay the other flags over it.
 
     An optional ``mode`` key must name the verb being run, ``p`` and ``q``
     exclude each other, and the output format must be one the verb writes.
     """
-    verb = args.command
-    config = {}
-    if args.config:
+    config, path = {}, flags.get("config")
+    if path:
         try:
-            with open(args.config, encoding="utf-8") as handle:
+            with open(path, encoding="utf-8") as handle:
                 config = json.load(handle)
         except (OSError, ValueError) as err:
-            raise ConfigError(f"cannot read configuration {args.config}: {err}") from None
+            raise ConfigError(f"cannot read configuration {path}: {err}") from None
     _check(config, SCHEMA)
     if "p" in config and "q" in config:
         raise ConfigError("give either the auxiliary exponent p or an explicit Q, not both")
     if config.get("mode", verb) != verb:
         raise ConfigError(f"configuration mode {config['mode']!r} does not match command {verb!r}")
-    for dest, value in vars(args).items():
-        if dest not in ("command", "config") and value is not None:
-            config[dest] = value
+    config.update((name, value) for name, value in flags.items() if name != "config")
     formats = VERBS[verb][1]
     if config.get("format", formats[0]) not in formats:
         raise ConfigError(f"{verb} writes only {', '.join(formats)}")
@@ -254,8 +250,7 @@ def _scan_values(section: dict) -> list[float]:
     span = (stop + 1e-12 * max(abs(stop), 1.0) - start) / step
     if not span < SCAN_MAX_POINTS:  # also an infinite span, which floor cannot take
         raise ConfigError(f"scan grid has more than {SCAN_MAX_POINTS} points; use a larger step or a shorter range")
-    count = math.floor(span) + 1
-    return [start + i * step for i in range(max(count, 0))]
+    return [start + i * step for i in range(math.floor(max(span, -1.0)) + 1)]  # a stop below start: no point
 
 
 def _single_term(potential: PowerLawPotential, exponent: float, what: str) -> float:
@@ -411,41 +406,85 @@ VERBS = {
 # entry point
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as bad configuration (exit 3); argparse itself exits 2."""
-
-    def error(self, message):
-        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
+ABOUT = "Variational upper bounds and reference eigenvalues for the two-body spinless Salpeter equation (GeV units)."
+FLAG_HELP = {"config": "path to a JSON configuration", "out": "write output to this path instead of stdout",
+             "format": "output format", "suite": "suite name (default: all)"}
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The verbs' argument parser, built on first use and then kept for the process.
+def _options(verb: str | None) -> dict[str, str]:
+    """Each option string of a verb (None: of the top level) with its flag, "" for help: --config,
+    required but for verify, --out, --format where the verb writes more than one format, verify --suite."""
+    names = ["config", "out"] + ["format"] * (len(VERBS[verb][1]) > 1) + ["suite"] * (verb == "verify") if verb else []
+    return {"-h": "", "--help": "", **{f"--{name}": name for name in names}}
 
-    Nothing changes it after it is built and each ``parse_args`` makes a
-    fresh Namespace, so one call leaves no flag behind for the next.
-    """
-    parser = _Parser(
-        prog="salpeter-afm",
-        description="Variational upper bounds and reference eigenvalues for the "
-        "two-body spinless Salpeter equation (GeV units).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for verb, (_, formats) in VERBS.items():
-        cmd = sub.add_parser(verb)
-        cmd.add_argument("--config", required=verb != "verify", help="path to a JSON configuration")
-        cmd.add_argument("--out", help="write output to this path instead of stdout")
-        if len(formats) > 1:
-            cmd.add_argument("--format", choices=formats, help="output format")
-        if verb == "verify":
-            cmd.add_argument("--suite", help="suite name (default: all)")
-    return parser
+
+def _usage(verb: str | None, full: bool = False) -> str:
+    """The usage line of the top level (verb None) or of a verb; with full, its help text."""
+    choices = "{" + ",".join(VERBS[verb][1] if verb else VERBS) + "}"
+    flags = [(f"--{n} {choices if n == 'format' else n.upper()}", FLAG_HELP[n]) for n in _options(verb).values() if n]
+    specs = [s if s.startswith("--config") and verb != "verify" else f"[{s}]" for s, _ in flags]
+    usage = " ".join(["usage: salpeter-afm", verb or f"[-h] {choices} ...", *["[-h]"] * bool(verb), *specs])
+    rows = (f"  {spec:<20}  {text}" for spec, text in [("-h, --help", "show this help message and exit"), *flags])
+    return "\n".join([usage, *["", ABOUT] * (verb is None), "", "options:", *rows]) if full else usage
+
+
+def _read(arg: str, options: dict[str, str]) -> tuple[str, str | None] | None:
+    """How argparse reads arg: None as a value, else (its option string, "" if unknown; a value given with =)."""
+    if arg in options or not arg.startswith("-") or arg in ("-", "--"):
+        return (arg, None) if arg in options else None
+    head, eq, value = arg.partition("=")
+    matches = [o for o in options if o.startswith(head)] if arg.startswith("--") else []
+    if len(matches) == 1:  # the flag itself, or a unique prefix such as --fo
+        return matches[0], value if eq else None
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg else ("", None)
+
+
+def parse_argv(argv: list[str]) -> tuple[str, dict[str, str]]:
+    """The verb of a command line and its flags, {name: value} for those given, read as argparse reads them:
+    --flag value or --flag=value, a unique prefix such as --fo, the last value of a repeated flag, and "-" or
+    a negative number as a value.  -h/--help prints help and exits 0; a usage error raises ConfigError."""
+    args, extras, flags, verb, options = list(argv), [], {}, None, _options(None)
+    try:
+        while args:
+            arg = args.pop(0)
+            read = _read(arg, options)
+            if arg == "--" and verb:  # what follows is no flag
+                args, extras = [], [*extras, arg, *args]
+            elif read is None and verb is None:  # the first value names the verb
+                if arg not in VERBS:
+                    choices = ", ".join(map(repr, VERBS))
+                    raise ConfigError(f"argument command: invalid choice: {arg!r} (choose from {choices})")
+                verb, options = arg, _options(arg)
+            elif read is None or not read[0]:
+                extras.append(arg)
+            elif not options[read[0]]:  # -h/--help
+                if read[1] is not None:
+                    raise ConfigError(f"argument -h/--help: ignored explicit argument {read[1]!r}")
+                sys.stdout.write(_usage(verb, full=True) + "\n")
+                raise SystemExit(0)
+            else:
+                (option, value), formats = read, VERBS[verb][1]
+                if value is None:
+                    if not args or args[0] == "--" or _read(args[0], options) is not None:
+                        raise ConfigError(f"argument {option}: expected one argument")
+                    value = args.pop(0)
+                if option == "--format" and value not in formats:
+                    choices = ", ".join(map(repr, formats))
+                    raise ConfigError(f"argument --format: invalid choice: {value!r} (choose from {choices})")
+                flags[options[option]] = value
+        if verb is None or ("config" not in flags and verb != "verify"):
+            raise ConfigError(f"the following arguments are required: {'--config' if verb else 'command'}")
+        if extras:
+            raise ConfigError(f"unrecognized arguments: {' '.join(extras)}")
+    except ConfigError as err:
+        raise ConfigError(f"{err}\n{_usage(verb)}") from None
+    return verb, flags
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return VERBS[args.command][0](load_config(args))
+        verb, flags = parse_argv(sys.argv[1:] if argv is None else argv)
+        return VERBS[verb][0](load_config(verb, flags))
     except ConfigError as err:
         sys.stderr.write(f"configuration error: {err}\n")
         return 3

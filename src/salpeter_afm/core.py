@@ -73,18 +73,21 @@ def q_exact(p: float, state: QuantumState) -> GlobalQ:
     Q(2) = 2n + l + 3/2, Q(-1) = n + l + 1, and for p = 1 (s-waves only)
     Q(1) = 2*(-a_n/3)**(3/2) with a_n the (n+1)-th zero of Ai.  Note the 3/2
     power: it is forced by the eigenvalue parameterization that defines Q,
-    as the linear-potential spectrum is -a_n (rho^2/2mu)^(1/3).
+    as the linear-potential spectrum is -a_n (rho^2/2mu)^(1/3).  Raises
+    DomainError where Q does not fit a double.
     """
-    if p == 2:
-        return GlobalQ(2.0 * state.n + state.l + 1.5, "analytic_p2", 2.0)
-    if p == -1:
-        return GlobalQ(float(state.n + state.l + 1), "analytic_pm1", -1.0)
-    if p == 1:
-        if state.l != 0:
-            raise UnsupportedCase("p = 1 has analytic Q only for l = 0; use q_numeric")
-        a_n = airy_ai_zero(state.n)
-        return GlobalQ(2.0 * (-a_n / 3.0) ** 1.5, "analytic_p1", 1.0)
-    raise UnsupportedCase(f"no analytic Q for p = {p:g}; use q_numeric")
+    if p not in (2, -1, 1):
+        raise UnsupportedCase(f"no analytic Q for p = {p:g}; use q_numeric")
+    if p == 1 and state.l != 0:
+        raise UnsupportedCase("p = 1 has analytic Q only for l = 0; use q_numeric")
+    try:
+        if p == 2:
+            return GlobalQ(2.0 * state.n + state.l + 1.5, "analytic_p2", 2.0)
+        if p == -1:
+            return GlobalQ(float(state.n + state.l + 1), "analytic_pm1", -1.0)
+        return GlobalQ(2.0 * (-airy_ai_zero(state.n) / 3.0) ** 1.5, "analytic_p1", 1.0)
+    except (OverflowError, ValueError):  # an int beyond the double range, or GlobalQ refusing Q = inf
+        raise DomainError(f"Q for p = {p:g} leaves the double range at this n and l") from None
 
 
 def q_numeric(
@@ -105,7 +108,8 @@ def q_numeric(
     ConvergenceFailure.  The basis of at most 160 functions reaches
     n <= 17-29 (by p, at l = 0) and l <= 69-73 (attractive p, at n = 0),
     and any l for a confining p, as listed in :mod:`.oracle`; beyond that
-    it raises ConvergenceFailure.
+    it raises ConvergenceFailure.  A non-integer p past l ~ 1.6e5, and a
+    level whose seed radius leaves the double range, raise DomainError.
     """
     from . import oracle  # imports numpy and scipy: loaded here, so the solver itself runs on floats alone
 

@@ -16,9 +16,12 @@ The basis bounds the levels it reaches.  Level n needs rungs N > n; at
 q_numeric's default tolerance the ladder converges, at l = 0, for n <= 17 at
 p = 4, 23 at p = 2, 22 at p = -1, 27 at p = 1 and 29 at p = 0.5, and at
 n = 0 for l <= 69 at p = -1 and 73 at p = -0.5; beyond that it raises
-ConvergenceFailure.  Every matrix is exact and finite at any l, so a
-confining p has no l limit: p = 0.5, 1, 1.5, 2, 2.5, 4.5 and 8 converge at
-n = 0 for every l measured, up to 1000.
+ConvergenceFailure.  Every matrix is finite at any l, so a confining p has
+no l limit of convergence: p = 0.5, 1, 1.5, 2, 2.5, 4.5 and 8 converge at
+n = 0 for every l measured, up to 1000, and p = 1, 2 and 4 up to l = 1e30.
+A non-integer p is refused with DomainError beyond l ~ 1.6e5, where its
+r^p matrix rounds by more than 1e-9, and every p where the variational
+radius of the seed Q leaves the double range (Q above ~1.3e154 for p > 0).
 """
 from __future__ import annotations
 
@@ -112,7 +115,12 @@ def _solve(p: float, state: QuantumState, tol: float) -> tuple[float, float, int
     """Level n of p_l^2/2 + sign(p)*r^p, the basis scale and the size of the last rung; the
     scale comes from the variational radius r0 = (Q^2/|p|)^(1/(p+2)) and energy of the seed Q."""
     q = seed_q(p, state)
-    radius = (q * q / abs(p)) ** (1.0 / (p + 2.0))
+    try:
+        radius = (q * q / abs(p)) ** (1.0 / (p + 2.0))
+    except OverflowError:  # p < -1: the power of a finite q*q can overflow, and a float power raises
+        radius = math.inf
+    if not radius < math.inf:
+        raise DomainError(f"the variational radius at the seed Q = {q:.6g} leaves the double range")
     scale, _ = reference.basis_scale(radius, energy_from_q(q, 1.0, 1.0, p), state, ((1.0, p),), tol)
     build = functools.partial(reference.nr_hamiltonian, p, state.l, scale)
     energy, _, size = reference.ladder("oracle", build, state.n, scale, tol, tol)

@@ -30,7 +30,9 @@ N = 160 is the ladder's own choice of rungs, not a limit of the matrices.
 The nonrelativistic oracle runs the same ladder on
 P/(2 h^2) + sign(p) h^p W(p, l, N), with the same scale rule.  Where the
 unit-scale r^lam entries would leave the double range (a steep exponent),
-the matrix is not built and DomainError is raised; no l is out of reach.
+the matrix is not built and DomainError is raised, as it is for a
+non-integer exponent at l beyond ~1.6e5, where the rounding of its
+log-Gamma terms passes 1e-9 relative.
 Every ladder runs on one BLAS thread: the rung products and eigensolves are
 small (N <= 160), and waking a second OpenBLAS thread for each costs more
 than it saves.  The thread counts of the OpenBLAS copies that numpy and
@@ -63,6 +65,7 @@ _CAPPED_TOL = 2e-6  # largest relative Aitken correction accepted on a capped ba
 _CACHE_SIZE = 32  # unit-scale matrices kept per cache: eight ladders of four rungs
 _LOG_MAX = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
+_LGAMMA_ROUNDING = 1e-9  # the finest relative accuracy the oracle asks of a level
 # extension modules linked to the BLAS that numpy's products and scipy's eigensolvers run on
 _BLAS_MODULES = ("numpy._core._multiarray_umath", "scipy.linalg._flapack")
 # (get, set) thread count functions of OpenBLAS: numpy's wheel, scipy's wheel, a plain build
@@ -166,8 +169,13 @@ def _connection_power(lam: float, l: int, size: int) -> np.ndarray:
     orthogonal with weight x^(alpha+lam) e^-x, so F is lower triangular with
     F_ji = a_(j-i) sqrt(j! Gamma(i+alpha+lam+1) / (Gamma(j+alpha+1) i!)).  The
     exponential is taken on i <= j alone: above the diagonal it would overflow
-    at large l."""
+    at large l.  Each log-Gamma term of argument up to t rounds by ~eps t ln t,
+    and so does each entry: DomainError where that passes 1e-9 (l >~ 1.6e5),
+    as the entries would then be wrong by more than the oracle's tolerance."""
     alpha = 2 * l + 2
+    top = size + alpha + math.ceil(abs(lam))  # the largest argument, an int: no float overflow at any l
+    if top > _LGAMMA_ROUNDING / (_EPS * math.log(top)):
+        raise DomainError(f"r^{lam:g} matrices at l beyond ~1.6e5 lose more than {_LGAMMA_ROUNDING:g} to rounding")
     k = np.arange(size, dtype=float)
     a = np.cumprod(np.concatenate(([1.0], (k[1:] - 1.0 - lam) / k[1:])))
     g = special.gammaln(k + 1.0)
@@ -183,7 +191,7 @@ def psq_matrix(l: int, size: int) -> np.ndarray:
     """<chi_j| p^2 + l(l+1)/r^2 |chi_k> for j, k < size at unit scale, read-only:
     the closed form P = M^-T D M^-1 - 1/4, D = diag(k+l+1)."""
     k = np.arange(size)
-    psq = _sturmian_form(k + l + 1.0, l)
+    psq = _sturmian_form(k + (l + 1.0), l)
     psq[k, k] -= 0.25
     psq.flags.writeable = False
     return psq

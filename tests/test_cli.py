@@ -1,5 +1,8 @@
+import argparse
+import contextlib
 import copy
 import csv
+import io
 import json
 import math
 import re
@@ -11,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from salpeter_afm import GlobalQ, coulomb_closed, linear_closed, linear_ur_expansion, q_exact
-from salpeter_afm.cli import SCAN_MAX_POINTS, VERBS, ConfigError, _build_parser, _scan_values, load_config, main
+from salpeter_afm.cli import SCAN_MAX_POINTS, VERBS, ConfigError, _scan_values, load_config, main, parse_argv
 from salpeter_afm.types import QuantumState
 
 
@@ -63,7 +66,7 @@ def test_readme_json_blocks_are_valid_configurations(tmp_path):
         path = tmp_path / f"readme-{i}.json"
         path.write_text(block)
         mode = json.loads(block)["mode"]
-        assert load_config(_build_parser().parse_args([mode, "--config", str(path)]))["mode"] == mode
+        assert load_config(*parse_argv([mode, "--config", str(path)]))["mode"] == mode
 
 
 class TestBoundCommand:
@@ -253,6 +256,14 @@ class TestScanCommand:
         assert values[-1] == 100.0  # repeated x += step ends at 99.999999999999
         assert values == [i * 0.1 for i in range(1001)]
 
+    @pytest.mark.parametrize("start, stop, step", [(0.0, -1.0, 0.25), (0.0, -1e308, 0.25), (1e308, -1e308, 1.0)])
+    def test_stop_below_start_is_an_empty_grid(self, tmp_path, capsys, start, stop, step):
+        # (stop - start)/step is -inf for the last two, which floor cannot take
+        assert _scan_values({"start": start, "stop": stop, "step": step}) == []
+        config = dict(self.scan_config(), scan={"variable": "m", "start": start, "stop": stop, "step": step})
+        assert main(["scan", "--config", write_config(tmp_path, config)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["m,M_afm_Q1,M_afm_Q2,M_ref,M_ur,M_nr"]
+
     def test_grid_is_capped(self):
         assert len(_scan_values({"start": 1.0, "stop": float(SCAN_MAX_POINTS), "step": 1.0})) == SCAN_MAX_POINTS
         with pytest.raises(ConfigError, match="more than"):
@@ -284,6 +295,12 @@ class TestQtableCommand:
         assert float(rows[1][3]) == pytest.approx(1.5)
         assert float(rows[1][5]) < 1e-6
 
+    def test_numeric_q_at_l_beyond_a_c_long(self, tmp_path, capsys):
+        # the oracle's p^2 matrix once converted such an l to a C long and overflowed
+        config = {"mode": "qtable", "qtable": {"p_values": [1], "states": [[0, 9.3e18]]}}
+        assert main(["qtable", "--config", write_config(tmp_path, config), "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["source"] == "numeric(p=1)" and row["q"] == pytest.approx(9.3e18, rel=1e-14)
 
     def test_levels_beyond_the_oracle_keep_their_exact_q(self, tmp_path, capsys):
         config = {
@@ -341,18 +358,7 @@ class TestVerifyCommand:
 
 
 class TestCachedParser:
-    """One parser serves every call in the process; each call parses afresh."""
-
-    def test_parser_is_built_once(self):
-        assert _build_parser() is _build_parser()
-
-    def test_cache_clear_costs_one_build(self, tmp_path, capsys):
-        # a benchmark round clears the cache to start like a fresh process
-        config = write_config(tmp_path, BOUND_COULOMB)
-        _build_parser.cache_clear()
-        assert main(["bound", "--config", config]) == 0
-        assert main(["bound", "--config", config, "--format", "json"]) == 0
-        assert _build_parser.cache_info().misses == 1
+    """Each call parses its command line afresh: no flag, error or help carries over to the next."""
 
     def test_format_does_not_carry_over(self, tmp_path, capsys):
         config = write_config(tmp_path, BOUND_COULOMB)
@@ -403,6 +409,99 @@ class TestCachedParser:
         listed = capsys.readouterr().out
         flags = ["--config", "--out"] + ["--format"] * (len(VERBS[verb][1]) > 1) + ["--suite"] * (verb == "verify")
         assert set(re.findall(r"--\w+", listed)) == {"--help", *flags}
+
+
+
+class _ArgparseTree(argparse.ArgumentParser):
+    """The argparse tree that parsed the verbs before parse_argv, kept as its oracle."""
+
+    def error(self, message):
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
+
+
+def argparse_tree() -> argparse.ArgumentParser:
+    parser = _ArgparseTree(prog="salpeter-afm")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for verb, (_, formats) in VERBS.items():
+        cmd = sub.add_parser(verb)
+        cmd.add_argument("--config", required=verb != "verify", help="path to a JSON configuration")
+        cmd.add_argument("--out", help="write output to this path instead of stdout")
+        if len(formats) > 1:
+            cmd.add_argument("--format", choices=formats, help="output format")
+        if verb == "verify":
+            cmd.add_argument("--suite", help="suite name (default: all)")
+    return parser
+
+
+def argparse_argv(argv):
+    args = argparse_tree().parse_args(argv)
+    flags = {dest: value for dest, value in vars(args).items() if value is not None}
+    return flags.pop("command"), flags
+
+
+def outcome(parse, argv):
+    """("parsed", verb, flags), ("refused", the message's first line) or ("help", exit code)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return ("parsed", *parse(argv))
+    except ConfigError as err:
+        assert "\nusage: salpeter-afm " in str(err)
+        return "refused", str(err).splitlines()[0]
+    except SystemExit as err:
+        return "help", err.code
+
+
+# command lines on which parse_argv must read as argparse read them: the same verb and flags,
+# the same refusal (its first line), or help
+SAME_AS_ARGPARSE = [
+    "", "bound", "fit", "fit --config c", "-x", "-x bound", "--config c bound", "-- bound --config c",
+    "--bogus bound --config c", "-1 bound", "--bogus -1 bound --config c",
+    "bound --config c", "bound --config=c", "bound --c c", "bound --co=c --fo json", "bound --config=c=d",
+    "bound --config c --config d", "bound --config c --out o --out p", "bound --config=",
+    "bound --config -1", "bound --config -", "bound --config -1.5", "bound --config -.5", "bound --config=-x",
+    "bound --config -1e3", "bound --config -x", "bound --config --", "bound --config -- c", "bound --config",
+    "bound -- --config c", "bound -- c", "bound --config c --", "bound --config c -- x", "bound -c x",
+    "bound --config c x", "bound --config c -", "bound --config c -1", "bound --config c -x", "bound --config c ---x",
+    "bound --config c --bogus", "bound --config c --bogus x", "bound bound --config c",
+    "bound --config c --suite windows", "bound --config c --format xml", "bound --format xml",
+    "bound --config c --format", "bound --help=x", "bound --help=", "--help=x", "--he=", "--=x",
+    "reference --config c --format json", "scan --config c --out o", "scan --config c --format csv",
+    "qtable --config c --format csv", "qtable --config c --format=json", "qtable --config c --fo text",
+    "verify", "verify --s windows", "verify --suite=", "verify --suite", "verify --suite -w", "verify --config",
+    "verify --format xml", "verify --suite windows --format json --out o --config c",
+    "-h", "--h", "--help", "--he bound", "-x -h", "bound -h", "bound --config c -h", "bound --config c --h",
+    "bound -h --config", "scan --help", "verify -h --suite", "bound --format xml -h", "bound --config -h",
+    "bound --config -1e3 -h",
+]
+# junk flags both refuse, each with its own message: argparse reads -hx and -h=x as -h given a
+# value, and calls --=x ambiguous; parse_argv reports the first two and, after a verb, the third as
+# unrecognized arguments
+REFUSED_BOTH = ["-hx", "bound --config c -hx", "bound --config c -h=x", "bound --=x"]
+
+
+@pytest.mark.parametrize("line", SAME_AS_ARGPARSE)
+def test_parse_argv_reads_as_argparse(line):
+    assert outcome(parse_argv, line.split()) == outcome(argparse_argv, line.split())
+
+
+@pytest.mark.parametrize("line", REFUSED_BOTH)
+def test_parse_argv_refuses_where_argparse_refuses(line):
+    assert outcome(parse_argv, line.split())[0] == outcome(argparse_argv, line.split())[0] == "refused"
+
+
+@pytest.mark.parametrize("argv", [[], *([verb] for verb in VERBS)])
+def test_help_lists_what_argparse_lists(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps its help to the terminal's width
+    with pytest.raises(SystemExit):
+        argparse_tree().parse_args([*argv, "--help"])
+    expected = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        parse_argv([*argv, "--help"])
+    listed = capsys.readouterr().out
+    assert exit_info.value.code == 0
+    assert set(re.findall(r"--\w+|\{[\w,]+\}", listed)) == set(re.findall(r"--\w+|\{[\w,]+\}", expected))
+    help_lines = re.findall(r"  (?:--\w+ \S+|-h, --help) +(\S.*)", expected)
+    assert help_lines and all(text in listed for text in help_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +665,22 @@ def _with_1e400(config):
         pytest.param("scan", dict(SCAN_LINEAR, scan=dict(SCAN_LINEAR["scan"], variable=5)), [], 3, id="variable-number"),
         pytest.param("verify", {"mode": "verify", "suite": 7}, [], 3, id="suite-number"),
         pytest.param("bound", dict(BOUND_COULOMB, format=True), [], 3, id="format-boolean"),
+        # a Q beyond the double range is a domain error, whichever verb needs it
+        pytest.param(
+            "scan", dict(SCAN_LINEAR, state={"n": 1e308}, scan=dict(SCAN_LINEAR["scan"], values=[0.5])), [], 2,
+            id="scan-mass-q-overflows",
+        ),
+        pytest.param(
+            "bound", dict(BOUND_WITHOUT_Q, p=-1, state={"n": 1e308, "l": 1e308}), [], 2, id="bound-q-pm1-overflows",
+        ),
+        pytest.param("bound", dict(BOUND_WITHOUT_Q, p=2, state={"n": 1e308}), [], 2, id="bound-q-p2-overflows"),
+        pytest.param(
+            "qtable", {"mode": "qtable", "qtable": {"p_values": [2], "states": [[1e308, 0]]}}, [], 2,
+            id="qtable-q-p2-overflows",
+        ),
+        pytest.param(  # the oracle's variational radius at the seed Q = 1e300 leaves the double range
+            "bound", dict(BOUND_WITHOUT_Q, p=1.5, state={"n": 0, "l": 1e300}), [], 2, id="bound-numeric-q-huge-l",
+        ),
     ],
 )
 def test_failure_exit_codes(tmp_path, monkeypatch, verb, config, flags, code):

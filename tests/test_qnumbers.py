@@ -48,6 +48,22 @@ class TestQExact:
         with pytest.raises(UnsupportedCase):
             q_exact(0.5, QuantumState(0, 0))
 
+    @pytest.mark.parametrize(
+        "p, state",
+        [
+            (2, QuantumState(10**308)),  # 2n + l + 3/2 = 2e308
+            (2, QuantumState(0, 10**309)),  # l itself does not fit a double
+            (1, QuantumState(10**308)),  # the Airy zero's series overflows
+            (-1, QuantumState(10**308, 10**308)),  # n + l + 1 does not fit a double
+        ],
+    )
+    def test_q_beyond_the_double_range_is_a_domain_error(self, p, state):
+        with pytest.raises(DomainError, match="double range"):
+            q_exact(p, state)
+
+    def test_largest_q_still_fits(self):
+        assert q_exact(-1, QuantumState(10**308 - 1)).value == 1e308
+
 
 class TestInvertQ:
     def test_harmonic_point(self):
@@ -140,6 +156,32 @@ class TestQNumeric:
         q = q_numeric(1.0, QuantumState(0, l)).value
         assert l + 1.0 < q < l + 1.5
         assert q - q_numeric(1.0, QuantumState(0, l - 1)).value == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("l", [2**62, 2**63, int(9.3e18), 10**19, 10**30])
+    def test_l_beyond_a_c_long_is_the_exact_q(self, p, l):
+        # at such l every Q(p) is l + O(1), l to double precision; the closed-form matrices stay exact
+        state = QuantumState(0, l)
+        assert q_numeric(p, state).value == pytest.approx(q_exact(2, state).value, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [0.5, 1.5, 2.5])
+    def test_non_integer_p_below_its_rounding_limit_is_the_large_l_q(self, p):
+        # Q = l + 1/2 + (n + 1/2) sqrt(p + 2) + O(1/l) at large l; at l = 1e5 the rounding is ~1e-10
+        want = 10**5 + 0.5 + 0.5 * math.sqrt(p + 2)
+        assert q_numeric(p, QuantumState(0, 10**5)).value == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [0.5, 1.5, 2.5, -0.5])
+    @pytest.mark.parametrize("l", [2 * 10**5, 2**63, 10**30])
+    def test_non_integer_p_past_its_rounding_limit_is_a_domain_error(self, p, l):
+        # the r^p matrix's log-Gamma terms round by ~eps l ln l: at l = 1e14 they once made Q(1.5) 0.52 l
+        with pytest.raises(DomainError, match="rounding"):
+            q_numeric(p, QuantumState(0, l))
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, -0.5, -1.0, -1.5])
+    @pytest.mark.parametrize("l", [10**160, 10**300, int(1.7e308), 10**309])
+    def test_l_whose_radius_leaves_the_double_range_is_a_domain_error(self, p, l):
+        with pytest.raises(DomainError, match="double range"):
+            q_numeric(p, QuantumState(0, l))
 
     def test_coulomb_past_l_69_is_a_convergence_failure(self):
         # W(-1) is finite at any l, but the 3x finer scale of an attractive-only potential leaves

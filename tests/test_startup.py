@@ -77,6 +77,7 @@ for config in sys.argv[1:3]:
     for flags in ([], ["--format", "json"]):
         assert cli.main(["bound", "--config", config, *flags]) == 0
         assert not array_modules(), array_modules()
+assert "argparse" not in sys.modules  # the command line is read from the VERBS table
 assert cli.main(["reference", "--config", sys.argv[3]]) == 0
 assert "numpy" in sys.modules
 assert cli.main(["verify", "--suite", "windows"]) == 0
