@@ -40,6 +40,7 @@ SCHEMA = {
 
 # The most points a start/stop/step scan grid may have.
 SCAN_MAX_POINTS = 100_000
+_FLOAT_MAX = sys.float_info.max
 
 
 class ConfigError(ValueError):
@@ -50,7 +51,7 @@ class ConfigError(ValueError):
 # configuration and output
 
 
-def _check(node, schema, path: str = "configuration") -> None:
+def _check(node, schema, path: tuple = ()) -> None:
     """Raise ConfigError, naming the path, where node departs from schema.
 
     A number is an int or a float but not a boolean, which Python would read
@@ -59,21 +60,28 @@ def _check(node, schema, path: str = "configuration") -> None:
     """
     if isinstance(schema, dict):
         if not isinstance(node, dict):
-            raise ConfigError(f"{path} must be a JSON object")
+            raise ConfigError(f"{_where(path)} must be a JSON object")
         for key, child in node.items():
             if key not in schema:
-                raise ConfigError(f"unknown key {key!r} in {path}")
-            _check(child, schema[key], f"{path}.{key}")
+                raise ConfigError(f"unknown key {key!r} in {_where(path)}")
+            _check(child, schema[key], (path, key))
     elif isinstance(schema, list):
         if not isinstance(node, list):
-            raise ConfigError(f"{path} must be a list")
+            raise ConfigError(f"{_where(path)} must be a list")
         for i, item in enumerate(node):
-            _check(item, schema[0], f"{path}[{i}]")
+            _check(item, schema[0], (path, i))
     elif schema is float:
-        if isinstance(node, bool) or not isinstance(node, (int, float)) or not abs(node) <= sys.float_info.max:
-            raise ConfigError(f"{path} must be a finite number")
+        if isinstance(node, bool) or not isinstance(node, (int, float)) or not abs(node) <= _FLOAT_MAX:
+            raise ConfigError(f"{_where(path)} must be a finite number")
     elif not isinstance(node, schema):
-        raise ConfigError(f"{path} must be {'true or false' if schema is bool else 'a string'}")
+        raise ConfigError(f"{_where(path)} must be {'true or false' if schema is bool else 'a string'}")
+
+
+def _where(path: tuple) -> str:
+    """The name at the end of a (parent, key) path: configuration.state.n for (((), "state"), "n")."""
+    if not path:
+        return "configuration"
+    return _where(path[0]) + (f"[{path[1]}]" if isinstance(path[1], int) else f".{path[1]}")
 
 
 def load_config(verb: str, flags: dict[str, str]) -> dict:
@@ -85,8 +93,10 @@ def load_config(verb: str, flags: dict[str, str]) -> dict:
     config, path = {}, flags.get("config")
     if path:
         try:
-            with open(path, encoding="utf-8") as handle:
-                config = json.load(handle)
+            with open(path, "rb", buffering=0) as handle:  # one read and one decode, no text layer
+                text = handle.read().decode("utf-8")
+            # line ends as a text-mode read gives them, and with them the reader's error positions
+            config = json.loads(text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text)
         except (OSError, ValueError) as err:
             raise ConfigError(f"cannot read configuration {path}: {err}") from None
     _check(config, SCHEMA)
@@ -101,16 +111,16 @@ def load_config(verb: str, flags: dict[str, str]) -> dict:
     return config
 
 
-@contextlib.contextmanager
-def _config_values():
+class _ConfigValues(contextlib.AbstractContextManager):
     """Report a KeyError, TypeError or ValueError raised while building domain
     objects from configuration values as a bad configuration."""
-    try:
-        yield
-    except KeyError as err:
-        raise ConfigError(f"missing key {err}") from None
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from None
+
+    def __exit__(self, kind, err, traceback):
+        if isinstance(err, (KeyError, TypeError, ValueError)):
+            raise ConfigError(f"missing key {err}" if isinstance(err, KeyError) else str(err)) from None
+
+
+_config_values = _ConfigValues()
 
 
 def _masses(config: dict) -> tuple[float, float]:
@@ -166,8 +176,8 @@ def _emit(text: str, config: dict) -> None:
     out_path = config.get("out")
     if out_path:
         try:
-            with open(out_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+            with open(out_path, "wb") as handle:  # one encode, no text layer
+                handle.write(text.encode("utf-8"))
         except OSError as err:
             raise ConfigError(f"cannot write {out_path}: {err}") from None
     else:
@@ -179,7 +189,7 @@ def _emit(text: str, config: dict) -> None:
 
 
 def cmd_bound(config: dict) -> int:
-    with _config_values():
+    with _config_values:
         masses = _masses(config)
         potential = _potential(config)
         q = _global_q(config, potential)
@@ -226,7 +236,7 @@ def cmd_bound(config: dict) -> int:
 def cmd_reference(config: dict) -> int:
     from . import reference
 
-    with _config_values():
+    with _config_values:
         m1, m2 = _masses(config)
         sigma = float(config["sigma"]) if "sigma" in config else None
         problem = reference.SseProblem(m1, m2, _potential(config), _state(config), sigma=sigma)
@@ -261,7 +271,7 @@ def _single_term(potential: PowerLawPotential, exponent: float, what: str) -> fl
 
 
 def cmd_scan(config: dict) -> int:
-    with _config_values():
+    with _config_values:
         section = config["scan"]
         potential = _potential(config)
         values = _scan_values(section)
@@ -278,7 +288,7 @@ def _scan_mass(config: dict, potential: PowerLawPotential, values: list[float], 
     """Heavy-light linear scan: masses (0, m), both analytic Q choices,
     reference value, and the two expansions."""
     b = _single_term(potential, 1.0, "the mass scan")
-    with _config_values():
+    with _config_values:
         state = _state(config)
         include_ref = config["scan"].get("include_reference", True)
     if any(m < 0.0 for m in values):
@@ -310,14 +320,14 @@ def _scan_q(config: dict, potential: PowerLawPotential, values: list[float], wri
     """Heavy-light Coulomb sweep across the binding window, in scaled units:
     radius in a/m, mass in m."""
     a = _single_term(potential, -1.0, "the Q sweep")
-    with _config_values():
+    with _config_values:
         m = max(_masses(config))
     if m <= 0:
         raise ConfigError("the Q sweep needs one positive mass")
+    with _config_values:
+        qs = [GlobalQ.explicit(qv, -1.0) for qv in values]
     writer.writerow(["Q", "r0_am", "M_over_m"])
-    for qv in values:
-        with _config_values():
-            q = GlobalQ.explicit(qv, -1.0)
+    for qv, q in zip(values, qs):
         try:
             sol = core.coulomb_closed(m, a, q)
             radius = sol.r0 * m / a
@@ -330,7 +340,7 @@ def _scan_q(config: dict, potential: PowerLawPotential, values: list[float], wri
 
 def cmd_qtable(config: dict) -> int:
     # inside the block, q_numeric rejects an exponent p <= -2 or p == 0 with a ValueError
-    with _config_values():
+    with _config_values:
         section = config["qtable"]
         p_values = [float(p) for p in section["p_values"]]
         states = [QuantumState(n, l) for n, l in section["states"]]
@@ -418,10 +428,13 @@ def _options(verb: str | None) -> dict[str, str]:
     return {"-h": "", "--help": "", **{f"--{name}": name for name in names}}
 
 
+OPTIONS = {verb: _options(verb) for verb in (None, *VERBS)}  # built once, read by every call
+
+
 def _usage(verb: str | None, full: bool = False) -> str:
     """The usage line of the top level (verb None) or of a verb; with full, its help text."""
     choices = "{" + ",".join(VERBS[verb][1] if verb else VERBS) + "}"
-    flags = [(f"--{n} {choices if n == 'format' else n.upper()}", FLAG_HELP[n]) for n in _options(verb).values() if n]
+    flags = [(f"--{n} {choices if n == 'format' else n.upper()}", FLAG_HELP[n]) for n in OPTIONS[verb].values() if n]
     specs = [s if s.startswith("--config") and verb != "verify" else f"[{s}]" for s, _ in flags]
     usage = " ".join(["usage: salpeter-afm", verb or f"[-h] {choices} ...", *["[-h]"] * bool(verb), *specs])
     rows = (f"  {spec:<20}  {text}" for spec, text in [("-h, --help", "show this help message and exit"), *flags])
@@ -443,7 +456,7 @@ def parse_argv(argv: list[str]) -> tuple[str, dict[str, str]]:
     """The verb of a command line and its flags, {name: value} for those given, read as argparse reads them:
     --flag value or --flag=value, a unique prefix such as --fo, the last value of a repeated flag, and "-" or
     a negative number as a value.  -h/--help prints help and exits 0; a usage error raises ConfigError."""
-    args, extras, flags, verb, options = list(argv), [], {}, None, _options(None)
+    args, extras, flags, verb, options = list(argv), [], {}, None, OPTIONS[None]
     try:
         while args:
             arg = args.pop(0)
@@ -454,7 +467,7 @@ def parse_argv(argv: list[str]) -> tuple[str, dict[str, str]]:
                 if arg not in VERBS:
                     choices = ", ".join(map(repr, VERBS))
                     raise ConfigError(f"argument command: invalid choice: {arg!r} (choose from {choices})")
-                verb, options = arg, _options(arg)
+                verb, options = arg, OPTIONS[arg]
             elif read is None or not read[0]:
                 extras.append(arg)
             elif not options[read[0]]:  # -h/--help

@@ -108,8 +108,10 @@ def q_numeric(
     ConvergenceFailure.  The basis of at most 160 functions reaches
     n <= 17-29 (by p, at l = 0) and l <= 69-73 (attractive p, at n = 0),
     and any l for a confining p, as listed in :mod:`.oracle`; beyond that
-    it raises ConvergenceFailure.  A non-integer p past l ~ 1.6e5, and a
-    level whose seed radius leaves the double range, raise DomainError.
+    it raises ConvergenceFailure.  A non-integer p past l ~ 1.6e5 raises
+    DomainError, as does a level whose matrices or seed radius leave the
+    double range: p = 2 past l ~ 3e153, p = -1 past Q ~ 1.3e154, any p past
+    l ~ 5.6e305.
     """
     from . import oracle  # imports numpy and scipy: loaded here, so the solver itself runs on floats alone
 

@@ -16,12 +16,14 @@ The basis bounds the levels it reaches.  Level n needs rungs N > n; at
 q_numeric's default tolerance the ladder converges, at l = 0, for n <= 17 at
 p = 4, 23 at p = 2, 22 at p = -1, 27 at p = 1 and 29 at p = 0.5, and at
 n = 0 for l <= 69 at p = -1 and 73 at p = -0.5; beyond that it raises
-ConvergenceFailure.  Every matrix is finite at any l, so a confining p has
-no l limit of convergence: p = 0.5, 1, 1.5, 2, 2.5, 4.5 and 8 converge at
-n = 0 for every l measured, up to 1000, and p = 1, 2 and 4 up to l = 1e30.
-A non-integer p is refused with DomainError beyond l ~ 1.6e5, where its
-r^p matrix rounds by more than 1e-9, and every p where the variational
-radius of the seed Q leaves the double range (Q above ~1.3e154 for p > 0).
+ConvergenceFailure.  A confining p has no l limit of convergence short of
+the double range: p = 0.5, 1, 1.5, 2, 2.5, 4.5 and 8 converge at n = 0 for
+every l measured, up to 1000, p = 1, 2 and 4 up to l = 1e30, and p = 1 up
+to l = 1e305.  DomainError refuses a non-integer p beyond l ~ 1.6e5, where
+its r^p matrix rounds by more than 1e-9; a p whose r^p matrix may leave the
+double range (p = 2 beyond l ~ 3e153, a larger p sooner); p = -1 where the
+variational radius of the seed Q does (Q above ~1.3e154); and every p
+beyond l ~ 5.6e305, where the x matrix of the N = 160 rung does.
 """
 from __future__ import annotations
 
@@ -40,6 +42,8 @@ _NR_TOL = 1e-7
 _SAMPLES = 4000  # uniform radii on which nr_eigenvalue samples u(r)
 _EXTENT = 10.0  # the sampled radii reach this many times the mean radius <r>
 _LOG_TINY, _LOG_MAX = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+# past this l the products (k+1)(k+2l+3) under the square roots of the largest rung's x matrix overflow
+_L_MAX = np.finfo(float).max / (2 * reference._SIZES[-1])
 
 
 @dataclass(frozen=True)
@@ -115,12 +119,15 @@ def _solve(p: float, state: QuantumState, tol: float) -> tuple[float, float, int
     """Level n of p_l^2/2 + sign(p)*r^p, the basis scale and the size of the last rung; the
     scale comes from the variational radius r0 = (Q^2/|p|)^(1/(p+2)) and energy of the seed Q."""
     q = seed_q(p, state)
-    try:
-        radius = (q * q / abs(p)) ** (1.0 / (p + 2.0))
-    except OverflowError:  # p < -1: the power of a finite q*q can overflow, and a float power raises
+    square = q * q / abs(p)
+    try:  # where Q^2/|p| overflows (Q above ~1.3e154), the same radius as (Q/sqrt|p|)^(2/(p+2))
+        radius = square ** (1.0 / (p + 2.0)) if square < math.inf else (q / math.sqrt(abs(p))) ** (2.0 / (p + 2.0))
+    except OverflowError:  # p < 0: the power of a finite base can overflow, and a float power raises
         radius = math.inf
     if not radius < math.inf:
         raise DomainError(f"the variational radius at the seed Q = {q:.6g} leaves the double range")
+    if state.l > _L_MAX:
+        raise DomainError(f"Laguerre basis matrices at log10(l)={math.log10(state.l):.4g} leave the double range")
     scale, _ = reference.basis_scale(radius, energy_from_q(q, 1.0, 1.0, p), state, ((1.0, p),), tol)
     build = functools.partial(reference.nr_hamiltonian, p, state.l, scale)
     energy, _, size = reference.ladder("oracle", build, state.n, scale, tol, tol)
@@ -145,7 +152,9 @@ def nr_eigenvalue(mu: float, rho: float, p: float, state: QuantumState) -> Radia
 
     The energy is ladder-extrapolated as in :func:`nr_energy`, to its default
     1e-7 relative.  The amplitudes are the finest rung's eigenvector summed
-    over the basis functions on uniform radii out to ten times its mean radius.
+    over the basis functions on uniform radii out to ten times its mean radius;
+    where their recurrence leaves the double range (at some l past ~1e150)
+    that is a DomainError.
     """
     log_energy, log_radius = _log_units(mu, rho, p)
     energy, scale, size = _solve(p, state, _NR_TOL)
@@ -155,8 +164,11 @@ def nr_eigenvalue(mu: float, rho: float, p: float, state: QuantumState) -> Radia
     mean_x = diag @ c**2 + 2.0 * off @ (c[:-1] * c[1:])  # <r>/h
     x = np.arange(1, _SAMPLES + 1) * (_EXTENT * mean_x * scale / _SAMPLES)
     radii = _rescale(x, log_radius, "radius")
-    u = reference.basis_functions(state.l, scale, size, x) @ c
-    u /= np.linalg.norm(u) * math.sqrt(radii[0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # at a huge l the recurrence can overflow
+        u = reference.basis_functions(state.l, scale, size, x) @ c
+        u /= np.linalg.norm(u) * math.sqrt(radii[0])
+    if not np.isfinite(u).all():
+        raise DomainError(f"the basis functions at log10(l+1)={math.log10(state.l + 1):.4g} leave the double range")
     lead = np.nonzero(np.abs(u) > 1e-8 * np.max(np.abs(u)))[0][0]
     if u[lead] < 0:
         u = -u

@@ -210,7 +210,8 @@ def power_matrix(lam: float, l: int, size: int) -> np.ndarray:
     inequality), and every other entry is at most the largest of these
     (Cauchy-Schwarz)."""
     if lam > 0 and lam * math.log(4 * (size + math.ceil(lam)) + 4 * l + 6) >= _LOG_MAX:
-        raise DomainError(f"Laguerre basis matrices at l={l}, N={size} (r^{lam:g}) leave the double range")
+        where = f"log10(l+1)={math.log10(l + 1):.4g}"  # an int past 4300 digits has no str, past ~1.8e308 no float
+        raise DomainError(f"Laguerre basis matrices at {where}, N={size} (r^{lam:g}) leave the double range")
     if lam == -1:
         w = _sturmian_form(np.ones(size), l)
     elif lam >= 1 and float(lam).is_integer():
@@ -257,9 +258,11 @@ def sse_hamiltonian(problem: SseProblem, scale: float, size: int) -> np.ndarray:
 
 
 def nr_hamiltonian(p: float, l: int, scale: float, size: int) -> np.ndarray:
-    """p_l^2/2 + sign(p)*r^p in the first ``size`` basis functions of scale h."""
+    """p_l^2/2 + sign(p)*r^p in the first ``size`` basis functions of scale h; the r^p matrix
+    comes first, so that its DomainError precedes any overflow of the kinetic term's scale."""
+    w = power_matrix(p, l, size)
     h = psq_matrix(l, size) / (2.0 * scale**2)
-    h += math.copysign(1.0, p) * scale**p * power_matrix(p, l, size)
+    h += math.copysign(1.0, p) * scale**p * w
     return h
 
 

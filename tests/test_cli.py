@@ -14,7 +14,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from salpeter_afm import GlobalQ, coulomb_closed, linear_closed, linear_ur_expansion, q_exact
-from salpeter_afm.cli import SCAN_MAX_POINTS, VERBS, ConfigError, _scan_values, load_config, main, parse_argv
+from salpeter_afm.cli import (
+    SCAN_MAX_POINTS,
+    SCHEMA,
+    VERBS,
+    ConfigError,
+    _check,
+    _scan_values,
+    load_config,
+    main,
+    parse_argv,
+)
 from salpeter_afm.types import QuantumState
 
 
@@ -54,6 +64,111 @@ class TestRunConfig:
     def test_bad_mode(self, tmp_path, capsys):
         assert main(["bound", "--config", write_config(tmp_path, {"mode": "fit"})]) == 3
         assert "does not match" in capsys.readouterr().err
+
+
+QTABLE_FLAT_STATES = {"mode": "qtable", "qtable": {"p_values": [2], "states": [0]}}
+Q_SWEEP_NEGATIVE = {
+    "mode": "scan",
+    "masses": [0.0, 1.0],
+    "potential": [{"alpha": 1.2, "exponent": -1}],
+    "scan": {"variable": "Q", "values": [0.5, -1.0]},
+}
+
+
+class TestConfigErrorTexts:
+    """The whole message of a rejected configuration, path and reader's text included."""
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            pytest.param(
+                dict(BOUND_COULOMB, potential=[{"alpha": 1.2, "exponent": -1}, {"alpha": "x", "exponent": 1}]),
+                "configuration.potential[1].alpha must be a finite number",
+                id="nested-list-item",
+            ),
+            pytest.param(
+                dict(BOUND_COULOMB, state={"n": 0, "spin": 1}), "unknown key 'spin' in configuration.state",
+                id="unknown-nested-key",
+            ),
+            pytest.param(
+                QTABLE_FLAT_STATES, "configuration.qtable.states[0] must be a list", id="list-in-a-list",
+            ),
+            pytest.param([1, 2], "configuration must be a JSON object", id="top-level-list"),
+            pytest.param(dict(BOUND_COULOMB, q=True), "configuration.q must be a finite number", id="boolean-number"),
+        ],
+    )
+    def test_schema_message(self, config, message):
+        with pytest.raises(ConfigError) as info:
+            _check(config, SCHEMA)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            pytest.param(
+                b'{"mode": "bound", "q": 1.0, "note\xff": 1}',
+                "'utf-8' codec can't decode byte 0xff in position 33: invalid start byte",
+                id="invalid-utf8",
+            ),
+            pytest.param(
+                b'{"mode": "bou\xe2\x82',
+                "'utf-8' codec can't decode bytes in position 13-14: unexpected end of data",
+                id="truncated-utf8",
+            ),
+            pytest.param(
+                b"\xef\xbb\xbf" + json.dumps(BOUND_COULOMB).encode(),
+                "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+                id="utf8-bom",
+            ),
+            # line ends count as one character, whichever of \r\n, \r or \n they are
+            pytest.param(
+                b'{\r\n "mode": "bound",\r\n "q": \r\n}', "Expecting value: line 4 column 1 (char 27)", id="crlf",
+            ),
+            pytest.param(b'{\r "mode": "bound",\r "q": \r}', "Expecting value: line 4 column 1 (char 27)", id="cr"),
+            pytest.param(
+                b'{"mode": "bo\r\nund"}', "Invalid control character at: line 1 column 13 (char 12)",
+                id="crlf-in-a-string",
+            ),
+            pytest.param(b"", "Expecting value: line 1 column 1 (char 0)", id="empty"),
+        ],
+    )
+    def test_unreadable_file(self, tmp_path, monkeypatch, capsys, data, reason):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_bytes(data)
+        assert main(["bound", "--config", "config.json"]) == 3
+        assert capsys.readouterr().err == f"configuration error: cannot read configuration config.json: {reason}\n"
+
+    def test_missing_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bound", "--config", "missing.json"]) == 3
+        reason = "[Errno 2] No such file or directory: 'missing.json'"
+        assert capsys.readouterr().err == f"configuration error: cannot read configuration missing.json: {reason}\n"
+
+    def test_schema_message_through_main(self, tmp_path, capsys):
+        assert main(["qtable", "--config", write_config(tmp_path, QTABLE_FLAT_STATES)]) == 3
+        assert capsys.readouterr().err == "configuration error: configuration.qtable.states[0] must be a list\n"
+
+    @pytest.mark.parametrize(
+        "verb, config, message",
+        [
+            pytest.param(
+                "bound", {k: v for k, v in BOUND_COULOMB.items() if k != "masses"}, "missing key 'masses'",
+                id="missing-key",
+            ),
+            pytest.param(
+                "bound", dict(BOUND_COULOMB, masses=[0, 1, 2]), "masses must be a pair [m1, m2]", id="mass-triple",
+            ),
+            pytest.param("scan", Q_SWEEP_NEGATIVE, "Q must be finite and > 0, got -1.0", id="q-sweep-value"),
+            # the mass is checked before any Q value
+            pytest.param(
+                "scan", dict(Q_SWEEP_NEGATIVE, masses=[0.0, 0.0]), "the Q sweep needs one positive mass",
+                id="q-sweep-mass-first",
+            ),
+        ],
+    )
+    def test_value_message(self, tmp_path, capsys, verb, config, message):
+        assert main([verb, "--config", write_config(tmp_path, config)]) == 3
+        assert capsys.readouterr() == ("", f"configuration error: {message}\n")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

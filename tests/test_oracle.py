@@ -132,6 +132,19 @@ class TestExtremeUnits:
         with pytest.raises(DomainError, match="energy unit"):
             oracle.nr_energy(1e-308, 1e308, 2.0, QuantumState(5, 0))
 
+    @pytest.mark.parametrize("l", [10**152, 10**153, 10**155], ids=["1e152", "1e153", "1e155"])
+    def test_amplitudes_past_the_double_range_are_a_domain_error(self, l):
+        # the level converges, but the recurrence of the basis functions overflows on the sampled radii
+        with pytest.raises(DomainError, match="basis functions"):
+            nr_eigenvalue(1.0, 1.0, 1.0, QuantumState(0, l))
+
+    @pytest.mark.parametrize("l", [10**150, 10**200, 10**300], ids=["1e150", "1e200", "1e300"])
+    def test_linear_eigenpair_at_a_huge_l(self, l):
+        # E = (3/2) Q^(2/3) with Q = l to double precision, also where Q^2 overflows
+        pair = nr_eigenvalue(1.0, 1.0, 1.0, QuantumState(0, l))
+        assert pair.energy == pytest.approx(1.5 * float(l) ** (2.0 / 3.0), rel=1e-12)
+        assert np.all(np.isfinite(pair.amplitudes)) and np.max(pair.amplitudes) > 0.0
+
 
 def counting(monkeypatch, *names):
     """Record the matrix size of every scipy.linalg call of the given names."""

@@ -177,11 +177,42 @@ class TestQNumeric:
         with pytest.raises(DomainError, match="rounding"):
             q_numeric(p, QuantumState(0, l))
 
+    @pytest.mark.parametrize("p", [0.5, 1.5, -0.5])
+    def test_non_integer_p_past_q_squared_overflow_is_a_rounding_error(self, p):
+        # Q^2 overflows, the seed radius (Q/sqrt|p|)^(2/(p+2)) does not: the r^p matrix refuses l = 1e160
+        with pytest.raises(DomainError, match="rounding"):
+            q_numeric(p, QuantumState(0, 10**160))
+
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, -0.5, -1.0, -1.5])
-    @pytest.mark.parametrize("l", [10**160, 10**300, int(1.7e308), 10**309])
+    @pytest.mark.parametrize("l", [int(1.7e308), 10**309])
     def test_l_whose_radius_leaves_the_double_range_is_a_domain_error(self, p, l):
         with pytest.raises(DomainError, match="double range"):
             q_numeric(p, QuantumState(0, l))
+
+    @pytest.mark.parametrize("p", [-1.0, -1.5])
+    @pytest.mark.parametrize("l", [10**160, 10**300], ids=["1e160", "1e300"])
+    def test_attractive_seed_radius_past_the_double_range_is_a_domain_error(self, p, l):
+        # (Q/sqrt|p|)^(2/(p+2)) with 2/(p+2) >= 2 overflows where Q^2 does
+        with pytest.raises(DomainError, match="variational radius"):
+            q_numeric(p, QuantumState(0, l))
+
+    @pytest.mark.parametrize("l", [10**160, 10**200, 10**300], ids=["1e160", "1e200", "1e300"])
+    def test_linear_past_q_squared_overflow_is_the_exact_q(self, l):
+        # Q^2 overflows above Q ~ 1.3e154; the seed radius does not, and Q(1) = l to double precision
+        state = QuantumState(0, l)
+        assert q_numeric(1.0, state).value == pytest.approx(q_exact(2, state).value, rel=1e-14)
+
+    @pytest.mark.parametrize("l", [10**160, 10**200, 10**300], ids=["1e160", "1e200", "1e300"])
+    def test_oscillator_past_q_squared_overflow_is_a_domain_error(self, l):
+        # the W(2) range bound: (4(N+2) + 4l + 6)^2 leaves the double range beyond l ~ 3e153
+        with pytest.raises(DomainError, match=r"Laguerre basis matrices .*\(r\^2\) leave the double range"):
+            q_numeric(2.0, QuantumState(0, l))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 0.5])
+    def test_l_past_the_x_matrix_range_is_a_domain_error(self, p):
+        # the N = 160 rung's x matrix has off-diagonal products (k+1)(k+2l+3), beyond the doubles past l ~ 5.6e305
+        with pytest.raises(DomainError, match=r"log10\(l\)=306 leave the double range"):
+            q_numeric(p, QuantumState(0, 10**306))
 
     def test_coulomb_past_l_69_is_a_convergence_failure(self):
         # W(-1) is finite at any l, but the 3x finer scale of an attractive-only potential leaves

@@ -307,6 +307,14 @@ class TestOperatorConstruction:
         for lam in (-1.0, 1.0, 2.0, 2.5):
             assert np.isfinite(power_matrix(lam, 200, 160)).all()
 
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_range_error_at_an_l_past_4300_digits_is_short(self, lam):
+        # l is written in logarithms: in full it would pass the int-to-str digit limit, and 'g' cannot take it
+        with pytest.raises(DomainError) as info:
+            power_matrix(lam, 10**5000, 20)
+        want = f"Laguerre basis matrices at log10(l+1)=5000, N=20 (r^{lam:g}) leave the double range"
+        assert str(info.value) == want
+
     @pytest.mark.parametrize("l", [0, 2])
     def test_bases_are_nested(self, l):
         # every matrix element is exact, so a smaller basis sees the leading block of a larger one

@@ -1,6 +1,6 @@
-"""Per-call timing of in-process cli.main in the README's call shapes.
+"""Per-call timing and output digests of in-process cli.main in the README's call shapes.
 
-Usage: python tools/clicall.py [SRC]
+Usage: python tools/clicall.py [SRC] [--mix SEED ...]
 
 SRC is the source tree to import salpeter_afm from (default: this
 checkout's src).  The shapes are the README's command lines on its
@@ -17,14 +17,30 @@ configurations:
 
 Each of 30 passes first empties every functools cache of the package, as
 a perfbench round does to start like a fresh process, then calls each
-shape 5 times, each call timed alone.  Printed as JSON per shape: its exit
-code, "cold_us", the fastest first call after the caches were emptied,
-and "warm_us", the fastest later call, in microseconds.  Run on two trees,
-the numbers compare one command line's cost on each.
+shape 5 times, each call timed alone.  After each call its --out file is
+read and deleted, as perfbench's cli-mix does, so every call writes a new
+file.  Printed as JSON per shape: its exit code, "cold_us", the fastest
+first call after the caches were emptied, "warm_us", the fastest later
+call, in microseconds, and "sha256", the digest of what the call left:
+its exit code, stdout, --out text and stderr (a list of digests if the
+calls of a shape differ).  Run on two trees, the numbers compare one
+command line's cost on each, and equal digests show equal output.
+
+With --mix, the listed seeds of perfbench's cli-mix workload are built
+(from this checkout's perfbench) and each of their calls is run once;
+"cli-mix seed N" then holds the number of calls and one digest over all of
+them in order.  The calls run in a temporary directory under the
+checkout's .perfbench, where cli-mix writes its own files, so that making
+a file costs what it costs there: on one 2-core host a new file took
+~300 us in the system's temporary directory and ~12 us there.  They name
+their files by relative paths, so the digests do not depend on where that
+directory is.
 """
 import contextlib
+import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 import time
@@ -32,6 +48,7 @@ from pathlib import Path
 
 PASSES = 30
 CALLS = 5
+ROOT = Path(__file__).resolve().parents[1]
 
 BOUND = {
     "mode": "bound",
@@ -55,20 +72,20 @@ SCAN_Q = {
 }
 QTABLE = {"mode": "qtable", "qtable": {"p_values": [2, 1, -1], "states": [[0, 0], [1, 0]], "numeric": False}}
 MALFORMED = dict(BOUND, colour="red")
+OUT = "out.csv"
 
 
-def shapes(workdir: Path) -> dict[str, list[str]]:
+def shapes() -> dict[str, list[str]]:
+    """The call shapes, their configurations written to the current directory."""
     def config(name, payload):
-        path = workdir / f"{name}.json"
-        path.write_text(json.dumps(payload))
-        return ["--config", str(path)]
+        Path(f"{name}.json").write_text(json.dumps(payload))
+        return ["--config", f"{name}.json"]
 
-    out = ["--out", str(workdir / "out.csv")]
     return {
         "bound-text": ["bound", *config("bound", BOUND)],
         "bound-json": ["bound", *config("bound", BOUND), "--format", "json"],
-        "scan-mass": ["scan", *config("scan-mass", SCAN_MASS), *out],
-        "scan-q": ["scan", *config("scan-q", SCAN_Q), *out],
+        "scan-mass": ["scan", *config("scan-mass", SCAN_MASS), "--out", OUT],
+        "scan-q": ["scan", *config("scan-q", SCAN_Q), "--out", OUT],
         "qtable-csv": ["qtable", *config("qtable", QTABLE), "--format", "csv"],
         "verify-windows": ["verify", "--suite", "windows"],
         "malformed": ["bound", *config("malformed", MALFORMED)],
@@ -84,26 +101,75 @@ def clear_caches() -> None:
                     value.cache_clear()
 
 
+def call(cli, argv: list[str], out_path: str | None) -> tuple[float, int, bytes]:
+    """One timed cli.main call: its time in microseconds, its exit code, and what it
+    left (exit code, stdout, --out text, stderr), after which the --out file is deleted."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = (time.perf_counter() - start) * 1e6
+    out_text = b""
+    if out_path and os.path.exists(out_path):
+        out_text = Path(out_path).read_bytes()
+        os.remove(out_path)
+    parts = [str(code).encode(), stdout.getvalue().encode(), out_text, stderr.getvalue().encode()]
+    return elapsed, code, b"".join(len(part).to_bytes(8, "big") + part for part in parts)
+
+
+def time_shapes(cli) -> dict:
+    calls = shapes()
+    report = {name: {"exit": None, "cold_us": float("inf"), "warm_us": float("inf")} for name in calls}
+    digests = {name: [] for name in calls}
+    for _ in range(PASSES):
+        clear_caches()
+        for name, argv in calls.items():
+            for i in range(CALLS):
+                elapsed, code, left = call(cli, argv, OUT if "--out" in argv else None)
+                entry = report[name]
+                entry["exit"] = code
+                key = "cold_us" if i == 0 else "warm_us"
+                entry[key] = min(entry[key], round(elapsed, 1))
+                digest = hashlib.sha256(left).hexdigest()
+                if digest not in digests[name]:
+                    digests[name].append(digest)
+    for name, found in digests.items():
+        report[name]["sha256"] = found[0] if len(found) == 1 else found
+    return report
+
+
+def digest_mix(cli, workloads, seed: int) -> dict:
+    """Every call of cli-mix's round for the seed, run once, as one digest."""
+    mix = workloads.CliMix(seed, f"mix-{seed}")
+    clear_caches()
+    total = hashlib.sha256()
+    for item in mix.calls:
+        total.update(call(cli, item.argv, item.out_path)[2])
+    return {"calls": len(mix.calls), "sha256": total.hexdigest()}
+
+
 def main(argv):
-    src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
+    args = argv[1:]
+    seeds = [int(seed) for seed in args[args.index("--mix") + 1:]] if "--mix" in args else []
+    args = args[: args.index("--mix")] if "--mix" in args else args
+    src = Path(args[0]).resolve() if args else ROOT / "src"
     sys.path.insert(0, str(src))
     from salpeter_afm import cli
 
-    with tempfile.TemporaryDirectory() as tmp:
-        calls = shapes(Path(tmp))
-        report = {name: {"exit": None, "cold_us": float("inf"), "warm_us": float("inf")} for name in calls}
-        for _ in range(PASSES):
-            clear_caches()
-            for name, call in calls.items():
-                for i in range(CALLS):
-                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                        start = time.perf_counter()
-                        code = cli.main(call)
-                        elapsed = (time.perf_counter() - start) * 1e6
-                    entry = report[name]
-                    entry["exit"] = code
-                    key = "cold_us" if i == 0 else "warm_us"
-                    entry[key] = min(entry[key], round(elapsed, 1))
+    (ROOT / ".perfbench").mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=ROOT / ".perfbench") as tmp:
+        home = os.getcwd()
+        os.chdir(tmp)
+        try:
+            report = time_shapes(cli)
+            if seeds:  # perfbench's modules import each other from its own directory
+                sys.path.insert(0, str(ROOT / "perfbench"))
+                import workloads
+
+                for seed in seeds:
+                    report[f"cli-mix seed {seed}"] = digest_mix(cli, workloads, seed)
+        finally:
+            os.chdir(home)
     print(json.dumps(report, indent=1))
 
 
