@@ -110,8 +110,8 @@ def q_numeric(
     and any l for a confining p, as listed in :mod:`.oracle`; beyond that
     it raises ConvergenceFailure.  A non-integer p past l ~ 1.6e5 raises
     DomainError, as does a level whose matrices or seed radius leave the
-    double range: p = 2 past l ~ 3e153, p = -1 past Q ~ 1.3e154, any p past
-    l ~ 5.6e305.
+    double range: p = 2 past l ~ 3e153, p = -1 past Q ~ 1.3e154, p = 1 past
+    l ~ 1e306.
     """
     from . import oracle  # imports numpy and scipy: loaded here, so the solver itself runs on floats alone
 

@@ -19,11 +19,11 @@ n = 0 for l <= 69 at p = -1 and 73 at p = -0.5; beyond that it raises
 ConvergenceFailure.  A confining p has no l limit of convergence short of
 the double range: p = 0.5, 1, 1.5, 2, 2.5, 4.5 and 8 converge at n = 0 for
 every l measured, up to 1000, p = 1, 2 and 4 up to l = 1e30, and p = 1 up
-to l = 1e305.  DomainError refuses a non-integer p beyond l ~ 1.6e5, where
+to l = 1e306.  DomainError refuses a non-integer p beyond l ~ 1.6e5, where
 its r^p matrix rounds by more than 1e-9; a p whose r^p matrix may leave the
 double range (p = 2 beyond l ~ 3e153, a larger p sooner); p = -1 where the
-variational radius of the seed Q does (Q above ~1.3e154); and every p
-beyond l ~ 5.6e305, where the x matrix of the N = 160 rung does.
+variational radius of the seed Q does (Q above ~1.3e154); and a rung whose
+x matrix J would (N = 160 beyond l ~ 5.6e305, N = 20 beyond ~4.5e307).
 """
 from __future__ import annotations
 
@@ -42,8 +42,6 @@ _NR_TOL = 1e-7
 _SAMPLES = 4000  # uniform radii on which nr_eigenvalue samples u(r)
 _EXTENT = 10.0  # the sampled radii reach this many times the mean radius <r>
 _LOG_TINY, _LOG_MAX = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
-# past this l the products (k+1)(k+2l+3) under the square roots of the largest rung's x matrix overflow
-_L_MAX = np.finfo(float).max / (2 * reference._SIZES[-1])
 
 
 @dataclass(frozen=True)
@@ -126,8 +124,6 @@ def _solve(p: float, state: QuantumState, tol: float) -> tuple[float, float, int
         radius = math.inf
     if not radius < math.inf:
         raise DomainError(f"the variational radius at the seed Q = {q:.6g} leaves the double range")
-    if state.l > _L_MAX:
-        raise DomainError(f"Laguerre basis matrices at log10(l)={math.log10(state.l):.4g} leave the double range")
     scale, _ = reference.basis_scale(radius, energy_from_q(q, 1.0, 1.0, p), state, ((1.0, p),), tol)
     build = functools.partial(reference.nr_hamiltonian, p, state.l, scale)
     energy, _, size = reference.ladder("oracle", build, state.n, scale, tol, tol)

@@ -32,7 +32,8 @@ P/(2 h^2) + sign(p) h^p W(p, l, N), with the same scale rule.  Where the
 unit-scale r^lam entries would leave the double range (a steep exponent),
 the matrix is not built and DomainError is raised, as it is for a
 non-integer exponent at l beyond ~1.6e5, where the rounding of its
-log-Gamma terms passes 1e-9 relative.
+log-Gamma terms passes 1e-9 relative, and for a rung whose J (the x
+matrix) would leave the double range: N = 160 past l ~ 5.6e305.
 Every ladder runs on one BLAS thread: the rung products and eigensolves are
 small (N <= 160), and waking a second OpenBLAS thread for each costs more
 than it saves.  The thread counts of the OpenBLAS copies that numpy and
@@ -114,10 +115,20 @@ def basis_functions(l: int, scale: float, size: int, radii: np.ndarray) -> np.nd
     return phi
 
 
+def _check_jacobi_range(l: int, size: int) -> None:
+    """DomainError where a product (k+1)(k+2l+3), k < size - 1, under the square
+    roots of J's off-diagonal leaves the double range: at N = 160 past
+    l ~ 5.6e305, at N = 20 past ~4.5e307."""
+    if size * (size + 2 * l + 2) > sys.float_info.max:
+        where = f"log10(l+1)={math.log10(l + 1):.4g}, N={size}"
+        raise DomainError(f"Laguerre basis matrices at {where} leave the double range")
+
+
 def jacobi_matrix(l: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of J, the matrix <chi_j|x|chi_k> on the first
     ``size`` functions: 2k+2l+3 and -sqrt((k+1)(k+2l+3)), from the three-term
     recurrence of p_k."""
+    _check_jacobi_range(l, size)
     k = np.arange(size, dtype=float)
     return 2 * k + 2 * l + 3, -np.sqrt((k[:-1] + 1) * (k[:-1] + 2 * l + 3))
 
@@ -230,6 +241,7 @@ def _psq_spectrum(l: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     + (k+1)/(k+l+2), without the second term on the last row, and its
     off-diagonal -sqrt((k+1)(k+2l+3))/(k+l+2).  Each of its eigenpairs
     (mu, u) is an eigenpair (1/mu - 1/4, u) of P."""
+    _check_jacobi_range(l, size)
     k = np.arange(size, dtype=float)
     diag = (k + 2 * l + 2) / (k + l + 1)
     diag[:-1] += (k[:-1] + 1) / (k[:-1] + l + 2)
@@ -276,8 +288,11 @@ def basis_scale(radius: float, energy: float, state: QuantumState, terms, tol: f
     rung lies below (4N + 4l + 6), so the r^lam matrix carries a round-off of
     eps * alpha * ((4N + 4l + 6) h)^lam, which must stay below tol * |energy|.
     The cap is formed in logarithms, so a tiny alpha leaves h uncapped
-    instead of overflowing.
+    instead of overflowing.  DomainError where 2n+2l+3, the diagonal of J,
+    leaves the double range (l past ~9e307).
     """
+    if 2 * state.n + 2 * state.l + 3 > sys.float_info.max:
+        raise DomainError(f"Laguerre basis matrices at log10(l+1)={math.log10(state.l + 1):.4g} leave the double range")
     natural = radius / (2 * state.n + 2 * state.l + 3) / (3.0 if all(lam < 0 for _, lam in terms) else 1.0)
     span = 4 * _SIZES[-1] + 4 * state.l + 6
     h = natural

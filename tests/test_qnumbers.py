@@ -170,35 +170,32 @@ class TestQNumeric:
         want = 10**5 + 0.5 + 0.5 * math.sqrt(p + 2)
         assert q_numeric(p, QuantumState(0, 10**5)).value == pytest.approx(want, rel=1e-9)
 
-    @pytest.mark.parametrize("p", [0.5, 1.5, 2.5, -0.5])
-    @pytest.mark.parametrize("l", [2 * 10**5, 2**63, 10**30])
+    @pytest.mark.parametrize(
+        ("l", "p"),
+        [(l, p) for l in (2 * 10**5, 2**63, 10**30) for p in (0.5, 1.5, 2.5, -0.5)]
+        # past Q^2 overflow the seed radius fits, and the r^p matrix refuses first
+        + [(10**160, 0.5), (10**160, 1.5), (10**160, -0.5), (10**300, 0.5)],
+    )
     def test_non_integer_p_past_its_rounding_limit_is_a_domain_error(self, p, l):
         # the r^p matrix's log-Gamma terms round by ~eps l ln l: at l = 1e14 they once made Q(1.5) 0.52 l
         with pytest.raises(DomainError, match="rounding"):
             q_numeric(p, QuantumState(0, l))
 
-    @pytest.mark.parametrize("p", [0.5, 1.5, -0.5])
-    def test_non_integer_p_past_q_squared_overflow_is_a_rounding_error(self, p):
-        # Q^2 overflows, the seed radius (Q/sqrt|p|)^(2/(p+2)) does not: the r^p matrix refuses l = 1e160
-        with pytest.raises(DomainError, match="rounding"):
-            q_numeric(p, QuantumState(0, 10**160))
-
-    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, -0.5, -1.0, -1.5])
-    @pytest.mark.parametrize("l", [int(1.7e308), 10**309])
+    @pytest.mark.parametrize(
+        ("l", "p"),
+        [(10**160, -1.0), (10**160, -1.5)]
+        + [(10**300, p) for p in (1.5, -0.5, -1.0, -1.5)]
+        + [(l, p) for l in (int(1.7e308), 10**309) for p in (0.5, 1.0, 1.5, -0.5, -1.0, -1.5)],
+    )
     def test_l_whose_radius_leaves_the_double_range_is_a_domain_error(self, p, l):
+        # the seed radius, or an r^p matrix (p = 1.5 at l = 1e300), leaves the double range
         with pytest.raises(DomainError, match="double range"):
             q_numeric(p, QuantumState(0, l))
 
-    @pytest.mark.parametrize("p", [-1.0, -1.5])
-    @pytest.mark.parametrize("l", [10**160, 10**300], ids=["1e160", "1e300"])
-    def test_attractive_seed_radius_past_the_double_range_is_a_domain_error(self, p, l):
-        # (Q/sqrt|p|)^(2/(p+2)) with 2/(p+2) >= 2 overflows where Q^2 does
-        with pytest.raises(DomainError, match="variational radius"):
-            q_numeric(p, QuantumState(0, l))
-
-    @pytest.mark.parametrize("l", [10**160, 10**200, 10**300], ids=["1e160", "1e200", "1e300"])
+    @pytest.mark.parametrize("l", [10**160, 10**200, 10**300, 10**306], ids=["1e160", "1e200", "1e300", "1e306"])
     def test_linear_past_q_squared_overflow_is_the_exact_q(self, l):
         # Q^2 overflows above Q ~ 1.3e154; the seed radius does not, and Q(1) = l to double precision
+        # (at l = 1e306 the ladder stops before the N = 160 rung, whose J would leave the double range)
         state = QuantumState(0, l)
         assert q_numeric(1.0, state).value == pytest.approx(q_exact(2, state).value, rel=1e-14)
 
@@ -208,11 +205,17 @@ class TestQNumeric:
         with pytest.raises(DomainError, match=r"Laguerre basis matrices .*\(r\^2\) leave the double range"):
             q_numeric(2.0, QuantumState(0, l))
 
-    @pytest.mark.parametrize("p", [1.0, 2.0, 0.5])
-    def test_l_past_the_x_matrix_range_is_a_domain_error(self, p):
-        # the N = 160 rung's x matrix has off-diagonal products (k+1)(k+2l+3), beyond the doubles past l ~ 5.6e305
-        with pytest.raises(DomainError, match=r"log10\(l\)=306 leave the double range"):
-            q_numeric(p, QuantumState(0, 10**306))
+    @pytest.mark.parametrize(
+        "l, where",
+        [(3 * 10**306, "log10(l+1)=306.5, N=40"), (10**307, "log10(l+1)=307, N=20"), (10**308, "log10(l+1)=308")],
+        ids=["3e306", "1e307", "1e308"],
+    )
+    def test_l_past_the_x_matrix_range_is_a_domain_error(self, l, where):
+        # the x matrix J of a rung has off-diagonal products (k+1)(k+2l+3) and diagonal 2k+2l+3: the ladder
+        # refuses the first rung whose products leave the double range, and every rung once the diagonal does
+        with pytest.raises(DomainError) as info:
+            q_numeric(1.0, QuantumState(0, l))
+        assert str(info.value) == f"Laguerre basis matrices at {where} leave the double range"
 
     def test_coulomb_past_l_69_is_a_convergence_failure(self):
         # W(-1) is finite at any l, but the 3x finer scale of an attractive-only potential leaves

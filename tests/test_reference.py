@@ -158,11 +158,19 @@ class TestProblemValidation:
         with pytest.raises(DomainError, match="square beyond the double range"):
             sse_eigenvalue(SseProblem(0.0, 1e300, LINEAR, QuantumState(0)))
 
-    @pytest.mark.parametrize("potential, l", [(PowerLawPotential(((0.2, 150.0),)), 0)], ids=["exponent-150"])
+    @pytest.mark.parametrize(
+        "potential, l", [(PowerLawPotential(((0.2, 150.0),)), 0), (LINEAR, 10**307)], ids=["exponent-150", "l-1e307"]
+    )
     def test_non_representable_laguerre_matrices_are_a_domain_error(self, potential, l):
-        # the r^lam entries would overflow; no warning escapes
+        # the r^lam entries, or the products under the square roots of J, would overflow; no warning escapes
         with pytest.raises(DomainError, match="leave the double range"):
             sse_eigenvalue(SseProblem(0.0, 1.0, potential, QuantumState(0, l)))
+
+    def test_linear_reference_at_l_1e306(self):
+        # the ladder stops before the N = 160 rung, whose J would leave the double range; at such l
+        # both kinetic terms are ~ l/r, and the level is the minimum of 2l/r + b r, 2 sqrt(2 b l)
+        level = sse_eigenvalue(SseProblem(0.0, 1.0, LINEAR, QuantumState(0, 10**306)))
+        assert level == pytest.approx(2.0 * math.sqrt(2.0 * 0.2 * 1e306), rel=1e-12)
 
     def test_l_80_is_still_representable(self):
         assert sse_eigenvalue(SseProblem(0.0, 1.0, LINEAR, QuantumState(0, 80))) == pytest.approx(11.568674, abs=1e-6)

@@ -1,6 +1,6 @@
 """Per-call timing and output digests of in-process cli.main in the README's call shapes.
 
-Usage: python tools/clicall.py [SRC] [--mix SEED ...]
+Usage: python tools/clicall.py [SRC]
 
 SRC is the source tree to import salpeter_afm from (default: this
 checkout's src).  The shapes are the README's command lines on its
@@ -26,15 +26,15 @@ its exit code, stdout, --out text and stderr (a list of digests if the
 calls of a shape differ).  Run on two trees, the numbers compare one
 command line's cost on each, and equal digests show equal output.
 
-With --mix, the listed seeds of perfbench's cli-mix workload are built
-(from this checkout's perfbench) and each of their calls is run once;
-"cli-mix seed N" then holds the number of calls and one digest over all of
-them in order.  The calls run in a temporary directory under the
-checkout's .perfbench, where cli-mix writes its own files, so that making
-a file costs what it costs there: on one 2-core host a new file took
-~300 us in the system's temporary directory and ~12 us there.  They name
-their files by relative paths, so the digests do not depend on where that
-directory is.
+Then cli-mix rounds of perfbench's seeds 1-6 are built (from this
+checkout's perfbench) and each of their calls is run once; "cli-mix seed N"
+holds the number of calls and one digest over all of them in order.
+
+Every call runs in a temporary directory under the checkout's .perfbench,
+where cli-mix writes its own files, so that making a file costs what it
+costs there: on one 2-core host a new file took ~300 us in the system's
+temporary directory and ~12 us there.  The calls name their files by
+relative paths, so the digests do not depend on where that directory is.
 """
 import contextlib
 import hashlib
@@ -48,6 +48,7 @@ from pathlib import Path
 
 PASSES = 30
 CALLS = 5
+MIX_SEEDS = range(1, 7)
 ROOT = Path(__file__).resolve().parents[1]
 
 BOUND = {
@@ -149,10 +150,7 @@ def digest_mix(cli, workloads, seed: int) -> dict:
 
 
 def main(argv):
-    args = argv[1:]
-    seeds = [int(seed) for seed in args[args.index("--mix") + 1:]] if "--mix" in args else []
-    args = args[: args.index("--mix")] if "--mix" in args else args
-    src = Path(args[0]).resolve() if args else ROOT / "src"
+    src = Path(argv[1]).resolve() if len(argv) > 1 else ROOT / "src"
     sys.path.insert(0, str(src))
     from salpeter_afm import cli
 
@@ -162,12 +160,11 @@ def main(argv):
         os.chdir(tmp)
         try:
             report = time_shapes(cli)
-            if seeds:  # perfbench's modules import each other from its own directory
-                sys.path.insert(0, str(ROOT / "perfbench"))
-                import workloads
+            sys.path.insert(0, str(ROOT / "perfbench"))  # perfbench's modules import each other from there
+            import workloads
 
-                for seed in seeds:
-                    report[f"cli-mix seed {seed}"] = digest_mix(cli, workloads, seed)
+            for seed in MIX_SEEDS:
+                report[f"cli-mix seed {seed}"] = digest_mix(cli, workloads, seed)
         finally:
             os.chdir(home)
     print(json.dumps(report, indent=1))
