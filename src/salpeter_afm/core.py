@@ -139,46 +139,28 @@ def concavity_certificate(potential: PowerLawPotential, p: float) -> BoundCertif
     sign(lam) * (lam/p) * (lam/p - 1) <= 0, applied termwise; a sum of
     concave terms is concave, so the test is sufficient but not necessary.
     """
-    return _certificate(potential.active_terms(), p)
-
-
-def _certificate(active, p: float) -> BoundCertificate:
-    """:func:`concavity_certificate` over the potential's active terms."""
-    _check_auxiliary_exponent(p)
-    if not active:
+    terms = potential.active_terms()
+    if not _certified(terms, p):
         return BoundCertificate(False, CERT_NONE)
-    if all(lam == p for _, lam in active):
-        return BoundCertificate(True, CERT_PROPORTIONAL)
-    if _termwise_concave(active, p):
-        return BoundCertificate(True, CERT_CONCAVE)
-    return BoundCertificate(False, CERT_NONE)
+    return BoundCertificate(True, CERT_PROPORTIONAL if all(lam == p for _, lam in terms) else CERT_CONCAVE)
 
 
-def _certified(terms, q: GlobalQ) -> bool:
-    """``_certificate(terms, q.p).is_upper_bound`` without building the record; False without q.p.
+def _certified(terms, p: float | None) -> bool:
+    """Whether the active ``terms`` pass :func:`concavity_certificate`'s termwise test for p.
 
-    A term with lam == p passes the termwise test (its ratio is 1), so the
-    proportional case needs no test of its own here.
+    False without a term or without p (None); a term with lam == p passes
+    (its ratio is 1).  DomainError for a p that is not finite, > -2 and
+    nonzero, with or without terms.
     """
-    p = q.p
     if p is None:
         return False
-    _check_auxiliary_exponent(p)
-    return bool(terms) and _termwise_concave(terms, p)
-
-
-def _check_auxiliary_exponent(p: float) -> None:
     if not math.isfinite(p) or p <= -2.0 or p == 0.0:
         raise DomainError("auxiliary exponent must be finite, > -2 and nonzero")
-
-
-def _termwise_concave(active, p: float) -> bool:
-    """Whether every term has sign(lam) * (lam/p) * (lam/p - 1) <= 0."""
-    for _, lam in active:
+    for _, lam in terms:
         ratio = lam / p
         if math.copysign(1.0, lam) * ratio * (ratio - 1.0) > 0.0:
             return False
-    return True
+    return bool(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +611,7 @@ def _assemble(m1, m2, terms, q: GlobalQ, r0: float) -> AfmSolution:
         raise DomainError(f"the mass at r0={r0:g} exceeds the double range")
     if mass <= 0.0:
         raise CollapseDetected(f"solution at r0={r0:g} has nonpositive mass {mass:g}")
-    return _trusted_solution(r0, p0, nu1, nu2, mass, q, _certified(terms, q))
+    return _trusted_solution(r0, p0, nu1, nu2, mass, q, _certified(terms, q.p))
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +653,7 @@ def coulomb_closed(m: float, a: float, q: GlobalQ | float) -> AfmSolution:
         raise DomainError(f"the Coulomb solution leaves the double range at m={m:g}, a={a:g}, Q={qv:g}")
     x = 0.5 * (a / qv)  # a/(2Q), whose 2Q would overflow for Q above half the largest double
     mass = m * (2.0 * math.sqrt(x * (1.0 - x)))  # not 2m, which overflows for m near the largest double
-    return AfmSolution(r0, p0, p0, nu2, mass, q, _certified(((a, -1.0),), q))
+    return AfmSolution(r0, p0, p0, nu2, mass, q, _certified(((a, -1.0),), q.p))
 
 
 def coulomb_symmetric(sigma: float, m: float, a: float, q: GlobalQ | float) -> float:
@@ -739,7 +721,7 @@ def linear_closed(m: float, b: float, q: GlobalQ | float) -> AfmSolution:
     mass, q, x = _linear_closed(m, b, q)
     r0 = _linear_radius(x, b, q.value)
     p0 = q.value / r0
-    return AfmSolution(r0, p0, p0, math.hypot(p0, m), mass, q, _certified(((b, 1.0),), q))
+    return AfmSolution(r0, p0, p0, math.hypot(p0, m), mass, q, _certified(((b, 1.0),), q.p))
 
 
 def linear_symmetric_massless(sigma: float, b: float, q: GlobalQ | float) -> float:

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import core, reference
-from .errors import DomainError
+from .errors import ConvergenceFailure, DomainError
 from .types import AfmSolution, GlobalQ, PowerLawPotential, QuantumState
 
 _NR_TOL = 1e-7
@@ -126,7 +126,12 @@ def _solve(p: float, state: QuantumState, tol: float) -> tuple[float, float, int
         raise DomainError(f"the variational radius at the seed Q = {q:.6g} leaves the double range")
     scale, _ = reference.basis_scale(radius, energy_from_q(q, 1.0, 1.0, p), state, ((1.0, p),), tol)
     build = functools.partial(reference.nr_hamiltonian, p, state.l, scale)
-    energy, _, size = reference.ladder("oracle", build, state.n, scale, tol, tol)
+    energy, _, size = reference.ladder("oracle", build, state.n, scale, tol, tol, 0.0)
+    if not (energy < 0.0 if p < 0.0 else energy > 0.0):  # a level has the sign of p
+        raise ConvergenceFailure(
+            f"oracle: level n={state.n}, l={state.l:.6g} came out at {energy:.6g}, whose sign contradicts "
+            f"p={p:g}: the basis of scale h={scale:.6g} does not reach it"
+        )
     return energy, scale, size
 
 
@@ -135,8 +140,10 @@ def nr_energy(mu: float, rho: float, p: float, state: QuantumState, *, tol: floa
 
     Raises ConvergenceFailure when the ladder's error estimate exceeds
     ``tol`` relative, which bounds the levels it reaches (see the module
-    docstring), and DomainError where the r^p matrix (a steep p) or the
-    energy unit of (mu, rho) leaves the double range.
+    docstring), or when the level's sign contradicts sign(p) (a basis that
+    does not reach it, as for p = -1 at l = 1e20), and DomainError where the
+    r^p matrix (a steep p) or the energy unit of (mu, rho) leaves the
+    double range.
     """
     log_energy, _ = _log_units(mu, rho, p)
     return _rescale(_solve(p, state, tol)[0], log_energy, "energy")

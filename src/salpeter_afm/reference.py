@@ -258,24 +258,34 @@ def kinetic_matrix(terms: tuple[tuple[float, float], ...], p2: np.ndarray, u: np
     return (u * sum(weight * np.sqrt(p2 + mass * mass) for weight, mass in terms)) @ u.T
 
 
+def _rung(kinetic, terms, l: int, scale: float, size: int) -> np.ndarray:
+    """kinetic() + sum(sign(lam) alpha h^lam W(lam, l, N)) over the (alpha, lam) terms, added in their order.
+
+    Every W is formed first, so that its range DomainError precedes any
+    overflow of the kinetic term or of a power of the scale h."""
+    powers = [power_matrix(lam, l, size) for _, lam in terms]
+    h = kinetic()
+    for (alpha, lam), w in zip(terms, powers):
+        h += math.copysign(alpha, lam) * scale**lam * w
+    return h
+
+
 def sse_hamiltonian(problem: SseProblem, scale: float, size: int) -> np.ndarray:
     """Symmetric Hamiltonian matrix in the first ``size`` basis functions of scale h."""
-    terms = ((1.0, problem.m1), (1.0, problem.m2)) if problem.sigma is None else ((problem.sigma, problem.m1),)
+    masses = ((1.0, problem.m1), (1.0, problem.m2)) if problem.sigma is None else ((problem.sigma, problem.m1),)
     l = problem.state.l
-    p2, u = _psq_spectrum(l, size)
-    h = kinetic_matrix(terms, p2 / scale**2, u)
-    for alpha, lam in problem.potential.active_terms():
-        h += math.copysign(alpha, lam) * scale**lam * power_matrix(lam, l, size)
+
+    def kinetic():
+        p2, u = _psq_spectrum(l, size)
+        return kinetic_matrix(masses, p2 / scale**2, u)
+
+    h = _rung(kinetic, problem.potential.active_terms(), l, scale, size)
     return 0.5 * (h + h.T)
 
 
 def nr_hamiltonian(p: float, l: int, scale: float, size: int) -> np.ndarray:
-    """p_l^2/2 + sign(p)*r^p in the first ``size`` basis functions of scale h; the r^p matrix
-    comes first, so that its DomainError precedes any overflow of the kinetic term's scale."""
-    w = power_matrix(p, l, size)
-    h = psq_matrix(l, size) / (2.0 * scale**2)
-    h += math.copysign(1.0, p) * scale**p * w
-    return h
+    """p_l^2/2 + sign(p)*r^p in the first ``size`` basis functions of scale h."""
+    return _rung(lambda: psq_matrix(l, size) / (2.0 * scale**2), ((1.0, p),), l, scale, size)
 
 
 def basis_scale(radius: float, energy: float, state: QuantumState, terms, tol: float) -> tuple[float, bool]:
@@ -393,14 +403,18 @@ def _aitken(values: list[float]) -> float:
 
 
 @_one_blas_thread
-def ladder(name: str, build, n: int, scale: float, tol: float, limit: float) -> tuple[float, float, int]:
+def ladder(
+    name: str, build, n: int, scale: float, tol: float, limit: float, threshold: float
+) -> tuple[float, float, int]:
     """Level n of build(N) on the rungs N = 20, 40, 80, 160 with N > n.
 
     Every rung is an upper bound.  The first rung within ``tol`` relative of
     the one before is returned, with that difference as its error estimate;
     otherwise the last three rungs must fall, at least geometrically, and
     their Aitken limit is returned with the Aitken correction as its error
-    estimate.  An error estimate above ``limit`` relative raises
+    estimate.  An error estimate above ``limit`` relative, or above the
+    binding energy |finest rung - threshold| it resolves (``threshold`` is
+    where the continuum starts: m1 + m2, sigma m, or 0), raises
     ConvergenceFailure: this is the one place where a ladder is accepted,
     extrapolated or refused.  Returns (value, error estimate, size of the
     last rung) and writes one DEBUG record per rung and one for the result
@@ -428,6 +442,12 @@ def ladder(name: str, build, n: int, scale: float, tol: float, limit: float) -> 
             f"functions (limit {limit:g}); a steep cusp (l = 0, p <= -1.5) or a steep confining term "
             "converges slowly in this basis"
         )
+    binding = abs(values[-1] - threshold)
+    if abs(error) > binding:
+        raise ConvergenceFailure(
+            f"{name}: level n={n} has an Aitken correction {abs(error):.3g} above the binding energy "
+            f"{binding:.3g} of its finest rung ({_SIZES[-1]} basis functions); the basis does not reach the level"
+        )
     return value, error, _SIZES[-1]
 
 
@@ -436,15 +456,18 @@ def sse_eigenvalue(problem: SseProblem) -> float:
 
     Every rung is an upper bound.  The first rung within 1e-7 relative of
     the one before is returned; otherwise the last three rungs must fall
-    geometrically, and their Aitken limit is returned.  Where a steep
-    confining term capped the basis scale, the first rungs do not reach the
-    state and the limit is only as good as its correction, so the ladder
-    refuses a correction above 2e-6 relative with ConvergenceFailure.
+    geometrically, and their Aitken limit is returned, unless its correction
+    exceeds the binding energy |finest rung - (m1 + m2)| (sigma m1 in the
+    symmetric mode) it resolves.  Where a steep confining term capped the
+    basis scale, the first rungs do not reach the state and the limit is
+    only as good as its correction, so the ladder also refuses a correction
+    above 2e-6 relative.  Both refusals are ConvergenceFailure.
     """
     core.check_mass_squares(problem.m1, problem.m2)
     scale, capped = _scale(problem)
     build = functools.partial(sse_hamiltonian, problem, scale)
-    return ladder("reference", build, problem.state.n, scale, _TOL, _CAPPED_TOL if capped else math.inf)[0]
+    threshold = problem.m1 + problem.m2 if problem.sigma is None else problem.sigma * problem.m1
+    return ladder("reference", build, problem.state.n, scale, _TOL, _CAPPED_TOL if capped else math.inf, threshold)[0]
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,27 @@ def test_criterion_9_symmetric_reduction():
     _finish("criterion-9 equal-mass reduction to sigma form", results, t0, 1.0)
 
 
+def test_all_suites_run_every_check_in_order():
+    results = verification.run_suite("all")
+    assert [r.name for r in results] == [r.name for name in verification.SUITES for r in verification.run_suite(name)]
+    assert all(r.passed for r in results)
+
+
+class TestCheckResults:
+    def test_line_writes_every_field(self):
+        result = verification.CheckResult("demo", False, 1.5, 2.0, 1e-3, "note")
+        assert result.line() == "FAIL demo  value=1.5  expected=2  tol=0.001  note"
+
+    def test_raises_fails_on_the_other_no_root_error_and_on_a_return(self):
+        def collapse():
+            raise verification.CollapseDetected("collapse")
+
+        wrong = verification._raises("demo", collapse, verification.NoBoundState)
+        assert (wrong.passed, wrong.detail) == (False, "CollapseDetected instead")
+        quiet = verification._raises("demo", lambda: None, verification.NoBoundState)
+        assert (quiet.passed, quiet.detail) == (False, "expected NoBoundState")
+
+
 # ---------------------------------------------------------------------------
 # figure data as CSV, checked pointwise against the closed forms
 

@@ -140,6 +140,8 @@ class TestTypedFailures:
     def test_nan_at_a_bracket_end(self):
         with pytest.raises(DomainError, match="NaN"):
             _brent(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0, xtol=XTOL, rtol=RTOL)
+        with pytest.raises(DomainError, match=r"at x=0\.0 is NaN"):
+            _brent(lambda x: math.nan if x < 0.5 else 1.0, 0.0, 1.0, xtol=XTOL, rtol=RTOL)
 
     def test_nan_inside_the_bracket(self):
         seen = []

@@ -46,6 +46,16 @@ class TestConcavityCertificate:
         with pytest.raises(DomainError, match="finite"):
             concavity_certificate(PowerLawPotential.linear(0.2), p)
 
+    def test_every_coupling_zero_is_not_certified(self):
+        # no active term, so nothing to certify, even through the matching exponent
+        cert = concavity_certificate(PowerLawPotential(((0.0, 2.0),)), 2.0)
+        assert (cert.is_upper_bound, cert.reason) == (False, "not_certified")
+
+    @pytest.mark.parametrize("p", [0.0, -2.0, -3.0, float("nan"), float("inf")])
+    def test_exponent_is_checked_when_every_coupling_is_zero(self, p):
+        with pytest.raises(DomainError, match="auxiliary exponent must be finite, > -2 and nonzero"):
+            concavity_certificate(PowerLawPotential(((0.0, 2.0),)), p)
+
     def test_certificate_flows_into_solutions(self):
         from salpeter_afm import GlobalQ, solve_afm
 

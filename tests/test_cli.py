@@ -75,6 +75,15 @@ Q_SWEEP_NEGATIVE = {
 }
 
 
+MASS_SCAN = {
+    "mode": "scan",
+    "masses": [0.0, 1.0],
+    "potential": [{"alpha": 0.2, "exponent": 1}],
+    "state": {"n": 0, "l": 0},
+    "scan": {"variable": "m", "values": [0.5]},
+}
+
+
 class TestConfigErrorTexts:
     """The whole message of a rejected configuration, path and reader's text included."""
 
@@ -164,6 +173,19 @@ class TestConfigErrorTexts:
                 "scan", dict(Q_SWEEP_NEGATIVE, masses=[0.0, 0.0]), "the Q sweep needs one positive mass",
                 id="q-sweep-mass-first",
             ),
+            pytest.param("bound", dict(BOUND_COULOMB, format="csv"), "bound writes only text, json", id="format-csv"),
+            pytest.param(
+                "scan", dict(MASS_SCAN, scan={"variable": "m", "start": 0.0, "stop": 1.0, "step": 0.0}),
+                "scan step must be positive", id="scan-step-zero",
+            ),
+            pytest.param(
+                "scan", dict(MASS_SCAN, potential=[{"alpha": 1.2, "exponent": -1}]),
+                "the mass scan requires a single potential term with exponent 1", id="mass-scan-single-term",
+            ),
+            pytest.param(
+                "scan", dict(MASS_SCAN, scan={"variable": "m", "values": [0.5, -1.0]}),
+                "scan masses must be non-negative", id="negative-scan-mass",
+            ),
         ],
     )
     def test_value_message(self, tmp_path, capsys, verb, config, message):
@@ -231,6 +253,10 @@ class TestBoundCommand:
         code = main(["bound", "--config", write_config(tmp_path, config)])
         assert code == 2
         assert "collapse" in capsys.readouterr().err.lower()
+        # two massive particles: no heavy-light window to hint at
+        assert main(["bound", "--config", write_config(tmp_path, dict(config, masses=[1.0, 1.0]))]) == 2
+        message = "virial balance has no root: the interaction drives the system to r0 -> 0 at Q=0.5"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_linear_massless_from_p(self, tmp_path, capsys):
         config = {
@@ -305,6 +331,14 @@ class TestScanCommand:
         main(["scan", "--config", config, "--out", str(a)])
         main(["scan", "--config", config, "--out", str(b)])
         assert a.read_text() == b.read_text()
+
+    def test_reference_cell_names_its_error(self, tmp_path, capsys):
+        # level n = 200 needs rungs past the ladder's 160 functions: the row keeps its other columns
+        config = dict(MASS_SCAN, state={"n": 200, "l": 0})
+        assert main(["scan", "--config", write_config(tmp_path, config)]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[3] == "ConvergenceFailure"
+        assert all(math.isfinite(float(cell)) for cell in row[:3] + row[4:])
 
     def test_empty_grid_gives_header_only(self, tmp_path, capsys):
         config = self.scan_config()
@@ -452,6 +486,11 @@ class TestReferenceCommand:
         mass = json.loads(capsys.readouterr().out)["mass"]
         state = QuantumState(0, l)
         assert 11.568674 < mass < linear_closed(1.0, 0.2, q_exact(2, state)).mass
+
+
+    def test_coulomb_benchmark_text(self, tmp_path, capsys):
+        assert main(["reference", "--config", write_config(tmp_path, REFERENCE_COULOMB)]) == 0
+        assert capsys.readouterr().out == "reference mass M = 0.844613198 GeV\n"
 
 
 class TestVerifyCommand:

@@ -298,6 +298,25 @@ def test_non_finite_result_raises_domain_error(closed_form, args):
         closed_form(*args)
 
 
+@pytest.mark.parametrize(
+    "closed_form, args, message",
+    [
+        pytest.param(coulomb_closed, (1.0, 0.0, 1.0), "coupling must be positive", id="coulomb-zero-coupling"),
+        pytest.param(coulomb_closed, (1.0, -1.2, 1.0), "coupling must be positive", id="coulomb-negative-coupling"),
+        pytest.param(coulomb_symmetric, (0.0, 1.0, 1.2, 1.0), "need sigma > 0, m >= 0, a > 0", id="sym-sigma"),
+        pytest.param(coulomb_symmetric, (2.0, -1.0, 1.2, 1.0), "need sigma > 0, m >= 0, a > 0", id="sym-mass"),
+        pytest.param(coulomb_symmetric, (2.0, 1.0, 0.0, 1.0), "need sigma > 0, m >= 0, a > 0", id="sym-coupling"),
+        pytest.param(linear_symmetric_massless, (0.0, 0.2, 1.0), "need sigma > 0 and b > 0", id="linear-sym-sigma"),
+        pytest.param(linear_symmetric_massless, (2.0, 0.0, 1.0), "need sigma > 0 and b > 0", id="linear-sym-slope"),
+        pytest.param(linear_ur_expansion, (1.0, 0.0, 1.0), "slope must be positive", id="ur-zero-slope"),
+        pytest.param(linear_nr_expansion, (1.0, -0.2, 1.0), "slope must be positive", id="nr-negative-slope"),
+    ],
+)
+def test_parameters_outside_the_domain_raise_domain_error(closed_form, args, message):
+    with pytest.raises(DomainError, match=message):
+        closed_form(*args)
+
+
 class TestEqualMassReduction:
     def test_coulomb_equal_masses_reduce_to_sigma_two(self):
         for m, a, qv in [(1.0, 1.2, 1.0), (0.5, 0.8, 1.7), (3.0, 1.9, 1.2)]:

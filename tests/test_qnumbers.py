@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from salpeter_afm import (
     UnsupportedCase,
     energy_from_q,
     invert_q,
+    oracle,
     q_exact,
     q_numeric,
 )
@@ -222,6 +224,24 @@ class TestQNumeric:
         # the n = 0 level unconverged at N = 160 beyond l = 69: a typed refusal, no DomainError
         with pytest.raises(ConvergenceFailure, match="stuck"):
             q_numeric(-1.0, QuantumState(0, 85))
+
+    @pytest.mark.parametrize(
+        "l, q_message",
+        [(10**20, "not geometrically decreasing"), (10**50, "whose sign contradicts p=-1")],
+        ids=["1e20", "1e50"],
+    )
+    def test_coulomb_level_of_the_wrong_sign_is_a_convergence_failure(self, l, q_message):
+        # the 3x finer scale puts every basis function near a third of the level's radius, and the rungs
+        # come out positive where the level is -1/(2(l+1)^2): the oracle refuses them, naming the basis
+        state = QuantumState(0, l)
+        where = re.escape(f"l={l:.6g}")
+        basis = rf"level n=0, {where} came out at .*, whose sign contradicts p=-1: the basis of scale h="
+        with pytest.raises(ConvergenceFailure, match=basis):
+            oracle.nr_energy(1.0, 1.0, -1.0, state)
+        with pytest.raises(ConvergenceFailure, match=basis):
+            oracle.nr_eigenvalue(1.0, 1.0, -1.0, state)
+        with pytest.raises(ConvergenceFailure, match=q_message):
+            q_numeric(-1.0, state)
 
     @pytest.mark.parametrize("p", [0.5, -1.0, 2.0])
     def test_n_beyond_the_laguerre_basis_is_a_convergence_failure(self, p):

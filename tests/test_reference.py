@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import scipy.linalg
 import scipy.special
 
 from salpeter_afm import (
+    CollapseDetected,
     ConvergenceFailure,
     DomainError,
     GlobalQ,
@@ -165,6 +167,16 @@ class TestProblemValidation:
         # the r^lam entries, or the products under the square roots of J, would overflow; no warning escapes
         with pytest.raises(DomainError, match="leave the double range"):
             sse_eigenvalue(SseProblem(0.0, 1.0, potential, QuantumState(0, l)))
+
+    def test_quadratic_refusal_at_l_1e250_warns_nothing(self):
+        # every r^lam matrix is formed before the kinetic term, whose p^2/h^2 would overflow at this
+        # scale: the range refusal is the first thing raised, with no numpy warning before it
+        problem = SseProblem(0.0, 1.0, PowerLawPotential(((1.0, 2.0),)), QuantumState(0, 10**250))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                sse_eigenvalue(problem)
+        assert str(info.value) == "Laguerre basis matrices at log10(l+1)=250, N=20 (r^2) leave the double range"
 
     def test_linear_reference_at_l_1e306(self):
         # the ladder stops before the N = 160 rung, whose J would leave the double range; at such l
@@ -491,13 +503,38 @@ class TestEigenvalues:
         assert reference.basis_scale(seed.r0, seed.mass, problem.state, terms, reference._TOL) == (natural, False)
         build = functools.partial(sse_hamiltonian, problem, natural)
         value = sse_eigenvalue(problem)
-        assert value == reference.ladder("reference", build, 0, natural, reference._TOL, math.inf)[0]
+        assert value == reference.ladder("reference", build, 0, natural, reference._TOL, math.inf, 1.0)[0]
         assert value == pytest.approx(pinned, rel=reference._TOL)
 
     def test_pure_coulomb_massless_pair_has_no_scale(self):
         problem = SseProblem(0.0, 0.0, PowerLawPotential.coulomb(0.5), QuantumState(0))
         with pytest.raises(NoBoundState):
             sse_eigenvalue(problem)
+
+    def test_supercritical_coulomb_takes_its_scale_from_q2(self):
+        # -2.5/r collapses at Q(-1) = 1 but not at Q(2) = 3/2, whose radius seeds the basis; the
+        # supercritical rungs then fall without limit, and the ladder refuses them
+        problem = SseProblem(0.0, 1.0, PowerLawPotential.coulomb(2.5), QuantumState(0))
+        seed = solve_afm(0.0, 1.0, problem.potential, q_exact(2, problem.state))
+        assert reference._scale(problem) == (seed.r0 / 3 / 3.0, False)
+        with pytest.raises(ConvergenceFailure, match="not geometrically decreasing"):
+            sse_eigenvalue(problem)
+
+    def test_coulomb_collapsing_at_both_seeds_is_a_collapse(self):
+        with pytest.raises(CollapseDetected, match="r0 -> 0 at Q=1.5"):
+            sse_eigenvalue(SseProblem(0.0, 1.0, PowerLawPotential.coulomb(5.0), QuantumState(0)))
+
+    @pytest.mark.parametrize("sigma", [None, 2.0], ids=["two-mass", "symmetric"])
+    def test_coulomb_at_l_1000_refuses_an_aitken_step_past_its_binding_energy(self, sigma):
+        # the rungs fall to 2 - 1.51e-7 (threshold m1 + m2 = sigma m = 2); their Aitken step, 2.27e-6,
+        # is 15 times that binding energy, for a level at ~2 - 3.59e-7, so the ladder refuses it
+        problem = SseProblem(1.0, 1.0, PowerLawPotential.coulomb(1.2), QuantumState(0, 1000), sigma=sigma)
+        with pytest.raises(ConvergenceFailure, match=r"Aitken correction 2.27e-06 above the binding energy 1.51e-07"):
+            sse_eigenvalue(problem)
+
+    def test_coulomb_benchmark_keeps_its_aitken_limit(self):
+        # its Aitken step, 8.9e-3, is 6 % of the finest rung's binding energy
+        assert sse_eigenvalue(COULOMB) == 0.8446131980862153
 
 
 class TestBoundGap:
@@ -550,8 +587,10 @@ class TestLadder:
     """The one verdict on a ladder, with a stub whose level n = 0 takes scripted values."""
 
     @staticmethod
-    def run(levels, limit):
-        return reference.ladder("stub", lambda size: np.diag(np.full(size, levels[size])), 0, 1.0, 1e-7, limit)
+    def run(levels, limit, threshold=0.0):
+        return reference.ladder(
+            "stub", lambda size: np.diag(np.full(size, levels[size])), 0, 1.0, 1e-7, limit, threshold
+        )
 
     def test_two_agreeing_rungs_return_the_last(self):
         value, error, size = self.run({20: 2.001, 40: 2.0 + 1e-8, 80: 2.0, 160: 1.0}, 1e-7)
@@ -567,6 +606,12 @@ class TestLadder:
     def test_a_correction_beyond_the_limit_raises_naming_the_caller(self):
         with pytest.raises(ConvergenceFailure, match="stub"):
             self.run({20: 1.1, 40: 1.05, 80: 1.025, 160: 1.0125}, 1e-3)
+
+    def test_a_correction_beyond_the_binding_energy_raises(self):
+        # the fall accepted above against a threshold of 0 (binding energy 1.0125) is refused against
+        # 1.01, whose binding energy 0.0025 is below the Aitken correction 0.0125
+        with pytest.raises(ConvergenceFailure, match="stub: level n=0 has an Aitken correction 0.0125 above"):
+            self.run({20: 1.1, 40: 1.05, 80: 1.025, 160: 1.0125}, 0.02, threshold=1.01)
 
     def test_a_fall_with_ratio_1e_5_is_accepted(self):
         value, error, _ = self.run({20: 3.0, 40: 2.0, 80: 1.0 + 1e-5, 160: 1.0}, 1e-7)
@@ -635,7 +680,7 @@ def counting_build(seen):
 
 
 def run_ladder(build, n=0):
-    return reference.ladder("test", build, n, 1.0, reference._TOL, math.inf)
+    return reference.ladder("test", build, n, 1.0, reference._TOL, math.inf, 0.0)
 
 
 @pytest.fixture

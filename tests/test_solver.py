@@ -860,6 +860,12 @@ class TestResiduals:
         res = residuals(shifted, 0.0, 1.0, COULOMB_12, sol.q)
         assert res[2] > 1e-3
 
+    def test_a_power_past_the_double_range_reads_infinite(self):
+        # checked against r^2000 at r0 ~ 4.9, whose power overflows, the mass and virial relations cannot hold
+        sol = solve_afm(0.0, 1.0, COULOMB_12, GlobalQ.explicit(1.0, -1.0))
+        res = residuals(sol, 0.0, 1.0, PowerLawPotential(((1.0, 2000.0),)), sol.q)
+        assert res[0] == res[2] == math.inf
+
 
 class TestRotationRadii:
     def test_equal_masses_split_evenly(self):

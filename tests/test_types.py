@@ -12,6 +12,7 @@ class TestPowerLawPotential:
         funnel = PowerLawPotential.funnel(1.2, 0.2)
         assert funnel.value(2.0) == pytest.approx(-1.2 / 2.0 + 0.2 * 2.0)
         assert funnel.derivative(2.0) == pytest.approx(1.2 / 4.0 + 0.2)
+        assert funnel(2.0) == funnel.value(2.0)  # calling the potential is V(r)
 
     def test_derivative_positive_everywhere(self):
         pot = PowerLawPotential(((0.5, -1.5), (0.1, 0.7), (0.3, 2.0)))
@@ -22,6 +23,7 @@ class TestPowerLawPotential:
         pot = PowerLawPotential.coulomb(1.0)
         r = np.array([0.5, 1.0, 2.0])
         np.testing.assert_allclose(pot.value(r), [-2.0, -1.0, -0.5])
+        np.testing.assert_array_equal(pot(r), pot.value(r))
 
     @pytest.mark.parametrize(
         "terms",

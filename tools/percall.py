@@ -5,10 +5,11 @@ Usage: python tools/percall.py [SRC] [SEED] [PASSES]
 SRC is the source tree to import salpeter_afm from (default: this
 checkout's src), SEED the draw seed (default 1835) and PASSES the number
 of timed passes (default 15).  The draws are those of perfbench's
-afm-sweep workload for the seed: the seeded bound configurations, then
-for each closed-form draw the generic solve of a Coulomb (0, m) and of a
-linear (0, m) configuration.  Each call is timed alone in every pass and
-keeps its fastest time; the mean of those is printed per class as JSON:
+afm-sweep workload for the seed, taken from its AfmSweep class in this
+checkout's perfbench: the seeded bound configurations, then for each
+closed-form draw the generic solve of a Coulomb (0, m) and of a linear
+(0, m) configuration.  Each call is timed alone in every pass and keeps
+its fastest time; the mean of those is printed per class as JSON:
 
 - "lam>=-1": the bound draws with every active exponent >= -1 and the
   linear solves;
@@ -27,25 +28,18 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-BOUND_DRAWS = 2000
-CLOSED_DRAWS = 200
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def draws(seed, verification, GlobalQ, PowerLawPotential):
-    """(class, m1, m2, potential, Q) in afm-sweep's order for the seed."""
-    rng = np.random.default_rng(seed)
+def draws(workloads, seed):
+    """(class, m1, m2, potential, Q) of afm-sweep's generic solves for the seed, in its order."""
+    sweep = workloads.AfmSweep(seed, ".")  # the workload makes no file
     out = []
-    for _ in range(BOUND_DRAWS):
-        m1, m2, potential, qv = verification.random_bound_configuration(rng)
+    for m1, m2, potential, q in sweep.bound:
         steep = any(lam < -1.0 for _, lam in potential.active_terms())
-        out.append(("lam<-1" if steep else "lam>=-1", m1, m2, potential, GlobalQ.explicit(qv)))
-    for _ in range(CLOSED_DRAWS):
-        m, a, qv = verification.random_coulomb_config(rng)
-        out.append(("coulomb", 0.0, m, PowerLawPotential.coulomb(a), GlobalQ.explicit(qv, -1.0)))
-        m, b, qv = verification.random_linear_config(rng)
-        out.append(("lam>=-1", 0.0, m, PowerLawPotential.linear(b), GlobalQ.explicit(qv, 1.0)))
+        out.append(("lam<-1" if steep else "lam>=-1", m1, m2, potential, q))
+    for name, m, _, potential, q in sweep.closed:
+        out.append(("coulomb" if name == "coulomb_closed" else "lam>=-1", 0.0, m, potential, q))
     return out
 
 
@@ -98,14 +92,16 @@ def count_evaluations(package, items):
 
 
 def main(argv):
-    src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
+    src = Path(argv[1]).resolve() if len(argv) > 1 else ROOT / "src"
     seed = int(argv[2]) if len(argv) > 2 else 1835
     passes = int(argv[3]) if len(argv) > 3 else 15
     sys.path.insert(0, str(src))
     import salpeter_afm as package
-    from salpeter_afm import verification
 
-    items = draws(seed, verification, package.GlobalQ, package.PowerLawPotential)
+    sys.path.insert(0, str(ROOT / "perfbench"))  # perfbench's modules import each other from there
+    import workloads
+
+    items = draws(workloads, seed)
     best = [float("inf")] * len(items)
     clock, solve_afm, error = time.perf_counter, package.core.solve_afm, package.AfmError
     for _ in range(passes):
