@@ -5,9 +5,12 @@ so the unit problem is solved once and its energy and radii are rescaled;
 a unit of (mu, rho) outside the double range is a DomainError.  The unit
 problem is Rayleigh-Ritz in the Laguerre basis of :mod:`.reference`: each
 rung N = 20, 40, 80, 160 builds H from the cached unit-scale p_l^2 and r^p
-matrices at the basis scale h and takes level n with one eigvalsh, and the
+matrices at the basis scale h and bisects level n alone, on the reversed
+matrix's tridiagonal at abstol 2 safmin (the eps ||H|| that the subset
+solvers lost came from their abstol 0, not from bisection), and the
 reference's ladder accepts, extrapolates (Aitken) or refuses the rungs, on
-one BLAS thread, as :func:`nr_eigenvalue` also takes its eigenvector.
+one BLAS thread; :func:`nr_eigenvalue` takes its eigenvector from the same
+solver on the finest rung.
 Every rung is an upper bound on the true level.  h puts the n-th basis
 function at the variational radius of the seed Q, and a confining r^p term
 caps it so that the round-off of its matrix stays below the tolerance.
@@ -32,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import core, reference
 from .errors import ConvergenceFailure, DomainError
@@ -161,8 +163,7 @@ def nr_eigenvalue(mu: float, rho: float, p: float, state: QuantumState) -> Radia
     """
     log_energy, log_radius = _log_units(mu, rho, p)
     energy, scale, size = _solve(p, state, _NR_TOL)
-    _, vectors = sla.eigh(reference.nr_hamiltonian(p, state.l, scale, size), subset_by_index=(state.n, state.n))
-    c = vectors[:, 0]
+    _, c = reference._level(reference.nr_hamiltonian(p, state.l, scale, size), state.n, vector=True)
     diag, off = reference.jacobi_matrix(state.l, size)
     mean_x = diag @ c**2 + 2.0 * off @ (c[:-1] * c[1:])  # <r>/h
     x = np.arange(1, _SAMPLES + 1) * (_EXTENT * mean_x * scale / _SAMPLES)

@@ -66,6 +66,7 @@ _CAPPED_TOL = 2e-6  # largest relative Aitken correction accepted on a capped ba
 _CACHE_SIZE = 32  # unit-scale matrices kept per cache: eight ladders of four rungs
 _LOG_MAX = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
+_ABSTOL = 2 * sys.float_info.min  # dstebz's most accurate bisection tolerance
 _LGAMMA_ROUNDING = 1e-9  # the finest relative accuracy the oracle asks of a level
 # extension modules linked to the BLAS that numpy's products and scipy's eigensolvers run on
 _BLAS_MODULES = ("numpy._core._multiarray_umath", "scipy.linalg._flapack")
@@ -261,8 +262,9 @@ def kinetic_matrix(terms: tuple[tuple[float, float], ...], p2: np.ndarray, u: np
 def _rung(kinetic, terms, l: int, scale: float, size: int) -> np.ndarray:
     """kinetic() + sum(sign(lam) alpha h^lam W(lam, l, N)) over the (alpha, lam) terms, added in their order.
 
-    Every W is formed first, so that its range DomainError precedes any
-    overflow of the kinetic term or of a power of the scale h."""
+    Every W is formed first, so that its range DomainError precedes the
+    kinetic term's (:func:`_kinetic_divisor`) and any overflow of the
+    kinetic term or of a power of the scale h."""
     powers = [power_matrix(lam, l, size) for _, lam in terms]
     h = kinetic()
     for (alpha, lam), w in zip(terms, powers):
@@ -270,22 +272,41 @@ def _rung(kinetic, terms, l: int, scale: float, size: int) -> np.ndarray:
     return h
 
 
+def _kinetic_divisor(scale: float, factor: float, top: float) -> float:
+    """factor h^2, by which a unit-scale p_l^2 operator of largest entry ``top`` is divided at
+    basis scale h; DomainError, before the scaled matrix is formed, where factor h^2 is not a
+    normal double or top / (factor h^2) overflows.  The range is checked on float products
+    and quotients, which give inf or 0 where the power would raise OverflowError or a numpy
+    quotient would warn; the value is the power's."""
+    square = factor * scale * scale
+    if not (sys.float_info.min <= square <= sys.float_info.max and float(top) / square < math.inf):
+        raise DomainError(f"the kinetic term at basis scale h={scale:.6g} leaves the double range")
+    return factor * scale**2
+
+
 def sse_hamiltonian(problem: SseProblem, scale: float, size: int) -> np.ndarray:
-    """Symmetric Hamiltonian matrix in the first ``size`` basis functions of scale h."""
+    """Symmetric Hamiltonian matrix in the first ``size`` basis functions of scale h; DomainError
+    where the p_l^2 matrix at scale h would leave the double range."""
     masses = ((1.0, problem.m1), (1.0, problem.m2)) if problem.sigma is None else ((problem.sigma, problem.m1),)
     l = problem.state.l
 
     def kinetic():
         p2, u = _psq_spectrum(l, size)
-        return kinetic_matrix(masses, p2 / scale**2, u)
+        return kinetic_matrix(masses, p2 / _kinetic_divisor(scale, 1.0, p2.max()), u)
 
     h = _rung(kinetic, problem.potential.active_terms(), l, scale, size)
     return 0.5 * (h + h.T)
 
 
 def nr_hamiltonian(p: float, l: int, scale: float, size: int) -> np.ndarray:
-    """p_l^2/2 + sign(p)*r^p in the first ``size`` basis functions of scale h."""
-    return _rung(lambda: psq_matrix(l, size) / (2.0 * scale**2), ((1.0, p),), l, scale, size)
+    """p_l^2/2 + sign(p)*r^p in the first ``size`` basis functions of scale h; DomainError where
+    the p_l^2/2 matrix at scale h would leave the double range."""
+
+    def kinetic():  # P is positive semidefinite: its largest entry is on the diagonal
+        psq = psq_matrix(l, size)
+        return psq / _kinetic_divisor(scale, 2.0, psq.diagonal().max())
+
+    return _rung(kinetic, ((1.0, p),), l, scale, size)
 
 
 def basis_scale(radius: float, energy: float, state: QuantumState, terms, tol: float) -> tuple[float, bool]:
@@ -392,6 +413,33 @@ class _OneBlasThread(contextlib.ContextDecorator):
 _one_blas_thread = _OneBlasThread()
 
 
+def _level(h: np.ndarray, n: int, *, vector: bool = False):
+    """Level n of the symmetric matrix h, or (level, unit eigenvector) with ``vector``.
+
+    p_l^2 grows like k and r^lam like k^lam down the diagonal, so h is
+    reversed and LAPACK dsyevx reduces its lower triangle to a tridiagonal
+    graded downward (dsytrd), bisects level n alone (dstebz) and, with
+    ``vector``, takes its eigenvector by inverse iteration (dstein).  At
+    abstol 2 safmin, LAPACK's most accurate setting, bisection keeps a
+    graded matrix's low levels to high relative accuracy (Barlow and Demmel,
+    SIAM J. Numer. Anal. 27 (1990) 762): within 2.1e-14 of a QR solve of all
+    N levels on the steep rungs.  At abstol 0 it stops at eps ||T||, up to
+    2e-7 off at a steep confining term's capped scale; that, not bisection,
+    is what the subset solvers lost.  DomainError where h is not finite;
+    ConvergenceFailure where LAPACK does not return the one level.
+    """
+    size = len(h)
+    if not np.isfinite(h).all():
+        raise DomainError(f"the N={size} Hamiltonian matrix leaves the double range")
+    w, z, found, _, info = sla.lapack.dsyevx(
+        h[::-1, ::-1], compute_v=int(vector), range="I", lower=1, il=n + 1, iu=n + 1,
+        abstol=_ABSTOL, lwork=int(sla.lapack.dsyevx_lwork(size, lower=1)[0]),
+    )
+    if info != 0 or found != 1:
+        raise ConvergenceFailure(f"level n={n} of the N={size} matrix: dsyevx returned info={info}, {found} levels")
+    return (float(w[0]), z[::-1, 0]) if vector else float(w[0])
+
+
 def _aitken(values: list[float]) -> float:
     d1, d2 = values[0] - values[1], values[1] - values[2]
     if not (d1 > 0 and d2 > 0 and d2 / d1 < 0.98):
@@ -423,10 +471,9 @@ def ladder(
     log = logging.getLogger(f"{__package__}.{name}")
     values = []
     for size in (s for s in _SIZES if s > n):
-        # p_l^2 grows like k and r^lam like k^lam down the diagonal.  Reversed, the matrix is graded
-        # downward, where the QR solve keeps a low level to ~eps |x|^T |H| |x|; the subset solvers
-        # lose eps ||H||, up to 2e-7 at a steep confining term's capped scale
-        values.append(float(sla.eigvalsh(build(size)[::-1, ::-1], driver="ev")[n]))
+        # level n alone, bisected on the reversed matrix's graded tridiagonal at abstol 2 safmin; the
+        # eps ||H|| that the subset solvers lost came from their abstol 0, not from bisection
+        values.append(_level(build(size), n))
         log.debug("%s rung N=%d h=%.9g value=%.12g", name, size, scale, values[-1])
         if len(values) > 1 and abs(values[-1] - values[-2]) <= tol * abs(values[-1]):
             log.debug("%s converged: %.12g, error estimate %.3g", name, values[-1], values[-2] - values[-1])

@@ -146,30 +146,33 @@ class TestExtremeUnits:
         assert np.all(np.isfinite(pair.amplitudes)) and np.max(pair.amplitudes) > 0.0
 
 
-def counting(monkeypatch, *names):
-    """Record the matrix size of every scipy.linalg call of the given names."""
+def counting(monkeypatch):
+    """Record the matrix size of every dense scipy.linalg eigvalsh and eigh call, as ("eigvalsh", N)
+    and ("eigh", N), and of every LAPACK dsyevx call, as ("level", N) or, with its vector, ("pair", N)."""
     calls = []
-    for name in names:
-        real = getattr(scipy.linalg, name)
+    for module, name in ((scipy.linalg, "eigvalsh"), (scipy.linalg, "eigh"), (scipy.linalg.lapack, "dsyevx")):
+        real = getattr(module, name)
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append((_name, args[0].shape[0]))
-            return _real(*args, **kwargs)
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            if _name == "dsyevx":
+                _name = "pair" if kwargs.get("compute_v", 1) else "level"
+            calls.append((_name, a.shape[0]))
+            return _real(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
 class TestLaguerreLadder:
-    def test_one_eigvalsh_per_rung_and_one_eigh_per_eigenpair(self, monkeypatch):
-        calls = counting(monkeypatch, "eigh", "eigvalsh")
+    def test_one_level_per_rung_and_one_eigenpair_at_the_finest_rung(self, monkeypatch):
+        calls = counting(monkeypatch)
         oracle.nr_energy(1.0, 1.0, -1.0, QuantumState(3, 0))
         rungs = [size for _, size in calls]
-        assert calls == [("eigvalsh", size) for size in rungs]
+        assert calls == [("level", size) for size in rungs]
         assert rungs == list(reference._SIZES[: len(rungs)]) and len(rungs) >= 2
         calls.clear()
         nr_eigenvalue(1.0, 1.0, -1.0, QuantumState(3, 0))
-        assert calls == [("eigvalsh", size) for size in rungs] + [("eigh", rungs[-1])]
+        assert calls == [("level", size) for size in rungs] + [("pair", rungs[-1])]
 
     def test_debug_record_per_rung_and_rungs_bound_the_level(self, caplog):
         # hydrogen 2s: E = -1/8; Rayleigh-Ritz rungs lie above it and fall

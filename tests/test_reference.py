@@ -178,6 +178,30 @@ class TestProblemValidation:
                 sse_eigenvalue(problem)
         assert str(info.value) == "Laguerre basis matrices at log10(l+1)=250, N=20 (r^2) leave the double range"
 
+    @pytest.mark.parametrize(
+        "alpha, h", [(1e-300, "1.10064e+200"), (1e300, "1.10064e-200"), (4e230, "2.0274e-154")],
+        ids=["square-overflows", "square-underflows", "p2-over-square-overflows"],
+    )
+    def test_a_basis_scale_whose_kinetic_term_leaves_the_double_range_is_a_domain_error(self, alpha, h):
+        # at masses (0, 1e-300) h^2 of alpha r^0.5 overflows, underflows to 0, or is a normal double
+        # that the largest p_l^2 eigenvalue over h^2 overflows; the refusal names h before the kinetic
+        # term is formed, with no warning before it
+        problem = SseProblem(0.0, 1e-300, PowerLawPotential(((alpha, 0.5),)), QuantumState(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                sse_eigenvalue(problem)
+        assert str(info.value) == f"the kinetic term at basis scale h={h} leaves the double range"
+
+    @pytest.mark.parametrize("scale", [1e-155, 1.2e-154, 1e155])
+    def test_an_oracle_scale_whose_kinetic_term_leaves_the_double_range_is_a_domain_error(self, scale):
+        # 2 h^2 underflows, is normal but P/(2 h^2) overflows (the largest entry of P is 6.58), or overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                reference.nr_hamiltonian(1.0, 0, scale, 20)
+        assert str(info.value) == f"the kinetic term at basis scale h={scale:.6g} leaves the double range"
+
     def test_linear_reference_at_l_1e306(self):
         # the ladder stops before the N = 160 rung, whose J would leave the double range; at such l
         # both kinetic terms are ~ l/r, and the level is the minimum of 2l/r + b r, 2 sqrt(2 b l)
@@ -366,13 +390,13 @@ class TestOperatorConstruction:
     def test_one_decomposition_per_rung_for_two_masses(self, monkeypatch):
         # the near-critical Coulomb level climbs the whole ladder: from cold caches one tridiagonal
         # p_l^2 decomposition per (l, N), shared by both masses and by a later l = 0 problem,
-        # and no dense eigh
+        # one dsyevx level per rung and no dense eigvalsh or eigh
         reference._psq_spectrum.cache_clear()
         reference.power_matrix.cache_clear()
-        calls = {"eigh": [], "eigh_tridiagonal": [], "eigvalsh": []}
+        calls = {"eigh": [], "eigh_tridiagonal": [], "eigvalsh": [], "dsyevx": []}
 
-        def counting(name):
-            real = getattr(scipy.linalg, name)
+        def counting(module, name):
+            real = getattr(module, name)
 
             def solve(a, *args, **kwargs):
                 calls[name].append(len(a))
@@ -381,18 +405,19 @@ class TestOperatorConstruction:
             return solve
 
         for name in calls:
-            monkeypatch.setattr(scipy.linalg, name, counting(name))
+            module = scipy.linalg.lapack if name == "dsyevx" else scipy.linalg
+            monkeypatch.setattr(module, name, counting(module, name))
         assert sse_eigenvalue(COULOMB) == pytest.approx(PINNED["coulomb"], rel=1e-10)
         assert calls["eigh_tridiagonal"] == [20, 40, 80, 160]
-        assert calls["eigvalsh"] == calls["eigh_tridiagonal"]
-        assert calls["eigh"] == []
+        assert calls["dsyevx"] == calls["eigh_tridiagonal"]
+        assert calls["eigvalsh"] == calls["eigh"] == []
         for sizes in calls.values():
             sizes.clear()
         assert sse_eigenvalue(SseProblem(0.0, 0.5, LINEAR, QuantumState(0))) == pytest.approx(
             CRITERION_3_VALUES[0][5], rel=1e-10
         )
-        assert calls["eigh_tridiagonal"] == calls["eigh"] == []
-        assert len(calls["eigvalsh"]) >= 2
+        assert calls["eigh_tridiagonal"] == calls["eigvalsh"] == calls["eigh"] == []
+        assert len(calls["dsyevx"]) >= 2
 
     def test_sigma_two_equals_equal_mass_two_body(self):
         two_mass = SseProblem(0.8, 0.8, LINEAR, QuantumState(0))
@@ -532,9 +557,24 @@ class TestEigenvalues:
         with pytest.raises(ConvergenceFailure, match=r"Aitken correction 2.27e-06 above the binding energy 1.51e-07"):
             sse_eigenvalue(problem)
 
+    @pytest.mark.parametrize(
+        "problem",
+        [SseProblem(0.0, 1.0, PowerLawPotential(((0.2, lam),)), QuantumState(0)) for lam in (4.0, 4.5, 6.0, 8.0)]
+        + [COULOMB],
+        ids=["r^4", "r^4.5", "r^6", "r^8", "coulomb"],
+    )
+    def test_bisected_rungs_match_a_qr_solve_of_every_level(self, problem):
+        # bisection at abstol 2 safmin keeps these graded rungs to high relative accuracy; at abstol 0
+        # the same rungs are off by up to 3.3e-8
+        scale, n = reference._scale(problem)[0], problem.state.n
+        for size in (80, 160):
+            h = sse_hamiltonian(problem, scale, size)
+            qr = scipy.linalg.eigvalsh(h[::-1, ::-1], driver="ev")[n]
+            assert reference._level(h, n) == pytest.approx(qr, rel=1e-13, abs=0.0)
+
     def test_coulomb_benchmark_keeps_its_aitken_limit(self):
         # its Aitken step, 8.9e-3, is 6 % of the finest rung's binding energy
-        assert sse_eigenvalue(COULOMB) == 0.8446131980862153
+        assert sse_eigenvalue(COULOMB) == 0.8446131980862305
 
 
 class TestBoundGap:
@@ -779,13 +819,14 @@ class TestOneBlasThread:
         assert blas_counts() == two_blas_threads
 
     def test_the_eigenvector_of_nr_eigenvalue(self, two_blas_threads, monkeypatch):
-        seen, eigh = [], scipy.linalg.eigh
+        seen, dsyevx = [], scipy.linalg.lapack.dsyevx
 
-        def counting_eigh(*args, **kwargs):
-            seen.append(blas_counts())
-            return eigh(*args, **kwargs)
+        def counting_dsyevx(*args, **kwargs):
+            if kwargs.get("compute_v"):
+                seen.append(blas_counts())
+            return dsyevx(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevx", counting_dsyevx)
         oracle.nr_eigenvalue(1.0, 1.0, 1.5, QuantumState(2, 1))
         assert seen == [[1] * len(two_blas_threads)]
         assert blas_counts() == two_blas_threads
