@@ -3,9 +3,10 @@
 Public surface: the auxiliary-field solver and closed forms (:mod:`.core`),
 the nonrelativistic radial oracle (:mod:`.oracle`), the semirelativistic
 reference eigensolver (:mod:`.reference`), and the shared domain types.
-The oracle and the reference need numpy and scipy; their names are resolved
-on first access (PEP 562), so importing the package or :mod:`.core` loads
-neither.
+The oracle and the reference need numpy; their names are resolved on first
+access (PEP 562), so importing the package or :mod:`.core` loads no numpy.
+scipy is loaded by the first ladder (a reference level or a numeric Q), not
+by importing or resolving any name.
 """
 import importlib
 
@@ -41,7 +42,7 @@ from .types import (
 
 __version__ = "0.1.0"
 
-# name -> the scipy-backed module that defines it, imported on first access
+# name -> the numpy-backed module that defines it, imported on first access
 _LAZY = {
     **dict.fromkeys(
         ("RadialEigenpair", "afm_eigenstate", "energy_from_q", "invert_q", "nr_eigenvalue"),

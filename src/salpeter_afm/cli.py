@@ -5,10 +5,15 @@ it; all quantities are GeV-based natural units.  Exit codes: 0 success,
 1 verification failure, 2 domain error (any AfmError: no bound state,
 collapse, no convergence, ...), 3 bad configuration or usage.
 
-The oracle, the reference and the verification suites, and with them numpy
-and scipy, are imported by the first verb that needs them; ``bound`` with an
-explicit Q or an analytic one (p = 2, 1 or -1), the ``scan`` sweeps without
-the reference column and the analytic ``qtable`` run on floats alone.
+The oracle, the reference and the verification suites are imported by the
+first verb that needs them, and numpy and scipy by the first call that does:
+``bound`` with an explicit Q or an analytic one (p = 2, 1 or -1), the ``scan``
+sweeps without the reference column, the analytic ``qtable`` and ``verify``
+of the ``windows`` and ``linear-limits`` suites run on floats alone; the
+``closed-forms`` and ``residuals`` suites draw their configurations with
+numpy; scipy is loaded by the first ladder: ``reference``, the reference
+column of a mass ``scan``, a numeric Q and the ``coulomb-paper``, ``bounds``
+and ``qtable`` suites.
 """
 from __future__ import annotations
 
@@ -302,7 +307,7 @@ def _scan_mass(config: dict, potential: PowerLawPotential, values: list[float], 
         row.append(_fmt(core.linear_closed_mass(m, b, q1)) if q1 is not None else "n/a")
         row.append(_fmt(core.linear_closed_mass(m, b, q2)))
         if include_ref:
-            from . import reference  # imports scipy, which the other columns do without
+            from . import reference  # numpy, and scipy at its ladder, which the other columns do without
 
             try:
                 problem = reference.SseProblem(0.0, m, potential, state)

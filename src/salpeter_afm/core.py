@@ -113,7 +113,7 @@ def q_numeric(
     double range: p = 2 past l ~ 3e153, p = -1 past Q ~ 1.3e154, p = 1 past
     l ~ 1e306.
     """
-    from . import oracle  # imports numpy and scipy: loaded here, so the solver itself runs on floats alone
+    from . import oracle  # numpy, and scipy at its ladder: loaded here, so the solver itself runs on floats alone
 
     oracle.check_args(mu, rho, p)
     # dQ/Q = |(p+2)/(2p)| * deps/eps

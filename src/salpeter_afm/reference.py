@@ -37,9 +37,12 @@ matrix) would leave the double range: N = 160 past l ~ 5.6e305.
 Every ladder runs on one BLAS thread: the rung products and eigensolves are
 small (N <= 160), and waking a second OpenBLAS thread for each costs more
 than it saves.  The thread counts of the OpenBLAS copies that numpy and
-scipy loaded are set to 1 on entry and put back on exit, also when the
+scipy load are set to 1 on entry and put back on exit, also when the
 ladder raises; where no such control is found (another BLAS), nothing is
-changed.
+changed.  scipy is not imported with this module: the four functions that
+call it import it where they run, and the first ladder of a process loads
+scipy.linalg before it looks up those controls, so a process that runs no
+ladder loads no scipy.
 """
 from __future__ import annotations
 
@@ -53,8 +56,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy import special
 
 from . import core
 from .errors import CollapseDetected, ConvergenceFailure, DomainError, NoBoundState
@@ -106,6 +107,8 @@ class SseProblem:
 def basis_functions(l: int, scale: float, size: int, radii: np.ndarray) -> np.ndarray:
     """chi_k(r) for k < size at the given radii, one row per radius, by the
     three-term recurrence of the normalised L_k^(2l+2)."""
+    from scipy import special
+
     x = radii / scale
     alpha = 2 * l + 2
     phi = np.zeros((len(x), size))
@@ -184,6 +187,8 @@ def _connection_power(lam: float, l: int, size: int) -> np.ndarray:
     at large l.  Each log-Gamma term of argument up to t rounds by ~eps t ln t,
     and so does each entry: DomainError where that passes 1e-9 (l >~ 1.6e5),
     as the entries would then be wrong by more than the oracle's tolerance."""
+    from scipy import special
+
     alpha = 2 * l + 2
     top = size + alpha + math.ceil(abs(lam))  # the largest argument, an int: no float overflow at any l
     if top > _LGAMMA_ROUNDING / (_EPS * math.log(top)):
@@ -242,6 +247,8 @@ def _psq_spectrum(l: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     + (k+1)/(k+l+2), without the second term on the last row, and its
     off-diagonal -sqrt((k+1)(k+2l+3))/(k+l+2).  Each of its eigenpairs
     (mu, u) is an eigenpair (1/mu - 1/4, u) of P."""
+    import scipy.linalg as sla
+
     _check_jacobi_range(l, size)
     k = np.arange(size, dtype=float)
     diag = (k + 2 * l + 2) / (k + l + 1)
@@ -359,7 +366,12 @@ def _scale(problem: SseProblem) -> tuple[float, bool]:
 def _blas_controls() -> tuple:
     """(get, set) thread count functions of the OpenBLAS each of :data:`_BLAS_MODULES`
     loaded, found with dlsym on the loaded extension module, which also
-    searches the libraries it links; () where there is none."""
+    searches the libraries it links; () where there is none.  The result is cached,
+    so scipy.linalg is loaded first: the first ladder of a process enters before
+    its first eigensolve imports scipy, and an OpenBLAS missed then would stay on
+    every thread for the life of the process."""
+    import scipy.linalg  # loads scipy.linalg._flapack, one of _BLAS_MODULES
+
     controls = []
     for name in _BLAS_MODULES:
         path = getattr(sys.modules.get(name), "__file__", None)
@@ -428,6 +440,8 @@ def _level(h: np.ndarray, n: int, *, vector: bool = False):
     is what the subset solvers lost.  DomainError where h is not finite;
     ConvergenceFailure where LAPACK does not return the one level.
     """
+    import scipy.linalg as sla
+
     size = len(h)
     if not np.isfinite(h).all():
         raise DomainError(f"the N={size} Hamiltonian matrix leaves the double range")

@@ -110,12 +110,20 @@ class QuantumState:
     l: int = 0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 0:
-            raise ValueError(f"n must be a non-negative integer, got {self.n}")
-        if int(self.l) != self.l or self.l < 0:
-            raise ValueError(f"l must be a non-negative integer, got {self.l}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "l", int(self.l))
+        object.__setattr__(self, "n", _non_negative_int("n", self.n))
+        object.__setattr__(self, "l", _non_negative_int("l", self.l))
+
+
+def _non_negative_int(name: str, value) -> int:
+    """value as an int, of any size; ValueError where it is not a non-negative
+    integer, also for nan and +-inf, which int() refuses with errors of its own."""
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # +-inf; nan or a string that is no integer
+        whole = None
+    if whole != value or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
+    return whole
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,23 @@
 """Named verification suites: quoted benchmark values, bound checks, and invariants.
 
 Each check returns a :class:`CheckResult`; suites bundle related checks so the
-command line and the test suite share one implementation.
+command line and the test suite share one implementation.  Each check imports
+what it needs where it runs: the two that run a reference ladder import
+:mod:`.reference` (numpy, and scipy at the first eigensolve), and the three
+that draw random configurations import numpy, so ``windows`` and
+``linear-limits`` load neither library.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import core, reference
+from . import core
 from .errors import CollapseDetected, NoBoundState
 from .types import GlobalQ, PowerLawPotential, QuantumState
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Benchmark numbers for the heavy-light Coulomb system at a = 1.2, Q = 1:
 # the variational mass ratio and the accurate numerical one.
@@ -73,6 +79,8 @@ def check_coulomb_afm_value() -> list[CheckResult]:
 
 
 def check_coulomb_reference_value() -> list[CheckResult]:
+    from . import reference
+
     problem = reference.SseProblem(0.0, 1.0, PowerLawPotential.coulomb(1.2), QuantumState(0, 0))
     mass = reference.sse_eigenvalue(problem)
     return [_within("coulomb-reference-mass-ratio", mass, COULOMB_REF_RATIO, 3e-3)]
@@ -83,6 +91,8 @@ def check_coulomb_reference_value() -> list[CheckResult]:
 
 
 def check_upper_bound_suite() -> list[CheckResult]:
+    from . import reference
+
     potential = PowerLawPotential.linear(0.2)
     results = []
     for n in (0, 1):
@@ -120,6 +130,8 @@ def random_linear_config(rng: np.random.Generator) -> tuple[float, float, float]
 
 
 def check_closed_form_equivalence() -> list[CheckResult]:
+    import numpy as np
+
     # each closed form: its name, sampler, function, potential and exponent p
     pairs = (
         ("coulomb", random_coulomb_config, core.coulomb_closed, PowerLawPotential.coulomb, -1.0),
@@ -233,6 +245,8 @@ def random_bound_configuration(rng: np.random.Generator):
 
 
 def check_residual_property() -> list[CheckResult]:
+    import numpy as np
+
     rng = np.random.default_rng(SEED)
     worst = [0.0, 0.0, 0.0]
     worst_split = 0.0
@@ -261,6 +275,8 @@ def check_residual_property() -> list[CheckResult]:
 
 
 def check_symmetric_reduction() -> list[CheckResult]:
+    import numpy as np
+
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for i in range(20):

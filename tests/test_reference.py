@@ -831,6 +831,47 @@ class TestOneBlasThread:
         assert seen == [[1] * len(two_blas_threads)]
         assert blas_counts() == two_blas_threads
 
+    # In a fresh interpreter, with every OpenBLAS at up to two threads: "ladder" runs one oracle ladder
+    # in a process that has not loaded scipy and prints how many controls the ladder pinned, how many
+    # there are once it has run, and the counts at each rung and after it; "fresh" prints the counts
+    # of a process that runs no ladder.
+    FIRST_LADDER = (
+        "import json, sys\n"
+        "from salpeter_afm import QuantumState, core, reference\n"
+        "if sys.argv[1] == 'fresh':\n"
+        "    print(json.dumps([get() for get, _ in reference._blas_controls()]))\n"
+        "    raise SystemExit\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "level, rungs = reference._level, []\n"
+        "def counting_level(h, n, **options):\n"
+        "    value = level(h, n, **options)  # scipy.linalg is loaded by now\n"
+        "    rungs.append([get() for get, _ in reference._blas_controls.__wrapped__()])\n"
+        "    return value\n"
+        "reference._level = counting_level\n"
+        "core.q_numeric(0.5, QuantumState(0, 0))\n"
+        "controls = reference._blas_controls.__wrapped__()\n"
+        "print(json.dumps({'pinned': len(reference._blas_controls()), 'loaded': len(controls), 'rungs': rungs,\n"
+        "                  'after': [get() for get, _ in controls]}))\n"
+    )
+
+    def test_the_first_ladder_of_a_process_that_has_not_loaded_scipy(self):
+        # the ladder enters before its first eigensolve imports scipy.linalg; the controls it looks
+        # up then must include scipy's OpenBLAS, or that library stays on every thread for good
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=str(SRC))
+
+        def child(mode):
+            run = subprocess.run([sys.executable, "-c", self.FIRST_LADDER, mode], env=env,
+                                 capture_output=True, text=True, timeout=120, check=True)
+            return json.loads(run.stdout)
+
+        fresh = child("fresh")
+        if not fresh:
+            pytest.skip("no OpenBLAS thread control in this process")
+        first = child("ladder")
+        assert first["pinned"] == first["loaded"] == len(fresh)
+        assert first["rungs"] and all(counts == [1] * len(fresh) for counts in first["rungs"])
+        assert first["after"] == fresh
+
     def test_without_a_control_nothing_changes_and_every_pinned_value_holds(self, two_blas_threads, monkeypatch):
         # the path of a BLAS without a control (MKL, Accelerate): the counts stay, and the pinned
         # reference and oracle values, built afresh, are the same doubles on two threads as on one

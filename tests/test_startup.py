@@ -1,14 +1,17 @@
 """What a fresh interpreter loads: the `bound` verb (with any exponents), the
-scan sweeps without the reference column, the analytic `qtable` and the core
-solver run on floats alone, numpy loads where an array is needed, and the
-scipy-backed names load on first use.  Each check runs in its own
-subprocess, since this test process has long imported numpy and scipy; it
-asserts on sys.modules, never on times."""
+scan sweeps without the reference column, the analytic `qtable`, the
+`windows` and `linear-limits` suites and the core solver run on floats alone,
+numpy loads where an array is needed, the oracle, the reference and the
+verification suites load without scipy, and scipy loads at the first ladder.
+Each check runs in its own subprocess, since this test process has long
+imported numpy and scipy; it asserts on sys.modules, never on times."""
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -78,10 +81,10 @@ for config in sys.argv[1:3]:
         assert cli.main(["bound", "--config", config, *flags]) == 0
         assert not array_modules(), array_modules()
 assert "argparse" not in sys.modules  # the command line is read from the VERBS table
-assert cli.main(["reference", "--config", sys.argv[3]]) == 0
-assert "numpy" in sys.modules
 assert cli.main(["verify", "--suite", "windows"]) == 0
-assert "scipy" in sys.modules
+assert not array_modules(), array_modules()
+assert cli.main(["reference", "--config", sys.argv[3]]) == 0
+assert "numpy" in sys.modules and "scipy.linalg" in sys.modules
 """
 
 # one verb on the configuration given, after which neither numpy nor scipy is loaded
@@ -110,11 +113,13 @@ import sys
 from salpeter_afm import QuantumState, core
 
 assert 1.0 < core.q_numeric(0.5, QuantumState(0, 0)).value < 1.5
+assert "scipy.linalg" in sys.modules
 unused = sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.fft")))
 assert not unused, unused
 """
 
-SURFACE = """
+# every public name resolves, and neither they nor the oracle, the reference and the verification suites load scipy
+SURFACE = ARRAY_MODULES + """
 import salpeter_afm
 
 names = salpeter_afm.__all__
@@ -132,6 +137,19 @@ except AttributeError as err:
     assert "no_such_name" in str(err)
 else:
     raise AssertionError("an unknown attribute resolved")
+from salpeter_afm import oracle, reference, verification
+
+assert "numpy" in sys.modules
+assert not [m for m in array_modules() if m.startswith("scipy")], array_modules()
+"""
+
+
+# one verify suite, after which the roots of the array modules loaded are printed
+VERIFY_SUITE = ARRAY_MODULES + """
+import salpeter_afm.cli as cli
+
+assert cli.main(["verify", "--suite", sys.argv[1]]) == 0
+print(sorted({m.split(".")[0] for m in array_modules()} | ({"scipy.linalg"} & set(sys.modules))))
 """
 
 
@@ -206,3 +224,19 @@ def test_steep_bound_imports_neither_numpy_nor_scipy(tmp_path):
 def test_array_paths_load_numpy_when_they_run(tmp_path):
     run = _python(LAZY_ARRAYS, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize(
+    "suite,loaded",
+    [
+        ("windows", []),
+        ("linear-limits", []),
+        ("closed-forms", ["numpy"]),
+        ("residuals", ["numpy"]),
+        ("coulomb-paper", ["numpy", "scipy", "scipy.linalg"]),
+    ],
+)
+def test_verify_suites_load_what_their_checks_use(tmp_path, suite, loaded):
+    run = _python(VERIFY_SUITE, suite, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == repr(loaded)

@@ -107,6 +107,13 @@ class TestQuantumState:
         with pytest.raises(ValueError):
             QuantumState(n, l)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["n", "l"])
+    def test_rejects_non_finite_numbers_with_its_own_error(self, name, value):
+        # int() alone raises OverflowError on +-inf and its own ValueError on nan
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got {value}$"):
+            QuantumState(**{"n": 0, name: value})
+
 
 class TestGlobalQ:
     def test_sources(self):
