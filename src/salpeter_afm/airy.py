@@ -35,21 +35,11 @@ def _asymptotic_zero(index: int) -> float:
 def airy_ai_zero(index: int) -> float:
     """Zero a_(index+1) of Ai, the (index+1)-th on the negative real axis.
 
-    The tabulated value for index < 10, the asymptotic series beyond; the
-    cost does not grow with index.
+    The tabulated value for index < 10, the asymptotic series beyond (DLMF
+    9.9.6 and 9.9.18), at machine precision there; the cost does not grow
+    with index, and neither needs scipy.
     """
     if index < 0:
         raise ValueError("index must be >= 0")
     return _TABLE[index] if index < len(_TABLE) else _asymptotic_zero(index)
 
-
-def airy_ai_zeros(count: int = 10) -> tuple[float, ...]:
-    """First ``count`` zeros of Ai on the negative real axis.
-
-    The first ten are tabulated, the rest come from the asymptotic series
-    (DLMF 9.9.6 and 9.9.18), which is at machine precision there; neither
-    needs scipy.  Values are negative and ordered by increasing magnitude.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return tuple(airy_ai_zero(i) for i in range(count))

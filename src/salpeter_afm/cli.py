@@ -206,8 +206,7 @@ def cmd_bound(config: dict) -> int:
         return 2
     res = core.residuals(sol, m1, m2, potential, q)
     r1, r2 = core.rotation_radii(sol)
-    cert = core.concavity_certificate(potential, q.p) if q.p is not None else None
-    reason = cert.reason if cert is not None else "not_certified"
+    reason = core.concavity_certificate(potential, q.p).reason
     if config.get("format") == "json":
         record = {
             "mass": sol.mass,

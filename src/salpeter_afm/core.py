@@ -131,13 +131,14 @@ def _resolve_q(q: GlobalQ | float) -> GlobalQ:
 # certificates
 
 
-def concavity_certificate(potential: PowerLawPotential, p: float) -> BoundCertificate:
+def concavity_certificate(potential: PowerLawPotential, p: float | None) -> BoundCertificate:
     """Certify the upper-bound property of the auxiliary exponent p.
 
     Writing V(x) = g(sign(p) x^p), the mass is an upper bound when g is
     concave.  For a term sign(lam) alpha r^lam this reduces to
     sign(lam) * (lam/p) * (lam/p - 1) <= 0, applied termwise; a sum of
     concave terms is concave, so the test is sufficient but not necessary.
+    Without p (None, an explicit Q given alone) nothing is certified.
     """
     terms = potential.active_terms()
     if not _certified(terms, p):
@@ -586,11 +587,11 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     estimate = _root_estimate(terms, c, e, qv, k1, k2, window) if monotone else None
     xa, xb, fa, fb = _bracket_root(balance, window, qv, estimate, terms, k1, k2)
     r0 = _brent(balance, xa, xb, xtol=1e-20 * xa, rtol=1e-15, fa=fa, fb=fb)
-    return _assemble(m1, m2, terms, q, r0)
+    return _assemble(m1, m2, potential, q, r0)
 
 
-def _assemble(m1, m2, terms, q: GlobalQ, r0: float) -> AfmSolution:
-    """The solution at r0, M = nu1 + nu2 + V(r0) in floats over the active terms.
+def _assemble(m1, m2, potential: PowerLawPotential, q: GlobalQ, r0: float) -> AfmSolution:
+    """The solution at r0, M = nu1 + nu2 + V(r0) with V(r0) from ``potential.value``'s float sum.
 
     The virial residual is checked first: above 1e-10 the balance lost its
     digits at r0 (a power subnormal or 0 while its product is not), or Brent
@@ -601,17 +602,14 @@ def _assemble(m1, m2, terms, q: GlobalQ, r0: float) -> AfmSolution:
         raise DomainError(f"the momentum Q/r0 at r0={r0:g} underflows the double range")
     nu1 = math.hypot(p0, m1)
     nu2 = math.hypot(p0, m2)
-    if not _virial_residual(terms, r0, p0, nu1, nu2) <= 1e-10:
+    if not _virial_residual(potential.terms, r0, p0, nu1, nu2) <= 1e-10:
         raise DomainError(f"virial balance is not representable near the root (r0={r0:g})")
-    v0 = 0.0
-    for a, lam in terms:  # _virial_residual has formed these powers: none overflows
-        v0 += math.copysign(1.0, lam) * a * r0**lam
-    mass = nu1 + nu2 + v0
+    mass = nu1 + nu2 + potential.value(r0)
     if not math.isfinite(mass):
         raise DomainError(f"the mass at r0={r0:g} exceeds the double range")
     if mass <= 0.0:
         raise CollapseDetected(f"solution at r0={r0:g} has nonpositive mass {mass:g}")
-    return _trusted_solution(r0, p0, nu1, nu2, mass, q, _certified(terms, q.p))
+    return _trusted_solution(r0, p0, nu1, nu2, mass, q, _certified(potential.terms, q.p))
 
 
 # ---------------------------------------------------------------------------
@@ -646,14 +644,20 @@ def coulomb_closed(m: float, a: float, q: GlobalQ | float) -> AfmSolution:
     # r0 = (Q/m) sqrt(a (2Q - a))/(a - Q) = (Q/m) sqrt(2u - 1)/(1 - u), u = Q/a, whose a (2Q - a) would leave the
     # double range; 2u - 1 and 1 - u are taken as (Q - a/2)/a and (a - Q)/a, each difference exact (Sterbenz)
     r0 = (qv / m) * math.sqrt(2.0 * ((qv - 0.5 * a) / a)) / ((a - qv) / a)
-    p0 = qv / r0 if r0 else math.inf
+    x = 0.5 * (a / qv)  # a/(2Q), whose 2Q would overflow for Q above half the largest double
+    mass = m * (2.0 * math.sqrt(x * (1.0 - x)))  # not 2m, which overflows for m near the largest double
+    return _closed_record(m, (a, -1.0), q, r0, mass)
+
+
+def _closed_record(m: float, term: tuple[float, float], q: GlobalQ, r0: float, mass: float) -> AfmSolution:
+    """The record of a (0, m) closed form for the one ``term`` -a/r or b*r at r0, p0 = Q/r0 = nu1:
+    DomainError where r0 or p0 leaves the normal double range or nu2 exceeds it, else its checks hold."""
+    p0 = q.value / r0 if r0 else math.inf
     nu2 = math.hypot(p0, m)
     # a NaN or infinite r0 fails here too, through p0
     if not (r0 >= sys.float_info.min and p0 >= sys.float_info.min and nu2 < math.inf):
-        raise DomainError(f"the Coulomb solution leaves the double range at m={m:g}, a={a:g}, Q={qv:g}")
-    x = 0.5 * (a / qv)  # a/(2Q), whose 2Q would overflow for Q above half the largest double
-    mass = m * (2.0 * math.sqrt(x * (1.0 - x)))  # not 2m, which overflows for m near the largest double
-    return AfmSolution(r0, p0, p0, nu2, mass, q, _certified(((a, -1.0),), q.p))
+        raise DomainError(f"the closed form for the term {term} leaves the double range at m={m:g}, Q={q.value:g}")
+    return _trusted_solution(r0, p0, p0, nu2, mass, q, _certified((term,), q.p))
 
 
 def coulomb_symmetric(sigma: float, m: float, a: float, q: GlobalQ | float) -> float:
@@ -661,7 +665,7 @@ def coulomb_symmetric(sigma: float, m: float, a: float, q: GlobalQ | float) -> f
 
     M = sigma * m * sqrt(1 - (a/(sigma Q))^2); requires a < sigma*Q.
     """
-    if sigma <= 0.0 or m < 0.0 or a <= 0.0:
+    if sigma <= 0.0 or m < 0.0 or not a > 0.0:  # a NaN a would pass the window test and divide by a sigma*Q of 0
         raise DomainError("need sigma > 0, m >= 0, a > 0")
     qv = _resolve_q(q).value
     if a >= sigma * qv:
@@ -677,38 +681,35 @@ def coulomb_symmetric(sigma: float, m: float, a: float, q: GlobalQ | float) -> f
 # linear potential, one massless particle
 
 
-def _linear_mass_scale(b: float, q_value: float) -> float:
-    """Mass of the fully massless two-body linear system, 2*sqrt(2 b Q)."""
-    return 2.0 * math.sqrt(2.0 * b * q_value)
+def _linear_massless(sigma: float, b: float, q_value: float) -> float:
+    """2*sqrt(sigma b Q), the massless linear mass with a sigma-fold kinetic term: M0 at sigma = 2, M1 at 1."""
+    return 2.0 * math.sqrt(sigma * b * q_value)
 
 
-def _linear_radius(x: float, b: float, q_value: float) -> float:
-    # r0^2 = Q/b - Q^2/(2m^2) + Q^(3/2)/(2m^2) sqrt(Q + 4m^2/b) with m = x*M0,
-    # so 4m^2/b = 32 Q x^2, rewritten with the conjugate so every term is
-    # positive for all m >= 0 and nothing overflows for large x
-    return math.sqrt(q_value / b * (1.0 + 2.0 / (1.0 + math.hypot(1.0, _ROOT32 * x))))
-
-
-def _linear_mass(x: float, m0: float) -> float:
-    # the closed form in units of M0: a = sqrt(1 + 32 x^2) + 1 and the
-    # conjugate 32 x^2/a, no cancellation and no x^2 that can overflow
-    a = math.hypot(1.0, _ROOT32 * x) + 1.0
-    num = 2.0 * math.sqrt(2.0) * (1.0 + 1.0 / a) + math.hypot(4.0 * x, math.sqrt(a))
-    return m0 * (num / math.sqrt(16.0 + 32.0 / a))
-
-
-def _linear_closed(m: float, b: float, q: GlobalQ | float) -> tuple[float, GlobalQ, float]:
-    """(mass, Q, x = m/M0) of the linear closed form."""
+def _linear_scale(m: float, b: float, q: GlobalQ | float) -> tuple[GlobalQ, float]:
+    """(Q, M0) for the (0, m) linear forms, which divide by M0: DomainError where it is 0."""
     if b <= 0.0:
         raise DomainError("slope must be positive")
     if m < 0.0:
         raise ValueError("mass must be non-negative")
     q = _resolve_q(q)
-    m0 = _linear_mass_scale(b, q.value)
-    mass = _linear_mass(x := m / m0, m0)
+    m0 = _linear_massless(2.0, b, q.value)
+    if not m0:
+        raise DomainError(f"the massless scale 2*sqrt(2 b Q) underflows to 0 at b={b:g}, Q={q.value:g}")
+    return q, m0
+
+
+def _linear_closed(m: float, b: float, q: GlobalQ | float) -> tuple[float, GlobalQ, float]:
+    """(mass, Q, a = sqrt(1 + 32 x^2) + 1) of the linear closed form, x = m/M0: the mass in units of M0
+    takes a and the conjugate 32 x^2/a, so nothing cancels and no x^2 can overflow."""
+    q, m0 = _linear_scale(m, b, q)
+    x = m / m0
+    a = math.hypot(1.0, _ROOT32 * x) + 1.0
+    num = 2.0 * math.sqrt(2.0) * (1.0 + 1.0 / a) + math.hypot(4.0 * x, math.sqrt(a))
+    mass = m0 * (num / math.sqrt(16.0 + 32.0 / a))
     if not math.isfinite(mass):
         raise DomainError(f"the linear closed form is not representable at m={m:g}, b={b:g}")
-    return mass, q, x
+    return mass, q, a
 
 
 def linear_closed_mass(m: float, b: float, q: GlobalQ | float) -> float:
@@ -718,17 +719,17 @@ def linear_closed_mass(m: float, b: float, q: GlobalQ | float) -> float:
 
 def linear_closed(m: float, b: float, q: GlobalQ | float) -> AfmSolution:
     """Closed-form solution for V = b*r with masses (0, m), any m >= 0."""
-    mass, q, x = _linear_closed(m, b, q)
-    r0 = _linear_radius(x, b, q.value)
-    p0 = q.value / r0
-    return AfmSolution(r0, p0, p0, math.hypot(p0, m), mass, q, _certified(((b, 1.0),), q.p))
+    mass, q, a = _linear_closed(m, b, q)
+    # r0^2 = Q/b - Q^2/(2m^2) + Q^(3/2)/(2m^2) sqrt(Q + 4m^2/b) with 4m^2/b = 32 Q x^2, rewritten with the
+    # conjugate so every term is positive for all m >= 0 and nothing overflows for large x
+    return _closed_record(m, (b, 1.0), q, math.sqrt(q.value / b * (1.0 + 2.0 / a)), mass)
 
 
 def linear_symmetric_massless(sigma: float, b: float, q: GlobalQ | float) -> float:
     """Massless mass scale for the sigma-fold symmetric kinetic term: 2*sqrt(sigma b Q)."""
     if sigma <= 0.0 or b <= 0.0:
         raise DomainError("need sigma > 0 and b > 0")
-    mass = 2.0 * math.sqrt(sigma * b * _resolve_q(q).value)
+    mass = _linear_massless(sigma, b, _resolve_q(q).value)
     if not math.isfinite(mass):
         raise DomainError(f"the symmetric linear mass is not representable at sigma={sigma:g}, b={b:g}")
     return mass
@@ -736,11 +737,7 @@ def linear_symmetric_massless(sigma: float, b: float, q: GlobalQ | float) -> flo
 
 def linear_ur_expansion(m: float, b: float, q: GlobalQ | float) -> float:
     """Ultrarelativistic (m << sqrt(b)) expansion: M0 + 2 m^2/M0."""
-    if b <= 0.0:
-        raise DomainError("slope must be positive")
-    if m < 0.0:
-        raise ValueError("mass must be non-negative")
-    m0 = _linear_mass_scale(b, _resolve_q(q).value)
+    _, m0 = _linear_scale(m, b, q)
     mass = m0 + 2.0 * m * m / m0
     if not math.isfinite(mass):
         raise DomainError(f"the ultrarelativistic expansion exceeds the double range at m={m:g}")
@@ -753,7 +750,7 @@ def linear_nr_expansion(m: float, b: float, q: GlobalQ | float) -> float:
         raise DomainError("the nonrelativistic expansion needs m > 0")
     if b <= 0.0:
         raise DomainError("slope must be positive")
-    m1 = 2.0 * math.sqrt(b * _resolve_q(q).value)
+    m1 = _linear_massless(1.0, b, _resolve_q(q).value)
     mass = m + m1 + m1 * m1 / (8.0 * m)
     if not math.isfinite(mass):
         raise DomainError(f"the nonrelativistic expansion is not representable at m={m:g}, b={b:g}")

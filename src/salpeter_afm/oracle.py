@@ -30,6 +30,7 @@ x matrix J would (N = 160 beyond l ~ 5.6e305, N = 20 beyond ~4.5e307).
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -62,13 +63,19 @@ class RadialEigenpair:
 
 
 def energy_from_q(q_value: float, mu: float, rho: float, p: float) -> float:
-    """Power-law eigenvalue parameterized by the global quantum number Q."""
-    return (
-        (p + 2.0)
-        / (2.0 * p)
-        * (abs(p) * rho) ** (2.0 / (p + 2.0))
-        * (q_value * q_value / mu) ** (p / (p + 2.0))
-    )
+    """Power-law eigenvalue parameterized by the global quantum number Q; ValueError for mu, rho or p
+    as :func:`check_args`, DomainError for a Q <= 0 and an eigenvalue beyond the double range (0 or inf)."""
+    check_args(mu, rho, p)
+    with contextlib.suppress(OverflowError, ZeroDivisionError):  # a power beyond the double range, or 0 ** -x
+        energy = _energy(q_value, mu, rho, p)
+        if q_value > 0.0 and 0.0 < abs(energy) < math.inf:
+            return energy
+    raise DomainError(f"the eigenvalue at Q={q_value:g}, mu={mu:g}, rho={rho:g}, p={p:g} leaves the double range")
+
+
+def _energy(q_value: float, mu: float, rho: float, p: float) -> float:
+    """:func:`energy_from_q` unchecked, for the seed of :func:`_solve`, whose basis scale an inf leaves uncapped."""
+    return (p + 2.0) / (2.0 * p) * (abs(p) * rho) ** (2.0 / (p + 2.0)) * (q_value * q_value / mu) ** (p / (p + 2.0))
 
 
 def invert_q(epsilon: float, mu: float, rho: float, p: float) -> GlobalQ:
@@ -76,15 +83,17 @@ def invert_q(epsilon: float, mu: float, rho: float, p: float) -> GlobalQ:
 
     The eigenvalue sign must match sign(p): confining exponents have positive
     spectra, attractive negative exponents have negative bound-state energies.
+    ValueError for mu, rho or p as :func:`check_args`, DomainError for a Q beyond the double range.
     """
     check_args(mu, rho, p)
-    base = 2.0 * p * epsilon / ((p + 2.0) * (abs(p) * rho) ** (2.0 / (p + 2.0)))
-    if base <= 0.0:
-        raise DomainError(
-            f"eigenvalue sign {math.copysign(1, epsilon):+.0f} is inconsistent with p={p:g}"
-        )
-    value = math.sqrt(mu) * base ** ((p + 2.0) / (2.0 * p))
-    return GlobalQ(value, "numeric", p)
+    with contextlib.suppress(OverflowError, ZeroDivisionError):  # a power beyond the double range, or 0 ** -x
+        base = 2.0 * p * epsilon / ((p + 2.0) * (abs(p) * rho) ** (2.0 / (p + 2.0)))
+        if base <= 0.0:
+            raise DomainError(f"eigenvalue sign {math.copysign(1, epsilon):+.0f} is inconsistent with p={p:g}")
+        value = math.sqrt(mu) * base ** ((p + 2.0) / (2.0 * p))
+        if 0.0 < value < math.inf:  # a NaN eigenvalue fails here too
+            return GlobalQ(value, "numeric", p)
+    raise DomainError(f"Q from the eigenvalue {epsilon:g} at mu={mu:g}, rho={rho:g}, p={p:g} leaves the double range")
 
 
 def check_args(mu: float, rho: float, p: float) -> None:
@@ -115,6 +124,7 @@ def _rescale(values, log_unit: float, what: str):
     return values * math.exp(log_unit)
 
 
+@functools.lru_cache(maxsize=reference._CACHE_SIZE)
 def _solve(p: float, state: QuantumState, tol: float) -> tuple[float, float, int]:
     """Level n of p_l^2/2 + sign(p)*r^p, the basis scale and the size of the last rung; the
     scale comes from the variational radius r0 = (Q^2/|p|)^(1/(p+2)) and energy of the seed Q."""
@@ -126,7 +136,7 @@ def _solve(p: float, state: QuantumState, tol: float) -> tuple[float, float, int
         radius = math.inf
     if not radius < math.inf:
         raise DomainError(f"the variational radius at the seed Q = {q:.6g} leaves the double range")
-    scale, _ = reference.basis_scale(radius, energy_from_q(q, 1.0, 1.0, p), state, ((1.0, p),), tol)
+    scale, _ = reference.basis_scale(radius, _energy(q, 1.0, 1.0, p), state, ((1.0, p),), tol)
     build = functools.partial(reference.nr_hamiltonian, p, state.l, scale)
     energy, _, size = reference.ladder("oracle", build, state.n, scale, tol, tol, 0.0)
     if not (energy < 0.0 if p < 0.0 else energy > 0.0):  # a level has the sign of p

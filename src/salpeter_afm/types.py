@@ -26,7 +26,9 @@ class PowerLawPotential:
     +1).  With this sign convention V'(r) > 0 for all r > 0 whenever any
     coupling is nonzero.
 
-    Constraints: every alpha >= 0, every exponent > -2 and != 0.
+    Constraints: every alpha >= 0, every exponent > -2 and != 0.  A zero
+    coupling is dropped at construction (0 * inf would be NaN), so ``terms``
+    holds the active terms alone, none when every coupling is 0.
     """
 
     terms: tuple[tuple[float, float], ...]
@@ -42,7 +44,7 @@ class PowerLawPotential:
             cleaned.append((alpha, lam))
         if not cleaned:
             raise ValueError("potential needs at least one term")
-        object.__setattr__(self, "terms", tuple(cleaned))
+        object.__setattr__(self, "terms", tuple(term for term in cleaned if term[0] > 0.0))
 
     @classmethod
     def coulomb(cls, a: float) -> "PowerLawPotential":
@@ -60,14 +62,14 @@ class PowerLawPotential:
         return cls(((a, -1.0), (b, 1.0)))
 
     def active_terms(self) -> tuple[tuple[float, float], ...]:
-        """Terms with a strictly positive coupling."""
-        return tuple((a, lam) for a, lam in self.terms if a > 0.0)
+        """Terms with a strictly positive coupling: ``terms`` itself."""
+        return self.terms
 
     def value(self, r):
         """V(r); accepts scalars or arrays.
 
         A float r > 0 is summed in floats, term by term, with a power beyond
-        the double range counted as inf, as :mod:`.core` assembles the mass;
+        the double range counted as inf; :mod:`.core` assembles the mass with it;
         any other input (an array, an int, a numpy scalar, r <= 0) goes
         through numpy.
         """

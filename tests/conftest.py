@@ -10,6 +10,15 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import gamma
 
+from salpeter_afm import oracle
+
+
+@pytest.fixture(autouse=True)
+def unsolved_oracle_ladders():
+    """Each test starts without cached unit ladders, so a test that observes a ladder's
+    DEBUG records, LAPACK calls or BLAS threads sees them whatever ran before it."""
+    oracle._solve.cache_clear()
+
 
 @pytest.fixture(scope="session")
 def airy_zeros_oracle():

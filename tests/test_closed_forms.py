@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from conftest import bisect_root
 
 from salpeter_afm import (
+    AfmError,
+    AfmSolution,
     CollapseDetected,
     DomainError,
     GlobalQ,
@@ -12,6 +15,8 @@ from salpeter_afm import (
     PowerLawPotential,
     coulomb_closed,
     coulomb_symmetric,
+    energy_from_q,
+    invert_q,
     linear_closed,
     linear_nr_expansion,
     linear_symmetric_massless,
@@ -315,6 +320,58 @@ def test_non_finite_result_raises_domain_error(closed_form, args):
 def test_parameters_outside_the_domain_raise_domain_error(closed_form, args, message):
     with pytest.raises(DomainError, match=message):
         closed_form(*args)
+
+
+# extreme arguments: zero, subnormal, tiny, moderate, huge, the largest doubles, inf, NaN and negative
+EXTREMES = (0.0, 5e-324, 1e-308, 1e-300, 1e-160, 1e-3, 0.5, 1.0, 2.0, 1e3, 1e160, 1e300, 1.7e308, math.inf, math.nan, -1.0)
+# the ValueErrors these functions document: a negative mass, and mu, rho or p outside check_args
+DOCUMENTED_VALUE_ERRORS = ("mass must be non-negative", "mu and rho must be positive", "exponent p must be finite")
+
+
+def _outcome(call):
+    """The finite float or record that call() returns; None where it raises a typed or documented error."""
+    try:
+        result = call()
+    except AfmError:
+        return None
+    except ValueError as err:
+        assert str(err).startswith(DOCUMENTED_VALUE_ERRORS), err
+        return None
+    if isinstance(result, AfmSolution):  # the checked constructor takes what the closed form built
+        fields = [result.r0, result.p0, result.nu1, result.nu2, result.mass]
+        assert all(math.isfinite(x) for x in fields)
+        AfmSolution(*fields, result.q, result.certified_upper_bound)
+        return result
+    value = result.value if isinstance(result, GlobalQ) else result
+    assert type(value) is float and math.isfinite(value), value
+    return result
+
+
+@pytest.mark.filterwarnings("error")
+def test_extreme_inputs_give_a_finite_value_or_a_typed_error():
+    positive = [x for x in EXTREMES if 0.0 < x < math.inf]
+    for q in positive:
+        coulomb_q, linear_q = GlobalQ.explicit(q, -1.0), GlobalQ.explicit(q, 1.0)
+        for m, c in itertools.product(EXTREMES, EXTREMES):
+            _outcome(lambda: coulomb_closed(m, c, coulomb_q))
+            for closed_form in (linear_closed, linear_closed_mass, linear_ur_expansion, linear_nr_expansion):
+                _outcome(lambda: closed_form(m, c, linear_q))
+            _outcome(lambda: linear_symmetric_massless(m, c, q))
+            for sigma in (0.5, 1.0, 2.0, 5e-324, math.nan):
+                _outcome(lambda: coulomb_symmetric(sigma, m, c, q))
+    for mu, rho, p in itertools.product(EXTREMES, EXTREMES, (*EXTREMES, -1.9, -0.5, 4.5, -3.0)):
+        for x in positive:
+            energy = _outcome(lambda: energy_from_q(x, mu, rho, p))
+            assert energy != 0.0
+            _outcome(lambda: invert_q(x, mu, rho, p))
+            _outcome(lambda: invert_q(-x, mu, rho, p))
+    # a zero coupling adds nothing, also where its power is inf or 0 times it would be NaN
+    for terms, active in ((((1.0, 1.0), (0.0, -1.5)), PowerLawPotential.linear(1.0)),
+                          (((0.0, -1.0), (0.2, 1.0)), PowerLawPotential.linear(0.2))):
+        potential = PowerLawPotential(terms)
+        for r in positive:
+            assert _outcome(lambda: potential.value(r)) == active.value(r)
+            assert _outcome(lambda: potential.derivative(r)) == active.derivative(r)
 
 
 class TestEqualMassReduction:

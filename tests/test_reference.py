@@ -876,7 +876,7 @@ class TestOneBlasThread:
         # the path of a BLAS without a control (MKL, Accelerate): the counts stay, and the pinned
         # reference and oracle values, built afresh, are the same doubles on two threads as on one
         def values():
-            for cache in (reference.psq_matrix, reference.power_matrix, reference._psq_spectrum):
+            for cache in (reference.psq_matrix, reference.power_matrix, reference._psq_spectrum, oracle._solve):
                 cache.cache_clear()
             sse = [sse_eigenvalue(p) for p in pinned_problems()]
             return sse, [q_numeric(p, QuantumState(n, l)).value for p, n, l in Q_NUMERIC_SPECS]

@@ -43,6 +43,14 @@ class TestPowerLawPotential:
     def test_active_terms_drops_zero_couplings(self):
         pot = PowerLawPotential(((0.0, -1.0), (0.2, 1.0)))
         assert pot.active_terms() == ((0.2, 1.0),)
+        assert pot.terms == ((0.2, 1.0),)  # dropped at construction
+        assert pot == PowerLawPotential.linear(0.2)
+
+    def test_all_zero_couplings_construct_without_an_active_term(self):
+        pot = PowerLawPotential(((0.0, -1.0), (0.0, 1.0)))
+        assert pot.terms == () and pot.value(2.0) == 0.0
+        with pytest.raises(AfmError, match="potential has no active term"):
+            solve_afm(0.0, 1.0, pot, 1.0)
 
 
 def _numpy_value(pot, r):
