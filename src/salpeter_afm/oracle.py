@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, reference
-from .errors import ConvergenceFailure, DomainError
+from .errors import DomainError
 from .types import AfmSolution, GlobalQ, PowerLawPotential, QuantumState
 
 _NR_TOL = 1e-7
@@ -67,15 +67,11 @@ def energy_from_q(q_value: float, mu: float, rho: float, p: float) -> float:
     as :func:`check_args`, DomainError for a Q <= 0 and an eigenvalue beyond the double range (0 or inf)."""
     check_args(mu, rho, p)
     with contextlib.suppress(OverflowError, ZeroDivisionError):  # a power beyond the double range, or 0 ** -x
-        energy = _energy(q_value, mu, rho, p)
+        energy = ((p + 2.0) / (2.0 * p) * (abs(p) * rho) ** (2.0 / (p + 2.0))
+                  * (q_value * q_value / mu) ** (p / (p + 2.0)))
         if q_value > 0.0 and 0.0 < abs(energy) < math.inf:
             return energy
     raise DomainError(f"the eigenvalue at Q={q_value:g}, mu={mu:g}, rho={rho:g}, p={p:g} leaves the double range")
-
-
-def _energy(q_value: float, mu: float, rho: float, p: float) -> float:
-    """:func:`energy_from_q` unchecked, for the seed of :func:`_solve`, whose basis scale an inf leaves uncapped."""
-    return (p + 2.0) / (2.0 * p) * (abs(p) * rho) ** (2.0 / (p + 2.0)) * (q_value * q_value / mu) ** (p / (p + 2.0))
 
 
 def invert_q(epsilon: float, mu: float, rho: float, p: float) -> GlobalQ:
@@ -127,7 +123,8 @@ def _rescale(values, log_unit: float, what: str):
 @functools.lru_cache(maxsize=reference._CACHE_SIZE)
 def _solve(p: float, state: QuantumState, tol: float) -> tuple[float, float, int]:
     """Level n of p_l^2/2 + sign(p)*r^p, the basis scale and the size of the last rung; the
-    scale comes from the variational radius r0 = (Q^2/|p|)^(1/(p+2)) and energy of the seed Q."""
+    scale comes from the variational radius r0 = (Q^2/|p|)^(1/(p+2)) and energy of the seed Q,
+    an inf where that energy leaves the double range, which leaves the scale uncapped."""
     q = seed_q(p, state)
     square = q * q / abs(p)
     try:  # where Q^2/|p| overflows (Q above ~1.3e154), the same radius as (Q/sqrt|p|)^(2/(p+2))
@@ -136,26 +133,24 @@ def _solve(p: float, state: QuantumState, tol: float) -> tuple[float, float, int
         radius = math.inf
     if not radius < math.inf:
         raise DomainError(f"the variational radius at the seed Q = {q:.6g} leaves the double range")
-    scale, _ = reference.basis_scale(radius, _energy(q, 1.0, 1.0, p), state, ((1.0, p),), tol)
+    try:
+        seed = energy_from_q(q, 1.0, 1.0, p)
+    except DomainError:
+        seed = math.inf
+    terms = ((1.0, p),)
+    scale, _ = reference.basis_scale(radius, seed, state, terms, tol)
     build = functools.partial(reference.nr_hamiltonian, p, state.l, scale)
-    energy, _, size = reference.ladder("oracle", build, state.n, scale, tol, tol, 0.0)
-    if not (energy < 0.0 if p < 0.0 else energy > 0.0):  # a level has the sign of p
-        raise ConvergenceFailure(
-            f"oracle: level n={state.n}, l={state.l:.6g} came out at {energy:.6g}, whose sign contradicts "
-            f"p={p:g}: the basis of scale h={scale:.6g} does not reach it"
-        )
+    energy, _, size = reference.ladder("oracle", build, state, scale, tol, tol, 0.0, reference.attractive_only(terms))
     return energy, scale, size
 
 
 def nr_energy(mu: float, rho: float, p: float, state: QuantumState, *, tol: float = _NR_TOL) -> float:
     """The (n, l) eigenvalue, extrapolated over the basis ladder.
 
-    Raises ConvergenceFailure when the ladder's error estimate exceeds
-    ``tol`` relative, which bounds the levels it reaches (see the module
-    docstring), or when the level's sign contradicts sign(p) (a basis that
-    does not reach it, as for p = -1 at l = 1e20), and DomainError where the
-    r^p matrix (a steep p) or the energy unit of (mu, rho) leaves the
-    double range.
+    Raises ConvergenceFailure where :func:`.reference.ladder` refuses the
+    level at ``tol`` relative, which bounds the levels it reaches (see the
+    module docstring), and DomainError where the r^p matrix (a steep p) or
+    the energy unit of (mu, rho) leaves the double range.
     """
     log_energy, _ = _log_units(mu, rho, p)
     return _rescale(_solve(p, state, tol)[0], log_energy, "energy")

@@ -24,9 +24,9 @@ Hansen's inequality (Math. Ann. 1980) and min-max every eigenvalue is an
 upper bound on the true one, falling as the nested bases grow.  The ladder
 N = 20, 40, 80, 160 stops when two rungs agree to 1e-7 relative, or else
 (an attractive tail's origin cusp converges slowly) returns the Aitken
-limit of the last three, unless its correction exceeds the caller's limit;
-``ladder`` alone accepts, extrapolates or refuses a level.  The cap at
-N = 160 is the ladder's own choice of rungs, not a limit of the matrices.
+limit of the last three; ``ladder`` alone accepts, extrapolates or refuses
+a level, of the reference and the oracle alike.  The cap at N = 160 is the
+ladder's own choice of rungs, not a limit of the matrices.
 The nonrelativistic oracle runs the same ladder on
 P/(2 h^2) + sign(p) h^p W(p, l, N), with the same scale rule.  Where the
 unit-scale r^lam entries would leave the double range (a steep exponent),
@@ -316,6 +316,12 @@ def nr_hamiltonian(p: float, l: int, scale: float, size: int) -> np.ndarray:
     return _rung(kinetic, ((1.0, p),), l, scale, size)
 
 
+def attractive_only(terms) -> bool:
+    """Whether every (alpha, lam) term attracts (lam < 0): V < 0 falls to 0 at infinity, so each
+    level is bound, below the continuum threshold, and the origin cusp wants a finer basis."""
+    return all(lam < 0 for _, lam in terms)
+
+
 def basis_scale(radius: float, energy: float, state: QuantumState, terms, tol: float) -> tuple[float, bool]:
     """Basis scale h for a level of variational radius and energy |energy|,
     and whether a confining term capped it.
@@ -331,7 +337,7 @@ def basis_scale(radius: float, energy: float, state: QuantumState, terms, tol: f
     """
     if 2 * state.n + 2 * state.l + 3 > sys.float_info.max:
         raise DomainError(f"Laguerre basis matrices at log10(l+1)={math.log10(state.l + 1):.4g} leave the double range")
-    natural = radius / (2 * state.n + 2 * state.l + 3) / (3.0 if all(lam < 0 for _, lam in terms) else 1.0)
+    natural = radius / (2 * state.n + 2 * state.l + 3) / (3.0 if attractive_only(terms) else 1.0)
     span = 4 * _SIZES[-1] + 4 * state.l + 6
     h = natural
     for alpha, lam in terms:
@@ -466,69 +472,67 @@ def _aitken(values: list[float]) -> float:
 
 @_one_blas_thread
 def ladder(
-    name: str, build, n: int, scale: float, tol: float, limit: float, threshold: float
+    name: str, build, state: QuantumState, scale: float, tol: float, limit: float, threshold: float, bound: bool
 ) -> tuple[float, float, int]:
     """Level n of build(N) on the rungs N = 20, 40, 80, 160 with N > n.
 
     Every rung is an upper bound.  The first rung within ``tol`` relative of
-    the one before is returned, with that difference as its error estimate;
+    the one before is taken, with that difference as its error estimate;
     otherwise the last three rungs must fall, at least geometrically, and
-    their Aitken limit is returned with the Aitken correction as its error
-    estimate.  An error estimate above ``limit`` relative, or above the
-    binding energy |finest rung - threshold| it resolves (``threshold`` is
-    where the continuum starts: m1 + m2, sigma m, or 0), raises
-    ConvergenceFailure: this is the one place where a ladder is accepted,
-    extrapolated or refused.  Returns (value, error estimate, size of the
-    last rung) and writes one DEBUG record per rung and one for the result
-    to the ``name`` logger.  It runs on one BLAS thread (:class:`_OneBlasThread`).
+    their Aitken limit is taken with the Aitken correction as its error
+    estimate.  Either is refused (ConvergenceFailure) where its error
+    estimate is above ``limit`` relative or the binding energy |finest rung
+    - threshold| (``threshold`` is where the continuum starts: m1 + m2,
+    sigma m, or 0), and a ``bound`` level (:func:`attractive_only` terms)
+    where it is not below ``threshold``: the one place where a level is
+    accepted, extrapolated or refused.  Returns (value, error estimate, size
+    of the last rung), with one DEBUG record per rung and one for the result
+    to the ``name`` logger, on one BLAS thread (:class:`_OneBlasThread`).
     """
     log = logging.getLogger(f"{__package__}.{name}")
     values = []
-    for size in (s for s in _SIZES if s > n):
+    for size in (s for s in _SIZES if s > state.n):
         # level n alone, bisected on the reversed matrix's graded tridiagonal at abstol 2 safmin; the
         # eps ||H|| that the subset solvers lost came from their abstol 0, not from bisection
-        values.append(_level(build(size), n))
+        values.append(_level(build(size), state.n))
         log.debug("%s rung N=%d h=%.9g value=%.12g", name, size, scale, values[-1])
         if len(values) > 1 and abs(values[-1] - values[-2]) <= tol * abs(values[-1]):
-            log.debug("%s converged: %.12g, error estimate %.3g", name, values[-1], values[-2] - values[-1])
-            return values[-1], values[-2] - values[-1], size
-    if len(values) < 3:
-        raise ConvergenceFailure(f"{name}: level n={n} needs more than {_SIZES[-1]} basis functions")
-    value = _aitken(values[-3:])
-    error = values[-1] - value
-    log.debug("%s Aitken limit: %.12g, error estimate %.3g", name, value, error)
-    if abs(error) > limit * abs(value):
-        raise ConvergenceFailure(
-            f"{name}: level n={n} stuck at relative error ~{abs(error / value):.1e} with {_SIZES[-1]} basis "
-            f"functions (limit {limit:g}); a steep cusp (l = 0, p <= -1.5) or a steep confining term "
-            "converges slowly in this basis"
-        )
+            result, estimate, value, error = "converged", "a rung difference", values[-1], values[-2] - values[-1]
+            break
+    else:
+        if len(values) < 3:
+            raise ConvergenceFailure(
+                f"{name}: level n={state.n} needs more than {_SIZES[-1]} basis functions at l={state.l:.6g}"
+            )
+        result, estimate, value = "Aitken limit", "an Aitken correction", _aitken(values[-3:])
+        error = values[-1] - value
+    log.debug("%s %s: %.12g, error estimate %.3g", name, result, value, error)
+    basis = f"{size} basis functions of scale h={scale:.6g} at l={state.l:.6g}"
     binding = abs(values[-1] - threshold)
-    if abs(error) > binding:
-        raise ConvergenceFailure(
-            f"{name}: level n={n} has an Aitken correction {abs(error):.3g} above the binding energy "
-            f"{binding:.3g} of its finest rung ({_SIZES[-1]} basis functions); the basis does not reach the level"
-        )
-    return value, error, _SIZES[-1]
+    if abs(error) > limit * abs(value):
+        refusal = (f"stuck at relative error ~{abs(error / value):.1e} with {basis} (limit {limit:g}); a steep cusp "
+                   "(l = 0, p <= -1.5) or a steep confining term converges slowly in this basis")
+    elif abs(error) > binding:
+        refusal = f"has {estimate} {abs(error):.3g} above the binding energy {binding:.3g} of its finest rung ({basis})"
+    elif bound and not value < threshold:
+        refusal = f"came out at {value:.12g}, not below the continuum threshold {threshold:.12g}, with {basis}"
+    else:
+        return value, error, size
+    raise ConvergenceFailure(f"{name}: level n={state.n} {refusal}; the basis does not reach the level")
 
 
 def sse_eigenvalue(problem: SseProblem) -> float:
-    """The (n, l) eigenvalue of the semirelativistic Hamiltonian.
-
-    Every rung is an upper bound.  The first rung within 1e-7 relative of
-    the one before is returned; otherwise the last three rungs must fall
-    geometrically, and their Aitken limit is returned, unless its correction
-    exceeds the binding energy |finest rung - (m1 + m2)| (sigma m1 in the
-    symmetric mode) it resolves.  Where a steep confining term capped the
-    basis scale, the first rungs do not reach the state and the limit is
-    only as good as its correction, so the ladder also refuses a correction
-    above 2e-6 relative.  Both refusals are ConvergenceFailure.
-    """
+    """The (n, l) eigenvalue of the semirelativistic Hamiltonian, as :func:`ladder` accepts it: rungs
+    within 1e-7 relative, the continuum threshold m1 + m2 (sigma m1 in the symmetric mode), a bound
+    level for an attractive-only potential, and, where a steep confining term capped the basis scale
+    (the first rungs then miss the state), an Aitken correction of at most 2e-6 relative."""
     core.check_mass_squares(problem.m1, problem.m2)
     scale, capped = _scale(problem)
     build = functools.partial(sse_hamiltonian, problem, scale)
     threshold = problem.m1 + problem.m2 if problem.sigma is None else problem.sigma * problem.m1
-    return ladder("reference", build, problem.state.n, scale, _TOL, _CAPPED_TOL if capped else math.inf, threshold)[0]
+    limit = _CAPPED_TOL if capped else math.inf
+    bound = attractive_only(problem.potential.terms)
+    return ladder("reference", build, problem.state, scale, _TOL, limit, threshold, bound)[0]
 
 
 @dataclass(frozen=True)

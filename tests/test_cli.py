@@ -835,6 +835,9 @@ def _with_1e400(config):
         pytest.param(  # the oracle's variational radius at the seed Q = 1e300 leaves the double range
             "bound", dict(BOUND_WITHOUT_Q, p=1.5, state={"n": 0, "l": 1e300}), [], 2, id="bound-numeric-q-huge-l",
         ),
+        pytest.param(  # the oracle's basis scale at p = -1.999 underflows: its kinetic term leaves the double range
+            "bound", dict(BOUND_WITHOUT_Q, p=-1.999), [], 2, id="bound-numeric-q-p-near-minus-2",
+        ),
     ],
 )
 def test_failure_exit_codes(tmp_path, monkeypatch, verb, config, flags, code):

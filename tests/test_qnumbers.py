@@ -219,6 +219,13 @@ class TestQNumeric:
             q_numeric(1.0, QuantumState(0, l))
         assert str(info.value) == f"Laguerre basis matrices at {where} leave the double range"
 
+    @pytest.mark.parametrize("p", [-1.999, -1.99999])
+    def test_p_near_minus_2_is_a_domain_error(self, p):
+        # the seed energy (|p| rho)^(2/(p+2)) ... overflows, which leaves the basis scale uncapped; the
+        # radius (Q^2/|p|)^(1/(p+2)) underflows, and the kinetic term at that scale leaves the double range
+        with pytest.raises(DomainError, match="the kinetic term at basis scale h=.* leaves the double range"):
+            q_numeric(p, QuantumState(0))
+
     def test_coulomb_past_l_69_is_a_convergence_failure(self):
         # W(-1) is finite at any l, but the 3x finer scale of an attractive-only potential leaves
         # the n = 0 level unconverged at N = 160 beyond l = 69: a typed refusal, no DomainError
@@ -227,15 +234,15 @@ class TestQNumeric:
 
     @pytest.mark.parametrize(
         "l, q_message",
-        [(10**20, "not geometrically decreasing"), (10**50, "whose sign contradicts p=-1")],
+        [(10**20, "not geometrically decreasing"), (10**50, "not below the continuum threshold 0")],
         ids=["1e20", "1e50"],
     )
     def test_coulomb_level_of_the_wrong_sign_is_a_convergence_failure(self, l, q_message):
         # the 3x finer scale puts every basis function near a third of the level's radius, and the rungs
-        # come out positive where the level is -1/(2(l+1)^2): the oracle refuses them, naming the basis
+        # come out positive where the level is -1/(2(l+1)^2): the ladder refuses them, naming the basis
         state = QuantumState(0, l)
         where = re.escape(f"l={l:.6g}")
-        basis = rf"level n=0, {where} came out at .*, whose sign contradicts p=-1: the basis of scale h="
+        basis = rf"level n=0 came out at .*, not below the continuum threshold 0, with .* of scale h=.* at {where}"
         with pytest.raises(ConvergenceFailure, match=basis):
             oracle.nr_energy(1.0, 1.0, -1.0, state)
         with pytest.raises(ConvergenceFailure, match=basis):

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -528,7 +529,8 @@ class TestEigenvalues:
         assert reference.basis_scale(seed.r0, seed.mass, problem.state, terms, reference._TOL) == (natural, False)
         build = functools.partial(sse_hamiltonian, problem, natural)
         value = sse_eigenvalue(problem)
-        assert value == reference.ladder("reference", build, 0, natural, reference._TOL, math.inf, 1.0)[0]
+        ladder = reference.ladder("reference", build, problem.state, natural, reference._TOL, math.inf, 1.0, False)
+        assert value == ladder[0]
         assert value == pytest.approx(pinned, rel=reference._TOL)
 
     def test_pure_coulomb_massless_pair_has_no_scale(self):
@@ -555,6 +557,17 @@ class TestEigenvalues:
         # is 15 times that binding energy, for a level at ~2 - 3.59e-7, so the ladder refuses it
         problem = SseProblem(1.0, 1.0, PowerLawPotential.coulomb(1.2), QuantumState(0, 1000), sigma=sigma)
         with pytest.raises(ConvergenceFailure, match=r"Aitken correction 2.27e-06 above the binding energy 1.51e-07"):
+            sse_eigenvalue(problem)
+
+    @pytest.mark.parametrize("l", [10**4, 10**5])
+    @pytest.mark.parametrize("sigma", [None, 2.0], ids=["two-mass", "symmetric"])
+    def test_coulomb_level_at_or_above_its_threshold_is_refused(self, l, sigma):
+        # the rungs converge to 2 + 7.6e-9 (l = 1e4) and 2 + 9.7e-11 (l = 1e5), above the threshold
+        # m1 + m2 = sigma m = 2 of a bound level at ~2 - 3.6e-9 and ~2 - 3.6e-11: the ladder refuses them
+        problem = SseProblem(1.0, 1.0, PowerLawPotential.coulomb(1.2), QuantumState(0, l), sigma=sigma)
+        where = re.escape(f"at l={l:.6g}")
+        with pytest.raises(ConvergenceFailure, match=rf"level n=0 came out at 2\.0+\d+, not below the continuum "
+                                                     rf"threshold 2, with 40 basis functions of scale h=.* {where}"):
             sse_eigenvalue(problem)
 
     @pytest.mark.parametrize(
@@ -627,9 +640,10 @@ class TestLadder:
     """The one verdict on a ladder, with a stub whose level n = 0 takes scripted values."""
 
     @staticmethod
-    def run(levels, limit, threshold=0.0):
+    def run(levels, limit, threshold=0.0, bound=False):
         return reference.ladder(
-            "stub", lambda size: np.diag(np.full(size, levels[size])), 0, 1.0, 1e-7, limit, threshold
+            "stub", lambda size: np.diag(np.full(size, levels[size])), QuantumState(0), 1.0, 1e-7, limit, threshold,
+            bound,
         )
 
     def test_two_agreeing_rungs_return_the_last(self):
@@ -652,6 +666,26 @@ class TestLadder:
         # 1.01, whose binding energy 0.0025 is below the Aitken correction 0.0125
         with pytest.raises(ConvergenceFailure, match="stub: level n=0 has an Aitken correction 0.0125 above"):
             self.run({20: 1.1, 40: 1.05, 80: 1.025, 160: 1.0125}, 0.02, threshold=1.01)
+
+    @pytest.mark.parametrize(
+        "levels, threshold",
+        [({20: 1.0, 40: 1.0}, 1.0), ({20: 1.0 + 5e-8, 40: 1.0}, 0.5)],
+        ids=["at-threshold", "above-threshold"],
+    )
+    def test_a_converged_level_not_below_its_threshold_is_refused_only_when_bound(self, levels, threshold):
+        assert self.run(levels, math.inf, threshold)[::2] == (1.0, 40)
+        with pytest.raises(ConvergenceFailure, match=r"stub: level n=0 came out at 1, not below the continuum "
+                                                     rf"threshold {threshold:g}, with 40 basis functions of "
+                                                     r"scale h=1 at l=0; the basis does not reach the level"):
+            self.run(levels, math.inf, threshold, bound=True)
+
+    def test_a_converged_rung_difference_beyond_the_binding_energy_raises(self):
+        # the rungs agree to 5e-8 relative, but the level lies only 1e-8 below the threshold
+        levels = {20: 1.0 + 5e-8, 40: 1.0}
+        assert self.run(levels, math.inf, threshold=1.0 + 1e-6)[0] == 1.0
+        with pytest.raises(ConvergenceFailure, match="stub: level n=0 has a rung difference 5e-08 above the binding "
+                                                     "energy 1e-08 of its finest rung"):
+            self.run(levels, math.inf, threshold=1.0 + 1e-8)
 
     def test_a_fall_with_ratio_1e_5_is_accepted(self):
         value, error, _ = self.run({20: 3.0, 40: 2.0, 80: 1.0 + 1e-5, 160: 1.0}, 1e-7)
@@ -720,7 +754,7 @@ def counting_build(seen):
 
 
 def run_ladder(build, n=0):
-    return reference.ladder("test", build, n, 1.0, reference._TOL, math.inf, 0.0)
+    return reference.ladder("test", build, QuantumState(n), 1.0, reference._TOL, math.inf, 0.0, False)
 
 
 @pytest.fixture

@@ -96,6 +96,15 @@ class TestValueFloatPath:
     def test_overflow_is_infinite_without_a_warning(self, terms, r, expected):
         assert PowerLawPotential(terms).value(r) == expected
 
+    @pytest.mark.filterwarnings("error")
+    def test_derivative_and_array_overflow_are_infinite_without_a_warning(self):
+        # V' and arrays go through numpy, whose power overflow is inf as the float path's is
+        assert PowerLawPotential.coulomb(1.0).derivative(1e-160) == math.inf
+        assert PowerLawPotential(((1.0, 3.0),)).derivative(1e200) == math.inf
+        funnel = PowerLawPotential(((0.5, -1.5), (2.0, 3.0)))
+        assert funnel.value(np.array([1e-250, 1.0, 1e200])).tolist() == [-math.inf, funnel.value(1.0), math.inf]
+        assert funnel.derivative(np.array([1e-250, 1e200])).tolist() == [math.inf, math.inf]
+
     @pytest.mark.parametrize("r", [np.float64(2.5), np.float64(1e-3), 3, 0.0, -0.0, -2.0, float("nan")])
     def test_other_inputs_take_the_numpy_path(self, r):
         pot = PowerLawPotential(((0.4, -1.0), (0.2, 1.0), (0.1, 0.5)))
