@@ -44,10 +44,7 @@ __version__ = "0.1.0"
 
 # name -> the numpy-backed module that defines it, imported on first access
 _LAZY = {
-    **dict.fromkeys(
-        ("RadialEigenpair", "afm_eigenstate", "energy_from_q", "invert_q", "nr_eigenvalue"),
-        "oracle",
-    ),
+    **dict.fromkeys(("energy_from_q", "invert_q"), "oracle"),
     **dict.fromkeys(("BoundGapRow", "SseProblem", "bound_gap", "sse_eigenvalue"), "reference"),
 }
 
@@ -63,10 +60,8 @@ __all__ = [
     "NoBoundState",
     "PowerLawPotential",
     "QuantumState",
-    "RadialEigenpair",
     "SseProblem",
     "UnsupportedCase",
-    "afm_eigenstate",
     "bound_gap",
     "concavity_certificate",
     "coulomb_closed",
@@ -77,7 +72,6 @@ __all__ = [
     "linear_nr_expansion",
     "linear_symmetric_massless",
     "linear_ur_expansion",
-    "nr_eigenvalue",
     "q_exact",
     "q_numeric",
     "residuals",

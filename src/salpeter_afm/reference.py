@@ -104,21 +104,6 @@ class SseProblem:
                 raise ValueError("the symmetric mode uses a single mass; set m1 == m2")
 
 
-def basis_functions(l: int, scale: float, size: int, radii: np.ndarray) -> np.ndarray:
-    """chi_k(r) for k < size at the given radii, one row per radius, by the
-    three-term recurrence of the normalised L_k^(2l+2)."""
-    from scipy import special
-
-    x = radii / scale
-    alpha = 2 * l + 2
-    phi = np.zeros((len(x), size))
-    phi[:, 0] = np.exp((l + 1) * np.log(x) - 0.5 * x - 0.5 * special.gammaln(alpha + 1.0)) / math.sqrt(scale)
-    for k in range(size - 1):  # at k = 0, down = 0 meets a column of zeros
-        down, up = math.sqrt(k * (k + alpha)), math.sqrt((k + 1) * (k + 1 + alpha))
-        phi[:, k + 1] = ((2 * k + 1 + alpha - x) * phi[:, k] - down * phi[:, k - 1]) / up
-    return phi
-
-
 def _check_jacobi_range(l: int, size: int) -> None:
     """DomainError where a product (k+1)(k+2l+3), k < size - 1, under the square
     roots of J's off-diagonal leaves the double range: at N = 160 past
@@ -431,13 +416,12 @@ class _OneBlasThread(contextlib.ContextDecorator):
 _one_blas_thread = _OneBlasThread()
 
 
-def _level(h: np.ndarray, n: int, *, vector: bool = False):
-    """Level n of the symmetric matrix h, or (level, unit eigenvector) with ``vector``.
+def _level(h: np.ndarray, n: int) -> float:
+    """Level n of the symmetric matrix h.
 
     p_l^2 grows like k and r^lam like k^lam down the diagonal, so h is
     reversed and LAPACK dsyevx reduces its lower triangle to a tridiagonal
-    graded downward (dsytrd), bisects level n alone (dstebz) and, with
-    ``vector``, takes its eigenvector by inverse iteration (dstein).  At
+    graded downward (dsytrd) and bisects level n alone (dstebz).  At
     abstol 2 safmin, LAPACK's most accurate setting, bisection keeps a
     graded matrix's low levels to high relative accuracy (Barlow and Demmel,
     SIAM J. Numer. Anal. 27 (1990) 762): within 2.1e-14 of a QR solve of all
@@ -451,23 +435,13 @@ def _level(h: np.ndarray, n: int, *, vector: bool = False):
     size = len(h)
     if not np.isfinite(h).all():
         raise DomainError(f"the N={size} Hamiltonian matrix leaves the double range")
-    w, z, found, _, info = sla.lapack.dsyevx(
-        h[::-1, ::-1], compute_v=int(vector), range="I", lower=1, il=n + 1, iu=n + 1,
+    w, _, found, _, info = sla.lapack.dsyevx(
+        h[::-1, ::-1], compute_v=0, range="I", lower=1, il=n + 1, iu=n + 1,
         abstol=_ABSTOL, lwork=int(sla.lapack.dsyevx_lwork(size, lower=1)[0]),
     )
     if info != 0 or found != 1:
         raise ConvergenceFailure(f"level n={n} of the N={size} matrix: dsyevx returned info={info}, {found} levels")
-    return (float(w[0]), z[::-1, 0]) if vector else float(w[0])
-
-
-def _aitken(values: list[float]) -> float:
-    d1, d2 = values[0] - values[1], values[1] - values[2]
-    if not (d1 > 0 and d2 > 0 and d2 / d1 < 0.98):
-        raise ConvergenceFailure(
-            "basis ladder is not geometrically decreasing; refusing to extrapolate "
-            f"(values {values})"
-        )
-    return values[2] - d2 * d2 / (d1 - d2)
+    return float(w[0])
 
 
 @_one_blas_thread
@@ -478,16 +452,18 @@ def ladder(
 
     Every rung is an upper bound.  The first rung within ``tol`` relative of
     the one before is taken, with that difference as its error estimate;
-    otherwise the last three rungs must fall, at least geometrically, and
-    their Aitken limit is taken with the Aitken correction as its error
-    estimate.  Either is refused (ConvergenceFailure) where its error
-    estimate is above ``limit`` relative or the binding energy |finest rung
-    - threshold| (``threshold`` is where the continuum starts: m1 + m2,
-    sigma m, or 0), and a ``bound`` level (:func:`attractive_only` terms)
-    where it is not below ``threshold``: the one place where a level is
-    accepted, extrapolated or refused.  Returns (value, error estimate, size
-    of the last rung), with one DEBUG record per rung and one for the result
-    to the ``name`` logger, on one BLAS thread (:class:`_OneBlasThread`).
+    otherwise the Aitken limit of the last three rungs is taken with the
+    Aitken correction as its error estimate.  It is refused
+    (ConvergenceFailure) where those rungs do not fall geometrically (each
+    step positive and below 0.98 of the one before), and either is refused
+    where its error estimate is above ``limit`` relative or the binding
+    energy |finest rung - threshold| (``threshold`` is where the continuum
+    starts: m1 + m2, sigma m, or 0), and a ``bound`` level
+    (:func:`attractive_only` terms) where it is not below ``threshold``: the
+    one place where a level is accepted, extrapolated or refused.  Returns
+    (value, error estimate, size of the last rung), with one DEBUG record per
+    rung and one for the result to the ``name`` logger, on one BLAS thread
+    (:class:`_OneBlasThread`).
     """
     log = logging.getLogger(f"{__package__}.{name}")
     values = []
@@ -498,18 +474,25 @@ def ladder(
         log.debug("%s rung N=%d h=%.9g value=%.12g", name, size, scale, values[-1])
         if len(values) > 1 and abs(values[-1] - values[-2]) <= tol * abs(values[-1]):
             result, estimate, value, error = "converged", "a rung difference", values[-1], values[-2] - values[-1]
+            geometric = True
             break
     else:
         if len(values) < 3:
             raise ConvergenceFailure(
                 f"{name}: level n={state.n} needs more than {_SIZES[-1]} basis functions at l={state.l:.6g}"
             )
-        result, estimate, value = "Aitken limit", "an Aitken correction", _aitken(values[-3:])
+        d1, d2 = values[-3] - values[-2], values[-2] - values[-1]
+        geometric = d1 > 0 and d2 > 0 and d2 / d1 < 0.98
+        result, estimate = "Aitken limit", "an Aitken correction"
+        value = values[-1] - d2 * d2 / (d1 - d2) if geometric else math.nan
         error = values[-1] - value
     log.debug("%s %s: %.12g, error estimate %.3g", name, result, value, error)
     basis = f"{size} basis functions of scale h={scale:.6g} at l={state.l:.6g}"
     binding = abs(values[-1] - threshold)
-    if abs(error) > limit * abs(value):
+    if not geometric:
+        rungs = ", ".join(f"{v:.12g}" for v in values[-3:])
+        refusal = f"has last rungs {rungs}, not geometrically decreasing, with {basis}"
+    elif abs(error) > limit * abs(value):
         refusal = (f"stuck at relative error ~{abs(error / value):.1e} with {basis} (limit {limit:g}); a steep cusp "
                    "(l = 0, p <= -1.5) or a steep confining term converges slowly in this basis")
     elif abs(error) > binding:

@@ -68,22 +68,17 @@ class PowerLawPotential:
     def value(self, r):
         """V(r) at a scalar or an array: a float r > 0 summed in floats (:mod:`.core` assembles the mass
         with it), any other input (an array, an int, a numpy scalar, r <= 0) in numpy; an overflow is inf."""
-        return _power_sum(r, self.terms, False)
-
-    def derivative(self, r):
-        """V'(r) = sum |lam| alpha r**(lam-1), positive for r > 0, in numpy; an overflow is inf."""
-        return _power_sum(r, self.terms, True)
+        return _power_sum(r, self.terms)
 
     def __call__(self, r):
         return self.value(r)
 
 
-def _power_sum(r, terms, slope: bool):
-    """sum(c r**k) over the (alpha, lam) terms, (c, k) = (sign(lam) alpha, lam) for V and
-    (|lam| alpha, lam - 1) for V' (``slope``), with a power or sum beyond the double range
-    counted as inf.  V at a float r > 0 is summed in floats; V' and any other r go through
+def _power_sum(r, terms):
+    """sum(sign(lam) alpha r**lam) over the (alpha, lam) terms, with a power or sum beyond the
+    double range counted as inf.  A float r > 0 is summed in floats; any other r goes through
     numpy, whose power can differ from the float one by an ulp."""
-    if not slope and type(r) is float and r > 0.0:
+    if type(r) is float and r > 0.0:
         total = 0.0
         for a, lam in terms:
             try:
@@ -98,8 +93,7 @@ def _power_sum(r, terms, slope: bool):
     out = np.zeros_like(r)
     with np.errstate(over="ignore"):
         for a, lam in terms:
-            c, k = (abs(lam) * a, lam - 1.0) if slope else (math.copysign(a, lam), lam)
-            out = out + c * r**k
+            out = out + math.copysign(a, lam) * r**lam
     return out if out.ndim else float(out)
 
 

@@ -245,8 +245,6 @@ class TestQNumeric:
         basis = rf"level n=0 came out at .*, not below the continuum threshold 0, with .* of scale h=.* at {where}"
         with pytest.raises(ConvergenceFailure, match=basis):
             oracle.nr_energy(1.0, 1.0, -1.0, state)
-        with pytest.raises(ConvergenceFailure, match=basis):
-            oracle.nr_eigenvalue(1.0, 1.0, -1.0, state)
         with pytest.raises(ConvergenceFailure, match=q_message):
             q_numeric(-1.0, state)
 

@@ -544,7 +544,9 @@ class TestEigenvalues:
         problem = SseProblem(0.0, 1.0, PowerLawPotential.coulomb(2.5), QuantumState(0))
         seed = solve_afm(0.0, 1.0, problem.potential, q_exact(2, problem.state))
         assert reference._scale(problem) == (seed.r0 / 3 / 3.0, False)
-        with pytest.raises(ConvergenceFailure, match="not geometrically decreasing"):
+        with pytest.raises(ConvergenceFailure, match=r"reference: level n=0 has last rungs .*, not geometrically "
+                                                     r"decreasing, with 160 basis functions of scale h=0.186339 at "
+                                                     r"l=0; the basis does not reach the level"):
             sse_eigenvalue(problem)
 
     def test_coulomb_collapsing_at_both_seeds_is_a_collapse(self):
@@ -630,11 +632,6 @@ class TestCertificates:
             assert -1e-12 <= value / values[-1] - 1.0 <= 1e-7
             assert value == pytest.approx(pinned, rel=1e-10)
 
-    @pytest.mark.parametrize("values", [[1.0, 0.9, 0.95], [1.0, 0.9, 0.8], [1.0, 0.99, 0.9801], [1.0, 1.0, 0.9]])
-    def test_aitken_refuses_a_ladder_that_does_not_fall_geometrically(self, values):
-        with pytest.raises(ConvergenceFailure):
-            reference._aitken(values)
-
 
 class TestLadder:
     """The one verdict on a ladder, with a stub whose level n = 0 takes scripted values."""
@@ -656,6 +653,18 @@ class TestLadder:
         assert value == pytest.approx(1.0, rel=1e-12)
         assert error == pytest.approx(0.0125, rel=1e-9)
         assert size == 160
+
+    @pytest.mark.parametrize("values", [[1.0, 0.9, 0.95], [1.0, 0.9, 0.8], [1.0, 0.99, 0.9801]])
+    def test_aitken_refuses_a_ladder_that_does_not_fall_geometrically(self, values):
+        # the last three rungs rise, fall evenly, or fall by a ratio of 0.99 (above 0.98)
+        with pytest.raises(ConvergenceFailure, match=r"stub: level n=0 has last rungs .*, not geometrically "
+                                                     r"decreasing, with 160 basis functions of scale h=1 at l=0; "
+                                                     r"the basis does not reach the level"):
+            self.run(dict(zip(reference._SIZES, [2.0, *values])), math.inf)
+
+    def test_two_equal_rungs_converge_before_any_aitken_step(self):
+        # rungs 1.0, 1.0, 0.9 would not fall geometrically, but the first two agree and end the ladder
+        assert self.run({20: 1.0, 40: 1.0, 80: 0.9, 160: 0.8}, math.inf) == (1.0, 0.0, 40)
 
     def test_a_correction_beyond_the_limit_raises_naming_the_caller(self):
         with pytest.raises(ConvergenceFailure, match="stub"):
@@ -852,19 +861,6 @@ class TestOneBlasThread:
         assert not errors and seen == {"a": [one, one], "b": [one, one]}
         assert blas_counts() == two_blas_threads
 
-    def test_the_eigenvector_of_nr_eigenvalue(self, two_blas_threads, monkeypatch):
-        seen, dsyevx = [], scipy.linalg.lapack.dsyevx
-
-        def counting_dsyevx(*args, **kwargs):
-            if kwargs.get("compute_v"):
-                seen.append(blas_counts())
-            return dsyevx(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dsyevx", counting_dsyevx)
-        oracle.nr_eigenvalue(1.0, 1.0, 1.5, QuantumState(2, 1))
-        assert seen == [[1] * len(two_blas_threads)]
-        assert blas_counts() == two_blas_threads
-
     # In a fresh interpreter, with every OpenBLAS at up to two threads: "ladder" runs one oracle ladder
     # in a process that has not loaded scipy and prints how many controls the ladder pinned, how many
     # there are once it has run, and the counts at each rung and after it; "fresh" prints the counts
@@ -877,8 +873,8 @@ class TestOneBlasThread:
         "    raise SystemExit\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "level, rungs = reference._level, []\n"
-        "def counting_level(h, n, **options):\n"
-        "    value = level(h, n, **options)  # scipy.linalg is loaded by now\n"
+        "def counting_level(h, n):\n"
+        "    value = level(h, n)  # scipy.linalg is loaded by now\n"
         "    rungs.append([get() for get, _ in reference._blas_controls.__wrapped__()])\n"
         "    return value\n"
         "reference._level = counting_level\n"

@@ -31,9 +31,10 @@ TWO_ROOTS = PowerLawPotential(((1.2248, 2.570), (0.3937, -1.658)))
 
 
 def _balance(m1, m2, potential, qv, r):
-    """r^3 dM/dr0: negative below a local minimum of M(r0), positive above."""
+    """r^3 dM/dr0: negative below a local minimum of M(r0), positive above; V'(r) = sum |lam| alpha r^(lam-1)."""
     p0 = qv / r
-    return r**3 * potential.derivative(r) - qv * qv * (1.0 / math.hypot(p0, m1) + 1.0 / math.hypot(p0, m2))
+    slope = sum(abs(lam) * alpha * r ** (lam - 1.0) for alpha, lam in potential.terms)
+    return r**3 * slope - qv * qv * (1.0 / math.hypot(p0, m1) + 1.0 / math.hypot(p0, m2))
 
 
 class TestSolveAfm:

@@ -130,7 +130,7 @@ for name in names:
 namespace = {}
 exec("from salpeter_afm import *", namespace)
 assert set(names) <= set(namespace), sorted(set(names) - set(namespace))
-from salpeter_afm import RadialEigenpair, sse_eigenvalue
+from salpeter_afm import energy_from_q, sse_eigenvalue
 try:
     salpeter_afm.no_such_name
 except AttributeError as err:

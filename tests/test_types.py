@@ -11,13 +11,13 @@ class TestPowerLawPotential:
     def test_sign_convention(self):
         funnel = PowerLawPotential.funnel(1.2, 0.2)
         assert funnel.value(2.0) == pytest.approx(-1.2 / 2.0 + 0.2 * 2.0)
-        assert funnel.derivative(2.0) == pytest.approx(1.2 / 4.0 + 0.2)
         assert funnel(2.0) == funnel.value(2.0)  # calling the potential is V(r)
 
-    def test_derivative_positive_everywhere(self):
+    def test_value_increasing_everywhere(self):
+        # every term is sign(lam) r^lam times a positive coupling, so V rises with r
         pot = PowerLawPotential(((0.5, -1.5), (0.1, 0.7), (0.3, 2.0)))
         r = np.logspace(-3, 3, 61)
-        assert np.all(pot.derivative(r) > 0)
+        assert np.all(np.diff(pot.value(r)) > 0)
 
     def test_vectorized_value(self):
         pot = PowerLawPotential.coulomb(1.0)
@@ -97,13 +97,10 @@ class TestValueFloatPath:
         assert PowerLawPotential(terms).value(r) == expected
 
     @pytest.mark.filterwarnings("error")
-    def test_derivative_and_array_overflow_are_infinite_without_a_warning(self):
-        # V' and arrays go through numpy, whose power overflow is inf as the float path's is
-        assert PowerLawPotential.coulomb(1.0).derivative(1e-160) == math.inf
-        assert PowerLawPotential(((1.0, 3.0),)).derivative(1e200) == math.inf
+    def test_array_overflow_is_infinite_without_a_warning(self):
+        # arrays go through numpy, whose power overflow is inf as the float path's is
         funnel = PowerLawPotential(((0.5, -1.5), (2.0, 3.0)))
         assert funnel.value(np.array([1e-250, 1.0, 1e200])).tolist() == [-math.inf, funnel.value(1.0), math.inf]
-        assert funnel.derivative(np.array([1e-250, 1e200])).tolist() == [math.inf, math.inf]
 
     @pytest.mark.parametrize("r", [np.float64(2.5), np.float64(1e-3), 3, 0.0, -0.0, -2.0, float("nan")])
     def test_other_inputs_take_the_numpy_path(self, r):
