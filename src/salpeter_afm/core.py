@@ -34,6 +34,7 @@ from .types import (
     PowerLawPotential,
     QuantumState,
     _trusted_solution,
+    _value_and_pull,
 )
 
 __all__ = [
@@ -185,29 +186,35 @@ def _scan_window(terms, q_value: float, m1: float, m2: float) -> tuple[float, fl
     range are dropped (a vanishingly small mass contributes no usable scale).
     """
     log_q = math.log10(q_value)
-    logs = [
-        (log_q - math.log10(abs(lam)) - math.log10(a)) / (lam + 1.0)
-        for a, lam in terms
-        if lam != -1.0
-    ]
+    lo, hi = math.inf, -math.inf
     heaviest = max(m1, m2)
+    for a, lam in terms:
+        if lam != -1.0:
+            x = (log_q - math.log10(abs(lam)) - math.log10(a)) / (lam + 1.0)
+            if abs(x) < _DECADE_LIMIT:
+                lo, hi = x if x < lo else lo, x if x > hi else hi
     if heaviest > 0.0:
-        logs.append(log_q - math.log10(heaviest))
-    logs = [x for x in logs if abs(x) < _DECADE_LIMIT] or [0.0]
-    return min(logs) - 6.0, max(logs) + 6.0
+        x = log_q - math.log10(heaviest)
+        if abs(x) < _DECADE_LIMIT:
+            lo, hi = x if x < lo else lo, x if x > hi else hi
+    if lo > hi:  # no candidate kept
+        lo = hi = 0.0
+    return lo - 6.0, hi + 6.0
 
 
-def _virial_balance(terms, q_value: float, k1: float, k2: float):
+def _virial_balance(pulls, q_value: float, k1: float, k2: float):
     """The virial balance divided by r (same sign, same roots), as balance(r).
 
     r^2 V'(r) - Q p0 (1/nu1 + 1/nu2) with p0/nu = 1/hypot(1, m r/Q), k_i =
-    m_i/Q.  r^2 V'(r) goes term by term, since the product r**2 * V'(r)
-    underflows to a spurious sign far below the root, where the scan window
-    may reach.  A power beyond the double range makes the pull +inf, so
-    every value is a float; no term of this form overflows at a root.  r is
-    a float.
+    m_i/Q.  r^2 V'(r) goes term by term, over the pull table of
+    :func:`solve_afm`, (c, e) = (|lam| alpha, lam + 1) per active term, as
+    the sum of c r**e, since the product r**2 * V'(r) underflows to a
+    spurious sign far below the root, where the scan window may reach.  A
+    power beyond the double range makes the pull +inf, so every value is a
+    float; no term of this form overflows at a root.  r is a float.  One
+    evaluation takes ~0.45 us (CPython 3.11, 2-core x86_64), so the ~7 of
+    a call with every lam >= -1 are ~3 us of its ~15.5 us.
     """
-    pulls = [(abs(lam) * a, lam + 1.0) for a, lam in terms]
     hypot, inf = math.hypot, math.inf
 
     def balance(r):
@@ -222,15 +229,16 @@ def _virial_balance(terms, q_value: float, k1: float, k2: float):
     return balance
 
 
-def _root_estimate(terms, c: float, e: float, q_value: float, k1: float, k2: float, window) -> float:
+def _root_estimate(pulls, c: float, e: float, q_value: float, k1: float, k2: float, window) -> float:
     """A log10 radius near the root of a nondecreasing balance, where its search starts.
 
     The term with the largest e = lam + 1 > 0, c = |lam| alpha, balances Q
     alone at s0 = ln(Q/c)/e; without such a term (pure Coulomb, e = 0) s0
-    is the window's middle.  From s0 one Newton step on F(s) = ln(pull/(Q kin)),
-    r = e^s, with pull = sum |lam| alpha r^(lam+1) and kin = 1/hypot(1, k1 r)
-    + 1/hypot(1, k2 r), F' = sum e |lam| alpha r^e / pull
-    + sum (k r)^2/hypot^3 / kin.  A pure Coulomb balance at masses (0, m)
+    is the window's middle.  ``pulls`` is the (c, e) table of every active
+    term, as :func:`_virial_balance` takes it.  From s0 one Newton step on
+    F(s) = ln(pull/(Q kin)), r = e^s, with pull = sum |lam| alpha r^(lam+1)
+    and kin = 1/hypot(1, k1 r) + 1/hypot(1, k2 r),
+    F' = sum e |lam| alpha r^e / pull + sum (k r)^2/hypot^3 / kin.  A pure Coulomb balance at masses (0, m)
     has the closed-form root r0 = (Q/m) sqrt(2u - 1)/(1 - u), u = Q/a with a
     the sum of the couplings, which is the estimate itself.  The estimate
     only chooses where the search starts, never an outcome: where it cannot
@@ -241,16 +249,16 @@ def _root_estimate(terms, c: float, e: float, q_value: float, k1: float, k2: flo
         if e:
             s = (math.log(q_value) - math.log(c)) / e
         elif min(k1, k2) == 0.0:
-            u = q_value / sum(a for a, _ in terms)
+            u = q_value / sum(ci for ci, _ in pulls)  # every lam is -1, so each c is the coupling itself
             return (0.5 * math.log(2.0 * u - 1.0) - math.log(1.0 - u) - math.log(k1 + k2)) / _LN10
         else:
             s = middle * _LN10
         r = math.exp(s)
         pull = slope = 0.0
-        for a, lam in terms:
-            t = abs(lam) * a * r ** (lam + 1.0)
+        for ci, ei in pulls:
+            t = ci * r**ei
             pull += t
-            slope += (lam + 1.0) * t
+            slope += ei * t
         h1, h2 = math.hypot(1.0, k1 * r), math.hypot(1.0, k2 * r)
         kin = 1.0 / h1 + 1.0 / h2
         x1, x2 = k1 * r / h1, k2 * r / h2
@@ -261,7 +269,7 @@ def _root_estimate(terms, c: float, e: float, q_value: float, k1: float, k2: flo
 
 
 def _bracket_root(
-    balance, window: tuple[float, float], q_value: float, estimate: float | None, terms, k1: float, k2: float
+    balance, window: tuple[float, float], q_value: float, estimate: float | None, pulls, k1: float, k2: float
 ):
     """First - to + crossing of the balance on a log grid over the window's decades.
 
@@ -276,7 +284,8 @@ def _bracket_root(
     holds the root, as it does for 99.5 % of the seeded bound draws.
     Otherwise (``estimate`` None: a steep attractive term can make the
     balance cross twice) :func:`_steep_grid` bisects the grid from the left,
-    skipping the ranges whose bounds from ``terms`` and k_i = m_i/Q show no
+    skipping the ranges whose bounds from the pull table ``pulls`` (as
+    :func:`_virial_balance` takes it) and k_i = m_i/Q show no
     crossing, and bisects the range it shows rising through 0 with the same
     :func:`_bisect_grid`: ~12 evaluations on the seeded draws, of ~800 points.
     Returns (xa, xb, f(xa), f(xb)), or raises the no-root errors
@@ -287,7 +296,7 @@ def _bracket_root(
     count = round(40 * (hi - lo)) + 1
     step = (hi - lo) / (count - 1)
     if estimate is None:
-        cell, lead = _steep_grid(balance, terms, q_value, k1, k2, lo, step, count)
+        cell, lead = _steep_grid(balance, pulls, q_value, k1, k2, lo, step, count)
     else:
         start = min(math.floor((min(max(estimate, lo), hi) - lo) / step), count - 2)
         cell, lead = _bisect_grid(balance, lo, step, count, start)
@@ -349,33 +358,34 @@ _KINETIC_PEAK_T = math.sqrt(2.0)
 _KINETIC_PEAK = 2.0 / 3.0**1.5
 
 
-def _balance_parts(terms, q_value: float, k1: float, k2: float):
+def _balance_parts(pulls, q_value: float, k1: float, k2: float):
     """The virial balance at a float r with the monotone parts that bound it on a range of radii.
 
     parts(r) is (r, f, d, p, kin, ds, ks1, ks2).  f is the balance of
-    :func:`_virial_balance`, bit for bit, and a power beyond the double
-    range counts as +inf in every part.  d is the pull of the lam < -1
-    terms, which does not increase with r, p that of the other terms, which
-    does not decrease, and kin = (Q/hypot(1, t1) + Q/hypot(1, t2))/2, t_i =
-    k_i r, which does not increase: f = d + p - 2 kin up to rounding
-    (halved, so that it stays finite for Q up to the largest double).  In s = ln r the pull has the
-    slope ds = sum (lam + 1) |lam| alpha r^(lam+1), whose lam < -1 part
-    rises to 0 and the rest from 0, and -Q/hypot(1, t_i) the slope
+    :func:`_virial_balance` over the same (c, e) table ``pulls``, bit for
+    bit, and a power beyond the double range counts as +inf in every part.
+    d is the pull of the lam < -1 terms (e < 0: lam + 1 is exact for
+    lam < -1/2), which does not increase with r, p that of the other
+    terms, which does not decrease, and kin = (Q/hypot(1, t1) +
+    Q/hypot(1, t2))/2, t_i = k_i r, which does not increase: f = d + p -
+    2 kin up to rounding (halved, so that it stays finite for Q up to the
+    largest double).  In s = ln r the pull has the slope
+    ds = sum (lam + 1) |lam| alpha r^(lam+1), whose lam < -1 part rises to
+    0 and the rest from 0, and -Q/hypot(1, t_i) the slope
     ks_i = Q t_i^2/hypot(1, t_i)^3 >= 0.
     """
-    pulls = [(abs(lam) * a, lam + 1.0, lam < -1.0) for a, lam in terms]
     hypot, inf = math.hypot, math.inf
 
     def parts(r):
         pull = d = p = ds = 0.0
-        for c, e, steep in pulls:
+        for c, e in pulls:
             try:
                 t = c * r**e
             except OverflowError:
                 t = inf
             pull = pull + t
             ds += e * t
-            if steep:
+            if e < 0.0:
                 d += t
             else:
                 p += t
@@ -390,14 +400,14 @@ def _balance_parts(terms, q_value: float, k1: float, k2: float):
     return parts
 
 
-def _steep_grid(balance, terms, q_value: float, k1: float, k2: float, lo: float, step: float, count: int):
+def _steep_grid(balance, pulls, q_value: float, k1: float, k2: float, lo: float, step: float, count: int):
     """(the first - to + grid cell with its end values, first finite value) of any balance, from float values.
 
     Either is None when there is none.  Ranges [i, j] of the grid are
     bisected from the left, and one is skipped when it cannot hold such a
     cell (interval bounds from monotone parts, as in R. E. Moore, *Interval
-    Analysis*, 1966).  With the parts of
-    :func:`_balance_parts`, every value on [i, j] lies between
+    Analysis*, 1966).  With the parts of :func:`_balance_parts` over the
+    pull table ``pulls``, every value on [i, j] lies between
     d(x_j) + p(x_i) - 2 kin(x_i) and d(x_i) + p(x_j) - 2 kin(x_j), and every
     slope in ln r between ds(x_i) + min ks and ds(x_j) + max ks, where ks_i
     peaks at t_i = sqrt(2).  A range is skipped when its values have one
@@ -411,10 +421,10 @@ def _steep_grid(balance, terms, q_value: float, k1: float, k2: float, lo: float,
     the first one; without one, the first finite value is the left end of
     the first range skipped at a finite value, or the last point.
     """
-    parts = _balance_parts(terms, q_value, k1, k2)
+    parts = _balance_parts(pulls, q_value, k1, k2)
     # each float value below is off by at most ~(terms + 7) roundings of the magnitudes summed into it
-    rounding = 4.0 * (len(terms) + 8) * sys.float_info.epsilon
-    slope_scale = max([abs(lam + 1.0) for _, lam in terms])
+    rounding = 4.0 * (len(pulls) + 8) * sys.float_info.epsilon
+    slope_scale = max([abs(e) for _, e in pulls])
     inf = math.inf
     # the radii where the two kinetic slopes peak, and their common peak value
     peak1, peak2 = (_KINETIC_PEAK_T / k if k else inf for k in (k1, k2))
@@ -496,17 +506,27 @@ def _brent(
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
     for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+        if fcur == 0.0:  # brentq's block and swap steps leave a zero fcur as it is, then return it
+            return xcur
+        # neither value is 0 (fpre was a nonzero fcur), so this is brentq's signbit test
+        if (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+        # each |f| and |step| of the iteration is taken once
+        abs_cur, abs_blk = abs(fcur), abs(fblk)
+        if abs_blk < abs_cur:  # keep the best point in xcur
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
+            abs_pre, abs_cur = abs_cur, abs_blk
+        else:
+            abs_pre = abs(fpre)
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+        abs_bis = abs(sbis)
+        if abs_bis < delta:
             return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        abs_spre = abs(spre)
+        if abs_spre > delta and abs_cur < abs_pre:
             if xpre == xblk:  # secant
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:  # inverse quadratic interpolation
@@ -515,14 +535,18 @@ def _brent(
                 denom = dblk * dpre * (fblk - fpre)
                 # C divides a zero denominator to inf or nan, and both bisect below
                 stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a good short step
+            abs_try = abs(stry)
+            # brentq's 2|stry| < min(|spre|, 3|sbis| - delta), both sides finite but for a NaN or inf stry
+            if 2 * abs_try < abs_spre and 2 * abs_try < 3 * abs_bis - delta:
+                spre, scur, abs_step = scur, stry, abs_try  # a good short step
             else:
                 spre = scur = sbis
+                abs_step = abs_bis
         else:
             spre = scur = sbis
+            abs_step = abs_bis
         xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        xcur += scur if abs_step > delta else (delta if sbis > 0 else -delta)
         fcur = float(f(xcur))
         if fcur != fcur:
             raise _nan_value(xcur)
@@ -546,12 +570,14 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
     monotone bounds show no crossing, see :func:`_steep_grid`, both ending
     in the one bisection of :func:`_bisect_grid`; then Brent's method on
     that grid cell to machine precision, handed the cell's end values, see
-    :func:`_brent`), and assembles the mass in floats, with no numpy.  With
-    every lam >= -1 a call evaluates the balance ~7 times, ~2 for the cell
-    and ~5 in Brent, and takes ~17 us (CPython 3.11, 2-core x86_64), ~2 us
-    of it in the balance; with a lam < -1 term ~17 times, ~12 for the cell,
-    in ~40 us.  All three defining relations hold to better than 1e-10
-    relative on the returned solution.  At m1 = 0, r0 solves
+    :func:`_brent`), and assembles the mass in floats, with no numpy.  The
+    terms are read once, into the (|lam| alpha, lam + 1) table that the
+    balance, the estimate and the bounded search share; the window reads
+    them once more.  With every lam >= -1 a call evaluates the balance ~7
+    times, ~2 for the cell and ~5 in Brent, and takes ~15.5 us (CPython
+    3.11, 2-core x86_64), ~3 us of it in the balance; with a lam < -1 term
+    ~17 times, ~12 for the cell, in ~41 us.  All three defining relations
+    hold to better than 1e-10 relative on the returned solution.  At m1 = 0, r0 solves
     Q + Q^2/sqrt(Q^2 + m2^2 r0^2) = sum_i |lam_i| alpha_i r0^(lam_i+1).
 
     Without such a crossing, raises NoBoundState when the balance is
@@ -570,28 +596,33 @@ def solve_afm(m1: float, m2: float, potential: PowerLawPotential, q: GlobalQ | f
         raise ValueError("masses must be finite and non-negative")
     q = q if isinstance(q, GlobalQ) else _resolve_q(q)
     qv = q.value
-    terms = potential.active_terms()
+    terms = potential.terms
     if not terms:
         raise DomainError("potential has no active term")
 
-    # whether the balance is nondecreasing, and its term with the largest e = lam + 1 > 0
+    # the one walk over the terms: the pull table (c, e) = (|lam| alpha, lam + 1) that the balance sums,
+    # whether the balance is nondecreasing, and its term with the largest e > 0
+    pulls = []
     monotone, c, e = True, 0.0, 0.0
     for a, lam in terms:
+        pull = abs(lam) * a, lam + 1.0
+        pulls.append(pull)
         if lam < -1.0:
             monotone = False
-        elif lam + 1.0 > e:
-            c, e = abs(lam) * a, lam + 1.0
+        elif pull[1] > e:
+            c, e = pull
     k1, k2 = m1 / qv, m2 / qv
-    balance = _virial_balance(terms, qv, k1, k2)
+    balance = _virial_balance(pulls, qv, k1, k2)
     window = _scan_window(terms, qv, m1, m2)
-    estimate = _root_estimate(terms, c, e, qv, k1, k2, window) if monotone else None
-    xa, xb, fa, fb = _bracket_root(balance, window, qv, estimate, terms, k1, k2)
+    estimate = _root_estimate(pulls, c, e, qv, k1, k2, window) if monotone else None
+    xa, xb, fa, fb = _bracket_root(balance, window, qv, estimate, pulls, k1, k2)
     r0 = _brent(balance, xa, xb, xtol=1e-20 * xa, rtol=1e-15, fa=fa, fb=fb)
-    return _assemble(m1, m2, potential, q, r0)
+    return _assemble(m1, m2, terms, q, r0)
 
 
-def _assemble(m1, m2, potential: PowerLawPotential, q: GlobalQ, r0: float) -> AfmSolution:
-    """The solution at r0, M = nu1 + nu2 + V(r0) with V(r0) from ``potential.value``'s float sum.
+def _assemble(m1, m2, terms, q: GlobalQ, r0: float) -> AfmSolution:
+    """The solution at r0 for the active ``terms``, M = nu1 + nu2 + V(r0), with V(r0) and the
+    virial pull from one float pass over the terms (``PowerLawPotential.value``'s float sum).
 
     The virial residual is checked first: above 1e-10 the balance lost its
     digits at r0 (a power subnormal or 0 while its product is not), or Brent
@@ -602,14 +633,15 @@ def _assemble(m1, m2, potential: PowerLawPotential, q: GlobalQ, r0: float) -> Af
         raise DomainError(f"the momentum Q/r0 at r0={r0:g} underflows the double range")
     nu1 = math.hypot(p0, m1)
     nu2 = math.hypot(p0, m2)
-    if not _virial_residual(potential.terms, r0, p0, nu1, nu2) <= 1e-10:
+    value, pull = _value_and_pull(r0, terms)
+    if not _virial_residual(pull, p0, nu1, nu2) <= 1e-10:
         raise DomainError(f"virial balance is not representable near the root (r0={r0:g})")
-    mass = nu1 + nu2 + potential.value(r0)
+    mass = nu1 + nu2 + value
     if not math.isfinite(mass):
         raise DomainError(f"the mass at r0={r0:g} exceeds the double range")
     if mass <= 0.0:
         raise CollapseDetected(f"solution at r0={r0:g} has nonpositive mass {mass:g}")
-    return _trusted_solution(r0, p0, nu1, nu2, mass, q, _certified(potential.terms, q.p))
+    return _trusted_solution(r0, p0, nu1, nu2, mass, q, _certified(terms, q.p))
 
 
 # ---------------------------------------------------------------------------
@@ -793,20 +825,16 @@ def residuals(
         exact = math.inf
     res_mass = abs(sol.mass - exact) / abs(sol.mass)
     res_q = abs(sol.p0 * sol.r0 - qv) / qv
-    return res_mass, res_q, _virial_residual(terms, sol.r0, sol.p0, nu1, nu2)
+    return res_mass, res_q, _virial_residual(_value_and_pull(sol.r0, terms)[1], sol.p0, nu1, nu2)
 
 
-def _virial_residual(terms, r0: float, p0: float, nu1: float, nu2: float) -> float:
+def _virial_residual(pull: float, p0: float, nu1: float, nu2: float) -> float:
     """Relative residual of the virial balance r0 V'(r0) = p0^2/nu1 + p0^2/nu2, in floats.
 
-    inf where the pull sum |lam| alpha r0^lam is 0 or leaves the double range.
+    ``pull`` is r0 V'(r0), the float sum of |lam| alpha r0^lam that
+    :func:`.types._value_and_pull` forms; inf where it is 0 or beyond the
+    double range.
     """
-    pull = 0.0
-    try:
-        for a, lam in terms:
-            pull += abs(lam) * a * r0**lam
-    except OverflowError:
-        return math.inf
     if not 0.0 < pull < math.inf:
         return math.inf
     # p0 * (p0/nu), since p0**2 leaves the double range for p0 above ~1e154 or below ~1e-154

@@ -76,17 +76,10 @@ class PowerLawPotential:
 
 def _power_sum(r, terms):
     """sum(sign(lam) alpha r**lam) over the (alpha, lam) terms, with a power or sum beyond the
-    double range counted as inf.  A float r > 0 is summed in floats; any other r goes through
-    numpy, whose power can differ from the float one by an ulp."""
+    double range counted as inf.  A float r > 0 is summed in floats, by :func:`_value_and_pull`;
+    any other r goes through numpy, whose power can differ from the float one by an ulp."""
     if type(r) is float and r > 0.0:
-        total = 0.0
-        for a, lam in terms:
-            try:
-                power = r**lam
-            except OverflowError:
-                power = math.inf
-            total += math.copysign(a, lam) * power
-        return total
+        return _value_and_pull(r, terms)[0]
     import numpy as np
 
     r = np.asarray(r, dtype=float)
@@ -95,6 +88,22 @@ def _power_sum(r, terms):
         for a, lam in terms:
             out = out + math.copysign(a, lam) * r**lam
     return out if out.ndim else float(out)
+
+
+def _value_and_pull(r: float, terms) -> tuple[float, float]:
+    """(V(r), r V'(r)) at a float r > 0: the ordered float sums of sign(lam) alpha r**lam and of
+    |lam| alpha r**lam over the (alpha, lam) terms, each power r**lam formed once and counted as
+    inf where it leaves the double range.  :mod:`.core` assembles the mass and its virial
+    residual from this one pass."""
+    value = pull = 0.0
+    for a, lam in terms:
+        try:
+            power = r**lam
+        except OverflowError:
+            power = math.inf
+        value += math.copysign(a, lam) * power
+        pull += abs(lam) * a * power
+    return value, pull
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,21 @@ def _slow_search(root_finder):
 
 
 def _same(f, a, b, **tols):
-    ours = _brent(f, a, b, **tols)
-    theirs = brentq(f, a, b, **tols)
+    """_brent returns brentq's double after evaluating f at the same x, in the same order."""
+
+    def recorded(xs):
+        def value(x):
+            xs.append(x)
+            return f(x)
+
+        return value
+
+    our_xs, their_xs = [], []
+    ours = _brent(recorded(our_xs), a, b, **tols)
+    theirs = brentq(recorded(their_xs), a, b, **tols)
     assert type(ours) is float
     assert repr(ours) == repr(theirs), (a, b, tols)
+    assert [repr(x) for x in our_xs] == [repr(x) for x in their_xs], (a, b, tols)
 
 
 @pytest.fixture

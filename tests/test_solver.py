@@ -495,9 +495,9 @@ class TestSeededSearch:
         assert evaluations[0] / 400 <= 7.0
 
 
-def _array_balance(terms, q_value, k1, k2):
-    """The balance of core._virial_balance over an array of radii, in numpy."""
-    pulls = [(abs(lam) * a, lam + 1.0) for a, lam in terms]
+def _array_balance(pulls, q_value, k1, k2):
+    """The balance of core._virial_balance over an array of radii, in numpy, from its
+    (|lam| alpha, lam + 1) pull table."""
 
     def balance(r, hypot=np.hypot):
         pull = 0.0
@@ -531,7 +531,8 @@ def _upward_crossings(m1, m2, potential, qv):
     lo, hi = core._scan_window(terms, qv, m1, m2)
     grid = np.logspace(lo, hi, round(40 * (hi - lo)) + 1)
     with np.errstate(all="ignore"):
-        values = _array_balance(terms, qv, m1 / qv, m2 / qv)(grid)
+        pulls = [(abs(lam) * a, lam + 1.0) for a, lam in terms]
+        values = _array_balance(pulls, qv, m1 / qv, m2 / qv)(grid)
     return int(np.count_nonzero((values[:-1] < 0.0) & (values[1:] >= 0.0)))
 
 
@@ -545,12 +546,12 @@ def steep_and_scan(monkeypatch):
     """
     bounded, searches = core._steep_grid, []
 
-    def scan(balance, terms, q_value, k1, k2, lo, step, count):
-        return _scan_grid(_array_balance(terms, q_value, k1, k2), lo, step, count)
+    def scan(balance, pulls, q_value, k1, k2, lo, step, count):
+        return _scan_grid(_array_balance(pulls, q_value, k1, k2), lo, step, count)
 
     def recorded(search):
-        def run(balance, terms, q_value, k1, k2, lo, step, count):
-            cell, lead = search(balance, terms, q_value, k1, k2, lo, step, count)
+        def run(balance, pulls, q_value, k1, k2, lo, step, count):
+            cell, lead = search(balance, pulls, q_value, k1, k2, lo, step, count)
             index = None
             if cell is not None:
                 index = round((math.log10(cell[0]) - lo) / step)

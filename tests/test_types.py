@@ -2,9 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from salpeter_afm import AfmError, AfmSolution, GlobalQ, PowerLawPotential, QuantumState, solve_afm
+from salpeter_afm.types import _value_and_pull
 from salpeter_afm.verification import random_bound_configuration
+
+# terms (alpha, lam) and float radii from the whole double range, so that powers and sums overflow
+_TERMS = st.lists(
+    st.tuples(
+        st.floats(0.0, 1e300),
+        st.floats(-1.99, 40.0).filter(lambda lam: lam != 0.0),
+    ),
+    min_size=1,
+    max_size=4,
+)
+_RADII = st.floats(5e-324, 1.7e308)
 
 
 class TestPowerLawPotential:
@@ -82,6 +96,28 @@ class TestValueFloatPath:
         for pot, r in self._draws():
             scale = sum(a * r**lam for a, lam in pot.terms)
             assert abs(pot.value(r) - pot.value(np.array([r]))[0]) <= 4 * math.ulp(scale), (pot, r)
+
+    @given(_TERMS, _RADII)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_value_and_pull_in_one_pass(self, terms, r):
+        """Item 0 is value(r) to the bit; item 1 is the ordered float sum of |lam| alpha r**lam,
+        a power beyond the double range counted as inf."""
+        pot = PowerLawPotential(terms)
+        value, pull = _value_and_pull(r, pot.terms)
+        assert repr(value) == repr(pot.value(r))
+        expected = 0.0
+        for a, lam in pot.terms:
+            try:
+                power = r**lam
+            except OverflowError:
+                power = math.inf
+            expected += abs(lam) * a * power
+        assert type(pull) is float and repr(pull) == repr(expected)
+
+    def test_value_and_pull_past_the_double_range(self):
+        funnel = PowerLawPotential(((0.5, -1.5), (2.0, 3.0)))
+        assert _value_and_pull(1e200, funnel.terms) == (math.inf, math.inf)
+        assert _value_and_pull(1e-250, funnel.terms) == (-math.inf, math.inf)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

@@ -21,7 +21,10 @@ After the timed passes each call runs once more with the balance counted:
 from core._virial_balance and, where the tree has it, of
 core._balance_parts's grid points; a tree that evaluates the grid as one
 array counts that as one.  "brent_evals" is the mean number of those made
-inside core._brent, so the cell search made the rest.
+inside core._brent, so the cell search made the rest.  The counting
+wrappers hand the factories their arguments unchanged, so they count on a
+tree whose factories take the potential's (alpha, lam) terms and on one
+whose factories take the (|lam| alpha, lam + 1) table that solve_afm builds.
 """
 import json
 import sys
