@@ -116,10 +116,8 @@ def _solve(p: float, state: QuantumState, tol: float) -> float:
         seed = energy_from_q(q, 1.0, 1.0, p)
     except DomainError:
         seed = math.inf
-    terms = ((1.0, p),)
-    scale, _ = reference.basis_scale(radius, seed, state, terms, tol)
-    build = functools.partial(reference.nr_hamiltonian, p, state.l, scale)
-    return reference.ladder("oracle", build, state, scale, tol, tol, 0.0, reference.attractive_only(terms))[0]
+    hamiltonian = functools.partial(reference.nr_hamiltonian, p, state.l)
+    return reference.ladder("oracle", hamiltonian, state, ((1.0, p),), (radius, seed), tol, tol, 0.0)[0]
 
 
 def nr_energy(mu: float, rho: float, p: float, state: QuantumState, *, tol: float = _NR_TOL) -> float:

@@ -63,7 +63,7 @@ from .types import GlobalQ, PowerLawPotential, QuantumState
 
 _SIZES = (20, 40, 80, 160)
 _TOL = 1e-7  # relative change between two rungs accepted as converged
-_CAPPED_TOL = 2e-6  # largest relative Aitken correction accepted on a capped basis scale
+_CAPPED_TOL = 2e-6  # largest relative error estimate accepted on a capped basis scale, unless tol is larger
 _CACHE_SIZE = 32  # unit-scale matrices kept per cache: eight ladders of four rungs
 _LOG_MAX = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
@@ -333,9 +333,9 @@ def basis_scale(radius: float, energy: float, state: QuantumState, terms, tol: f
     return h, h < natural
 
 
-def _scale(problem: SseProblem) -> tuple[float, bool]:
-    """Basis scale from the cheap variational solve (tried at Q(-1), then Q(2))
-    of the larger radius, and whether the round-off cap bound."""
+def _seed(problem: SseProblem) -> tuple[float, float]:
+    """(r0, mass) of the cheap variational solve (tried at Q(-1), then Q(2)) of the larger radius,
+    from which :func:`ladder` sizes the basis."""
     seed = collapse = None
     for q in (core.q_exact(-1, problem.state), core.q_exact(2, problem.state)):
         try:
@@ -350,7 +350,7 @@ def _scale(problem: SseProblem) -> tuple[float, bool]:
         if collapse is not None:
             raise collapse
         raise NoBoundState("could not find a variational bound state to size the basis")
-    return basis_scale(seed.r0, seed.mass, problem.state, problem.potential.active_terms(), _TOL)
+    return seed.r0, seed.mass
 
 
 @functools.cache
@@ -446,31 +446,39 @@ def _level(h: np.ndarray, n: int) -> float:
 
 @_one_blas_thread
 def ladder(
-    name: str, build, state: QuantumState, scale: float, tol: float, limit: float, threshold: float, bound: bool
+    name: str, hamiltonian, state: QuantumState, terms, seed: tuple[float, float], tol: float, limit: float,
+    threshold: float,
 ) -> tuple[float, float, int]:
-    """Level n of build(N) on the rungs N = 20, 40, 80, 160 with N > n.
+    """Level n of hamiltonian(h, N) on the rungs N = 20, 40, 80, 160 with N > n.
 
-    Every rung is an upper bound.  The first rung within ``tol`` relative of
-    the one before is taken, with that difference as its error estimate;
-    otherwise the Aitken limit of the last three rungs is taken with the
-    Aitken correction as its error estimate.  It is refused
+    The basis scale h is :func:`basis_scale` of the (radius, energy) ``seed``
+    of the level's variational solution and the potential's (alpha, lam)
+    ``terms``.  Every rung is an upper bound.  The first rung within ``tol``
+    relative of the one before is taken, with that difference as its error
+    estimate; otherwise the Aitken limit of the last three rungs is taken
+    with the Aitken correction as its error estimate.  It is refused
     (ConvergenceFailure) where those rungs do not fall geometrically (each
     step positive and below 0.98 of the one before), and either is refused
-    where its error estimate is above ``limit`` relative or the binding
-    energy |finest rung - threshold| (``threshold`` is where the continuum
-    starts: m1 + m2, sigma m, or 0), and a ``bound`` level
-    (:func:`attractive_only` terms) where it is not below ``threshold``: the
-    one place where a level is accepted, extrapolated or refused.  Returns
+    where its error estimate is above ``limit`` relative (on a scale that a
+    confining term capped, the first rungs miss the state, and the limit is
+    at most the larger of ``tol`` and 2e-6) or the binding energy
+    |finest rung - threshold| (``threshold`` is where the continuum starts:
+    m1 + m2, sigma m, or 0), and the level of an :func:`attractive_only`
+    potential, which is bound, where it is not below ``threshold``: the one
+    place where a level is accepted, extrapolated or refused.  Returns
     (value, error estimate, size of the last rung), with one DEBUG record per
     rung and one for the result to the ``name`` logger, on one BLAS thread
     (:class:`_OneBlasThread`).
     """
+    scale, capped = basis_scale(*seed, state, terms, tol)
+    if capped:
+        limit = min(limit, max(tol, _CAPPED_TOL))
     log = logging.getLogger(f"{__package__}.{name}")
     values = []
     for size in (s for s in _SIZES if s > state.n):
         # level n alone, bisected on the reversed matrix's graded tridiagonal at abstol 2 safmin; the
         # eps ||H|| that the subset solvers lost came from their abstol 0, not from bisection
-        values.append(_level(build(size), state.n))
+        values.append(_level(hamiltonian(scale, size), state.n))
         log.debug("%s rung N=%d h=%.9g value=%.12g", name, size, scale, values[-1])
         if len(values) > 1 and abs(values[-1] - values[-2]) <= tol * abs(values[-1]):
             result, estimate, value, error = "converged", "a rung difference", values[-1], values[-2] - values[-1]
@@ -497,7 +505,7 @@ def ladder(
                    "(l = 0, p <= -1.5) or a steep confining term converges slowly in this basis")
     elif abs(error) > binding:
         refusal = f"has {estimate} {abs(error):.3g} above the binding energy {binding:.3g} of its finest rung ({basis})"
-    elif bound and not value < threshold:
+    elif attractive_only(terms) and not value < threshold:
         refusal = f"came out at {value:.12g}, not below the continuum threshold {threshold:.12g}, with {basis}"
     else:
         return value, error, size
@@ -510,12 +518,10 @@ def sse_eigenvalue(problem: SseProblem) -> float:
     level for an attractive-only potential, and, where a steep confining term capped the basis scale
     (the first rungs then miss the state), an Aitken correction of at most 2e-6 relative."""
     core.check_mass_squares(problem.m1, problem.m2)
-    scale, capped = _scale(problem)
-    build = functools.partial(sse_hamiltonian, problem, scale)
     threshold = problem.m1 + problem.m2 if problem.sigma is None else problem.sigma * problem.m1
-    limit = _CAPPED_TOL if capped else math.inf
-    bound = attractive_only(problem.potential.terms)
-    return ladder("reference", build, problem.state, scale, _TOL, limit, threshold, bound)[0]
+    hamiltonian = functools.partial(sse_hamiltonian, problem)
+    return ladder("reference", hamiltonian, problem.state, problem.potential.terms, _seed(problem), _TOL, math.inf,
+                  threshold)[0]
 
 
 @dataclass(frozen=True)

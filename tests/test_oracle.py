@@ -110,6 +110,24 @@ class TestExtremeUnits:
             return
         assert math.isfinite(energy) and energy != 0.0
 
+    def test_a_capped_level_keeps_the_oracle_tolerance_as_its_limit(self, caplog, monkeypatch):
+        # at p = 8 and tol = 1e-3 the r^8 term caps the basis scale, and the converged level's error
+        # estimate, 3.4e-5 relative, is above the 2e-6 that a capped reference level may carry: the
+        # oracle's limit stays its tol
+        capped, basis_scale = [], reference.basis_scale
+
+        def recording(*args):
+            scale = basis_scale(*args)
+            capped.append(scale[1])
+            return scale
+
+        monkeypatch.setattr(reference, "basis_scale", recording)
+        with caplog.at_level(logging.DEBUG, logger="salpeter_afm"):
+            value = oracle._solve.__wrapped__(8.0, QuantumState(0, 0), 1e-3)
+        [result] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("oracle converged")]
+        assert capped == [True]
+        assert float(result.split()[-1]) / value > reference._CAPPED_TOL
+
     def test_a_level_beyond_the_double_range_is_a_domain_error(self):
         # the energy unit, 1e308, is a double; the n = 5 harmonic level in that unit is not
         with pytest.raises(DomainError, match="energy unit"):

@@ -68,9 +68,14 @@ Q_NUMERIC_SPECS = [
 ]
 
 
+def problem_scale(problem):
+    """The basis scale that sse_eigenvalue's ladder picks, and whether a confining term capped it."""
+    return reference.basis_scale(*reference._seed(problem), problem.state, problem.potential.terms, reference._TOL)
+
+
 def rung_values(problem):
     """Level n on every rung of the basis ladder, at the scale sse_eigenvalue picks."""
-    (scale, _), n = reference._scale(problem), problem.state.n
+    (scale, _), n = problem_scale(problem), problem.state.n
     return [
         scipy.linalg.eigvalsh(sse_hamiltonian(problem, scale, size), subset_by_index=(n, n))[0]
         for size in reference._SIZES
@@ -229,7 +234,7 @@ class TestProblemValidation:
         # the round-off cap (tol |E| / (eps alpha))^(1/lam) would overflow; formed in logarithms it
         # does not bind, and no warning escapes
         problem = SseProblem(0.0, 1.0, PowerLawPotential(((1e-300, 1.0),)), QuantumState(0))
-        assert reference._scale(problem)[1] is False
+        assert problem_scale(problem)[1] is False
         assert sse_eigenvalue(problem) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -512,7 +517,8 @@ class TestEigenvalues:
         # the capped rungs still fall geometrically, but their Aitken correction
         # (3e-5 at lam = 10, 0.25 at lam = 30) is far above what the ladder can vouch for
         problem = SseProblem(0.0, 1.0, PowerLawPotential(((0.2, lam),)), QuantumState(0))
-        with caplog.at_level(logging.DEBUG, logger="salpeter_afm"), pytest.raises(ConvergenceFailure):
+        with caplog.at_level(logging.DEBUG, logger="salpeter_afm"), pytest.raises(ConvergenceFailure,
+                                                                                  match=r"\(limit 2e-06\)"):
             sse_eigenvalue(problem)
         assert any(r.getMessage().startswith("reference Aitken limit") for r in caplog.records)
 
@@ -525,11 +531,11 @@ class TestEigenvalues:
         seed = max((solve_afm(0.0, 1.0, problem.potential, q_exact(p, problem.state)) for p in (-1, 2)),
                    key=lambda sol: sol.r0)
         natural = seed.r0 / 3
-        terms = problem.potential.active_terms()
+        terms = problem.potential.terms
         assert reference.basis_scale(seed.r0, seed.mass, problem.state, terms, reference._TOL) == (natural, False)
-        build = functools.partial(sse_hamiltonian, problem, natural)
         value = sse_eigenvalue(problem)
-        ladder = reference.ladder("reference", build, problem.state, natural, reference._TOL, math.inf, 1.0, False)
+        ladder = reference.ladder("reference", lambda _, size: sse_hamiltonian(problem, natural, size), problem.state,
+                                  terms, (seed.r0, seed.mass), reference._TOL, math.inf, 1.0)
         assert value == ladder[0]
         assert value == pytest.approx(pinned, rel=reference._TOL)
 
@@ -543,7 +549,8 @@ class TestEigenvalues:
         # supercritical rungs then fall without limit, and the ladder refuses them
         problem = SseProblem(0.0, 1.0, PowerLawPotential.coulomb(2.5), QuantumState(0))
         seed = solve_afm(0.0, 1.0, problem.potential, q_exact(2, problem.state))
-        assert reference._scale(problem) == (seed.r0 / 3 / 3.0, False)
+        assert reference._seed(problem) == (seed.r0, seed.mass)
+        assert problem_scale(problem) == (seed.r0 / 3 / 3.0, False)
         with pytest.raises(ConvergenceFailure, match=r"reference: level n=0 has last rungs .*, not geometrically "
                                                      r"decreasing, with 160 basis functions of scale h=0.186339 at "
                                                      r"l=0; the basis does not reach the level"):
@@ -581,7 +588,7 @@ class TestEigenvalues:
     def test_bisected_rungs_match_a_qr_solve_of_every_level(self, problem):
         # bisection at abstol 2 safmin keeps these graded rungs to high relative accuracy; at abstol 0
         # the same rungs are off by up to 3.3e-8
-        scale, n = reference._scale(problem)[0], problem.state.n
+        scale, n = problem_scale(problem)[0], problem.state.n
         for size in (80, 160):
             h = sse_hamiltonian(problem, scale, size)
             qr = scipy.linalg.eigvalsh(h[::-1, ::-1], driver="ev")[n]
@@ -636,11 +643,19 @@ class TestCertificates:
 class TestLadder:
     """The one verdict on a ladder, with a stub whose level n = 0 takes scripted values."""
 
+    # a geometric fall (ratio 0.01) whose Aitken correction, 2.02e-5 relative, lies between 2e-6 and 1e-3, with
+    # no two rungs within 1e-3 relative
+    CAPPED_FALL = {20: 2.0, 40: 1.202, 80: 1.002, 160: 1.0}
+
     @staticmethod
-    def run(levels, limit, threshold=0.0, bound=False):
+    def run(levels, limit, threshold=0.0, bound=False, tol=1e-7, energy=1.0):
+        """The ladder at (0, 0) on a stub whose rungs take ``levels``.  The seed radius puts the basis scale at
+        h = 1: a third of it at a confining term, a ninth at an attractive term's cusp, which selects the bound
+        rule.  The confining term caps h below 1 at a seed ``energy`` of 1e-20."""
+        terms, radius = (((1.0, -1.0),), 9.0) if bound else (((1.0, 1.0),), 3.0)
         return reference.ladder(
-            "stub", lambda size: np.diag(np.full(size, levels[size])), QuantumState(0), 1.0, 1e-7, limit, threshold,
-            bound,
+            "stub", lambda h, size: np.diag(np.full(size, levels[size])), QuantumState(0), terms, (radius, energy),
+            tol, limit, threshold,
         )
 
     def test_two_agreeing_rungs_return_the_last(self):
@@ -695,6 +710,21 @@ class TestLadder:
         with pytest.raises(ConvergenceFailure, match="stub: level n=0 has a rung difference 5e-08 above the binding "
                                                      "energy 1e-08 of its finest rung"):
             self.run(levels, math.inf, threshold=1.0 + 1e-8)
+
+    @pytest.mark.parametrize(
+        "tol, limit, energy", [(1e-7, math.inf, 1.0), (1e-3, 1e-3, 1e-20)], ids=["reference-natural", "oracle-capped"]
+    )
+    def test_a_correction_above_2e_6_is_accepted_within_the_limit(self, tol, limit, energy):
+        value, error, size = self.run(self.CAPPED_FALL, limit, tol=tol, energy=energy)
+        assert value == pytest.approx(1.0 - 0.002**2 / 0.198, rel=1e-12)
+        assert error / value == pytest.approx(2.0202e-5, rel=1e-4)
+        assert size == 160
+
+    def test_a_capped_scale_limits_an_unlimited_ladder_to_2e_6(self):
+        # the limit inf of the reference becomes 2e-6 on a capped scale (the first rungs miss the state)
+        with pytest.raises(ConvergenceFailure, match=r"stub: level n=0 stuck at relative error ~2\.0e-05 with 160 basis "
+                                                     r"functions of scale h=6\.97152e-15 at l=0 \(limit 2e-06\)"):
+            self.run(self.CAPPED_FALL, math.inf, energy=1e-20)
 
     def test_a_fall_with_ratio_1e_5_is_accepted(self):
         value, error, _ = self.run({20: 3.0, 40: 2.0, 80: 1.0 + 1e-5, 160: 1.0}, 1e-7)
@@ -755,7 +785,7 @@ def counting_build(seen):
     """A rung build that records the BLAS thread counts at each rung: a diagonal matrix, so the
     ladder converges on its second rung."""
 
-    def build(size):
+    def build(h, size):
         seen.append(blas_counts())
         return np.diag(np.arange(1.0, size + 1.0))
 
@@ -763,7 +793,8 @@ def counting_build(seen):
 
 
 def run_ladder(build, n=0):
-    return reference.ladder("test", build, QuantumState(n), 1.0, reference._TOL, math.inf, 0.0, False)
+    """The ladder on the stub hamiltonian(h, N) ``build``, with a confining term: no bound rule."""
+    return reference.ladder("test", build, QuantumState(n), ((1.0, 1.0),), (3.0, 1.0), reference._TOL, math.inf, 0.0)
 
 
 @pytest.fixture
@@ -795,10 +826,10 @@ class TestOneBlasThread:
     def test_a_ladder_whose_build_raises(self, two_blas_threads, error):
         seen = []
 
-        def build(size):
+        def build(h, size):
             if size == 40:
                 raise error("refused")
-            return counting_build(seen)(size)
+            return counting_build(seen)(h, size)
 
         with pytest.raises(error, match="refused"):
             run_ladder(build)
@@ -821,11 +852,11 @@ class TestOneBlasThread:
     def test_nested_ladders(self, two_blas_threads):
         inner, outer, after_inner = [], [], []
 
-        def build(size):
+        def build(h, size):
             if size == 20:
                 run_ladder(counting_build(inner))
                 after_inner.append(blas_counts())
-            return counting_build(outer)(size)
+            return counting_build(outer)(h, size)
 
         run_ladder(build)
         one = [1] * len(two_blas_threads)
@@ -838,12 +869,12 @@ class TestOneBlasThread:
         seen, errors = {"a": [], "b": []}, []
 
         def run(name):
-            def build(size):
+            def build(h, size):
                 if size == 20:
                     both_inside.wait()
                     if name == "b":
                         assert a_returned.wait(timeout=30)
-                return counting_build(seen[name])(size)
+                return counting_build(seen[name])(h, size)
 
             try:
                 run_ladder(build)
