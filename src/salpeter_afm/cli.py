@@ -148,7 +148,7 @@ def _state(config: dict) -> QuantumState:
 
 def _global_q(config: dict, potential: PowerLawPotential) -> GlobalQ:
     if "q" in config:
-        active = potential.active_terms()
+        active = potential.terms
         p = active[0][1] if len(active) == 1 else None  # proportional auxiliary choice
         return GlobalQ.explicit(config["q"], p)
     if "p" not in config:
@@ -165,7 +165,7 @@ def _fmt(x: float) -> str:
 
 
 def _window_hint(masses: tuple[float, float], potential: PowerLawPotential, q: GlobalQ) -> str:
-    active = potential.active_terms()
+    active = potential.terms
     if len(active) == 1 and active[0][1] == -1.0 and 0.0 in masses:
         a = active[0][0]
         side = ""
@@ -268,7 +268,7 @@ def _scan_values(section: dict) -> list[float]:
 
 
 def _single_term(potential: PowerLawPotential, exponent: float, what: str) -> float:
-    active = potential.active_terms()
+    active = potential.terms
     if len(active) != 1 or active[0][1] != exponent:
         raise ConfigError(f"{what} requires a single potential term with exponent {exponent:g}")
     return active[0][0]

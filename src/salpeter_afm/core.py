@@ -141,7 +141,7 @@ def concavity_certificate(potential: PowerLawPotential, p: float | None) -> Boun
     concave terms is concave, so the test is sufficient but not necessary.
     Without p (None, an explicit Q given alone) nothing is certified.
     """
-    terms = potential.active_terms()
+    terms = potential.terms
     if not _certified(terms, p):
         return BoundCertificate(False, CERT_NONE)
     return BoundCertificate(True, CERT_PROPORTIONAL if all(lam == p for _, lam in terms) else CERT_CONCAVE)
@@ -818,7 +818,7 @@ def residuals(
     qv = _resolve_q(q).value
     nu1 = math.hypot(sol.p0, m1)
     nu2 = math.hypot(sol.p0, m2)
-    terms = potential.active_terms()
+    terms = potential.terms
     try:  # correctly rounded, where the assembly rounds at each float add
         exact = math.fsum([nu1, nu2, *(math.copysign(1.0, lam) * a * sol.r0**lam for a, lam in terms)])
     except (OverflowError, ValueError):  # a power beyond the double range, or inf - inf

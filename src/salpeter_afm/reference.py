@@ -268,12 +268,12 @@ def _kinetic_divisor(scale: float, factor: float, top: float) -> float:
     """factor h^2, by which a unit-scale p_l^2 operator of largest entry ``top`` is divided at
     basis scale h; DomainError, before the scaled matrix is formed, where factor h^2 is not a
     normal double or top / (factor h^2) overflows.  The range is checked on float products
-    and quotients, which give inf or 0 where the power would raise OverflowError or a numpy
-    quotient would warn; the value is the power's."""
+    and quotients, which give inf or 0 where a power would raise OverflowError or a numpy
+    quotient would warn, and the product checked is the one returned."""
     square = factor * scale * scale
     if not (sys.float_info.min <= square <= sys.float_info.max and float(top) / square < math.inf):
         raise DomainError(f"the kinetic term at basis scale h={scale:.6g} leaves the double range")
-    return factor * scale**2
+    return square
 
 
 def sse_hamiltonian(problem: SseProblem, scale: float, size: int) -> np.ndarray:
@@ -286,7 +286,7 @@ def sse_hamiltonian(problem: SseProblem, scale: float, size: int) -> np.ndarray:
         p2, u = _psq_spectrum(l, size)
         return kinetic_matrix(masses, p2 / _kinetic_divisor(scale, 1.0, p2.max()), u)
 
-    h = _rung(kinetic, problem.potential.active_terms(), l, scale, size)
+    h = _rung(kinetic, problem.potential.terms, l, scale, size)
     return 0.5 * (h + h.T)
 
 
@@ -312,7 +312,11 @@ def basis_scale(radius: float, energy: float, state: QuantumState, terms, tol: f
     and whether a confining term capped it.
 
     The n-th basis function has mean radius (2n+2l+3) h, so h puts it at the
-    radius; cusped attractive-only potentials get a 3x finer scale.  Each
+    radius.  An attractive-only potential gets a 3x finer scale where its
+    level has a cusp at the origin that the basis converges to slowly: at
+    l = 0 (u ~ r), or with a term steeper than 1/r.  At l >= 1 under 1/r
+    and milder tails every basis function is narrow, and the finer scale
+    would put all of them near a third of the level's radius.  Each
     confining term alpha r^lam then caps h: the spectrum of x on the finest
     rung lies below (4N + 4l + 6), so the r^lam matrix carries a round-off of
     eps * alpha * ((4N + 4l + 6) h)^lam, which must stay below tol * |energy|.
@@ -322,7 +326,8 @@ def basis_scale(radius: float, energy: float, state: QuantumState, terms, tol: f
     """
     if 2 * state.n + 2 * state.l + 3 > sys.float_info.max:
         raise DomainError(f"Laguerre basis matrices at log10(l+1)={math.log10(state.l + 1):.4g} leave the double range")
-    natural = radius / (2 * state.n + 2 * state.l + 3) / (3.0 if attractive_only(terms) else 1.0)
+    cusp = attractive_only(terms) and (state.l == 0 or any(lam < -1 for _, lam in terms))
+    natural = radius / (2 * state.n + 2 * state.l + 3) / (3.0 if cusp else 1.0)
     span = 4 * _SIZES[-1] + 4 * state.l + 6
     h = natural
     for alpha, lam in terms:

@@ -61,10 +61,6 @@ class PowerLawPotential:
         """-a/r + b*r."""
         return cls(((a, -1.0), (b, 1.0)))
 
-    def active_terms(self) -> tuple[tuple[float, float], ...]:
-        """Terms with a strictly positive coupling: ``terms`` itself."""
-        return self.terms
-
     def value(self, r):
         """V(r) at a scalar or an array: a float r > 0 summed in floats (:mod:`.core` assembles the mass
         with it), any other input (an array, an int, a numpy scalar, r <= 0) in numpy; an overflow is inf."""

@@ -461,9 +461,9 @@ class TestQtableCommand:
         rows = json.loads(capsys.readouterr().out)
         assert code == 0
         assert [row["q"] for row in rows] == [86.5, 321.5, 1.5, 86.0, 161.0, 1.0]
-        # n = 160 has no rung, and p = -1 at l = 85 does not converge; p = 2 at l = 85 is cross-checked
-        assert [row["cross_check"] is None for row in rows] == [False, True, False, True, True, False]
-        assert rows[0]["cross_check"] < 1e-6
+        # n = 160 has no rung; l = 85 is cross-checked at p = 2 and p = -1
+        assert [row["cross_check"] is None for row in rows] == [False, True, False, False, True, False]
+        assert rows[0]["cross_check"] < 1e-6 and rows[3]["cross_check"] < 1e-6
 
     @pytest.mark.parametrize("l", [85, 200])
     def test_half_power_past_l_84_has_a_numeric_q(self, tmp_path, capsys, l):

@@ -1,5 +1,4 @@
 import math
-import re
 
 import pytest
 
@@ -226,27 +225,21 @@ class TestQNumeric:
         with pytest.raises(DomainError, match="the kinetic term at basis scale h=.* leaves the double range"):
             q_numeric(p, QuantumState(0))
 
-    def test_coulomb_past_l_69_is_a_convergence_failure(self):
-        # W(-1) is finite at any l, but the 3x finer scale of an attractive-only potential leaves
-        # the n = 0 level unconverged at N = 160 beyond l = 69: a typed refusal, no DomainError
-        with pytest.raises(ConvergenceFailure, match="stuck"):
-            q_numeric(-1.0, QuantumState(0, 85))
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("l", [70, 85, 300, 1000, 10**4])
+    def test_coulomb_past_l_69_is_the_exact_q(self, n, l):
+        # at l >= 1 the Coulomb level has no cusp and takes the natural basis scale; the 3x finer cusp
+        # scale would put every basis function near a third of the level's radius and leave it
+        # unconverged at N = 160 beyond l = 69
+        state = QuantumState(n, l)
+        assert q_numeric(-1.0, state).value == pytest.approx(q_exact(-1, state).value, rel=1e-15)
 
-    @pytest.mark.parametrize(
-        "l, q_message",
-        [(10**20, "not geometrically decreasing"), (10**50, "not below the continuum threshold 0")],
-        ids=["1e20", "1e50"],
-    )
-    def test_coulomb_level_of_the_wrong_sign_is_a_convergence_failure(self, l, q_message):
-        # the 3x finer scale puts every basis function near a third of the level's radius, and the rungs
-        # come out positive where the level is -1/(2(l+1)^2): the ladder refuses them, naming the basis
+    @pytest.mark.parametrize("l", [10**20, 10**50, 10**150], ids=["1e20", "1e50", "1e150"])
+    def test_coulomb_level_at_a_huge_l_is_the_exact_level(self, l):
+        # the level -1/(2(l+1)^2) and Q = l + 1, where the cusp scale gave positive rungs
         state = QuantumState(0, l)
-        where = re.escape(f"l={l:.6g}")
-        basis = rf"level n=0 came out at .*, not below the continuum threshold 0, with .* of scale h=.* at {where}"
-        with pytest.raises(ConvergenceFailure, match=basis):
-            oracle.nr_energy(1.0, 1.0, -1.0, state)
-        with pytest.raises(ConvergenceFailure, match=q_message):
-            q_numeric(-1.0, state)
+        assert oracle.nr_energy(1.0, 1.0, -1.0, state) == pytest.approx(-0.5 / float(l + 1) ** 2, rel=1e-15)
+        assert q_numeric(-1.0, state).value == pytest.approx(float(l + 1), rel=1e-15)
 
     @pytest.mark.parametrize("p", [0.5, -1.0, 2.0])
     def test_n_beyond_the_laguerre_basis_is_a_convergence_failure(self, p):

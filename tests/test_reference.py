@@ -1,9 +1,7 @@
-import functools
 import json
 import logging
 import math
 import os
-import re
 import subprocess
 import sys
 import threading
@@ -454,7 +452,7 @@ class TestUnitScaleCaches:
         h = sse_hamiltonian(SseProblem(0.0, 2.5, potential, QuantumState(0, l)), scale, SIZE)
         p2, u = scipy.linalg.eigh(psq_matrix(l, SIZE) / scale**2)
         direct = kinetic_matrix(((1.0, 0.0), (1.0, 2.5)), np.clip(p2, 0.0, None), u)
-        for alpha, lam in potential.active_terms():
+        for alpha, lam in potential.terms:
             direct += math.copysign(alpha, lam) * scale**lam * power_matrix(lam, l, SIZE)
         assert np.linalg.norm(h - direct) <= 1e-12 * np.linalg.norm(direct)
 
@@ -560,24 +558,29 @@ class TestEigenvalues:
         with pytest.raises(CollapseDetected, match="r0 -> 0 at Q=1.5"):
             sse_eigenvalue(SseProblem(0.0, 1.0, PowerLawPotential.coulomb(5.0), QuantumState(0)))
 
+    @pytest.mark.parametrize("l", [300, 1000])
     @pytest.mark.parametrize("sigma", [None, 2.0], ids=["two-mass", "symmetric"])
-    def test_coulomb_at_l_1000_refuses_an_aitken_step_past_its_binding_energy(self, sigma):
-        # the rungs fall to 2 - 1.51e-7 (threshold m1 + m2 = sigma m = 2); their Aitken step, 2.27e-6,
-        # is 15 times that binding energy, for a level at ~2 - 3.59e-7, so the ladder refuses it
-        problem = SseProblem(1.0, 1.0, PowerLawPotential.coulomb(1.2), QuantumState(0, 1000), sigma=sigma)
-        with pytest.raises(ConvergenceFailure, match=r"Aitken correction 2.27e-06 above the binding energy 1.51e-07"):
-            sse_eigenvalue(problem)
+    def test_coulomb_at_a_high_l_is_the_nonrelativistic_binding(self, l, sigma):
+        # threshold m1 + m2 = sigma m = 2; the binding energy is the NR -mu a^2/(2(l+1)^2), mu = 1/2, to within
+        # the leading relativistic correction (a/(l+1))^2 relative, and the level lies below the AFM bound.  The
+        # 3x finer cusp scale put every basis function near a third of the radius: 2 - 5.03e-6 at l = 300, and
+        # an Aitken step above the binding energy at l = 1000
+        problem = SseProblem(1.0, 1.0, PowerLawPotential.coulomb(1.2), QuantumState(0, l), sigma=sigma)
+        value = sse_eigenvalue(problem)
+        assert 2.0 - value == pytest.approx(0.5 * 1.2**2 / (2 * (l + 1) ** 2), rel=(1.2 / (l + 1)) ** 2)
+        assert value < solve_afm(1.0, 1.0, problem.potential, q_exact(-1, problem.state)).mass
 
     @pytest.mark.parametrize("l", [10**4, 10**5])
     @pytest.mark.parametrize("sigma", [None, 2.0], ids=["two-mass", "symmetric"])
-    def test_coulomb_level_at_or_above_its_threshold_is_refused(self, l, sigma):
-        # the rungs converge to 2 + 7.6e-9 (l = 1e4) and 2 + 9.7e-11 (l = 1e5), above the threshold
-        # m1 + m2 = sigma m = 2 of a bound level at ~2 - 3.6e-9 and ~2 - 3.6e-11: the ladder refuses them
+    def test_coulomb_level_at_a_huge_l_is_below_its_threshold(self, l, sigma):
+        # the cusp scale gave rungs at 2 + 7.6e-9 (l = 1e4) and 2 + 9.7e-11 (l = 1e5), above the threshold 2
+        # of a bound level.  Its binding energy, ~3.6e-9 and ~3.6e-11, keeps only the digits that the
+        # rounding of M ~ 2 leaves, a few ulps of M; so no bound is asserted (the AFM mass rounds 8.9e-16
+        # below the reference at l = 1e4)
         problem = SseProblem(1.0, 1.0, PowerLawPotential.coulomb(1.2), QuantumState(0, l), sigma=sigma)
-        where = re.escape(f"at l={l:.6g}")
-        with pytest.raises(ConvergenceFailure, match=rf"level n=0 came out at 2\.0+\d+, not below the continuum "
-                                                     rf"threshold 2, with 40 basis functions of scale h=.* {where}"):
-            sse_eigenvalue(problem)
+        value = sse_eigenvalue(problem)
+        assert value < 2.0
+        assert 2.0 - value == pytest.approx(0.5 * 1.2**2 / (2 * (l + 1) ** 2), abs=16 * sys.float_info.epsilon * 2.0)
 
     @pytest.mark.parametrize(
         "problem",

@@ -177,13 +177,13 @@ def _scan_oracle(m1, m2, potential, qv):
     brentq's float radii alike.  Only the scan window is shared with the
     solver.
     """
-    terms = potential.active_terms()
+    terms = potential.terms
 
     def balance(r):
         pull = sum(abs(lam) * a * np.power(r, lam + 1.0) for a, lam in terms)
         return pull - qv / np.hypot(1.0, m1 / qv * r) - qv / np.hypot(1.0, m2 / qv * r)
 
-    lo, hi = core._scan_window(potential.active_terms(), qv, m1, m2)
+    lo, hi = core._scan_window(potential.terms, qv, m1, m2)
     grid = np.logspace(lo, hi, round(40 * (hi - lo)) + 1)
     with np.errstate(all="ignore"):
         values = balance(grid)
@@ -296,7 +296,7 @@ class TestBisectedBracket:
         monotone = steep = 0
         while monotone < 3000:
             m1, m2, potential, qv = random_bound_configuration(rng)
-            if all(lam >= -1.0 for _, lam in potential.active_terms()):
+            if all(lam >= -1.0 for _, lam in potential.terms):
                 monotone += 1
             else:
                 steep += 1  # a lam < -1 term: the bounded search, checked here too
@@ -481,7 +481,7 @@ class TestSeededSearch:
         calls = 0
         while calls < 2000:
             m1, m2, potential, qv = random_bound_configuration(rng)
-            if all(lam >= -1.0 for _, lam in potential.active_terms()):
+            if all(lam >= -1.0 for _, lam in potential.terms):
                 calls += 1
                 solve_afm(m1, m2, potential, qv)
         assert evaluations[0] / calls <= 9.0
@@ -527,7 +527,7 @@ def _scan_grid(balance, lo, step, count):
 
 def _upward_crossings(m1, m2, potential, qv):
     """How many - to + cells the scan's grid has."""
-    terms = potential.active_terms()
+    terms = potential.terms
     lo, hi = core._scan_window(terms, qv, m1, m2)
     grid = np.logspace(lo, hi, round(40 * (hi - lo)) + 1)
     with np.errstate(all="ignore"):
@@ -601,7 +601,7 @@ class TestSteepSearch:
         steep = solved = 0
         while steep < 3000:
             m1, m2, potential, qv = random_bound_configuration(rng)
-            if all(lam >= -1.0 for _, lam in potential.active_terms()):
+            if all(lam >= -1.0 for _, lam in potential.terms):
                 continue
             steep += 1
             bounded, scanned = steep_and_scan(m1, m2, potential, qv)
@@ -696,7 +696,7 @@ class TestSteepSearch:
         rng = np.random.default_rng(20261018)
         while searches[0] < 2000:
             m1, m2, potential, qv = random_bound_configuration(rng)
-            if any(lam < -1.0 for _, lam in potential.active_terms()):
+            if any(lam < -1.0 for _, lam in potential.terms):
                 _outcome(m1, m2, potential, qv)
         assert evaluations[0] / searches[0] <= 14.0  # ~18 % above the measured 11.9
 
@@ -965,7 +965,7 @@ def test_negligible_term_leaves_the_root_unchanged(config, coupling, which):
     except (NoBoundState, CollapseDetected, DomainError):
         assume(False)
         return
-    active = potential.active_terms()
+    active = potential.terms
     lam = active[which % len(active)][1]
     padded = PowerLawPotential(potential.terms + ((coupling, lam),))
     assert solve_afm(m1, m2, padded, GlobalQ.explicit(qv)).r0 == pytest.approx(sol.r0, rel=1e-9)

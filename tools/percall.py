@@ -39,7 +39,7 @@ def draws(workloads, seed):
     sweep = workloads.AfmSweep(seed, ".")  # the workload makes no file
     out = []
     for m1, m2, potential, q in sweep.bound:
-        steep = any(lam < -1.0 for _, lam in potential.active_terms())
+        steep = any(lam < -1.0 for _, lam in potential.terms)
         out.append(("lam<-1" if steep else "lam>=-1", m1, m2, potential, q))
     for name, m, _, potential, q in sweep.closed:
         out.append(("coulomb" if name == "coulomb_closed" else "lam>=-1", 0.0, m, potential, q))
