@@ -107,9 +107,10 @@ def q_numeric(
     requested on Q itself.  Steep-cusp s-waves (l = 0, p <= -1.5) converge
     slowly in the Laguerre basis and may need a looser tol to avoid
     ConvergenceFailure.  The basis of at most 160 functions reaches
-    n <= 17-29 (by p, at l = 0) and l <= 69-73 (attractive p, at n = 0),
-    and any l for a confining p, as listed in :mod:`.oracle`; beyond that
-    it raises ConvergenceFailure.  A non-integer p past l ~ 1.6e5 raises
+    n <= 17-29 (by p, at l = 0), any l measured for a confining p and for
+    an attractive p >= -1 (at n = 0, up to l = 1e5, and 1e150 at p = -1),
+    and l <= 51-61 for a steeper p, as listed in :mod:`.oracle`;
+    beyond that it raises ConvergenceFailure.  A non-integer p past l ~ 1.6e5 raises
     DomainError, as does a level whose matrices or seed radius leave the
     double range: p = 2 past l ~ 3e153, p = -1 past Q ~ 1.3e154, p = 1 past
     l ~ 1e306.

@@ -16,12 +16,15 @@ caps it so that the round-off of its matrix stays below the tolerance.
 
 The basis bounds the levels it reaches.  Level n needs rungs N > n; at
 q_numeric's default tolerance the ladder converges, at l = 0, for n <= 17 at
-p = 4, 23 at p = 2, 22 at p = -1, 27 at p = 1 and 29 at p = 0.5, and at
-n = 0 for l <= 69 at p = -1 and 73 at p = -0.5; beyond that it raises
-ConvergenceFailure.  A confining p has no l limit of convergence short of
-the double range: p = 0.5, 1, 1.5, 2, 2.5, 4.5 and 8 converge at n = 0 for
-every l measured, up to 1000, p = 1, 2 and 4 up to l = 1e30, and p = 1 up
-to l = 1e306.  DomainError refuses a non-integer p beyond l ~ 1.6e5, where
+p = 4, 23 at p = 2, 22 at p = -1, 27 at p = 1 and 29 at p = 0.5; beyond
+that it raises ConvergenceFailure.  At l >= 1 an attractive p >= -1 has no
+cusp and takes the natural scale: p = -1, -0.75, -0.5 and -0.25 converge at
+n = 0 for every l measured, up to 1e5, and p = -1 up to l = 1e150.  A
+steeper p keeps the 3x finer cusp scale and converges at n = 0 for
+1 <= l <= 61 at p = -1.5 and 5 <= l <= 51 at p = -1.9.  A confining p has
+no l limit of convergence short of the double range: p = 0.5, 1, 1.5, 2,
+2.5, 4.5 and 8 converge at n = 0 for every l measured, up to 1000, p = 1, 2
+and 4 up to l = 1e30, and p = 1 up to l = 1e306.  DomainError refuses a non-integer p beyond l ~ 1.6e5, where
 its r^p matrix rounds by more than 1e-9; a p whose r^p matrix may leave the
 double range (p = 2 beyond l ~ 3e153, a larger p sooner); p = -1 where the
 variational radius of the seed Q does (Q above ~1.3e154); and a rung whose
