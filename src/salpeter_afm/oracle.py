@@ -24,11 +24,12 @@ steeper p keeps the 3x finer cusp scale and converges at n = 0 for
 1 <= l <= 61 at p = -1.5 and 5 <= l <= 51 at p = -1.9.  A confining p has
 no l limit of convergence short of the double range: p = 0.5, 1, 1.5, 2,
 2.5, 4.5 and 8 converge at n = 0 for every l measured, up to 1000, p = 1, 2
-and 4 up to l = 1e30, and p = 1 up to l = 1e306.  DomainError refuses a non-integer p beyond l ~ 1.6e5, where
-its r^p matrix rounds by more than 1e-9; a p whose r^p matrix may leave the
-double range (p = 2 beyond l ~ 3e153, a larger p sooner); p = -1 where the
-variational radius of the seed Q does (Q above ~1.3e154); and a rung whose
-x matrix J would (N = 160 beyond l ~ 5.6e305, N = 20 beyond ~4.5e307).
+and 4 up to l = 1e30, and p = 1 up to l = 1e306.  DomainError refuses a
+non-integer p beyond l ~ 1.6e5, where its r^p matrix rounds by more than
+1e-9; a p whose r^p matrix may leave the double range (p = 2 beyond
+l ~ 3e153, a larger p sooner); p = -1 where the variational radius of the
+seed Q does (Q above ~1.3e154); and a rung whose x matrix J would (N = 160
+beyond l ~ 5.6e305, N = 20 beyond ~4.5e307).
 """
 from __future__ import annotations
 

@@ -303,7 +303,8 @@ def nr_hamiltonian(p: float, l: int, scale: float, size: int) -> np.ndarray:
 
 def attractive_only(terms) -> bool:
     """Whether every (alpha, lam) term attracts (lam < 0): V < 0 falls to 0 at infinity, so each
-    level is bound, below the continuum threshold, and the origin cusp wants a finer basis."""
+    level is bound, below the continuum threshold, and one with a cusp at the origin wants a finer
+    basis (:func:`basis_scale`)."""
     return all(lam < 0 for _, lam in terms)
 
 
