@@ -236,7 +236,7 @@ class TestQNumeric:
 
     @pytest.mark.parametrize("l", [10**20, 10**50, 10**150], ids=["1e20", "1e50", "1e150"])
     def test_coulomb_level_at_a_huge_l_is_the_exact_level(self, l):
-        # the level -1/(2(l+1)^2) and Q = l + 1, where the cusp scale gave positive rungs
+        # the level -1/(2(l+1)^2) and Q = l + 1, where the cusp scale would give positive rungs
         state = QuantumState(0, l)
         assert oracle.nr_energy(1.0, 1.0, -1.0, state) == pytest.approx(-0.5 / float(l + 1) ** 2, rel=1e-15)
         assert q_numeric(-1.0, state).value == pytest.approx(float(l + 1), rel=1e-15)

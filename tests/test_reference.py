@@ -563,8 +563,8 @@ class TestEigenvalues:
     def test_coulomb_at_a_high_l_is_the_nonrelativistic_binding(self, l, sigma):
         # threshold m1 + m2 = sigma m = 2; the binding energy is the NR -mu a^2/(2(l+1)^2), mu = 1/2, to within
         # the leading relativistic correction (a/(l+1))^2 relative, and the level lies below the AFM bound.  The
-        # 3x finer cusp scale put every basis function near a third of the radius: 2 - 5.03e-6 at l = 300, and
-        # an Aitken step above the binding energy at l = 1000
+        # 3x finer cusp scale would put every basis function near a third of the radius: 2 - 5.03e-6 at l = 300,
+        # and an Aitken step above the binding energy at l = 1000
         problem = SseProblem(1.0, 1.0, PowerLawPotential.coulomb(1.2), QuantumState(0, l), sigma=sigma)
         value = sse_eigenvalue(problem)
         assert 2.0 - value == pytest.approx(0.5 * 1.2**2 / (2 * (l + 1) ** 2), rel=(1.2 / (l + 1)) ** 2)
@@ -573,8 +573,8 @@ class TestEigenvalues:
     @pytest.mark.parametrize("l", [10**4, 10**5])
     @pytest.mark.parametrize("sigma", [None, 2.0], ids=["two-mass", "symmetric"])
     def test_coulomb_level_at_a_huge_l_is_below_its_threshold(self, l, sigma):
-        # the cusp scale gave rungs at 2 + 7.6e-9 (l = 1e4) and 2 + 9.7e-11 (l = 1e5), above the threshold 2
-        # of a bound level.  Its binding energy, ~3.6e-9 and ~3.6e-11, keeps only the digits that the
+        # the cusp scale would give rungs at 2 + 7.6e-9 (l = 1e4) and 2 + 9.7e-11 (l = 1e5), above the threshold
+        # 2 of a bound level.  Its binding energy, ~3.6e-9 and ~3.6e-11, keeps only the digits that the
         # rounding of M ~ 2 leaves, a few ulps of M; so no bound is asserted (the AFM mass rounds 8.9e-16
         # below the reference at l = 1e4)
         problem = SseProblem(1.0, 1.0, PowerLawPotential.coulomb(1.2), QuantumState(0, l), sigma=sigma)
