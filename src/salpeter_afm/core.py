@@ -108,12 +108,12 @@ def q_numeric(
     slowly in the Laguerre basis and may need a looser tol to avoid
     ConvergenceFailure.  The basis of at most 160 functions reaches
     n <= 17-29 (by p, at l = 0), any l measured for a confining p and for
-    an attractive p >= -1 (at n = 0, up to l = 1e5, and 1e150 at p = -1),
-    and l <= 51-61 for a steeper p, as listed in :mod:`.oracle`; beyond
-    that it raises ConvergenceFailure.  A non-integer p past l ~ 1.6e5
-    raises DomainError, as does a level whose matrices or seed radius leave
-    the double range: p = 2 past l ~ 3e153, p = -1 past Q ~ 1.3e154, p = 1
-    past l ~ 1e306.
+    an attractive p >= -1 (at n = 0, up to l = 1e5, 1e160 at p = -0.75 and
+    -0.5, and 1e150 at p = -1), and l <= 51-61 for a steeper p, as listed
+    in :mod:`.oracle`; beyond that it raises ConvergenceFailure.  A level
+    whose matrices or seed radius leave the double range raises
+    DomainError: p = 2 past l ~ 3e153, p = 2.5 at l = 1e160, p = -1 past
+    Q ~ 1.3e154, p = 1 past l ~ 1e306.
     """
     from . import oracle  # numpy, and scipy at its ladder: loaded here, so the solver itself runs on floats alone
 

@@ -1,8 +1,10 @@
 """Radial nonrelativistic eigensolver for H = p^2/(2 mu) + rho*sign(p)*r^p.
 
 r = a x with a^(p+2) = 1/(mu rho) turns H into rho a^p (p_x^2/2 + sign(p)*x^p),
-so the unit problem is solved once and its energy is rescaled;
-a unit of (mu, rho) outside the double range is a DomainError.  The unit
+so the unit problem is solved once and its energy is rescaled, and the maps
+between Q and the eigenvalue are stated once at mu = rho = 1 and rescaled
+the same way (:func:`_rescale`); a unit of (mu, rho) or a rescaled energy
+outside the double range is a DomainError.  The unit
 problem is Rayleigh-Ritz in the Laguerre basis of :mod:`.reference`: each
 rung N = 20, 40, 80, 160 builds H from the cached unit-scale p_l^2 and r^p
 matrices at the basis scale h and bisects level n alone, on the reversed
@@ -24,12 +26,15 @@ steeper p keeps the 3x finer cusp scale and converges at n = 0 for
 1 <= l <= 61 at p = -1.5 and 5 <= l <= 51 at p = -1.9.  A confining p has
 no l limit of convergence short of the double range: p = 0.5, 1, 1.5, 2,
 2.5, 4.5 and 8 converge at n = 0 for every l measured, up to 1000, p = 1, 2
-and 4 up to l = 1e30, and p = 1 up to l = 1e306.  DomainError refuses a
-non-integer p beyond l ~ 1.6e5, where its r^p matrix rounds by more than
-1e-9; a p whose r^p matrix may leave the double range (p = 2 beyond
-l ~ 3e153, a larger p sooner); p = -1 where the variational radius of the
-seed Q does (Q above ~1.3e154); and a rung whose x matrix J would (N = 160
-beyond l ~ 5.6e305, N = 20 beyond ~4.5e307).
+and 4 up to l = 1e30, and p = 1 up to l = 1e306.  A non-integer p has no
+l limit of its own: p = -0.75, -0.5, 0.5 and 1.5 converge at n = 0 up to
+l = 1e160 onto l + 1/2 + sqrt(p+2)/2 (to 3.5e-14 from l = 1e7 up), p = 2.5
+up to l = 1e30 and p = 0.5 at l = 1e300.  DomainError refuses a p whose
+r^p matrix may leave the double range (p = 2 beyond l ~ 3e153, p = 2.5 at
+l = 1e160, a larger p sooner); a p < 0 where the variational radius of
+the seed Q does (p = -1 for Q above ~1.3e154, p = -0.5 at l = 1e300); and
+a rung whose x matrix J would (N = 160 beyond l ~ 5.6e305, N = 20 beyond
+~4.5e307).
 """
 from __future__ import annotations
 
@@ -47,32 +52,35 @@ _LOG_TINY, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 def energy_from_q(q_value: float, mu: float, rho: float, p: float) -> float:
-    """Power-law eigenvalue parameterized by the global quantum number Q; ValueError for mu, rho or p
-    as :func:`check_args`, DomainError for a Q <= 0 and an eigenvalue beyond the double range (0 or inf)."""
-    check_args(mu, rho, p)
-    with contextlib.suppress(OverflowError, ZeroDivisionError):  # a power beyond the double range, or 0 ** -x
-        energy = ((p + 2.0) / (2.0 * p) * (abs(p) * rho) ** (2.0 / (p + 2.0))
-                  * (q_value * q_value / mu) ** (p / (p + 2.0)))
-        if q_value > 0.0 and 0.0 < abs(energy) < math.inf:
-            return energy
+    """Power-law eigenvalue parameterized by the global quantum number Q: the unit eigenvalue
+    (p+2)/(2p) |p|^(2/(p+2)) (Q^2)^(p/(p+2)) at mu = rho = 1, rescaled by the energy unit of (mu, rho)
+    (:func:`_rescale`).  ValueError for mu, rho or p as :func:`check_args`, DomainError for a Q <= 0 and
+    for a unit eigenvalue, energy unit or eigenvalue beyond the double range (a normal double)."""
+    log_unit = _log_energy_unit(mu, rho, p)
+    with contextlib.suppress(OverflowError, ZeroDivisionError, DomainError):  # a power out of range, or 0 ** -x
+        if q_value > 0.0:
+            unit_energy = (p + 2.0) / (2.0 * p) * abs(p) ** (2.0 / (p + 2.0)) * (q_value * q_value) ** (p / (p + 2.0))
+            return _rescale(unit_energy, log_unit)
     raise DomainError(f"the eigenvalue at Q={q_value:g}, mu={mu:g}, rho={rho:g}, p={p:g} leaves the double range")
 
 
 def invert_q(epsilon: float, mu: float, rho: float, p: float) -> GlobalQ:
-    """Recover Q from an eigenvalue of p^2/(2 mu) + rho*sign(p)*r^p.
+    """Recover Q from an eigenvalue of p^2/(2 mu) + rho*sign(p)*r^p: the inverse of :func:`energy_from_q`
+    on the eigenvalue in the energy unit of (mu, rho).
 
     The eigenvalue sign must match sign(p): confining exponents have positive
     spectra, attractive negative exponents have negative bound-state energies.
-    ValueError for mu, rho or p as :func:`check_args`, DomainError for a Q beyond the double range.
+    ValueError for mu, rho or p as :func:`check_args`, DomainError for an eigenvalue in that unit (a normal
+    double) or a Q beyond the double range.
     """
-    check_args(mu, rho, p)
-    with contextlib.suppress(OverflowError, ZeroDivisionError):  # a power beyond the double range, or 0 ** -x
-        base = 2.0 * p * epsilon / ((p + 2.0) * (abs(p) * rho) ** (2.0 / (p + 2.0)))
-        if base <= 0.0:
-            raise DomainError(f"eigenvalue sign {math.copysign(1, epsilon):+.0f} is inconsistent with p={p:g}")
-        value = math.sqrt(mu) * base ** ((p + 2.0) / (2.0 * p))
-        if 0.0 < value < math.inf:  # a NaN eigenvalue fails here too
-            return GlobalQ(value, "numeric", p)
+    log_unit = _log_energy_unit(mu, rho, p)
+    if math.copysign(1.0, p) * epsilon <= 0.0:
+        raise DomainError(f"eigenvalue sign {math.copysign(1, epsilon):+.0f} is inconsistent with p={p:g}")
+    with contextlib.suppress(OverflowError, ZeroDivisionError, DomainError):  # a power beyond the double range
+        base = 2.0 * p * epsilon / ((p + 2.0) * abs(p) ** (2.0 / (p + 2.0)))
+        value = _rescale(base, -log_unit) ** ((p + 2.0) / (2.0 * p))
+        if 0.0 < value < math.inf:
+            return GlobalQ(value, "numeric", p)  # a NaN eigenvalue fails in _rescale
     raise DomainError(f"Q from the eigenvalue {epsilon:g} at mu={mu:g}, rho={rho:g}, p={p:g} leaves the double range")
 
 

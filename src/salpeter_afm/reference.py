@@ -14,7 +14,9 @@ eigenpairs of P come from the tridiagonal (P + 1/4)^-1 = M D^-1 M^T.  The x
 matrix is the tridiagonal Jacobi matrix J of the recurrence, and x^m, m a
 positive integer, is the top-left block of J^m.  Any other exponent
 expands L_j^(2l+2) in the L_i^(2l+2+lam) (a connection formula) and is
-exact as well.  In the basis of scale h the
+exact as well, built on the same row-relative step products as P and the
+1/x matrix and one Stirling series: no log-Gamma difference, so it keeps
+its accuracy at any l.  In the basis of scale h the
 p_l^2 matrix is P(l, N) / h^2 and the r^lam matrix h^lam W(lam, l, N), so
 the eigendecomposition of P, from which the kinetic sum of both masses is
 built, and each W are made once per (l, N) at unit scale and shared by
@@ -30,19 +32,18 @@ ladder's own choice of rungs, not a limit of the matrices.
 The nonrelativistic oracle runs the same ladder on
 P/(2 h^2) + sign(p) h^p W(p, l, N), with the same scale rule.  Where the
 unit-scale r^lam entries would leave the double range (a steep exponent),
-the matrix is not built and DomainError is raised, as it is for a
-non-integer exponent at l beyond ~1.6e5, where the rounding of its
-log-Gamma terms passes 1e-9 relative, and for a rung whose J (the x
-matrix) would leave the double range: N = 160 past l ~ 5.6e305.
+the matrix is not built and DomainError is raised, as it is for a rung
+whose J (the x matrix) would leave the double range: N = 160 past
+l ~ 5.6e305.
 Every ladder runs on one BLAS thread: the rung products and eigensolves are
 small (N <= 160), and waking a second OpenBLAS thread for each costs more
 than it saves.  The thread counts of the OpenBLAS copies that numpy and
 scipy load are set to 1 on entry and put back on exit, also when the
 ladder raises; where no such control is found (another BLAS), nothing is
-changed.  scipy is not imported with this module: the four functions that
-call it import it where they run, and the first ladder of a process loads
-scipy.linalg before it looks up those controls, so a process that runs no
-ladder loads no scipy.
+changed.  scipy is not imported with this module: the three functions that
+call it import scipy.linalg, the one scipy module it uses, where they run,
+and the first ladder of a process loads it before it looks up those
+controls, so a process that runs no ladder loads no scipy.
 """
 from __future__ import annotations
 
@@ -68,7 +69,6 @@ _CACHE_SIZE = 32  # unit-scale matrices kept per cache: eight ladders of four ru
 _LOG_MAX = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
 _ABSTOL = 2 * sys.float_info.min  # dstebz's most accurate bisection tolerance
-_LGAMMA_ROUNDING = 1e-9  # the finest relative accuracy the oracle asks of a level
 # extension modules linked to the BLAS that numpy's products and scipy's eigensolvers run on
 _BLAS_MODULES = ("numpy._core._multiarray_umath", "scipy.linalg._flapack")
 # (get, set) thread count functions of OpenBLAS: numpy's wheel, scipy's wheel, a plain build
@@ -122,23 +122,32 @@ def jacobi_matrix(l: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     return 2 * k + 2 * l + 3, -np.sqrt((k[:-1] + 1) * (k[:-1] + 2 * l + 3))
 
 
+def _step_products(l: int, size: int) -> np.ndarray:
+    """The upper-triangular S_jk = prod_(i=j+1..k) sqrt(i / (i+2l+2)), j <= k < size
+    (1 on the diagonal), the ratio sqrt(k! Gamma(j+2l+3) / (j! Gamma(k+2l+3))) of
+    the Laguerre norms that :func:`_sturmian_form` and :func:`_connection_power`
+    share.  Each product runs from its own row's diagonal, so nothing
+    underflows at large l."""
+    k = np.arange(size)
+    steps = np.where(k > k[:, None], np.sqrt(k / (k + 2.0 * l + 2.0)), 1.0)
+    return np.triu(np.cumprod(steps, axis=1))
+
+
 def _sturmian_form(d: np.ndarray, l: int) -> np.ndarray:
     """M^-T diag(d) M^-1 on the first len(d) functions, M the upper-bidiagonal
     map from chi to the Coulomb-Sturmian functions.
 
     It is semiseparable: the diagonal is g_0 = d_0 / (2l+2),
     g_k = (k g_(k-1) + d_k) / (k+2l+2), and for j < k the entry is
-    g_j prod_(i=j+1..k) sqrt(i / (i+2l+2)).  Each product runs from its own
-    row's diagonal, so nothing underflows at large l."""
+    g_j S_jk (:func:`_step_products`)."""
     size = len(d)
     g = np.empty(size)
     previous = 0.0
     for k in range(size):
         previous = g[k] = (k * previous + d[k]) / (k + 2 * l + 2)
-    k = np.arange(size)
-    steps = np.where(k > k[:, None], np.sqrt(k / (k + 2.0 * l + 2.0)), 1.0)
-    upper = np.triu(g[:, None] * np.cumprod(steps, axis=1), 1)
+    upper = g[:, None] * _step_products(l, size)
     form = upper + upper.T
+    k = np.arange(size)
     form[k, k] = g
     return form
 
@@ -167,25 +176,29 @@ def _connection_power(lam: float, l: int, size: int) -> np.ndarray:
     With alpha = 2l+2, L_j^alpha = sum_(i<=j) a_(j-i) L_i^(alpha+lam),
     a_d = (-lam)_d / d! (DLMF 18.18.18), and the L_i^(alpha+lam) are
     orthogonal with weight x^(alpha+lam) e^-x, so F is lower triangular with
-    F_ji = a_(j-i) sqrt(j! Gamma(i+alpha+lam+1) / (Gamma(j+alpha+1) i!)).  The
-    exponential is taken on i <= j alone: above the diagonal it would overflow
-    at large l.  Each log-Gamma term of argument up to t rounds by ~eps t ln t,
-    and so does each entry: DomainError where that passes 1e-9 (l >~ 1.6e5),
-    as the entries would then be wrong by more than the oracle's tolerance."""
-    from scipy import special
-
-    alpha = 2 * l + 2
-    top = size + alpha + math.ceil(abs(lam))  # the largest argument, an int: no float overflow at any l
-    if top > _LGAMMA_ROUNDING / (_EPS * math.log(top)):
-        raise DomainError(f"r^{lam:g} matrices at l beyond ~1.6e5 lose more than {_LGAMMA_ROUNDING:g} to rounding")
-    k = np.arange(size, dtype=float)
-    a = np.cumprod(np.concatenate(([1.0], (k[1:] - 1.0 - lam) / k[1:])))
-    g = special.gammaln(k + 1.0)
-    row, column = g - special.gammaln(k + alpha + 1.0), special.gammaln(k + alpha + lam + 1.0) - g
-    j, i = np.tril_indices(size)
-    f = np.zeros((size, size))
-    f[j, i] = a[j - i] * np.exp(0.5 * (row[j] + column[i]))
-    return f @ f.T
+    F_ji = a_(j-i) sqrt(j! Gamma(i+alpha+lam+1) / (Gamma(j+alpha+1) i!))
+    = a_(j-i) D_i S_ij: S the step products of :func:`_step_products` and
+    D_i = sqrt(Gamma(i+alpha+lam+1) / Gamma(i+alpha+1)) the cumulative product
+    of sqrt(1 + lam/(i+alpha)) through one scalar, D_s^2 at the first
+    s with z = alpha+1+s >= 50.  ln D_s^2 = ln Gamma(z+lam) - ln Gamma(z) is
+    Stirling's series (DLMF 5.11.1) of the difference, (z-1/2) log1p(lam/z)
+    + lam ln(z+lam) - lam plus the 1/(12z), 1/(360z^3) and 1/(1260z^5) terms
+    (the next is below 1e-15): no difference of large logarithms, so D keeps
+    ~eps lam ln z relative at any l, and each entry within ~2e-14 of
+    sqrt(W_jj W_kk) up to l = 1e7.  DomainError where 2l+2 leaves the double
+    range (:func:`_check_jacobi_range`)."""
+    _check_jacobi_range(l, size)
+    alpha = 2.0 * l + 2.0
+    shift = max(0, math.ceil(49.0 - alpha))
+    z = alpha + 1.0 + shift
+    tail = sum(c * ((z + lam) ** -m - z**-m) for c, m in ((1 / 12, 1), (-1 / 360, 3), (1 / 1260, 5)))
+    log_ratio = (z - 0.5) * math.log1p(lam / z) + lam * math.log(z + lam) - lam + tail
+    d = np.cumprod(np.concatenate(([1.0], np.sqrt(1.0 + lam / (np.arange(1, max(size, shift + 1)) + alpha)))))
+    k = np.arange(size)
+    ft = _step_products(l, size)  # F^T: row i, column j holds F_ji
+    ft *= np.cumprod(np.concatenate(([1.0], (k[1:] - 1.0 - lam) / k[1:])))[abs(k - k[:, None])]  # a_(j-i)
+    ft *= (math.exp(0.5 * log_ratio) / d[shift] * d[:size])[:, None]
+    return ft.T @ ft
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -205,9 +218,10 @@ def power_matrix(lam: float, l: int, size: int) -> np.ndarray:
 
     Closed forms for the integer exponents: W(-1) = M^-T M^-1 and, for a
     positive integer m, W(m) the top-left block of J^m; any other exponent is
-    F F^T from the connection coefficients of :func:`_connection_power`.  Raises
-    DomainError, before anything is computed, where the entries might leave
-    the double range (lam > 0): each <chi_k|x^lam|chi_k> is at most
+    F F^T from the connection coefficients of :func:`_connection_power`, which
+    refuses an l whose 2l+2 leaves the double range.  Raises DomainError,
+    before anything is computed, where the entries might leave the double
+    range (lam > 0): each <chi_k|x^lam|chi_k> is at most
     ||J^m||^(lam/m) <= (4(size+m) + 4l + 6)^lam, m = ceil(lam) (Lyapunov's
     inequality), and every other entry is at most the largest of these
     (Cauchy-Schwarz)."""

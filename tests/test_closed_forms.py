@@ -359,7 +359,7 @@ def test_extreme_inputs_give_a_finite_value_or_a_typed_error():
             _outcome(lambda: linear_symmetric_massless(m, c, q))
             for sigma in (0.5, 1.0, 2.0, 5e-324, math.nan):
                 _outcome(lambda: coulomb_symmetric(sigma, m, c, q))
-    for mu, rho, p in itertools.product(EXTREMES, EXTREMES, (*EXTREMES, -1.9, -0.5, 4.5, -3.0)):
+    for mu, rho, p in itertools.product(EXTREMES, EXTREMES, (*EXTREMES, -1.999, -1.9, -0.5, 4.5, -3.0)):
         for x in positive:
             energy = _outcome(lambda: energy_from_q(x, mu, rho, p))
             assert energy != 0.0

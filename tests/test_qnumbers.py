@@ -80,6 +80,18 @@ class TestInvertQ:
         eps = energy_from_q(q, mu, rho, p)
         assert invert_q(eps, mu, rho, p).value == pytest.approx(q, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "q, mu, rho, p, energy",
+        [(1e100, 1e-200, 1e200, 2.0, math.sqrt(2.0) * 1e300), (1.0, 1e-300, 1e300, -1.9, -(1.9**20) / 38.0 * 1e300)],
+        ids=["oscillator", "steep"],
+    )
+    def test_an_eigenvalue_that_fits_a_double_is_returned_and_inverted(self, q, mu, rho, p, energy):
+        # the formula is applied at mu = rho = 1 and rescaled by the energy unit of (mu, rho) once: Q^2/mu
+        # (1e400) and the steep unit factors (1e6000 and 1e-5700) would leave the double range on their own; the
+        # logarithm of the steep unit, 2 ln rho - p ln mu = 1381.6 - 1312.5 over p + 2 = 0.1, rounds by ~3e-12
+        assert energy_from_q(q, mu, rho, p) == pytest.approx(energy, rel=1e-11)
+        assert invert_q(energy, mu, rho, p).value == pytest.approx(q, rel=1e-11)
+
     def test_sign_mismatch_raises(self):
         with pytest.raises(DomainError):
             invert_q(-1.0, 1.0, 1.0, 2.0)  # confining spectrum cannot be negative
@@ -166,30 +178,31 @@ class TestQNumeric:
         assert q_numeric(p, state).value == pytest.approx(q_exact(2, state).value, rel=1e-14)
 
     @pytest.mark.parametrize("p", [0.5, 1.5, 2.5])
-    def test_non_integer_p_below_its_rounding_limit_is_the_large_l_q(self, p):
-        # Q = l + 1/2 + (n + 1/2) sqrt(p + 2) + O(1/l) at large l; at l = 1e5 the rounding is ~1e-10
+    def test_non_integer_p_at_l_1e5_is_the_large_l_q(self, p):
+        # Q = l + 1/2 + (n + 1/2) sqrt(p + 2) + O(1/l) at large l; at l = 1e5 the O(1/l) term is ~1.6e-12
         want = 10**5 + 0.5 + 0.5 * math.sqrt(p + 2)
-        assert q_numeric(p, QuantumState(0, 10**5)).value == pytest.approx(want, rel=1e-9)
+        assert q_numeric(p, QuantumState(0, 10**5)).value == pytest.approx(want, rel=1e-11)
 
     @pytest.mark.parametrize(
         ("l", "p"),
-        [(l, p) for l in (2 * 10**5, 2**63, 10**30) for p in (0.5, 1.5, 2.5, -0.5)]
-        # past Q^2 overflow the seed radius fits, and the r^p matrix refuses first
+        [(l, p) for l in (2 * 10**5, 10**7, 2**63, 10**30) for p in (0.5, 1.5, 2.5, -0.5)]
+        # past Q^2 overflow the seed radius and the r^p matrix still fit
         + [(10**160, 0.5), (10**160, 1.5), (10**160, -0.5), (10**300, 0.5)],
     )
-    def test_non_integer_p_past_its_rounding_limit_is_a_domain_error(self, p, l):
-        # the r^p matrix's log-Gamma terms round by ~eps l ln l: at l = 1e14 they once made Q(1.5) 0.52 l
-        with pytest.raises(DomainError, match="rounding"):
-            q_numeric(p, QuantumState(0, l))
+    def test_non_integer_p_at_a_huge_l_is_the_large_l_q(self, p, l):
+        # the r^p matrix rounds by ~eps p ln l at any l (no log-Gamma difference): Q = l + 1/2 + sqrt(p + 2)/2
+        # to the O(1/l) term at l = 2e5 (~4e-13) and to rounding (~3.5e-14) from l = 1e7 up
+        want = l + 0.5 + 0.5 * math.sqrt(p + 2)
+        assert q_numeric(p, QuantumState(0, l)).value == pytest.approx(want, rel=1e-12 if l < 10**7 else 1e-13)
 
     @pytest.mark.parametrize(
         ("l", "p"),
-        [(10**160, -1.0), (10**160, -1.5)]
+        [(10**160, -1.0), (10**160, -1.5), (10**160, 2.5)]
         + [(10**300, p) for p in (1.5, -0.5, -1.0, -1.5)]
         + [(l, p) for l in (int(1.7e308), 10**309) for p in (0.5, 1.0, 1.5, -0.5, -1.0, -1.5)],
     )
     def test_l_whose_radius_leaves_the_double_range_is_a_domain_error(self, p, l):
-        # the seed radius, or an r^p matrix (p = 1.5 at l = 1e300), leaves the double range
+        # the seed radius, or an r^p matrix (p = 2.5 at l = 1e160, p = 1.5 at l = 1e300), leaves the double range
         with pytest.raises(DomainError, match="double range"):
             q_numeric(p, QuantumState(0, l))
 

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import logging
 import math
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 import warnings
 from pathlib import Path
 
@@ -311,10 +313,11 @@ class TestOperatorConstruction:
         quadrature = quadrature_power(lam, l, size)
         assert np.abs(power_matrix(lam, l, size) - quadrature).max() <= 2e-12 * np.abs(quadrature).max()
 
-    @pytest.mark.parametrize("l", [0, 5, 84])
+    @pytest.mark.parametrize("l", [0, 5, 84, 1000, 10**5])
     @pytest.mark.parametrize("lam", [-1.7, -0.5, 0.5, 2.5, 6.5, 8.5])
     def test_connection_form_matches_40_digit_entries(self, lam, l):
-        # the same sum F F^T in 40 digits: the doubles lose no more than 5e-13 of sqrt(W_jj W_kk)
+        # the same sum F F^T in 40 digits: the doubles lose no more than 5e-14 of sqrt(W_jj W_kk), also at
+        # large l, where a log-Gamma difference of size ~2l ln 2l would lose ~eps 2l ln 2l
         mp = pytest.importorskip("mpmath").mp.clone()
         mp.dps = 40
         pairs = [(0, 0), (0, 159), (3, 150), (80, 81), (120, 37), (159, 159)]
@@ -323,7 +326,7 @@ class TestOperatorConstruction:
         exact.update({(j, j): mp.fsum(a * a for a in rows[j]) for j in rows})
         w = power_matrix(lam, l, 160)
         for j, k in pairs:
-            assert abs(w[j, k] - exact[j, k]) <= 5e-13 * mp.sqrt(exact[j, j] * exact[k, k])
+            assert abs(w[j, k] - exact[j, k]) <= 5e-14 * mp.sqrt(exact[j, j] * exact[k, k])
 
     @pytest.mark.parametrize("lam, l", [(0.5, 1000), (-1.5, 200)])
     def test_non_integer_powers_are_positive_definite_at_large_l(self, lam, l):
@@ -362,6 +365,13 @@ class TestOperatorConstruction:
             power_matrix(lam, 10**5000, 20)
         want = f"Laguerre basis matrices at log10(l+1)=5000, N=20 (r^{lam:g}) leave the double range"
         assert str(info.value) == want
+
+    @pytest.mark.parametrize("lam", [-0.5, 0.5])
+    def test_non_integer_power_past_the_x_matrix_range_is_a_domain_error(self, lam):
+        # at l = 1e400, 2l + 2 has no float; r^0.5's entries would still fit, so the refusal is the basis's
+        with pytest.raises(DomainError) as info:
+            power_matrix(lam, 10**400, 20)
+        assert str(info.value) == "Laguerre basis matrices at log10(l+1)=400, N=20 leave the double range"
 
     @pytest.mark.parametrize("l", [0, 2])
     def test_bases_are_nested(self, l):
@@ -950,3 +960,50 @@ class TestOneBlasThread:
         with reference._one_blas_thread:
             assert [get() for get, _ in controls] == two_blas_threads
         assert values() == one_thread
+
+
+class TestLevelRefusals:
+    """The two refusals of the one-level eigensolve, made directly."""
+
+    def test_a_matrix_that_is_not_finite_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^the N=3 Hamiltonian matrix leaves the double range$"):
+            reference._level(np.diag([1.0, np.inf, 2.0]), 0)
+
+    @pytest.mark.parametrize("info, found", [(1, 1), (0, 0), (0, 2)], ids=["info", "no-level", "two-levels"])
+    def test_lapack_without_the_one_level_is_a_convergence_failure(self, monkeypatch, info, found):
+        # dsyevx returns (w, z, m, ifail, info): a nonzero info, or m other than 1, is not level n
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevx", lambda *args, **kwargs: (np.ones(3), None, found, 0, info))
+        want = f"level n=1 of the N=3 matrix: dsyevx returned info={info}, {found} levels"
+        with pytest.raises(ConvergenceFailure, match=f"^{want}$"):
+            reference._level(np.diag([1.0, 2.0, 3.0]), 1)
+
+
+def control_addresses(controls):
+    """The (get, set) function addresses of thread controls, which compare where ctypes objects do not."""
+    return [tuple(ctypes.cast(f, ctypes.c_void_p).value for f in pair) for pair in controls]
+
+
+class TestBlasControlLookup:
+    """The lookup of the OpenBLAS thread controls skips a module it cannot open and goes on to the next."""
+
+    @staticmethod
+    def lookup(monkeypatch, *skipped):
+        """The controls found with the ``skipped`` module names put before the real ones."""
+        monkeypatch.setattr(reference, "_BLAS_MODULES", (*skipped, *reference._BLAS_MODULES))
+        return control_addresses(reference._blas_controls.__wrapped__())
+
+    def test_a_module_without_a_file_is_skipped(self, monkeypatch):
+        # a module built into the interpreter has no __file__, and a module that is not loaded has none either
+        monkeypatch.setitem(sys.modules, "module_without_a_file", types.ModuleType("module_without_a_file"))
+        found = self.lookup(monkeypatch, "module_without_a_file", "module_not_loaded")
+        assert found == control_addresses(reference._blas_controls())
+
+    def test_a_library_that_cannot_be_loaded_is_skipped(self, monkeypatch, tmp_path):
+        module = types.ModuleType("module_not_a_library")
+        module.__file__ = str(tmp_path / "module_not_a_library.so")
+        Path(module.__file__).write_text("not a shared object\n")
+        monkeypatch.setitem(sys.modules, "module_not_a_library", module)
+        with pytest.raises(OSError):
+            ctypes.CDLL(module.__file__)
+        found = self.lookup(monkeypatch, "module_not_a_library")
+        assert found == control_addresses(reference._blas_controls())

@@ -9,8 +9,10 @@ checkout's src).  The sweep is fixed:
   3, 4.5, 8, 9}, n in {0, 3, 8}, l in {0, 1, 2, 5, 30, 69, 70, 85, 300,
   1000}, at tol 1e-6 and 1e-3; then the seven steep levels that need the
   3x finer cusp scale at l >= 1 (p = -1.5 at (1, 1), (3, 2), (8, 5) and
-  p = -1.9 at (0, 5), (3, 30), (3, 60), (3, 69)) and p = -1 at n in
-  {0, 3} and l = 1e4, 1e20, 1e50, 1e150, at the default tol;
+  p = -1.9 at (0, 5), (3, 30), (3, 60), (3, 69)), p = -1 at n in
+  {0, 3} and l = 1e4, 1e20, 1e50, 1e150, and the non-integer p in
+  {-0.5, 0.5, 1.5, 2.5} at n = 0 and l = 1e5, 2e5, 1e7, 1e30, 1e160, at
+  the default tol;
 - "nr_energy": p in {-1.5, -1, 0.5, 2, 8} at (0, 0) and (0, 30), mu and
   rho in {1e-200, 1, 1e200}, at tol 1e-3; then p = -1 at l = 1e20;
 - "sse_eigenvalue": masses (0, 1), (1, 1) and (0.3, 1.5) with the
@@ -64,6 +66,7 @@ def sweep(package):
                 q = outcome(lambda: package.q_numeric(p, state(n, l), tol=tol).value)
                 yield "q_numeric", f"p={p} n={n} l={l} tol={tol}", q
     levels = STEEP + [(-1.0, n, 10**e) for n in (0, 3) for e in (4, 20, 50, 150)]
+    levels += [(p, 0, l) for p in (-0.5, 0.5, 1.5, 2.5) for l in (10**5, 2 * 10**5, 10**7, 10**30, 10**160)]
     for p, n, l in levels:
         yield "q_numeric", f"p={p} n={n} l={l}", outcome(lambda: package.q_numeric(p, state(n, l)).value)
     for p in (-1.5, -1.0, 0.5, 2.0, 8.0):
